@@ -163,6 +163,8 @@ class ChartRing:
         self.meta = dict(meta or {})
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return (
             isinstance(other, ChartRing)
             and self.p == other.p
@@ -226,11 +228,12 @@ class ChartElem:
     def __init__(self, ring: ChartRing, terms):
         clean = {}
         p = ring.p
+        wmax = max(ring.wdeg, 1)
         for key, c in terms.items():
             c %= p
             if c:
                 i, j, cc = key
-                if not (0 <= cc < max(ring.wdeg, 1)):
+                if not (0 <= cc < wmax):
                     raise ValueError(f"w-exponent {cc} out of range")
                 clean[key] = c
         self.ring = ring

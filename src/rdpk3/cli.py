@@ -265,7 +265,7 @@ def cmd_localcoh_frob(args) -> int:
         ]
     )
     _emit(args, self_doc, text)
-    return 0
+    return 0 if res.ok else 1
 
 
 def cmd_localcoh_verify(args) -> int:

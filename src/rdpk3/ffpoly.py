@@ -13,7 +13,9 @@ counting).
 
 from __future__ import annotations
 
+import functools
 import itertools
+import re
 from typing import Iterable, Iterator, Optional
 
 MAX_PRIME = 1 << 16
@@ -30,6 +32,8 @@ def is_prime(n: int) -> bool:
     return True
 
 
+# every FpScalar result re-checks its modulus; only valid primes are cached
+@functools.lru_cache(maxsize=None)
 def _check_modulus(p: int) -> None:
     if not (2 <= p < MAX_PRIME and is_prime(p)):
         raise ValueError(f"modulus must be a prime below 2^16, got {p}")
@@ -424,7 +428,8 @@ def parse_poly(text: str, variables=None, modulus: Optional[int] = None) -> Mult
     (Laurent monomials live in chartring, not here).  If variables is
     None the variable set is inferred and sorted by name.
     """
-    raw = text.replace("-", "+-").split("+")
+    # a "-" right after "^" stays, so "x^-1" reaches the negative-exponent check
+    raw = re.split(r"\+|(?<!\^)(?=-)", text)
     pieces = [t.strip() for t in raw if t.strip()]
     if not pieces:
         raise ValueError(f"empty polynomial literal: {text!r}")

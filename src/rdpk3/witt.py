@@ -27,8 +27,6 @@ implement +, -, *, ** and ring_zero/ring_one:
 from __future__ import annotations
 
 import functools
-import itertools
-from typing import Optional
 
 from .ffpoly import MultiPoly, is_prime
 
@@ -94,10 +92,36 @@ def derive_integer_polys(p: int, n: int, op: str) -> tuple:
     return tuple(polys)
 
 
-class WittPolyTable:
-    """Mod-p structure polynomials for W_n in characteristic p."""
+def _compile_polys(polys, label: str):
+    """Compile mod-p polynomials in the same variables into one function.
 
-    __slots__ = ("p", "n", "sum_polys", "prod_polys", "neg_polys")
+    The function takes a ring element per variable and returns the tuple
+    of values, summed term by term in MultiPoly.evaluate's order; each
+    power above the first is computed once and shared.  Witt structure
+    polynomials have no constant term, so every term has a variable.
+    """
+    names = polys[0].variables
+    powers: dict = {}
+    exprs = []
+    for q in polys:
+        terms = []
+        for exps, c in q.terms.items():
+            powers.update({f"{v}_{e}": f"{v} ** {e}" for v, e in zip(names, exps) if e > 1})
+            factors = [v if e == 1 else f"{v}_{e}" for v, e in zip(names, exps) if e]
+            terms.append(" * ".join(factors + ([str(c)] if c != 1 else [])))
+        exprs.append(" + ".join(terms))
+    lines = [f"def {label}({', '.join(names)}):"]
+    lines += [f"    {local} = {expr}" for local, expr in powers.items()]
+    lines.append(f"    return ({', '.join(exprs)},)")
+    namespace: dict = {}
+    exec(compile("\n".join(lines), f"<{label}>", "exec"), namespace)
+    return namespace[label]
+
+
+class WittPolyTable:
+    """Mod-p structure polynomials for W_n, and add/mul/neg compiled from them."""
+
+    __slots__ = ("p", "n", "sum_polys", "prod_polys", "neg_polys", "add", "mul", "neg")
 
     def __init__(self, p: int, n: int):
         check_supported(p, n)
@@ -106,6 +130,9 @@ class WittPolyTable:
         self.sum_polys = tuple(q.reduce_mod(p) for q in derive_integer_polys(p, n, "add"))
         self.prod_polys = tuple(q.reduce_mod(p) for q in derive_integer_polys(p, n, "mul"))
         self.neg_polys = tuple(q.reduce_mod(p) for q in derive_integer_polys(p, n, "neg"))
+        self.add = _compile_polys(self.sum_polys, f"witt_add_p{p}_n{n}")
+        self.mul = _compile_polys(self.prod_polys, f"witt_mul_p{p}_n{n}")
+        self.neg = _compile_polys(self.neg_polys, f"witt_neg_p{p}_n{n}")
 
 
 @functools.lru_cache(maxsize=None)
@@ -209,31 +236,16 @@ def _check_pair(x: WittVec, y: WittVec) -> None:
         raise ValueError(f"length mismatch: {x.n} vs {y.n}")
 
 
-def _eval_table(polys, env, zero) -> tuple:
-    return tuple(q.evaluate(env, zero) for q in polys)
-
-
 def witt_add(x: WittVec, y: WittVec) -> WittVec:
     _check_pair(x, y)
-    table = build_witt_table(x.p, x.n)
-    env = {f"a{i}": c for i, c in enumerate(x.components)}
-    env.update({f"b{i}": c for i, c in enumerate(y.components)})
-    zero = x.components[0].ring_zero()
-    return WittVec(x.p, _eval_table(table.sum_polys, env, zero))
+    return WittVec(x.p, build_witt_table(x.p, x.n).add(*x.components, *y.components))
 
 def witt_mul(x: WittVec, y: WittVec) -> WittVec:
     _check_pair(x, y)
-    table = build_witt_table(x.p, x.n)
-    env = {f"a{i}": c for i, c in enumerate(x.components)}
-    env.update({f"b{i}": c for i, c in enumerate(y.components)})
-    zero = x.components[0].ring_zero()
-    return WittVec(x.p, _eval_table(table.prod_polys, env, zero))
+    return WittVec(x.p, build_witt_table(x.p, x.n).mul(*x.components, *y.components))
 
 def witt_neg(x: WittVec) -> WittVec:
-    table = build_witt_table(x.p, x.n)
-    env = {f"a{i}": c for i, c in enumerate(x.components)}
-    zero = x.components[0].ring_zero()
-    return WittVec(x.p, _eval_table(table.neg_polys, env, zero))
+    return WittVec(x.p, build_witt_table(x.p, x.n).neg(*x.components))
 
 def witt_sub(x: WittVec, y: WittVec) -> WittVec:
     return witt_add(x, witt_neg(y))

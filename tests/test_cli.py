@@ -277,3 +277,18 @@ def test_usage_error_is_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["witt", "table", "--p", "2"])
     assert exc.value.code == 2
+
+
+def test_localcoh_frob_failing_check_exits_1(capsys, monkeypatch):
+    import rdpk3.cli as cli
+    from rdpk3.localcoh import CheckResult
+
+    def failing(*args, **kwargs):
+        return CheckResult("frobenius:2:D", {"N": 12}, False, "1", "0")
+
+    monkeypatch.setattr(cli, "d_frobenius_check", failing)
+    code, out, err = run(
+        capsys, "localcoh", "frob", "--chart", "2:D12:3", "--n", "2", "--j", "1"
+    )
+    assert code == 1
+    assert "FAIL" in out

@@ -63,6 +63,13 @@ def test_fp_scalar_rejects_composite_modulus():
         FpScalar(6, 1)
 
 
+def test_modulus_check_remembers_only_primes():
+    assert FpScalar(5, 2) * FpScalar(5, 3) == FpScalar(5, 1)
+    for bad in (9, 9, 25):
+        with pytest.raises(ValueError):
+            FpScalar(bad, 1)
+
+
 def test_multipoly_construction_and_equality():
     x = MultiPoly.gen(("x", "y"), "x")
     y = MultiPoly.gen(("x", "y"), "y")
@@ -160,6 +167,13 @@ def test_parse_poly_rejects_garbage():
         parse_poly("x + y", ("x",))
     with pytest.raises(ValueError):
         parse_poly("x^a", ("x", "a"))
+
+
+def test_parse_poly_names_negative_exponent():
+    with pytest.raises(ValueError, match="negative exponent in 'x\\^-1'"):
+        parse_poly("x^-1")
+    with pytest.raises(ValueError, match="negative exponent"):
+        parse_poly("y - 2*x^-3*y", ("x", "y"))
 
 
 def test_poly_ring_gens():

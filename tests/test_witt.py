@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from rdpk3.chartring import ChartElem, chart_from_key
 from rdpk3.ffpoly import FpScalar, MultiPoly
 from rdpk3.witt import (
     SUPPORTED_RANGES,
@@ -292,3 +293,45 @@ def test_projection_formula_deep():
     lhs = verschiebung(x, 2) * y
     rhs = verschiebung(x * witt_frobenius(witt_frobenius(ry)), 2)
     assert lhs == rhs
+
+
+def _interpreted(polys, xs, ys=()):
+    env = {f"a{i}": c for i, c in enumerate(xs)}
+    env.update({f"b{i}": c for i, c in enumerate(ys)})
+    zero = xs[0].ring_zero()
+    return tuple(q.evaluate(env, zero) for q in polys)
+
+
+def _random_component(kind, p, rng):
+    """A random element of F_p, of F_p[s, t], or of a chart ring over F_p."""
+    if kind == "scalar":
+        return FpScalar(p, rng.randrange(p))
+    if kind == "poly":
+        terms = {(rng.randrange(3), rng.randrange(3)): rng.randrange(p) for _ in range(3)}
+        return MultiPoly(("s", "t"), terms, p)
+    ring = kind
+    terms = {
+        (rng.randrange(-2, 3), rng.randrange(-2, 3), rng.randrange(ring.wdeg)):
+            rng.randrange(p)
+        for _ in range(2)
+    }
+    return ChartElem(ring, terms)
+
+
+def test_compiled_tables_match_interpreter():
+    rng = random.Random(4686)
+    rings = {2: chart_from_key("2:D9:2"), 3: chart_from_key("3:E8:2")}
+    for p, nmax in SUPPORTED_RANGES.items():
+        kinds = ["scalar", "poly"] + ([rings[p]] if p in rings else [])
+        for n in range(1, nmax + 1):
+            table = build_witt_table(p, n)
+            for polys in (table.sum_polys, table.prod_polys, table.neg_polys):
+                assert len(polys) == n
+                assert all(isinstance(q, MultiPoly) and q.modulus == p for q in polys)
+            for kind in kinds:
+                for _ in range(3):
+                    xs = tuple(_random_component(kind, p, rng) for _ in range(n))
+                    ys = tuple(_random_component(kind, p, rng) for _ in range(n))
+                    assert table.add(*xs, *ys) == _interpreted(table.sum_polys, xs, ys)
+                    assert table.mul(*xs, *ys) == _interpreted(table.prod_polys, xs, ys)
+                    assert table.neg(*xs) == _interpreted(table.neg_polys, xs)
