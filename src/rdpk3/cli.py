@@ -2,10 +2,10 @@
 
 Subcommands mirror the library layout: ``witt`` for truncated Witt
 vector arithmetic, ``chart`` for the singularity chart catalog,
-``localcoh`` for Frobenius and pullback verification on cohomology
-classes, ``height`` for K3 height computations, ``lattice`` for
-discriminant-form and gluing computations, and ``reproduce`` for the
-one-shot reproduction report.
+``localcoh`` for the Frobenius of a torsion class on one chart,
+``height`` for K3 height computations, ``lattice`` for discriminant-form
+and gluing computations, and ``reproduce`` for the one-shot
+reproduction report.
 
 Every JSON document printed by a subcommand carries a ``schema`` field
 so downstream consumers can detect format changes.
@@ -26,14 +26,6 @@ from .chartring import (
     quotient_case_from_key,
     rdp_chart,
     rmax,
-)
-from .localcoh import (
-    HypothesisError,
-    d_frobenius_check,
-    e8_pair_check,
-    e_frobenius_check,
-    verify_all,
-    verify_family,
 )
 from .height import (
     NonOccurrenceError,
@@ -57,13 +49,18 @@ from .lattice import (
     signature,
     unimodular_overlattice_exists,
 )
-from .reproduce import reproduce_all
+from .reproduce import (
+    HypothesisError,
+    d_frobenius_check,
+    e8_pair_check,
+    e_frobenius_check,
+    reproduce_all,
+)
 
 WITT_TABLE_SCHEMA = "rdpk3/witt-table/1"
 WITT_EVAL_SCHEMA = "rdpk3/witt-eval/1"
 CHART_SCHEMA = "rdpk3/chart/1"
-CHECK_SCHEMA = "rdpk3/check/1"
-VERIFY_SCHEMA = "rdpk3/verify/1"
+CHECK_SCHEMA = "rdpk3/check/2"
 HEIGHT_SCHEMA = "rdpk3/height/1"
 COUNT_SCHEMA = "rdpk3/count/1"
 LATTICE_SCHEMA = "rdpk3/lattice/1"
@@ -227,70 +224,29 @@ def cmd_chart_show(args) -> int:
 # localcoh
 
 
-def _check_doc(res) -> dict:
-    return {
-        "schema": CHECK_SCHEMA,
-        "check": res.check,
-        "params": res.params,
-        "ok": res.ok,
-        "computed": res.computed,
-        "predicted": res.predicted,
-        "note": res.note,
-    }
-
-
 def cmd_localcoh_frob(args) -> int:
     spec = parse_rdp_key(args.chart)
     if spec.family == "D":
+        if spec.p != 2:
+            raise CliError(
+                f"the D-family check is for characteristic 2 only, not {args.chart!r}"
+            )
         if args.j is None:
             raise CliError("the D-family check needs --j")
-        res = d_frobenius_check(spec.N, spec.r, args.n, args.j)
+        rec = d_frobenius_check(spec.N, spec.r, args.n, args.j)
     elif spec.family == "E":
         pair = spec.p == 2 and spec.N == 8 and args.j == 2 and args.n == 1
         if args.j is not None and not pair:
             raise CliError(
                 "--j only applies to D-family charts (or --j 2 --n 1 on 2:E8)"
             )
-        res = e8_pair_check(spec.r) if pair else e_frobenius_check(
+        rec = e8_pair_check(spec.r) if pair else e_frobenius_check(
             spec.p, spec.N, args.n, spec.r
         )
     else:
         raise CliError(f"no torsion-class Frobenius data for the {spec.symbol} chart")
-    self_doc = _check_doc(res)
-    text = "\n".join(
-        [
-            res.line(),
-            f"  computed:  {res.computed}",
-            f"  predicted: {res.predicted}",
-        ]
-    )
-    _emit(args, self_doc, text)
-    return 0 if res.ok else 1
-
-
-def cmd_localcoh_verify(args) -> int:
-    if args.all:
-        results = verify_all()
-    elif args.prop:
-        results = verify_family(args.prop)
-    else:
-        raise CliError("pass --prop TOKEN or --all")
-    if args.case is not None:
-        results = [r for r in results if r.params.get("case") == args.case]
-        if not results:
-            raise CliError(f"no check instance has case {args.case}")
-    n_bad = sum(1 for r in results if not r.ok)
-    doc = {
-        "schema": VERIFY_SCHEMA,
-        "ok": n_bad == 0,
-        "n_checks": len(results),
-        "n_failed": n_bad,
-        "results": [_check_doc(r) for r in results],
-    }
-    lines = [r.line() for r in results]
-    lines.append(f"{len(results) - n_bad}/{len(results)} checks passed")
-    _emit(args, doc, "\n".join(lines))
-    return 0 if n_bad == 0 else 1
+    _emit(args, {"schema": CHECK_SCHEMA, **rec.as_json()}, rec.line())
+    return 0 if rec.status == "pass" else 1
 
 
 # ---------------------------------------------------------------------------
@@ -551,11 +507,6 @@ def build_parser() -> argparse.ArgumentParser:
     lf.add_argument("--n", type=int, required=True, help="Witt vector length")
     lf.add_argument("--j", type=int, default=None, help="ideal exponent (D family)")
     lf.set_defaults(func=cmd_localcoh_frob)
-    lv = lsub.add_parser("verify", help="run closed-form check families")
-    lv.add_argument("--prop", default=None, help="family token: 4.2, 4.3, 4.4, 4.6")
-    lv.add_argument("--case", type=int, default=None, help="single quotient case id")
-    lv.add_argument("--all", action="store_true", help="run every family")
-    lv.set_defaults(func=cmd_localcoh_verify)
 
     height = sub.add_parser("height", help="K3 height computations")
     hsub = height.add_subparsers(dest="subcommand", required=True)

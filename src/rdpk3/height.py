@@ -537,10 +537,10 @@ def count_points(model: SurfaceModel, q: int) -> int:
     """Number of F_q-rational points of the surface model.
 
     TwoChart: affine solutions of both charts plus the q+1 points of
-    the zero section.  WeightedHypersurface: Burnside count of orbits
-    of the weighted scaling action on nonzero cone solutions; for a
-    scaling factor L only coordinates whose weight kills L may be
-    nonzero, so each L contributes the solutions supported there.
+    the zero section.  WeightedHypersurface: nonzero cone solutions
+    divided by q - 1, since each rational point of the coarse space is
+    one orbit of the weighted scaling action with exactly q - 1
+    rational points (Hilbert 90), whatever the weights share with q - 1.
     """
     field = FiniteField(q)
     if field.p != model.characteristic:
@@ -557,22 +557,12 @@ def count_points(model: SurfaceModel, q: int) -> int:
         )
     if q**4 > 2**32:
         raise ValueError(f"q={q} exceeds the enumeration guard for hypersurfaces")
-    weights = model.weights
     poly = model.polynomial
-    nvars = len(weights)
-    total = 0
-    for lam in range(1, q):
-        support = [i for i in range(nvars) if field.pow(lam, weights[i]) == 1]
-        for values in itertools.product(field.elements(), repeat=len(support)):
-            if not any(values):
-                continue
-            point = [0] * nvars
-            for i, v in zip(support, values):
-                point[i] = v
-            if field.evaluate_poly(poly, tuple(point)) == 0:
-                total += 1
+    total = _affine_count(field, poly)
+    if field.evaluate_poly(poly, (0,) * len(model.weights)) == 0:
+        total -= 1  # the cone point itself
     if total % (q - 1) != 0:
-        raise RuntimeError("orbit count is not integral; enumeration bug")
+        raise RuntimeError("cone count is not a multiple of q - 1; enumeration bug")
     return total // (q - 1)
 
 

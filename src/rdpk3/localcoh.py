@@ -15,35 +15,14 @@ residual vector lying in the denominator subgroup must vanish.  reduce
 computes that representative by repeated Witt subtraction; the class
 operations (Frobenius, pullback along suitable ring maps, scalar
 multiplication, V and R) act on representatives and re-reduce.
-
-The verification drivers at the bottom check the closed-form Frobenius
-and pullback computations on the singularity catalog: the D_N family in
-characteristic 2 on the ideals (x, y^j, z), the E_8 coindex-1 class in
-characteristic 2 on (x, y^2, z), the E_6/E_7/E_8 classes at the
-threshold coindex, and the five quotient-map pullbacks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .chartring import (
-    ALL_QUOTIENT_KEYS,
-    ChartElem,
-    ChartRing,
-    RdpSpec,
-    RingMap,
-    frobenius_map,
-    quotient_case_from_key,
-    rdp_chart,
-    rmax,
-)
+from .chartring import ChartElem, ChartRing, RingMap, frobenius_map
 from .witt import WittVec, check_supported, witt_add, witt_sub
-
-
-class HypothesisError(ValueError):
-    """A verification driver was invoked outside its admissible range."""
 
 
 class IdealSpec:
@@ -297,288 +276,3 @@ def scalar_multiple_of(e: CohClass, base: CohClass) -> Optional[int]:
         if e == int_scalar_class(c, base):
             return c
     return None
-
-
-# -- verification drivers -------------------------------------------------
-
-
-@dataclass
-class CheckResult:
-    """Outcome of one closed-form verification instance."""
-
-    check: str
-    params: dict
-    ok: bool
-    computed: str
-    predicted: str
-    note: str = ""
-
-    def line(self) -> str:
-        status = "ok " if self.ok else "FAIL"
-        ps = " ".join(f"{k}={v}" for k, v in self.params.items())
-        out = f"[{status}] {self.check} {ps}: computed {self.computed}"
-        if not self.ok or self.note:
-            out += f" (predicted {self.predicted}"
-            if self.note:
-                out += f"; {self.note}"
-            out += ")"
-        return out
-
-
-def c_one(n: int, j: int) -> int:
-    """The exponent threshold 2^(n-1) (2j - 1) + 1 for the D_N family."""
-    return (1 << (n - 1)) * (2 * j - 1) + 1
-
-
-def d_frobenius_check(N: int, r: int, n: int, j: int,
-                      unified: bool = False) -> CheckResult:
-    """Frobenius of the (x, y^j, z)-torsion class on a D_N^r chart, char 2.
-
-    Hypotheses: floor(N/2) >= C1(n, j), and for n >= 2 also
-    floor(N/2) - r >= C1(n-1, j).  Prediction with
-    a = floor(N/2) - r - C1(n, j): F(e) = 0 when a >= 0, and
-    V^(n-1)([x^(-1) y^a z]) (up to a unit) when a < 0.
-    """
-    spec = RdpSpec(2, "D", N, r)
-    m = N // 2
-    if m < c_one(n, j):
-        raise HypothesisError(
-            f"floor(N/2) = {m} < C1({n},{j}) = {c_one(n, j)}"
-        )
-    if n >= 2 and m - r < c_one(n - 1, j):
-        raise HypothesisError(
-            f"floor(N/2) - r = {m - r} < C1({n - 1},{j}) = {c_one(n - 1, j)}"
-        )
-    ring = rdp_chart(spec, unified=unified)
-    eps = ring.monomial(1, -1, -j, 1)
-    e = class_of(eps, n)
-    fe = frobenius_class(e)
-    a = m - r - c_one(n, j)
-
-    params = {"N": N, "r": r, "n": n, "j": j}
-    if unified:
-        params["variant"] = "unified"
-    notes = []
-    ok = True
-
-    if a >= 0:
-        predicted = zero_class(ring, n)
-        ok = fe == predicted
-    else:
-        gen = ring.monomial(1, -1, a, 1)
-        predicted = CohClass(ring, (ring.zero(),) * (n - 1) + (gen,))
-        scale = scalar_multiple_of(fe, predicted)
-        ok = scale is not None
-        if scale is not None and scale != 1:
-            notes.append(f"unit {scale}")
-
-    if e.components[0] != eps or not all(
-        c.is_zero() for c in e.components[1:]
-    ):
-        ok = False
-        notes.append("base class is not (eps, 0, ..)")
-    ideal = IdealSpec.coordinate_power(ring, j)
-    if not is_torsion(e, ideal):
-        ok = False
-        notes.append("e not torsion for (x, y^j, z)")
-    rest = e
-    while rest.n > 1:
-        rest = r_class(rest)
-    if rest.is_zero():
-        ok = False
-        notes.append("restriction of e vanishes")
-    notes.append(f"a={a}")
-
-    return CheckResult(
-        check="frobenius:2:D",
-        params=params,
-        ok=ok,
-        computed=str(fe),
-        predicted=str(predicted),
-        note="; ".join(notes),
-    )
-
-
-def d_frobenius_sweep(max_N: int = 21, max_n: int = 3,
-                      max_j: int = 4) -> list:
-    """All admissible (N, r, n, j) instances; both equations at r = 0."""
-    results = []
-    for N in range(4, max_N + 1):
-        m = N // 2
-        for n in range(1, max_n + 1):
-            for j in range(1, max_j + 1):
-                if m < c_one(n, j):
-                    continue
-                for r in range(0, rmax(2, "D", N) + 1):
-                    if n >= 2 and m - r < c_one(n - 1, j):
-                        continue
-                    variants = (False, True) if r == 0 else (False,)
-                    for unified in variants:
-                        results.append(
-                            d_frobenius_check(N, r, n, j, unified=unified)
-                        )
-    return results
-
-
-def e8_pair_check(r: int) -> CheckResult:
-    """Frobenius of the (x, y^2, z)-torsion class on E_8^r, char 2, length 1.
-
-    For r = 1 the result is the generator [x^(-1) y^(-1) z]; for r = 0 it
-    vanishes.  The class itself is (x, y^2, z)-torsion but not torsion
-    for the full coordinate ideal.
-    """
-    if r not in (0, 1):
-        raise HypothesisError("only coindexes 0 and 1 are covered here")
-    ring = rdp_chart(RdpSpec(2, "E", 8, r))
-    eps = ring.monomial(1, -1, -2, 1)
-    e = class_of(eps, 1)
-    fe = frobenius_class(e)
-    gen = class_of(ring.monomial(1, -1, -1, 1), 1)
-    predicted = gen if r == 1 else zero_class(ring, 1)
-    ok = fe == predicted
-    notes = []
-    if not is_torsion(e, IdealSpec.coordinate_power(ring, 2)):
-        ok = False
-        notes.append("e not (x, y^2, z)-torsion")
-    if is_torsion(e, IdealSpec.maximal(ring)):
-        ok = False
-        notes.append("e unexpectedly torsion for (x, y, z)")
-    return CheckResult(
-        check="frobenius:2:E8:j2",
-        params={"r": r},
-        ok=ok,
-        computed=str(fe),
-        predicted=str(predicted),
-        note="; ".join(notes),
-    )
-
-
-# (p, N) -> largest admissible length for the threshold family below
-E_FAMILY_LENGTHS = {
-    (2, 6): 1,
-    (2, 7): 3,
-    (2, 8): 3,
-    (3, 6): 1,
-    (3, 7): 1,
-    (3, 8): 2,
-    (5, 8): 1,
-}
-
-
-def e_frobenius_check(p: int, N: int, n: int, r: int) -> CheckResult:
-    """Frobenius of the coordinate-ideal torsion class on E_N^r charts.
-
-    Admissible lengths per (p, N) as in E_FAMILY_LENGTHS, coindex
-    0 <= r <= rmax + 1 - n.  Prediction: F(e) = 0 strictly below the
-    threshold coindex rmax + 1 - n, and V^(n-1) of a generator exactly
-    at it.
-    """
-    max_n = E_FAMILY_LENGTHS.get((p, N))
-    if max_n is None:
-        raise HypothesisError(f"(p, N) = ({p}, {N}) is not in the family")
-    if not (1 <= n <= max_n):
-        raise HypothesisError(f"length {n} out of range 1..{max_n}")
-    bound = rmax(p, "E", N)
-    threshold = bound + 1 - n
-    if not (0 <= r <= threshold):
-        raise HypothesisError(f"coindex {r} out of range 0..{threshold}")
-    ring = rdp_chart(RdpSpec(p, "E", N, r))
-    eps = ring.monomial(1, -1, -1, 1)
-    e = class_of(eps, n)
-    fe = frobenius_class(e)
-    notes = []
-    ok = True
-    if r < threshold:
-        predicted = zero_class(ring, n)
-        ok = fe == predicted
-    else:
-        predicted = CohClass(ring, (ring.zero(),) * (n - 1) + (eps,))
-        scale = scalar_multiple_of(fe, predicted)
-        ok = scale is not None
-        if scale is not None and scale != 1:
-            notes.append(f"unit {scale}")
-    if not is_torsion(e, IdealSpec.maximal(ring)):
-        ok = False
-        notes.append("e not coordinate-ideal torsion")
-    return CheckResult(
-        check="frobenius:E",
-        params={"p": p, "N": N, "n": n, "r": r},
-        ok=ok,
-        computed=str(fe),
-        predicted=str(predicted),
-        note="; ".join(notes),
-    )
-
-
-def e_frobenius_sweep() -> list:
-    results = []
-    for (p, N), max_n in sorted(E_FAMILY_LENGTHS.items()):
-        for n in range(1, max_n + 1):
-            for r in range(0, rmax(p, "E", N) + 2 - n):
-                results.append(e_frobenius_check(p, N, n, r))
-    return results
-
-
-def quotient_pullback_check(key: str) -> CheckResult:
-    """Pullback of the torsion generator along one quotient-map chart.
-
-    The class e = [(eps, 0, ..., 0)] downstairs pulls back to
-    V^(n-1) of a generator of the cover's length-1 cohomology,
-    up to a unit.
-    """
-    case = quotient_case_from_key(key)
-    n = case.n_expected
-    source, target = case.source, case.target
-    e = class_of(case.eps, n)
-    pe = pullback_class(case.rmap, e)
-    predicted = CohClass(
-        target, (target.zero(),) * (n - 1) + (case.predicted_gen,)
-    )
-    notes = []
-    scale = scalar_multiple_of(pe, predicted)
-    ok = scale is not None
-    if scale is not None and scale != 1:
-        notes.append(f"unit {scale}")
-    if not is_torsion(e, IdealSpec.maximal(source)):
-        ok = False
-        notes.append("e not coordinate-ideal torsion downstairs")
-    if predicted.is_zero():
-        ok = False
-        notes.append("predicted generator vanished")
-    return CheckResult(
-        check="quotient-pullback",
-        params={"case": case.case_id, "key": key, "n": n},
-        ok=ok,
-        computed=str(pe),
-        predicted=str(predicted),
-        note="; ".join(notes),
-    )
-
-
-def quotient_pullback_sweep(keys=ALL_QUOTIENT_KEYS) -> list:
-    return [quotient_pullback_check(key) for key in keys]
-
-
-CHECK_FAMILIES = {
-    "4.2": ("frobenius:2:D", d_frobenius_sweep),
-    "4.3": ("frobenius:2:E8:j2", lambda: [e8_pair_check(1), e8_pair_check(0)]),
-    "4.4": ("frobenius:E", e_frobenius_sweep),
-    "4.6": ("quotient-pullback", quotient_pullback_sweep),
-}
-
-
-def verify_family(token: str) -> list:
-    """Run one check family by its CLI token (4.2, 4.3, 4.4, 4.6)."""
-    if token not in CHECK_FAMILIES:
-        raise ValueError(
-            f"unknown check family {token!r}; choose from "
-            + ", ".join(sorted(CHECK_FAMILIES))
-        )
-    return CHECK_FAMILIES[token][1]()
-
-
-def verify_all() -> list:
-    results = []
-    for token in sorted(CHECK_FAMILIES):
-        results.extend(verify_family(token))
-    return results

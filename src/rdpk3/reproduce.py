@@ -6,6 +6,13 @@ a randomized property suite driven by a fixed seed.  Each check yields
 ``CheckRecord`` rows; ``reproduce_all`` collects them into a
 ``RunReport`` whose ``ok`` flag is the conjunction of all rows.
 
+The cohomology drivers check the closed-form Frobenius and pullback
+computations on the singularity catalog: the D_N family in
+characteristic 2 on the ideals (x, y^j, z), the E_8 coindex-1 class in
+characteristic 2 on (x, y^2, z), the E_6/E_7/E_8 classes at the
+threshold coindex, and the quotient-map pullbacks.  Each instance is
+one record; ``rdpk3 localcoh frob`` prints a single one.
+
 Records carry an ``anchor``: a TeX fragment of the formula or phrase
 the check pins down, or the literal tag "plumbing" for rows that only
 exercise infrastructure.
@@ -32,9 +39,27 @@ from .witt import (
     witt_neg,
     witt_sub,
 )
-from .chartring import ChartRing, RdpSpec, parse_rdp_key, rdp_chart
+from .chartring import (
+    ALL_QUOTIENT_KEYS,
+    ChartRing,
+    RdpSpec,
+    parse_rdp_key,
+    quotient_case_from_key,
+    rdp_chart,
+    rmax,
+)
+from .localcoh import (
+    CohClass,
+    IdealSpec,
+    class_of,
+    frobenius_class,
+    is_torsion,
+    pullback_class,
+    r_class,
+    scalar_multiple_of,
+    zero_class,
+)
 from .localcoh import reduce as reduce_class
-from .localcoh import verify_family
 from .height import (
     ETALE_QUOTIENT_TABLE,
     NonOccurrenceError,
@@ -50,7 +75,6 @@ from .height import (
     ordinary_test,
     sing_config_str,
 )
-from .chartring import rmax
 from .lattice import (
     GramLattice,
     diagonal_gram,
@@ -385,33 +409,226 @@ def check_projection_rule() -> List[CheckRecord]:
 # Frobenius and pullback sweeps on chart cohomology
 
 
-def _records_from_results(results, anchor: str) -> List[CheckRecord]:
-    recs = []
-    for res in results:
-        parts = []
-        for k, v in res.params.items():
-            parts.append(f"{k}{v:02d}" if isinstance(v, int) else f"{k}={v}")
-        rid = ":".join([res.check] + parts)
-        recs.append(
-            _record(rid, res.ok, res.computed, res.predicted, anchor, res.note)
+class HypothesisError(ValueError):
+    """A verification driver was invoked outside its admissible range."""
+
+
+def c_one(n: int, j: int) -> int:
+    """The exponent threshold 2^(n-1) (2j - 1) + 1 for the D_N family."""
+    return (1 << (n - 1)) * (2 * j - 1) + 1
+
+
+def d_frobenius_check(N: int, r: int, n: int, j: int,
+                      unified: bool = False) -> CheckRecord:
+    """Frobenius of the (x, y^j, z)-torsion class on a D_N^r chart, char 2.
+
+    Hypotheses: n >= 1, floor(N/2) >= C1(n, j), and for n >= 2 also
+    floor(N/2) - r >= C1(n-1, j).  Prediction with
+    a = floor(N/2) - r - C1(n, j): F(e) = 0 when a >= 0, and
+    V^(n-1)([x^(-1) y^a z]) (up to a unit) when a < 0.
+    """
+    spec = RdpSpec(2, "D", N, r)
+    if n < 1:
+        raise HypothesisError(f"length {n} out of range; need n >= 1")
+    m = N // 2
+    if m < c_one(n, j):
+        raise HypothesisError(
+            f"floor(N/2) = {m} < C1({n},{j}) = {c_one(n, j)}"
         )
+    if n >= 2 and m - r < c_one(n - 1, j):
+        raise HypothesisError(
+            f"floor(N/2) - r = {m - r} < C1({n - 1},{j}) = {c_one(n - 1, j)}"
+        )
+    ring = rdp_chart(spec, unified=unified)
+    eps = ring.monomial(1, -1, -j, 1)
+    e = class_of(eps, n)
+    fe = frobenius_class(e)
+    a = m - r - c_one(n, j)
+
+    rid = f"frobenius:2:D:N{N:02d}:r{r:02d}:n{n:02d}:j{j:02d}"
+    if unified:
+        rid += ":variant=unified"
+    notes = []
+
+    if a >= 0:
+        predicted = zero_class(ring, n)
+        ok = fe == predicted
+    else:
+        gen = ring.monomial(1, -1, a, 1)
+        predicted = CohClass(ring, (ring.zero(),) * (n - 1) + (gen,))
+        scale = scalar_multiple_of(fe, predicted)
+        ok = scale is not None
+        if scale is not None and scale != 1:
+            notes.append(f"unit {scale}")
+
+    if e.components[0] != eps or not all(
+        c.is_zero() for c in e.components[1:]
+    ):
+        ok = False
+        notes.append("base class is not (eps, 0, ..)")
+    ideal = IdealSpec.coordinate_power(ring, j)
+    if not is_torsion(e, ideal):
+        ok = False
+        notes.append("e not torsion for (x, y^j, z)")
+    rest = e
+    while rest.n > 1:
+        rest = r_class(rest)
+    if rest.is_zero():
+        ok = False
+        notes.append("restriction of e vanishes")
+    notes.append(f"a={a}")
+    return _record(rid, ok, fe, predicted, ANCHOR_D_FAMILY, "; ".join(notes))
+
+
+def d_frobenius_sweep(max_N: int = 21, max_n: int = 3,
+                      max_j: int = 4) -> List[CheckRecord]:
+    """All admissible (N, r, n, j) instances; both equations at r = 0."""
+    recs = []
+    for N in range(4, max_N + 1):
+        m = N // 2
+        for n in range(1, max_n + 1):
+            for j in range(1, max_j + 1):
+                if m < c_one(n, j):
+                    continue
+                for r in range(0, rmax(2, "D", N) + 1):
+                    if n >= 2 and m - r < c_one(n - 1, j):
+                        continue
+                    variants = (False, True) if r == 0 else (False,)
+                    for unified in variants:
+                        recs.append(
+                            d_frobenius_check(N, r, n, j, unified=unified)
+                        )
     return recs
 
 
-def check_d_family() -> List[CheckRecord]:
-    return _records_from_results(verify_family("4.2"), ANCHOR_D_FAMILY)
+def e8_pair_check(r: int) -> CheckRecord:
+    """Frobenius of the (x, y^2, z)-torsion class on E_8^r, char 2, length 1.
+
+    For r = 1 the result is the generator [x^(-1) y^(-1) z]; for r = 0 it
+    vanishes.  The class itself is (x, y^2, z)-torsion but not torsion
+    for the full coordinate ideal.
+    """
+    if r not in (0, 1):
+        raise HypothesisError("only coindexes 0 and 1 are covered here")
+    ring = rdp_chart(RdpSpec(2, "E", 8, r))
+    eps = ring.monomial(1, -1, -2, 1)
+    e = class_of(eps, 1)
+    fe = frobenius_class(e)
+    gen = class_of(ring.monomial(1, -1, -1, 1), 1)
+    predicted = gen if r == 1 else zero_class(ring, 1)
+    ok = fe == predicted
+    notes = []
+    if not is_torsion(e, IdealSpec.coordinate_power(ring, 2)):
+        ok = False
+        notes.append("e not (x, y^2, z)-torsion")
+    if is_torsion(e, IdealSpec.maximal(ring)):
+        ok = False
+        notes.append("e unexpectedly torsion for (x, y, z)")
+    return _record(
+        f"frobenius:2:E8:j2:r{r:02d}", ok, fe, predicted, ANCHOR_E8_PAIR,
+        "; ".join(notes),
+    )
 
 
-def check_e8_pair() -> List[CheckRecord]:
-    return _records_from_results(verify_family("4.3"), ANCHOR_E8_PAIR)
+def e8_pair_sweep() -> List[CheckRecord]:
+    return [e8_pair_check(1), e8_pair_check(0)]
 
 
-def check_e_family() -> List[CheckRecord]:
-    return _records_from_results(verify_family("4.4"), ANCHOR_E_FAMILY)
+# (p, N) -> largest admissible length for the threshold family below
+E_FAMILY_LENGTHS = {
+    (2, 6): 1,
+    (2, 7): 3,
+    (2, 8): 3,
+    (3, 6): 1,
+    (3, 7): 1,
+    (3, 8): 2,
+    (5, 8): 1,
+}
 
 
-def check_quotient_pullback() -> List[CheckRecord]:
-    return _records_from_results(verify_family("4.6"), ANCHOR_QUOTIENT)
+def e_frobenius_check(p: int, N: int, n: int, r: int) -> CheckRecord:
+    """Frobenius of the coordinate-ideal torsion class on E_N^r charts.
+
+    Admissible lengths per (p, N) as in E_FAMILY_LENGTHS, coindex
+    0 <= r <= rmax + 1 - n.  Prediction: F(e) = 0 strictly below the
+    threshold coindex rmax + 1 - n, and V^(n-1) of a generator exactly
+    at it.
+    """
+    max_n = E_FAMILY_LENGTHS.get((p, N))
+    if max_n is None:
+        raise HypothesisError(f"(p, N) = ({p}, {N}) is not in the family")
+    if not (1 <= n <= max_n):
+        raise HypothesisError(f"length {n} out of range 1..{max_n}")
+    bound = rmax(p, "E", N)
+    threshold = bound + 1 - n
+    if not (0 <= r <= threshold):
+        raise HypothesisError(f"coindex {r} out of range 0..{threshold}")
+    ring = rdp_chart(RdpSpec(p, "E", N, r))
+    eps = ring.monomial(1, -1, -1, 1)
+    e = class_of(eps, n)
+    fe = frobenius_class(e)
+    notes = []
+    if r < threshold:
+        predicted = zero_class(ring, n)
+        ok = fe == predicted
+    else:
+        predicted = CohClass(ring, (ring.zero(),) * (n - 1) + (eps,))
+        scale = scalar_multiple_of(fe, predicted)
+        ok = scale is not None
+        if scale is not None and scale != 1:
+            notes.append(f"unit {scale}")
+    if not is_torsion(e, IdealSpec.maximal(ring)):
+        ok = False
+        notes.append("e not coordinate-ideal torsion")
+    return _record(
+        f"frobenius:E:p{p:02d}:N{N:02d}:n{n:02d}:r{r:02d}", ok, fe, predicted,
+        ANCHOR_E_FAMILY, "; ".join(notes),
+    )
+
+
+def e_frobenius_sweep() -> List[CheckRecord]:
+    recs = []
+    for (p, N), max_n in sorted(E_FAMILY_LENGTHS.items()):
+        for n in range(1, max_n + 1):
+            for r in range(0, rmax(p, "E", N) + 2 - n):
+                recs.append(e_frobenius_check(p, N, n, r))
+    return recs
+
+
+def quotient_pullback_check(key: str) -> CheckRecord:
+    """Pullback of the torsion generator along one quotient-map chart.
+
+    The class e = [(eps, 0, ..., 0)] downstairs pulls back to
+    V^(n-1) of a generator of the cover's length-1 cohomology,
+    up to a unit.
+    """
+    case = quotient_case_from_key(key)
+    n = case.n_expected
+    source, target = case.source, case.target
+    e = class_of(case.eps, n)
+    pe = pullback_class(case.rmap, e)
+    predicted = CohClass(
+        target, (target.zero(),) * (n - 1) + (case.predicted_gen,)
+    )
+    notes = []
+    scale = scalar_multiple_of(pe, predicted)
+    ok = scale is not None
+    if scale is not None and scale != 1:
+        notes.append(f"unit {scale}")
+    if not is_torsion(e, IdealSpec.maximal(source)):
+        ok = False
+        notes.append("e not coordinate-ideal torsion downstairs")
+    if predicted.is_zero():
+        ok = False
+        notes.append("predicted generator vanished")
+    return _record(
+        f"quotient-pullback:case{case.case_id:02d}:key={key}:n{n:02d}", ok, pe,
+        predicted, ANCHOR_QUOTIENT, "; ".join(notes),
+    )
+
+
+def quotient_pullback_sweep(keys=ALL_QUOTIENT_KEYS) -> List[CheckRecord]:
+    return [quotient_pullback_check(key) for key in keys]
 
 
 # ---------------------------------------------------------------------------
@@ -886,10 +1103,10 @@ CHECK_GROUPS: Tuple[Tuple[str, Callable, bool, Tuple[str, ...]], ...] = (
     ("witt:ghost", check_ghost_grid, False, ("ghost",)),
     ("witt:identity", check_witt_identities, False, ("identities", "2.2")),
     ("witt:projection", check_projection_rule, False, ("projection", "2.1")),
-    ("frobenius:2:D", check_d_family, False, ("4.2",)),
-    ("frobenius:2:E8:j2", check_e8_pair, False, ("4.3",)),
-    ("frobenius:E", check_e_family, False, ("4.4",)),
-    ("quotient-pullback", check_quotient_pullback, False, ("4.6", "quotient")),
+    ("frobenius:2:D", d_frobenius_sweep, False, ("4.2",)),
+    ("frobenius:2:E8:j2", e8_pair_sweep, False, ("4.3",)),
+    ("frobenius:E", e_frobenius_sweep, False, ("4.4",)),
+    ("quotient-pullback", quotient_pullback_sweep, False, ("4.6", "quotient")),
     (
         "height:consistency",
         check_height_consistency,

@@ -8,9 +8,6 @@ fail line.  The module also runs standalone: python3 tests/test_acceptance.py
 import time
 
 from rdpk3.reproduce import (
-    check_d_family,
-    check_e8_pair,
-    check_e_family,
     check_ghost_grid,
     check_glue,
     check_height_consistency,
@@ -18,8 +15,11 @@ from rdpk3.reproduce import (
     check_point_counts,
     check_projection_rule,
     check_property_suites,
-    check_quotient_pullback,
     check_witt_identities,
+    d_frobenius_sweep,
+    e8_pair_sweep,
+    e_frobenius_sweep,
+    quotient_pullback_sweep,
 )
 
 
@@ -69,7 +69,7 @@ def test_projection_formula_symbolic():
 
 
 def test_d_family_frobenius_sweep():
-    recs = _run("D-family Frobenius sweep", check_d_family, 120.0)
+    recs = _run("D-family Frobenius sweep", d_frobenius_sweep, 120.0)
     assert len(recs) == 622
     # both prediction branches are exercised
     zero_cases = [r for r in recs if r.computed.startswith("(0")]
@@ -77,19 +77,19 @@ def test_d_family_frobenius_sweep():
 
 
 def test_e8_frobenius_pair():
-    recs = _run("E8 index-two torsion pair", check_e8_pair, 1.0, expect_count=2)
+    recs = _run("E8 index-two torsion pair", e8_pair_sweep, 1.0, expect_count=2)
     ids = {r.check_id for r in recs}
     assert any("r00" in i for i in ids) and any("r01" in i for i in ids)
 
 
 def test_e_family_frobenius_rows():
-    recs = _run("E-family Frobenius rows", check_e_family, 30.0)
+    recs = _run("E-family Frobenius rows", e_frobenius_sweep, 30.0)
     assert len(recs) == 34
     assert all("except precisely for" in r.anchor for r in recs)
 
 
 def test_quotient_pullback_cases():
-    recs = _run("quotient pullback cases", check_quotient_pullback, 10.0, expect_count=10)
+    recs = _run("quotient pullback cases", quotient_pullback_sweep, 10.0, expect_count=10)
     assert all(r"V^{n-1}(e')" in r.anchor for r in recs)
 
 

@@ -96,12 +96,40 @@ def test_localcoh_frob_d_family(capsys):
     assert "frobenius:2:D" in out
 
 
+def test_localcoh_frob_prints_the_reproduce_line(capsys):
+    code, out, err = run(
+        capsys, "localcoh", "frob", "--chart", "2:D12:3", "--n", "2", "--j", "1"
+    )
+    assert code == 0
+    _code, report, _err = run(capsys, "reproduce", "--only", "4.2")
+    rid = "frobenius:2:D:N12:r03:n02:j01"
+    [line] = [ln for ln in report.splitlines() if f" {rid}: " in ln]
+    assert out == line + "\n"
+
+
 def test_localcoh_frob_inadmissible_exponent(capsys):
     code, out, err = run(
         capsys, "localcoh", "frob", "--chart", "2:D12:3", "--n", "2", "--j", "2"
     )
     assert code == 2
     assert "C1(2,2)" in err
+
+
+def test_localcoh_frob_d_key_outside_char_2(capsys):
+    code, out, err = run(
+        capsys, "localcoh", "frob", "--chart", "3:D8:0", "--n", "1", "--j", "1"
+    )
+    assert code == 2
+    assert "3:D8:0" in err
+    assert out == ""
+
+
+def test_localcoh_frob_zero_length(capsys):
+    code, out, err = run(
+        capsys, "localcoh", "frob", "--chart", "2:D12:3", "--n", "0", "--j", "1"
+    )
+    assert code == 2
+    assert "length 0" in err
 
 
 def test_localcoh_frob_requires_j_for_d(capsys):
@@ -114,35 +142,19 @@ def test_localcoh_frob_e8_pair(capsys):
         capsys, "localcoh", "frob", "--chart", "2:E8:1", "--n", "1", "--j", "2"
     )
     assert code == 0
-    assert doc["schema"] == "rdpk3/check/1"
-    assert doc["ok"] is True
+    assert doc["schema"] == "rdpk3/check/2"
+    assert doc["status"] == "pass"
+
+
+def test_localcoh_verify_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["localcoh", "verify", "--all"])
+    assert exc.value.code == 2
 
 
 def test_localcoh_frob_a_family_refused(capsys):
     code, out, err = run(capsys, "localcoh", "frob", "--chart", "3:A2:0", "--n", "1")
     assert code == 2
-
-
-def test_localcoh_verify_family(capsys):
-    code, out, err = run(capsys, "localcoh", "verify", "--prop", "4.3")
-    assert code == 0
-    assert out.count("[ok ]") == 2
-
-
-def test_localcoh_verify_single_case(capsys):
-    code, doc = run_json(
-        capsys, "localcoh", "verify", "--prop", "4.6", "--case", "2"
-    )
-    assert code == 0
-    assert doc["n_checks"] >= 1
-    assert doc["ok"] is True
-
-
-def test_localcoh_verify_all_json(capsys):
-    code, doc = run_json(capsys, "localcoh", "verify", "--all")
-    assert code == 0
-    assert doc["ok"] is True
-    assert doc["n_checks"] > 600
 
 
 def test_height_from_rdp(capsys):
@@ -281,10 +293,10 @@ def test_usage_error_is_exit_two(capsys):
 
 def test_localcoh_frob_failing_check_exits_1(capsys, monkeypatch):
     import rdpk3.cli as cli
-    from rdpk3.localcoh import CheckResult
+    from rdpk3.reproduce import CheckRecord
 
     def failing(*args, **kwargs):
-        return CheckResult("frobenius:2:D", {"N": 12}, False, "1", "0")
+        return CheckRecord("frobenius:2:D:N12", "fail", "1", "0", "plumbing")
 
     monkeypatch.setattr(cli, "d_frobenius_check", failing)
     code, out, err = run(

@@ -261,6 +261,15 @@ def test_weighted_count_matches_cone_count():
     assert count_points(fermat, 5) == cone // 4
 
 
+def test_weighted_count_line_in_p112():
+    """x0 = 0 in P(1,1,2) is a P^1 even where the weight 2 divides q - 1."""
+    for p, q, want in ((3, 3, 4), (3, 9, 10), (5, 5, 6), (2, 4, 5)):
+        line = WeightedHypersurface(
+            p, (1, 1, 2), parse_poly("x0", ("x0", "x1", "x2"), modulus=p)
+        )
+        assert count_points(line, q) == want, q
+
+
 def test_genuinely_weighted_count_runs():
     wmodel = WeightedHypersurface(
         2,

@@ -5,25 +5,27 @@ import pytest
 from rdpk3.chartring import RdpSpec, chart_from_key, quotient_case_from_key, rdp_chart
 from rdpk3.localcoh import (
     CohClass,
-    HypothesisError,
     IdealSpec,
-    c_one,
     class_of,
-    d_frobenius_check,
-    e8_pair_check,
-    e_frobenius_check,
     frobenius_class,
     int_scalar_class,
     is_torsion,
     pullback_class,
-    quotient_pullback_check,
     r_class,
     reduce,
     scalar_mul_class,
     scalar_multiple_of,
     v_class,
-    verify_family,
     zero_class,
+)
+from rdpk3.reproduce import (
+    HypothesisError,
+    c_one,
+    d_frobenius_check,
+    e8_pair_check,
+    e_frobenius_check,
+    quotient_pullback_check,
+    reproduce_all,
 )
 
 
@@ -147,21 +149,21 @@ def test_exponent_threshold():
 def test_d_family_check_vanishing_case():
     # N = 12, r = 0, n = 1, j = 1: a = 6 - 0 - 2 = 4 >= 0, so F(e) = 0
     res = d_frobenius_check(12, 0, 1, 1)
-    assert res.ok
+    assert res.status == "pass"
     assert "a=4" in res.note
 
 
 def test_d_family_check_shifted_case():
     # N = 4, r = 1, n = 1, j = 1: a = 2 - 1 - 2 = -1 < 0
     res = d_frobenius_check(4, 1, 1, 1)
-    assert res.ok
+    assert res.status == "pass"
     assert "a=-1" in res.note
 
 
 def test_d_family_check_unified_chart_agrees():
     plain = d_frobenius_check(8, 0, 2, 1)
     uni = d_frobenius_check(8, 0, 2, 1, unified=True)
-    assert plain.ok and uni.ok
+    assert plain.status == uni.status == "pass"
 
 
 def test_d_family_hypothesis_guard():
@@ -173,26 +175,26 @@ def test_d_family_hypothesis_guard():
         d_frobenius_check(14, 6, 2, 1)  # 7 - 6 = 1 < C1(1,1) = 2
     # boundary instance right at the second inequality still runs
     res = d_frobenius_check(14, 5, 2, 1)
-    assert res.ok
+    assert res.status == "pass"
 
 
 def test_e8_pair_both_coindexes():
     for r in (0, 1):
         res = e8_pair_check(r)
-        assert res.ok, res.line()
+        assert res.status == "pass", res.line()
 
 
 def test_e_family_rows():
-    assert e_frobenius_check(2, 7, 1, 0).ok
-    assert e_frobenius_check(3, 8, 2, 1).ok
-    assert e_frobenius_check(5, 8, 1, 1).ok
+    assert e_frobenius_check(2, 7, 1, 0).status == "pass"
+    assert e_frobenius_check(3, 8, 2, 1).status == "pass"
+    assert e_frobenius_check(5, 8, 1, 1).status == "pass"
     with pytest.raises(ValueError):
         e_frobenius_check(2, 7, 4, 0)  # length above the table entry
 
 
 def test_quotient_pullback_single_case():
     res = quotient_pullback_check("quot:3:mu:A2")
-    assert res.ok
+    assert res.status == "pass"
     case = quotient_case_from_key("quot:3:mu:A2")
     e = class_of(case.eps, case.n_expected)
     pe = pullback_class(case.rmap, e)
@@ -202,16 +204,21 @@ def test_quotient_pullback_single_case():
 
 
 def test_verify_family_tokens():
-    res = verify_family("4.3")
-    assert len(res) == 2 and all(r.ok for r in res)
-    res = verify_family("4.6")
-    assert len(res) == 10 and all(r.ok for r in res)
+    rep = reproduce_all(only="4.3")
+    assert len(rep.records) == 2 and rep.ok
+    rep = reproduce_all(only="4.6")
+    assert len(rep.records) == 10 and rep.ok
     with pytest.raises(ValueError):
-        verify_family("9.9")
+        reproduce_all(only="9.9")
 
 
 def test_check_result_line_format():
     res = e8_pair_check(1)
     line = res.line()
-    assert line.startswith("[ok ]")
+    assert line.startswith("[ok  ]")
     assert "frobenius" in line
+
+
+def test_d_family_rejects_zero_length():
+    with pytest.raises(HypothesisError, match="length 0"):
+        d_frobenius_check(12, 3, 0, 1)
