@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .ffpoly import MultiPoly, _check_modulus
+from .ffpoly import MultiPoly, SparseTerms, _check_modulus
 
 
 def rmax(p: int, family: str, N: int) -> int:
@@ -200,12 +200,6 @@ class ChartRing:
             out[self.labels[2]] = self.monomial(1, 0, 0, 1)
         return out
 
-    def from_poly(self, poly: MultiPoly) -> "ChartElem":
-        """Lift a polynomial in (u, v) to a chart element."""
-        if poly.variables != self.labels[:2] or poly.modulus != self.p:
-            raise ValueError("polynomial does not live in this chart's (u, v)")
-        return ChartElem(self, {(i, j, 0): c for (i, j), c in poly.terms.items()})
-
     def relation_str(self) -> str:
         if self.wdeg == 1:
             return "(free)"
@@ -220,10 +214,11 @@ class ChartRing:
         return f"ChartRing({tag})"
 
 
-class ChartElem:
+class ChartElem(SparseTerms):
     """Sum of monomials u^i v^j w^c with coefficients in F_p."""
 
     __slots__ = ("ring", "terms")
+    _one_key = (0, 0, 0)
 
     def __init__(self, ring: ChartRing, terms):
         clean = {}
@@ -248,28 +243,12 @@ class ChartElem:
             return ChartElem(self.ring, {(0, 0, 0): other})
         return NotImplemented
 
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        terms = dict(self.terms)
-        for key, c in other.terms.items():
-            terms[key] = terms.get(key, 0) + c
+    def _like(self, terms) -> "ChartElem":
         return ChartElem(self.ring, terms)
 
-    __radd__ = __add__
-
-    def __neg__(self):
-        return ChartElem(self.ring, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
+    @property
+    def _names(self) -> tuple:
+        return self.ring.labels
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -294,27 +273,6 @@ class ChartElem:
         return ChartElem(ring, terms)
 
     __rmul__ = __mul__
-
-    def __pow__(self, e: int):
-        if e < 0:
-            raise ValueError("chart elements are not invertible in general")
-        result = self.ring.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
-
-    def ring_zero(self):
-        return self.ring.zero()
-
-    def ring_one(self):
-        return self.ring.one()
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def __eq__(self, other):
         return (
@@ -351,33 +309,6 @@ class ChartElem:
 
     def has_nonnegative_exponents(self) -> bool:
         return all(i >= 0 and j >= 0 for (i, j, _) in self.terms)
-
-    def sorted_terms(self) -> list:
-        return sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        u, v = self.ring.labels[:2]
-        w = self.ring.labels[2] if self.ring.wdeg >= 2 else None
-        parts = []
-        for (i, j, c), k in self.sorted_terms():
-            factors = []
-            for name, e in ((u, i), (v, j)):
-                if e == 1:
-                    factors.append(name)
-                elif e:
-                    factors.append(f"{name}^{e}")
-            if c == 1:
-                factors.append(w)
-            elif c:
-                factors.append(f"{w}^{c}")
-            body = "*".join(factors) if factors else "1"
-            parts.append(body if k == 1 and factors else (f"{k}*{body}" if factors else str(k)))
-        return " + ".join(parts)
-
-    def __repr__(self):
-        return f"ChartElem({self})"
 
 
 def _eval_uv(poly: MultiPoly, U: ChartElem, V: ChartElem) -> ChartElem:

@@ -46,6 +46,7 @@ from .lattice import (
     disc_group,
     dynkin_gram,
     glue_from_json,
+    gram_from_json,
     signature,
     unimodular_overlattice_exists,
 )
@@ -349,8 +350,7 @@ def _lattice_from_args(args) -> GramLattice:
     if len(given) != 1:
         raise CliError("pass exactly one of --gram, --dynkin, --diagonal")
     if args.gram:
-        rows = json.loads(args.gram)
-        return GramLattice(rows)
+        return gram_from_json(json.loads(args.gram))
     if args.dynkin:
         return dynkin_gram(args.dynkin)
     return diagonal_gram(_ints(args.diagonal))

@@ -110,8 +110,9 @@ class FpScalar:
         return FpScalar(self.p, 1)
 
     def __eq__(self, other):
+        # an int is equal only when it is the residue itself, so hashes agree
         if isinstance(other, int):
-            return self.value == other % self.p
+            return self.value == other
         return (
             isinstance(other, FpScalar)
             and self.p == other.p
@@ -119,7 +120,7 @@ class FpScalar:
         )
 
     def __hash__(self):
-        return hash((self.p, self.value))
+        return hash(self.value)
 
     def __bool__(self):
         return self.value != 0
@@ -131,12 +132,86 @@ class FpScalar:
         return str(self.value)
 
 
-def _grlex_key(exps: tuple) -> tuple:
-    # graded lexicographic: total degree first, then lex on exponents
-    return (sum(exps), exps)
+class SparseTerms:
+    """A finite sum of monomials stored as {exponent key: coefficient}.
+
+    Holds the arithmetic that does not depend on the parent ring: sums,
+    negation, differences, powers, zero and one, term order and
+    printing.  A subclass stores ``terms`` and supplies ``_like`` (an
+    element of the same ring from a term dict), ``_coerce`` (an int or a
+    peer as a like element, NotImplemented otherwise), ``_one_key`` (the
+    exponent key of 1), ``_names`` (one name per exponent slot) and its
+    own ``__mul__``.
+    """
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        terms = dict(self.terms)
+        for key, c in other.terms.items():
+            terms[key] = terms.get(key, 0) + c
+        return self._like(terms)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._like({key: -c for key, c in self.terms.items()})
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __pow__(self, e: int):
+        if e < 0:
+            raise ValueError(f"negative power {e} of a {type(self).__name__}")
+        result = self.ring_one()
+        base = self
+        while e:
+            if e & 1:
+                result = result * base
+            base = base * base if e > 1 else base
+            e >>= 1
+        return result
+
+    def ring_zero(self):
+        return self._like({})
+
+    def ring_one(self):
+        return self._like({self._one_key: 1})
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def sorted_terms(self) -> list:
+        # graded lexicographic, largest first: total degree, then lex on exponents
+        return sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
+
+    def __str__(self):
+        if not self.terms:
+            return "0"
+        names = self._names
+        parts = [_format_term(names, e, c) for e, c in self.sorted_terms()]
+        out = parts[0]
+        for part in parts[1:]:
+            if part.startswith("-"):
+                out += " - " + part[1:]
+            else:
+                out += " + " + part
+        return out
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self})"
 
 
-class MultiPoly:
+class MultiPoly(SparseTerms):
     """Sparse multivariate polynomial over Z or F_p.
 
     terms maps exponent tuples to nonzero coefficients; the tuple length
@@ -190,9 +265,6 @@ class MultiPoly:
         exps = tuple(1 if k == i else 0 for k in range(len(variables)))
         return cls(variables, {exps: 1}, modulus)
 
-    def gens(self) -> dict:
-        return {v: MultiPoly.gen(self.variables, v, self.modulus) for v in self.variables}
-
     # -- ring structure ----------------------------------------------
 
     def _compat(self, other: "MultiPoly") -> None:
@@ -202,40 +274,29 @@ class MultiPoly:
                 f"vs {other.variables}/{other.modulus}"
             )
 
-    def __add__(self, other):
-        if isinstance(other, int):
-            other = MultiPoly.const(self.variables, other, self.modulus)
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
-        self._compat(other)
-        terms = dict(self.terms)
-        for exps, c in other.terms.items():
-            terms[exps] = terms.get(exps, 0) + c
+    def _like(self, terms) -> "MultiPoly":
         return MultiPoly(self.variables, terms, self.modulus)
 
-    __radd__ = __add__
-
-    def __neg__(self):
-        return MultiPoly(
-            self.variables, {e: -c for e, c in self.terms.items()}, self.modulus
-        )
-
-    def __sub__(self, other):
+    def _coerce(self, other):
         if isinstance(other, int):
-            other = MultiPoly.const(self.variables, other, self.modulus)
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            other = MultiPoly.const(self.variables, other, self.modulus)
+            return MultiPoly.const(self.variables, other, self.modulus)
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._compat(other)
+        return other
+
+    @property
+    def _one_key(self) -> tuple:
+        return (0,) * len(self.variables)
+
+    @property
+    def _names(self) -> tuple:
+        return self.variables
+
+    def __mul__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
         terms: dict = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -245,28 +306,7 @@ class MultiPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, e: int):
-        if e < 0:
-            raise ValueError("negative power of a polynomial")
-        result = MultiPoly.const(self.variables, 1, self.modulus)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
-
-    def ring_zero(self) -> "MultiPoly":
-        return MultiPoly.zero(self.variables, self.modulus)
-
-    def ring_one(self) -> "MultiPoly":
-        return MultiPoly.const(self.variables, 1, self.modulus)
-
     # -- queries -----------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def coefficient_of(self, exps) -> int:
         return self.terms.get(tuple(exps), 0)
@@ -332,11 +372,6 @@ class MultiPoly:
             raise ValueError("already reduced")
         return MultiPoly(self.variables, dict(self.terms), p)
 
-    def map_coefficients(self, fn) -> "MultiPoly":
-        return MultiPoly(
-            self.variables, {e: fn(c) for e, c in self.terms.items()}, self.modulus
-        )
-
     def rename(self, mapping: dict) -> "MultiPoly":
         new_vars = tuple(mapping.get(v, v) for v in self.variables)
         return MultiPoly(new_vars, dict(self.terms), self.modulus)
@@ -383,24 +418,6 @@ class MultiPoly:
 
     def __hash__(self):
         return hash((self.variables, self.modulus, frozenset(self.terms.items())))
-
-    def sorted_terms(self) -> list:
-        return sorted(self.terms.items(), key=lambda kv: _grlex_key(kv[0]), reverse=True)
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = [_format_term(self.variables, e, c) for e, c in self.sorted_terms()]
-        out = parts[0]
-        for part in parts[1:]:
-            if part.startswith("-"):
-                out += " - " + part[1:]
-            else:
-                out += " + " + part
-        return out
-
-    def __repr__(self):
-        return f"MultiPoly({self})"
 
 
 def _format_term(variables, exps, c) -> str:

@@ -17,6 +17,7 @@ All arithmetic is exact (Python ints and Fractions).
 """
 
 import itertools
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -682,13 +683,32 @@ def unimodular_overlattice_exists(
 GLUE_SCHEMA = "rdpk3/glue-spec/1"
 
 
+def gram_from_json(rows) -> GramLattice:
+    """A lattice from outside Gram input, which must be a list of integer lists.
+
+    JSON floats and booleans are refused rather than truncated, and the
+    error names the offending entry.
+    """
+    if not isinstance(rows, list):
+        raise ValueError(f"Gram matrix must be a list of rows, got {json.dumps(rows)}")
+    for i, row in enumerate(rows):
+        if not isinstance(row, list):
+            raise ValueError(f"Gram row {i} must be a list, got {json.dumps(row)}")
+        for j, x in enumerate(row):
+            if type(x) is not int:
+                raise ValueError(
+                    f"Gram entry [{i}][{j}] must be an integer, got {json.dumps(x)}"
+                )
+    return GramLattice(rows)
+
+
 def lattice_from_json(doc: dict) -> GramLattice:
     if "dynkin" in doc:
         return dynkin_gram(doc["dynkin"])
     if "diagonal" in doc:
         return diagonal_gram([int(x) for x in doc["diagonal"]])
     if "gram" in doc:
-        return GramLattice(doc["gram"])
+        return gram_from_json(doc["gram"])
     raise ValueError("lattice document needs a dynkin, diagonal, or gram field")
 
 

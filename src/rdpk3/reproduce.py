@@ -422,7 +422,7 @@ def d_frobenius_check(N: int, r: int, n: int, j: int,
                       unified: bool = False) -> CheckRecord:
     """Frobenius of the (x, y^j, z)-torsion class on a D_N^r chart, char 2.
 
-    Hypotheses: n >= 1, floor(N/2) >= C1(n, j), and for n >= 2 also
+    Hypotheses: n >= 1, j >= 1, floor(N/2) >= C1(n, j), and for n >= 2 also
     floor(N/2) - r >= C1(n-1, j).  Prediction with
     a = floor(N/2) - r - C1(n, j): F(e) = 0 when a >= 0, and
     V^(n-1)([x^(-1) y^a z]) (up to a unit) when a < 0.
@@ -430,6 +430,8 @@ def d_frobenius_check(N: int, r: int, n: int, j: int,
     spec = RdpSpec(2, "D", N, r)
     if n < 1:
         raise HypothesisError(f"length {n} out of range; need n >= 1")
+    if j < 1:
+        raise HypothesisError(f"ideal exponent j = {j} out of range; need j >= 1")
     m = N // 2
     if m < c_one(n, j):
         raise HypothesisError(

@@ -132,6 +132,15 @@ def test_localcoh_frob_zero_length(capsys):
     assert "length 0" in err
 
 
+def test_localcoh_frob_zero_ideal_exponent(capsys):
+    code, out, err = run(
+        capsys, "localcoh", "frob", "--chart", "2:D12:3", "--n", "2", "--j", "0"
+    )
+    assert code == 2
+    assert "j = 0" in err
+    assert "power index" not in err
+
+
 def test_localcoh_frob_requires_j_for_d(capsys):
     code, out, err = run(capsys, "localcoh", "frob", "--chart", "2:D12:3", "--n", "2")
     assert code == 2
@@ -237,6 +246,33 @@ def test_lattice_disc_gram(capsys):
     assert code == 0
     assert doc["det"] == -21
     assert doc["signature"] == [1, 1]
+
+
+@pytest.mark.parametrize(
+    "gram,named",
+    [
+        ("5", "got 5"),
+        ("null", "got null"),
+        ("[5]", "row 0 must be a list, got 5"),
+        ("[[1.5]]", "entry [0][0] must be an integer, got 1.5"),
+        ("[[true]]", "entry [0][0] must be an integer, got true"),
+    ],
+)
+def test_lattice_disc_rejects_inexact_gram(capsys, gram, named):
+    code, out, err = run(capsys, "lattice", "disc", "--gram", gram)
+    assert code == 2
+    assert named in err
+    assert "Traceback" not in err
+
+
+def test_lattice_glue_rejects_inexact_gram(capsys, tmp_path):
+    spec = json.loads(pathlib.Path(A20GLUE).read_text(encoding="utf-8"))
+    spec["right"] = {"gram": [[2, 1], [1, 0.5]]}
+    path = tmp_path / "glue.json"
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    code, out, err = run(capsys, "lattice", "glue", "--spec", str(path))
+    assert code == 2
+    assert "entry [1][1] must be an integer, got 0.5" in err
 
 
 def test_lattice_disc_needs_exactly_one_source(capsys):

@@ -44,6 +44,15 @@ def test_fp_scalar_int_coercion():
     assert a != FpScalar(5, 3)
 
 
+def test_fp_scalar_equals_only_its_residue():
+    a = FpScalar(3, 4)
+    assert a == 1 and hash(a) == hash(1)
+    assert a != 4 and a != -2
+    assert FpScalar(5, 0) == 0 and hash(FpScalar(5, 0)) == hash(0)
+    assert {FpScalar(7, 3): "x"}[3] == "x"
+    assert len({FpScalar(3, 1), 1}) == 1
+
+
 def test_fp_scalar_inverse():
     for p in (2, 3, 5, 7, 13):
         for v in range(1, p):

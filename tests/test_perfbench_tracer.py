@@ -1,0 +1,54 @@
+"""The benchmark's per-layer tracer still finds and wraps its targets.
+
+``perfbench/tracer.py`` wraps methods through ``vars(cls)[name]``, so a
+traced method that moves into a base class silently stops being counted
+(or breaks ``--trace 1``).  This installs the tracer on the imported
+package, runs one small reproduce group and uninstalls it again.
+"""
+
+import importlib.util
+import pathlib
+import sys
+
+import rdpk3
+import rdpk3.cli
+import rdpk3.reproduce
+from rdpk3.chartring import ChartElem
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", ROOT / "perfbench" / "tracer.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_target_is_defined_on_its_owner():
+    tracer = load_tracer()
+    for modname, path, *_ in tracer.TARGETS:
+        mod = sys.modules[f"rdpk3.{modname}"]
+        owner_name, _, attr = path.rpartition(".")
+        owner = getattr(mod, owner_name) if owner_name else mod
+        assert attr in vars(owner), f"rdpk3.{modname}.{path}"
+
+
+def test_traced_reproduce_counts_chart_products(capsys):
+    tracer = load_tracer()
+    mul = vars(ChartElem)["__mul__"]
+    t = tracer.Tracer()
+    t.install(rdpk3)
+    try:
+        assert vars(ChartElem)["__mul__"] is not mul
+        code = rdpk3.cli.main(["reproduce", "--only", "4.3"])
+    finally:
+        t.uninstall()
+    capsys.readouterr()
+    assert code == 0
+    assert vars(ChartElem)["__mul__"] is mul
+    assert t.calls["chartring.mul"] > 0
+    assert t.calls["localcoh.reduce"] > 0
+    assert t.calls["cli.main"] == 1

@@ -1,11 +1,17 @@
-"""Every ``$ rdpk3 ...`` example in the README runs with its shown outcome.
+"""Every README example runs with its shown outcome.
 
-Examples are taken from the README's ``text`` code blocks.  A command
-continues onto the next line when its line ends in a backslash, and a
-``# ...`` tail is a comment.  The example must exit 2 when the README
-shows an ``error:`` line right after it, and 0 otherwise.
+Command examples are the ``$ rdpk3 ...`` lines of the README's ``text``
+code blocks.  A command continues onto the next line when its line ends
+in a backslash, and a ``# ...`` tail is a comment.  The example must
+exit 2 when the README shows an ``error:`` line right after it, and 0
+otherwise.
+
+The ``python`` block under "Library quick start" is run as a script; the
+``# ...`` lines right after each ``print(...)`` line are what it prints.
 """
 
+import contextlib
+import io
 import pathlib
 import shlex
 
@@ -58,3 +64,25 @@ def test_readme_example(argv, want, capsys, monkeypatch):
         code = exc.code
     err = capsys.readouterr().err
     assert code == want, err
+
+
+def quick_start_block():
+    """(source, expected output lines) of the README's library quick start."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("## Library quick start", 1)[1]
+    source = section.split("```python\n", 1)[1].split("```", 1)[0]
+    expected = []
+    lines = source.splitlines()
+    for prev, line in zip(lines, lines[1:]):
+        if prev.startswith("print(") and line.startswith("# "):
+            expected.append(line[2:])
+    return source, expected
+
+
+def test_readme_quick_start_prints_its_results():
+    source, expected = quick_start_block()
+    assert len(expected) >= 4
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(source, "README.md quick start", "exec"), {})
+    assert out.getvalue().splitlines() == expected
