@@ -22,8 +22,8 @@ The catalog covers:
 
 plus the chart data of the five quotient-map cases (mu_p and alpha_p
 actions) with their ring maps.  In characteristic 3 and 5 the catalog
-stores w^2 = (sign)*(remaining terms) with the sign recorded in
-metadata, matching the convention under which the Frobenius
+stores w^2 = (sign)*(remaining terms), with the sign noted where the
+equation is built, matching the convention under which the Frobenius
 computations are stated.
 """
 
@@ -121,10 +121,10 @@ def parse_rdp_key(key: str) -> RdpSpec:
 class ChartRing:
     """Rank-d free module over Laurent F_p[u, v] with a w-relation."""
 
-    __slots__ = ("p", "wdeg", "rel_p", "rel_q", "_rel_terms", "labels", "key", "meta")
+    __slots__ = ("p", "wdeg", "rel_p", "rel_q", "_rel_terms", "labels", "key")
 
     def __init__(self, p, wdeg, rel_p=None, rel_q=None, labels=("x", "y", "z"),
-                 key="", meta=None):
+                 key=""):
         _check_modulus(p)
         if wdeg < 1:
             raise ValueError("wdeg must be >= 1")
@@ -160,7 +160,6 @@ class ChartRing:
         self._rel_terms = tuple(rel_terms)
         self.labels = labels
         self.key = key
-        self.meta = dict(meta or {})
 
     def __eq__(self, other):
         if self is other:
@@ -411,7 +410,6 @@ def rdp_chart(spec: RdpSpec, unified: bool = False) -> ChartRing:
     """
     p, family, N, r = spec.p, spec.family, spec.N, spec.r
     uv = ("x", "y")
-    meta = {"kind": "rdp", "spec": spec, "sign": 1, "variant": "standard"}
     key = str(spec)
 
     if family == "A":
@@ -419,9 +417,8 @@ def rdp_chart(spec: RdpSpec, unified: bool = False) -> ChartRing:
             raise ValueError(
                 f"A_{N} in characteristic {p}: only A_{{p-1}} is needed here"
             )
-        ring = ChartRing(p, p if p > 2 else 2, _poly(p, uv, "x*y"), None,
-                         ("x", "y", "z"), key, {**meta, "kind": "kleinian"})
-        return ring
+        return ChartRing(p, p if p > 2 else 2, _poly(p, uv, "x*y"), None,
+                         ("x", "y", "z"), key)
 
     if rmax(p, family, N) == 0:
         raise ValueError(f"{family}_{N} is taut in characteristic {p}; no chart here")
@@ -435,7 +432,6 @@ def rdp_chart(spec: RdpSpec, unified: bool = False) -> ChartRing:
                 Q = _poly(p, uv, f"x*y^{m - r}")
             elif unified:
                 Q = _poly(p, uv, f"x*y^{m}")
-                meta["variant"] = "unified"
             else:
                 Q = MultiPoly.zero(uv, p)
         else:
@@ -444,10 +440,9 @@ def rdp_chart(spec: RdpSpec, unified: bool = False) -> ChartRing:
                 Q = _poly(p, uv, f"y^{m} + x*y^{m - r}")
             elif unified:
                 Q = _poly(p, uv, f"y^{m} + x*y^{m}")
-                meta["variant"] = "unified"
             else:
                 Q = _poly(p, uv, f"y^{m}")
-        return ChartRing(p, 2, P, Q, ("x", "y", "z"), key, meta)
+        return ChartRing(p, 2, P, Q, ("x", "y", "z"), key)
 
     if p == 2:
         if N == 6:
@@ -461,10 +456,10 @@ def rdp_chart(spec: RdpSpec, unified: bool = False) -> ChartRing:
             P = _poly(p, uv, "x^3 + y^5")
             beta = {4: "x*y", 3: "y^3", 2: "x*y^2", 1: "x*y^3"}.get(r)
             Q = _poly(p, uv, beta) if beta else MultiPoly.zero(uv, p)
-        return ChartRing(p, 2, P, Q, ("x", "y", "z"), key, meta)
+        return ChartRing(p, 2, P, Q, ("x", "y", "z"), key)
 
     if p == 3:
-        meta["sign"] = -1  # stored relation solves -z^2 + f = 0 for z^2
+        # sign -1: the stored relation solves -z^2 + f = 0 for z^2
         if N == 6:
             body = "x^3 + y^4" + (" + x^2*y^2" if r == 1 else "")
         elif N == 7:
@@ -472,12 +467,12 @@ def rdp_chart(spec: RdpSpec, unified: bool = False) -> ChartRing:
         else:
             lam = {2: " + x^2*y^2", 1: " + x^2*y^3"}.get(r, "")
             body = "x^3 + y^5" + lam
-        return ChartRing(p, 2, _poly(p, uv, body), None, ("x", "y", "z"), key, meta)
+        return ChartRing(p, 2, _poly(p, uv, body), None, ("x", "y", "z"), key)
 
     # p == 5, E_8
-    meta["sign"] = -1  # z^2 = -(x^3 + y^5 + (b/2) x y^4)
+    # sign -1: z^2 = -(x^3 + y^5 + (b/2) x y^4)
     body = "4*x^3 + 4*y^5" + (" + 4*x*y^4" if r == 1 else "")
-    return ChartRing(p, 2, _poly(p, uv, body), None, ("x", "y", "z"), key, meta)
+    return ChartRing(p, 2, _poly(p, uv, body), None, ("x", "y", "z"), key)
 
 
 def catalog_coindexes(p: int, family: str, N: int) -> list:
@@ -569,8 +564,7 @@ def quotient_case(p: int, group: str, symbol: str) -> QuotientCase:
         # proof coordinates use z^2 = y^5 - x^3, not the catalog sign
         uvs = ("x", "y")
         source = ChartRing(5, 2, _poly(5, uvs, "y^5 + 4*x^3"), None,
-                           ("x", "y", "z"), key + ":base",
-                           {"kind": "quotient-source", "sign": -1})
+                           ("x", "y", "z"), key + ":base")
         uvt = ("X", "y")
         target = ChartRing(5, 2, _poly(5, uvt, "y + 4*X^3"), None,
                            ("X", "y", "Z"), key + ":cover")

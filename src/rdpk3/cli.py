@@ -15,13 +15,11 @@ import argparse
 import json
 import re
 import sys
-from fractions import Fraction
 
 from .ffpoly import parse_poly
 from .witt import WittVec, build_witt_table, witt_add, witt_mul, witt_neg, witt_sub
 from .chartring import (
     catalog_coindexes,
-    chart_from_key,
     parse_rdp_key,
     quotient_case_from_key,
     rdp_chart,
@@ -42,11 +40,9 @@ from .height import (
 )
 from .lattice import (
     GramLattice,
-    diagonal_gram,
     disc_group,
-    dynkin_gram,
     glue_from_json,
-    gram_from_json,
+    lattice_from_json,
     signature,
     unimodular_overlattice_exists,
 )
@@ -350,10 +346,12 @@ def _lattice_from_args(args) -> GramLattice:
     if len(given) != 1:
         raise CliError("pass exactly one of --gram, --dynkin, --diagonal")
     if args.gram:
-        return gram_from_json(json.loads(args.gram))
-    if args.dynkin:
-        return dynkin_gram(args.dynkin)
-    return diagonal_gram(_ints(args.diagonal))
+        doc = {"gram": json.loads(args.gram)}
+    elif args.dynkin:
+        doc = {"dynkin": args.dynkin}
+    else:
+        doc = {"diagonal": _ints(args.diagonal)}
+    return lattice_from_json(doc)
 
 
 def _lattice_summary(L: GramLattice) -> dict:

@@ -9,12 +9,16 @@ with an optional modulus; there is no floating point anywhere.
 Supported moduli are the primes 2, 3, 5, 7 (anything below 2^16 works,
 the small bound only matters for the GF(p^k) tables used in point
 counting).
+
+``json_field`` is the one checked reader of fields in JSON input
+documents (surface models and glue specs).
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import json
 import re
 from typing import Iterable, Iterator, Optional
 
@@ -495,6 +499,34 @@ def parse_poly(text: str, variables=None, modulus: Optional[int] = None) -> Mult
         key = tuple(exps.get(v, 0) for v in variables)
         terms[key] = terms.get(key, 0) + coeff
     return MultiPoly(variables, terms, modulus)
+
+
+# Checks on fields of JSON input documents, by the kind named in messages.
+_JSON_KINDS = {
+    "an integer": lambda v: type(v) is int,
+    "a string": lambda v: isinstance(v, str),
+    "an object": lambda v: isinstance(v, dict),
+    "a list": lambda v: isinstance(v, list),
+    "a list of integers": lambda v: isinstance(v, list) and all(type(x) is int for x in v),
+    "a list of strings": lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
+}
+
+
+def json_field(doc, name: str, kind: str, what: str):
+    """doc[name] from a JSON document called what, checked against _JSON_KINDS[kind].
+
+    Floats and booleans are not integers here.  A missing field, a value
+    of the wrong kind, or a doc that is not an object raises ValueError
+    naming the field.
+    """
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be a JSON object, got {json.dumps(doc)}")
+    if name not in doc:
+        raise ValueError(f"{what} needs a {name!r} field")
+    value = doc[name]
+    if not _JSON_KINDS[kind](value):
+        raise ValueError(f"{what} field {name!r} must be {kind}, got {json.dumps(value)}")
+    return value
 
 
 class FiniteField:

@@ -29,10 +29,10 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple, Union
 
 from .chartring import RdpSpec, parse_symbol, rmax
-from .ffpoly import FiniteField, MultiPoly, is_prime, parse_poly
+from .ffpoly import FiniteField, MultiPoly, is_prime, json_field, parse_poly
 
 
 # ---------------------------------------------------------------------------
@@ -59,10 +59,6 @@ class HeightValue:
             raise ValueError("lower bound must be >= 0")
         if self.kind == "infinite" and self.bound:
             raise ValueError("infinite height carries no bound")
-
-    @property
-    def is_finite(self) -> bool:
-        return self.kind == "finite"
 
     def __str__(self):
         if self.kind == "finite":
@@ -132,13 +128,6 @@ def height_sequence(p: int, family: str, N: int) -> Tuple[int, ...]:
     if p == 2 and family == "E" and N == 8:
         return (4, 3, 2)
     return tuple(range(bound, 0, -1))
-
-
-def coindex_occurs(p: int, family: str, N: int, r: int) -> bool:
-    """Whether some K3 surface carries this coindexed singularity."""
-    if r == 0:
-        return True
-    return r in height_sequence(p, family, N)
 
 
 def height_from_rdp(spec: RdpSpec) -> HeightValue:
@@ -472,25 +461,27 @@ class WeightedHypersurface:
 SurfaceModel = Union[TwoChart, WeightedHypersurface]
 
 
-def model_from_json(doc: dict) -> SurfaceModel:
-    if doc.get("schema") != MODEL_SCHEMA:
-        raise ValueError(f"expected schema {MODEL_SCHEMA!r}, got {doc.get('schema')!r}")
-    p = int(doc["characteristic"])
+def model_from_json(doc) -> SurfaceModel:
+    what = "model"
+    schema = json_field(doc, "schema", "a string", what)
+    if schema != MODEL_SCHEMA:
+        raise ValueError(f"expected schema {MODEL_SCHEMA!r}, got {schema!r}")
+    p = json_field(doc, "characteristic", "an integer", what)
+
+    def poly(part, where):
+        text = json_field(part, "polynomial", "a string", where)
+        variables = json_field(part, "variables", "a list of strings", where)
+        return parse_poly(text, tuple(variables), modulus=p)
+
     kind = doc.get("kind")
     if kind == "two-chart":
-        c1 = doc["chart1"]
-        c2 = doc["chart2_at_infinity"]
-        return TwoChart(
-            p,
-            parse_poly(c1["polynomial"], tuple(c1["variables"]), modulus=p),
-            parse_poly(c2["polynomial"], tuple(c2["variables"]), modulus=p),
-        )
+        return TwoChart(p, *(
+            poly(json_field(doc, name, "an object", what), f"{what} {name}")
+            for name in ("chart1", "chart2_at_infinity")
+        ))
     if kind == "weighted-hypersurface":
-        return WeightedHypersurface(
-            p,
-            tuple(int(w) for w in doc["weights"]),
-            parse_poly(doc["polynomial"], tuple(doc["variables"]), modulus=p),
-        )
+        weights = json_field(doc, "weights", "a list of integers", what)
+        return WeightedHypersurface(p, tuple(weights), poly(doc, what))
     raise ValueError(f"unknown model kind {kind!r}")
 
 

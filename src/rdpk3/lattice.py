@@ -25,6 +25,7 @@ from math import gcd, isqrt, lcm
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .chartring import parse_symbol
+from .ffpoly import json_field
 
 SEARCH_GUARD = 100_000
 
@@ -218,10 +219,6 @@ class GramLattice:
     @property
     def is_even(self) -> bool:
         return all(self.gram[i][i] % 2 == 0 for i in range(self.rank))
-
-    @property
-    def is_unimodular(self) -> bool:
-        return abs(self.det) == 1
 
     def dot(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> Fraction:
         acc = Fraction(0)
@@ -445,7 +442,35 @@ def disc_group(L: GramLattice) -> DiscForm:
 
 
 # ---------------------------------------------------------------------------
-# gluing
+# overlattices and gluing
+
+
+def _overlattice(
+    ambient: GramLattice, vectors: Iterable[Sequence[Fraction]]
+) -> GramLattice:
+    """The lattice spanned by ambient and rational vectors, on a Hermite basis.
+
+    The vectors are in ambient-basis coordinates; the span must be an
+    integral lattice of full rank.
+    """
+    n = ambient.rank
+    gens = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    gens += [list(vec) for vec in vectors]
+    scale = lcm(*(f.denominator for row in gens for f in row))
+    basis_rows = hermite_row_basis([[int(f * scale) for f in row] for row in gens])
+    if len(basis_rows) != n:
+        raise RuntimeError("overlattice lost rank; basis extraction bug")
+    basis = [[Fraction(x, scale) for x in row] for row in basis_rows]
+    gram = []
+    for brow in basis:
+        row_out = []
+        for bcol in basis:
+            val = ambient.dot(brow, bcol)
+            if val.denominator != 1:
+                raise RuntimeError("overlattice is not integral; glue or isotropy bug")
+            row_out.append(int(val))
+        gram.append(row_out)
+    return GramLattice(gram)
 
 
 def _span(disc: DiscForm, disc2: DiscForm, seeds) -> set:
@@ -521,31 +546,8 @@ def glue(
     if set(dt.prime_to(p)) != right:
         raise ValueError("glue map does not cover the prime-to-p part of T*/T")
 
-    n = L.rank + T.rank
-    gens: List[List[Fraction]] = []
-    for i in range(L.rank):
-        gens.append([Fraction(int(i == j)) for j in range(n)])
-    for i in range(T.rank):
-        gens.append([Fraction(int(i + L.rank == j)) for j in range(n)])
-    for x, y in graph:
-        gens.append(list(dl.vector(x)) + list(dt.vector(y)))
-    scale = lcm(*(f.denominator for row in gens for f in row))
-    int_rows = [[int(f * scale) for f in row] for row in gens]
-    basis_rows = hermite_row_basis(int_rows)
-    if len(basis_rows) != n:
-        raise RuntimeError("glued lattice lost rank; basis extraction bug")
-    basis = [[Fraction(x, scale) for x in row] for row in basis_rows]
-    big = L.direct_sum(T)
-    gram = []
-    for brow in basis:
-        out_row = []
-        for bcol in basis:
-            val = big.dot(brow, bcol)
-            if val.denominator != 1:
-                raise RuntimeError("glued lattice is not integral; glue data bug")
-            out_row.append(int(val))
-        gram.append(out_row)
-    glued = GramLattice(gram)
+    glue_vectors = [dl.vector(x) + dt.vector(y) for x, y in graph]
+    glued = _overlattice(L.direct_sum(T), glue_vectors)
     index = len(graph)
     if abs(glued.det) * index * index != abs(L.det) * abs(T.det):
         raise RuntimeError("determinant bookkeeping failed in glue")
@@ -618,32 +620,6 @@ def _isotropic_subgroups_of_order(
                 frontier.append(new)
 
 
-def _overlattice_from_subgroup(
-    L: GramLattice, disc: DiscForm, sub: Iterable[Tuple[int, ...]]
-) -> GramLattice:
-    n = L.rank
-    gens: List[List[Fraction]] = [
-        [Fraction(int(i == j)) for j in range(n)] for i in range(n)
-    ]
-    for elem in sub:
-        gens.append(list(disc.vector(elem)))
-    scale = lcm(*(f.denominator for row in gens for f in row))
-    int_rows = [[int(f * scale) for f in row] for row in gens]
-    basis = [
-        [Fraction(x, scale) for x in row] for row in hermite_row_basis(int_rows)
-    ]
-    gram = []
-    for brow in basis:
-        row_out = []
-        for bcol in basis:
-            val = L.dot(brow, bcol)
-            if val.denominator != 1:
-                raise RuntimeError("overlattice is not integral; isotropy bug")
-            row_out.append(int(val))
-        gram.append(row_out)
-    return GramLattice(gram)
-
-
 def unimodular_overlattice_exists(
     L: GramLattice, even_only: bool = False
 ) -> Tuple[bool, Optional[GramLattice]]:
@@ -669,7 +645,7 @@ def unimodular_overlattice_exists(
         return True, GramLattice(L.gram)
     disc = disc_group(L)
     for sub in _isotropic_subgroups_of_order(disc, m, even_only):
-        witness = _overlattice_from_subgroup(L, disc, list(sub))
+        witness = _overlattice(L, [disc.vector(e) for e in sub])
         if abs(witness.det) != 1:
             raise RuntimeError("witness is not unimodular; search bug")
         return True, witness
@@ -702,27 +678,32 @@ def gram_from_json(rows) -> GramLattice:
     return GramLattice(rows)
 
 
-def lattice_from_json(doc: dict) -> GramLattice:
+def lattice_from_json(doc) -> GramLattice:
+    """A lattice from a document with a dynkin, diagonal, or gram field."""
+    what = "lattice document"
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be a JSON object, got {json.dumps(doc)}")
     if "dynkin" in doc:
-        return dynkin_gram(doc["dynkin"])
+        return dynkin_gram(json_field(doc, "dynkin", "a string", what))
     if "diagonal" in doc:
-        return diagonal_gram([int(x) for x in doc["diagonal"]])
+        return diagonal_gram(json_field(doc, "diagonal", "a list of integers", what))
     if "gram" in doc:
         return gram_from_json(doc["gram"])
-    raise ValueError("lattice document needs a dynkin, diagonal, or gram field")
+    raise ValueError(f"{what} needs a dynkin, diagonal, or gram field")
 
 
-def glue_from_json(doc: dict) -> GramLattice:
+def glue_from_json(doc) -> GramLattice:
     """Run a glue computation described by a JSON document."""
-    if doc.get("schema") != GLUE_SCHEMA:
-        raise ValueError(f"expected schema {GLUE_SCHEMA!r}, got {doc.get('schema')!r}")
-    L = lattice_from_json(doc["left"])
-    T = lattice_from_json(doc["right"])
-    pairs = [
-        (
-            [Fraction(str(x)) for x in pair["left_vector"]],
-            [Fraction(str(x)) for x in pair["right_vector"]],
-        )
-        for pair in doc["pairs"]
-    ]
-    return glue(L, T, int(doc["p"]), pairs)
+    what = "glue spec"
+    schema = json_field(doc, "schema", "a string", what)
+    if schema != GLUE_SCHEMA:
+        raise ValueError(f"expected schema {GLUE_SCHEMA!r}, got {schema!r}")
+    L = lattice_from_json(json_field(doc, "left", "an object", what))
+    T = lattice_from_json(json_field(doc, "right", "an object", what))
+    pairs = []
+    for i, pair in enumerate(json_field(doc, "pairs", "a list", what)):
+        pairs.append(tuple(
+            [Fraction(str(x)) for x in json_field(pair, key, "a list", f"{what} pairs[{i}]")]
+            for key in ("left_vector", "right_vector")
+        ))
+    return glue(L, T, json_field(doc, "p", "an integer", what), pairs)

@@ -68,7 +68,6 @@ from .height import (
     count_points,
     etale_quotient_height,
     finite,
-    greater_than,
     height_from_counts,
     height_from_rdp,
     height_sequence,
@@ -251,6 +250,18 @@ def _gens(p: int, names: Sequence[str]) -> list:
     return [MultiPoly.gen(names, nm, p) for nm in names]
 
 
+# (p, n, components 1..n-1 of [a+b] - [a] - [b], anchor); component 0 is 0.
+TEICHMULLER_DEFECTS = (
+    (2, 4, lambda a, b: (
+        a * b,
+        a * b * (a ** 2 + a * b + b ** 2),
+        a * b * (a ** 6 + a ** 5 * b + a ** 3 * b ** 3 + a * b ** 5 + b ** 6),
+    ), ANCHOR_SUB_24A),
+    (3, 2, lambda a, b: (a * b * (a + b),), ANCHOR_SUB_32),
+    (5, 2, lambda a, b: (a * b * (a + b) * (a ** 2 + a * b + b ** 2),), ANCHOR_SUB_52),
+)
+
+
 def check_witt_identities() -> List[CheckRecord]:
     """The five truncated-Witt subtraction identities, symbolically."""
     recs = []
@@ -293,32 +304,6 @@ def check_witt_identities() -> List[CheckRecord]:
         )
     )
 
-    # (3a) p = 2, length 4: sum of two Teichmuller lifts minus both.
-    a, b = _gens(2, ("a", "b"))
-    z = a.ring_zero()
-    got = witt_sub(
-        witt_sub(WittVec(2, (a + b, z, z, z)), WittVec(2, (a, z, z, z))),
-        WittVec(2, (b, z, z, z)),
-    )
-    want = WittVec(
-        2,
-        (
-            z,
-            a * b,
-            a * b * (a ** 2 + a * b + b ** 2),
-            a * b * (a ** 6 + a ** 5 * b + a ** 3 * b ** 3 + a * b ** 5 + b ** 6),
-        ),
-    )
-    recs.append(
-        _record(
-            "witt:identity:p2:len4:teichmuller",
-            got == want,
-            str(got),
-            str(want),
-            ANCHOR_SUB_24A,
-        )
-    )
-
     # (3b) p = 2, length 4: clearing one middle coordinate.
     c0, c1, c2, c3, d2 = _gens(2, ("c0", "c1", "c2", "c3", "d2"))
     z = c0.ring_zero()
@@ -334,40 +319,25 @@ def check_witt_identities() -> List[CheckRecord]:
         )
     )
 
-    # (4) p = 3, length 2.
-    a, b = _gens(3, ("a", "b"))
-    z = a.ring_zero()
-    got = witt_sub(
-        witt_sub(WittVec(3, (a + b, z)), WittVec(3, (a, z))), WittVec(3, (b, z))
-    )
-    want = WittVec(3, (z, a * b * (a + b)))
-    recs.append(
-        _record(
-            "witt:identity:p3:len2:teichmuller",
-            got == want,
-            str(got),
-            str(want),
-            ANCHOR_SUB_32,
-        )
-    )
-
-    # (5) p = 5, length 2.
-    a, b = _gens(5, ("a", "b"))
-    z = a.ring_zero()
-    got = witt_sub(
-        witt_sub(WittVec(5, (a + b, z)), WittVec(5, (a, z))), WittVec(5, (b, z))
-    )
-    want = WittVec(5, (z, a * b * (a + b) * (a ** 2 + a * b + b ** 2)))
-    recs.append(
-        _record(
-            "witt:identity:p5:len2:teichmuller",
-            got == want,
-            str(got),
-            str(want),
-            ANCHOR_SUB_52,
-        )
-    )
+    # (3a), (4), (5): the sum of two Teichmuller lifts minus both.
+    for p, n, defect, anchor in TEICHMULLER_DEFECTS:
+        a, b = _gens(p, ("a", "b"))
+        z = a.ring_zero()
+        lifts = [WittVec(p, (t,) + (z,) * (n - 1)) for t in (a + b, a, b)]
+        got = witt_sub(witt_sub(lifts[0], lifts[1]), lifts[2])
+        want = WittVec(p, (z,) + defect(a, b))
+        rid = f"witt:identity:p{p}:len{n}:teichmuller"
+        recs.append(_record(rid, got == want, str(got), str(want), anchor))
     return recs
+
+
+def _projection_sides(x: WittVec, y: WittVec, m: int) -> Tuple[WittVec, WittVec]:
+    """V^m(x) y and V^m(x F^m(R^m y)), for x of length len(y) - m."""
+    lhs = witt_mul(verschiebung(x, m), y)
+    ry = restriction(y, m)
+    for _ in range(m):
+        ry = witt_frobenius(ry)
+    return lhs, verschiebung(witt_mul(x, ry), m)
 
 
 def check_projection_rule() -> List[CheckRecord]:
@@ -385,14 +355,8 @@ def check_projection_rule() -> List[CheckRecord]:
                     f"y{i}" for i in range(total)
                 )
                 gens = _gens(p, names)
-                xs, ys = gens[:n], gens[n:]
-                x = WittVec(p, tuple(xs))
-                y = WittVec(p, tuple(ys))
-                lhs = witt_mul(verschiebung(x, m), y)
-                ry = restriction(y, m)
-                for _ in range(m):
-                    ry = witt_frobenius(ry)
-                rhs = verschiebung(witt_mul(x, ry), m)
+                x, y = WittVec(p, tuple(gens[:n])), WittVec(p, tuple(gens[n:]))
+                lhs, rhs = _projection_sides(x, y, m)
                 recs.append(
                     _record(
                         f"witt:projection:p{p}:n{n}:m{m}",
@@ -482,25 +446,28 @@ def d_frobenius_check(N: int, r: int, n: int, j: int,
     return _record(rid, ok, fe, predicted, ANCHOR_D_FAMILY, "; ".join(notes))
 
 
+def _admissible(check: Callable, grid) -> List[CheckRecord]:
+    """check(*args) for every args in grid that meets the check's hypotheses."""
+    recs = []
+    for args in grid:
+        try:
+            recs.append(check(*args))
+        except HypothesisError:
+            continue
+    return recs
+
+
 def d_frobenius_sweep(max_N: int = 21, max_n: int = 3,
                       max_j: int = 4) -> List[CheckRecord]:
     """All admissible (N, r, n, j) instances; both equations at r = 0."""
-    recs = []
-    for N in range(4, max_N + 1):
-        m = N // 2
-        for n in range(1, max_n + 1):
-            for j in range(1, max_j + 1):
-                if m < c_one(n, j):
-                    continue
-                for r in range(0, rmax(2, "D", N) + 1):
-                    if n >= 2 and m - r < c_one(n - 1, j):
-                        continue
-                    variants = (False, True) if r == 0 else (False,)
-                    for unified in variants:
-                        recs.append(
-                            d_frobenius_check(N, r, n, j, unified=unified)
-                        )
-    return recs
+    return _admissible(d_frobenius_check, (
+        (N, r, n, j, unified)
+        for N in range(4, max_N + 1)
+        for n in range(1, max_n + 1)
+        for j in range(1, max_j + 1)
+        for r in range(rmax(2, "D", N) + 1)
+        for unified in ((False, True) if r == 0 else (False,))
+    ))
 
 
 def e8_pair_check(r: int) -> CheckRecord:
@@ -589,12 +556,13 @@ def e_frobenius_check(p: int, N: int, n: int, r: int) -> CheckRecord:
 
 
 def e_frobenius_sweep() -> List[CheckRecord]:
-    recs = []
-    for (p, N), max_n in sorted(E_FAMILY_LENGTHS.items()):
-        for n in range(1, max_n + 1):
-            for r in range(0, rmax(p, "E", N) + 2 - n):
-                recs.append(e_frobenius_check(p, N, n, r))
-    return recs
+    """All admissible (p, N, n, r) instances of the threshold family."""
+    return _admissible(e_frobenius_check, (
+        (p, N, n, r)
+        for (p, N), max_n in sorted(E_FAMILY_LENGTHS.items())
+        for n in range(1, max_n + 1)
+        for r in range(rmax(p, "E", N) + 1)
+    ))
 
 
 def quotient_pullback_check(key: str) -> CheckRecord:
@@ -1037,11 +1005,8 @@ def projection_trials(trials: int, rng: random.Random) -> int:
         n = total - m
         x = WittVec(p, tuple(FpScalar(p, rng.randrange(p)) for _ in range(n)))
         y = WittVec(p, tuple(FpScalar(p, rng.randrange(p)) for _ in range(total)))
-        lhs = witt_mul(verschiebung(x, m), y)
-        ry = restriction(y, m)
-        for _ in range(m):
-            ry = witt_frobenius(ry)
-        if lhs != verschiebung(witt_mul(x, ry), m):
+        lhs, rhs = _projection_sides(x, y, m)
+        if lhs != rhs:
             failures += 1
     return failures
 

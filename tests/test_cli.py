@@ -210,6 +210,83 @@ def test_height_count_missing_model(capsys):
     assert code == 2
 
 
+
+def ex71_doc():
+    return json.loads(pathlib.Path(EX71).read_text(encoding="utf-8"))
+
+
+def weighted_doc(**fields):
+    doc = {
+        "schema": "rdpk3/surface-model/1",
+        "kind": "weighted-hypersurface",
+        "characteristic": 2,
+        "weights": [1, 1, 1],
+        "variables": ["x", "y", "z"],
+        "polynomial": "x^3 + y^3 + z^3",
+    }
+    doc.update(fields)
+    return doc
+
+
+def without(doc, key):
+    doc.pop(key)
+    return doc
+
+
+# (id, model document, text the error must contain)
+MODEL_DEFECTS = [
+    ("no-chart1", lambda: without(ex71_doc(), "chart1"), "model needs a 'chart1' field"),
+    (
+        "no-chart2",
+        lambda: without(ex71_doc(), "chart2_at_infinity"),
+        "model needs a 'chart2_at_infinity' field",
+    ),
+    (
+        "float-characteristic",
+        lambda: {**ex71_doc(), "characteristic": 2.9},
+        "'characteristic' must be an integer, got 2.9",
+    ),
+    ("chart1-string", lambda: {**ex71_doc(), "chart1": "y^2"}, "'chart1' must be an object"),
+    (
+        "chart1-no-polynomial",
+        lambda: {**ex71_doc(), "chart1": {"variables": ["x", "y", "t"]}},
+        "model chart1 needs a 'polynomial' field",
+    ),
+    (
+        "float-weights",
+        lambda: weighted_doc(weights=[1.5, 1, 1]),
+        "'weights' must be a list of integers, got [1.5, 1, 1]",
+    ),
+    (
+        "bool-characteristic",
+        lambda: weighted_doc(characteristic=True),
+        "'characteristic' must be an integer, got true",
+    ),
+    (
+        "no-polynomial",
+        lambda: without(weighted_doc(), "polynomial"),
+        "model needs a 'polynomial' field",
+    ),
+    (
+        "variables-string",
+        lambda: weighted_doc(variables="xyz"),
+        "'variables' must be a list of strings",
+    ),
+    ("not-an-object", lambda: [], "model must be a JSON object, got []"),
+]
+
+
+@pytest.mark.parametrize(
+    "make,named", [d[1:] for d in MODEL_DEFECTS], ids=[d[0] for d in MODEL_DEFECTS]
+)
+def test_height_count_rejects_malformed_model(capsys, tmp_path, make, named):
+    path = write_json(tmp_path, make())
+    code, out, err = run(capsys, "height", "count", "--model", path, "--q", "2")
+    assert code == 2
+    assert named in err
+    assert "Traceback" not in err
+    assert out == ""
+
 def test_height_ordinary(capsys):
     code, doc = run_json(
         capsys, "height", "ordinary",
@@ -274,6 +351,85 @@ def test_lattice_glue_rejects_inexact_gram(capsys, tmp_path):
     assert code == 2
     assert "entry [1][1] must be an integer, got 0.5" in err
 
+
+
+def write_json(tmp_path, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+def a20_spec():
+    return json.loads(pathlib.Path(A20GLUE).read_text(encoding="utf-8"))
+
+
+# (id, edit of the A20 glue spec, text the error must contain)
+GLUE_SPEC_DEFECTS = [
+    ("no-left", lambda s: s.pop("left"), "glue spec needs a 'left' field"),
+    ("no-right", lambda s: s.pop("right"), "glue spec needs a 'right' field"),
+    ("no-pairs", lambda s: s.pop("pairs"), "glue spec needs a 'pairs' field"),
+    ("no-p", lambda s: s.pop("p"), "glue spec needs a 'p' field"),
+    (
+        "no-left-vector",
+        lambda s: s["pairs"][0].pop("left_vector"),
+        "pairs[0] needs a 'left_vector' field",
+    ),
+    (
+        "no-right-vector",
+        lambda s: s["pairs"][0].pop("right_vector"),
+        "pairs[0] needs a 'right_vector' field",
+    ),
+    ("string-p", lambda s: s.update(p="3"), "'p' must be an integer, got \"3\""),
+    ("float-p", lambda s: s.update(p=3.5), "'p' must be an integer, got 3.5"),
+    ("pairs-object", lambda s: s.update(pairs={}), "'pairs' must be a list, got {}"),
+    (
+        "pair-number",
+        lambda s: s["pairs"].__setitem__(0, 5),
+        "pairs[0] must be a JSON object, got 5",
+    ),
+    (
+        "vector-string",
+        lambda s: s["pairs"][0].update(left_vector="1/7"),
+        "'left_vector' must be a list",
+    ),
+    ("left-list", lambda s: s.update(left=[2]), "'left' must be an object, got [2]"),
+    ("left-empty", lambda s: s.update(left={}), "needs a dynkin, diagonal, or gram field"),
+    ("dynkin-number", lambda s: s.update(left={"dynkin": 20}), "'dynkin' must be a string, got 20"),
+    (
+        "diagonal-float",
+        lambda s: s.update(right={"diagonal": [2.7, -2]}),
+        "'diagonal' must be a list of integers, got [2.7, -2]",
+    ),
+    (
+        "diagonal-bool",
+        lambda s: s.update(right={"diagonal": [True, -2]}),
+        "'diagonal' must be a list of integers, got [true, -2]",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "edit,named", [d[1:] for d in GLUE_SPEC_DEFECTS], ids=[d[0] for d in GLUE_SPEC_DEFECTS]
+)
+def test_lattice_glue_rejects_malformed_spec(capsys, tmp_path, edit, named):
+    spec = a20_spec()
+    edit(spec)
+    code, out, err = run(capsys, "lattice", "glue", "--spec", write_json(tmp_path, spec))
+    assert code == 2
+    assert named in err
+    assert "Traceback" not in err
+
+
+def test_lattice_glue_rejects_a_spec_that_is_not_an_object(capsys, tmp_path):
+    code, out, err = run(capsys, "lattice", "glue", "--spec", write_json(tmp_path, [1, 2]))
+    assert code == 2
+    assert "glue spec must be a JSON object, got [1, 2]" in err
+
+
+def test_lattice_diagonal_flag_rejects_non_integers(capsys):
+    code, out, err = run(capsys, "lattice", "disc", "--diagonal", "2.5")
+    assert code == 2
+    assert "2.5" in err
 
 def test_lattice_disc_needs_exactly_one_source(capsys):
     code, out, err = run(

@@ -19,6 +19,7 @@ from rdpk3.lattice import (
     smith_diagonal,
     unimodular_overlattice_exists,
 )
+from rdpk3.reproduce import a20_glue_data
 
 GLUE_PATH = pathlib.Path(__file__).resolve().parent.parent / "models" / "a20glue.json"
 
@@ -229,6 +230,52 @@ def test_glue_determinant_bookkeeping():
         done += 1
 
 
+# The overlattice builder's output on a Hermite basis, entry for entry.
+A20_GLUED_GRAM = [
+        [-30, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, -3, 0, 15],
+        [0, -2, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+        [0, 1, -2, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+        [0, 0, 1, -2, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+        [0, 0, 0, 1, -2, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+        [0, 0, 0, 0, 1, -2, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+        [0, 0, 0, 0, 0, 1, -2, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+        [0, 0, 0, 0, 0, 0, 1, -2, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+        [0, 0, 0, 0, 0, 0, 0, 1, -2, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+        [0, 0, 0, 0, 0, 0, 0, 0, 1, -2, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+        [0, 0, 0, 0, 0, 0, 0, 0, 0, 1, -2, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+        [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, -2, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+        [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, -2, 1, 0, 0, 0, 0, 0, 0, 0, 0],
+        [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, -2, 1, 0, 0, 0, 0, 0, 0, 0],
+        [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, -2, 1, 0, 0, 0, 0, 0, 0],
+        [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, -2, 1, 0, 0, 0, 0, 0],
+        [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, -2, 1, 0, 0, 0, 0],
+        [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, -2, 1, 0, 0, 0],
+        [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, -2, 1, 0, 0],
+        [-3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, -2, 0, 0],
+        [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 5],
+        [15, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 5, 2],
+]
+
+
+def test_glue_a20_gram_rows():
+    L, T, l_vec, t_vec = a20_glue_data()
+    glued = glue(L, T, 3, [(l_vec, t_vec)])
+    assert [list(row) for row in glued.gram] == A20_GLUED_GRAM
+
+
+@pytest.mark.parametrize(
+    "lattice,even_only,witness",
+    [
+        (diagonal_gram([-2, 2]), False, [[0, 1], [1, 2]]),
+        (diagonal_gram([-2, 2]), True, [[0, 1], [1, 2]]),
+        (dynkin_gram("A3"), False, [[-3, 0, -2], [0, -2, 1], [-2, 1, -2]]),
+    ],
+)
+def test_overlattice_witness_grams(lattice, even_only, witness):
+    found, got = unimodular_overlattice_exists(lattice, even_only=even_only)
+    assert found and [list(row) for row in got.gram] == witness
+
+
 def test_unimodular_overlattice_positive_controls():
     ok, witness = unimodular_overlattice_exists(diagonal_gram([-2, 2]))
     assert ok and witness is not None and abs(witness.det) == 1
@@ -287,3 +334,15 @@ def test_lattice_from_json_forms():
     assert lattice_from_json({"gram": [[0, 1], [1, 0]]}) == hyperbolic_plane()
     with pytest.raises(ValueError):
         lattice_from_json({"rows": [[2]]})
+
+
+@pytest.mark.parametrize("entries", [[2.7, -2], [True, -2], [2.0, -2], "2,-2", None])
+def test_lattice_from_json_refuses_inexact_diagonal(entries):
+    with pytest.raises(ValueError, match="'diagonal' must be a list of integers"):
+        lattice_from_json({"diagonal": entries})
+
+
+@pytest.mark.parametrize("doc", [[2], "A2", None])
+def test_lattice_from_json_needs_an_object(doc):
+    with pytest.raises(ValueError, match="must be a JSON object"):
+        lattice_from_json(doc)

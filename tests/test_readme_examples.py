@@ -2,9 +2,12 @@
 
 Command examples are the ``$ rdpk3 ...`` lines of the README's ``text``
 code blocks.  A command continues onto the next line when its line ends
-in a backslash, and a ``# ...`` tail is a comment.  The example must
-exit 2 when the README shows an ``error:`` line right after it, and 0
-otherwise.
+in a backslash, and a ``# ...`` tail is a comment.  The lines shown
+after a command, up to a ``...`` line, a blank line, the next ``$`` line
+or the end of the block, are the first lines it prints; a summary line's
+``in N.NNs`` timing is not compared.  The example must exit 2 when the
+README shows an ``error:`` line right after it (that line is compared
+with standard error), and 0 otherwise.
 
 The ``python`` block under "Library quick start" is run as a script; the
 ``# ...`` lines right after each ``print(...)`` line are what it prints.
@@ -13,6 +16,7 @@ The ``python`` block under "Library quick start" is run as a script; the
 import contextlib
 import io
 import pathlib
+import re
 import shlex
 
 import pytest
@@ -23,7 +27,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def readme_examples():
-    """(argv, expected exit code) for each example, in README order."""
+    """(argv, expected exit code, shown output lines), in README order."""
     examples = []
     in_text = False
     lines = (ROOT / "README.md").read_text(encoding="utf-8").splitlines()
@@ -41,9 +45,19 @@ def readme_examples():
             command = command[:-1] + " " + lines[i].strip()
             i += 1
         argv = shlex.split(command[len("$ rdpk3 "):], comments=True)
-        shows_error = i < len(lines) and lines[i].startswith("error:")
-        examples.append((argv, 2 if shows_error else 0))
+        shown = []
+        while i < len(lines) and lines[i].strip() not in ("", "...") and not (
+            lines[i].startswith("$ ") or lines[i].startswith("```")
+        ):
+            shown.append(lines[i])
+            i += 1
+        shows_error = bool(shown) and shown[0].startswith("error:")
+        examples.append((argv, 2 if shows_error else 0, shown))
     return examples
+
+
+def without_timing(line):
+    return re.sub(r" in \d+\.\d\ds$", "", line)
 
 
 EXAMPLES = readme_examples()
@@ -54,16 +68,24 @@ def test_readme_has_examples():
 
 
 @pytest.mark.parametrize(
-    "argv,want", EXAMPLES, ids=[" ".join(argv) for argv, _ in EXAMPLES]
+    "argv,want,shown", EXAMPLES, ids=[" ".join(argv) for argv, _, _ in EXAMPLES]
 )
-def test_readme_example(argv, want, capsys, monkeypatch):
+def test_readme_example(argv, want, shown, capsys, monkeypatch):
     monkeypatch.chdir(ROOT)
     try:
         code = main(argv)
     except SystemExit as exc:
         code = exc.code
-    err = capsys.readouterr().err
-    assert code == want, err
+    captured = capsys.readouterr()
+    assert code == want, captured.err
+    printed = (captured.err if want == 2 else captured.out).splitlines()
+    assert [without_timing(x) for x in printed[: len(shown)]] == [
+        without_timing(x) for x in shown
+    ]
+
+
+def test_readme_examples_show_output():
+    assert sum(len(shown) for _, _, shown in EXAMPLES) >= 20
 
 
 def quick_start_block():
