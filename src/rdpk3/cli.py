@@ -345,13 +345,15 @@ def _lattice_from_args(args) -> GramLattice:
     given = [x for x in (args.gram, args.dynkin, args.diagonal) if x]
     if len(given) != 1:
         raise CliError("pass exactly one of --gram, --dynkin, --diagonal")
+    if args.dynkin:
+        return lattice_from_json({"dynkin": args.dynkin})
     if args.gram:
-        doc = {"gram": json.loads(args.gram)}
-    elif args.dynkin:
-        doc = {"dynkin": args.dynkin}
+        name, entries = "gram", json.loads(args.gram)
     else:
-        doc = {"diagonal": _ints(args.diagonal)}
-    return lattice_from_json(doc)
+        name, entries = "diagonal", _ints(args.diagonal)
+    if entries == []:
+        raise CliError(f"--{name} gives an empty lattice; pass at least one entry")
+    return lattice_from_json({name: entries})
 
 
 def _lattice_summary(L: GramLattice) -> dict:

@@ -491,6 +491,9 @@ def parse_poly(text: str, variables=None, modulus: Optional[int] = None) -> Mult
         variables = tuple(sorted(seen))
     else:
         variables = tuple(variables)
+        for i, v in enumerate(variables):
+            if v in variables[:i]:
+                raise ValueError(f"variable {v!r} is listed twice in {list(variables)}")
         missing = seen - set(variables)
         if missing:
             raise ValueError(f"unknown variables {sorted(missing)} in {text!r}")

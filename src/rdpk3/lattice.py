@@ -18,6 +18,7 @@ All arithmetic is exact (Python ints and Fractions).
 
 import itertools
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -686,10 +687,25 @@ def lattice_from_json(doc) -> GramLattice:
     if "dynkin" in doc:
         return dynkin_gram(json_field(doc, "dynkin", "a string", what))
     if "diagonal" in doc:
-        return diagonal_gram(json_field(doc, "diagonal", "a list of integers", what))
-    if "gram" in doc:
-        return gram_from_json(doc["gram"])
-    raise ValueError(f"{what} needs a dynkin, diagonal, or gram field")
+        name, L = "diagonal", diagonal_gram(json_field(doc, "diagonal", "a list of integers", what))
+    elif "gram" in doc:
+        name, L = "gram", gram_from_json(doc["gram"])
+    else:
+        raise ValueError(f"{what} needs a dynkin, diagonal, or gram field")
+    if not L.rank:
+        raise ValueError(f"{what} field {name!r} is empty; a lattice needs rank >= 1")
+    return L
+
+
+# an integer, or a/b with b != 0
+_RATIONAL = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")
+
+
+def _glue_entry(x, where: str) -> Fraction:
+    """A glue-vector entry: a JSON integer or an "a/b" string, never a float or bool."""
+    if type(x) is int or isinstance(x, str) and _RATIONAL.fullmatch(x):
+        return Fraction(x)
+    raise ValueError(f'{where} must be an integer or an "a/b" string, got {json.dumps(x)}')
 
 
 def glue_from_json(doc) -> GramLattice:
@@ -702,8 +718,12 @@ def glue_from_json(doc) -> GramLattice:
     T = lattice_from_json(json_field(doc, "right", "an object", what))
     pairs = []
     for i, pair in enumerate(json_field(doc, "pairs", "a list", what)):
+        where = f"{what} pairs[{i}]"
         pairs.append(tuple(
-            [Fraction(str(x)) for x in json_field(pair, key, "a list", f"{what} pairs[{i}]")]
+            [
+                _glue_entry(x, f"{where} field {key!r} entry {j}")
+                for j, x in enumerate(json_field(pair, key, "a list", where))
+            ]
             for key in ("left_vector", "right_vector")
         ))
     return glue(L, T, json_field(doc, "p", "an integer", what), pairs)

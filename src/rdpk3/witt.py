@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import functools
 
-from .ffpoly import MultiPoly, is_prime
+from .ffpoly import FpScalar, MultiPoly, is_prime
 
 SUPPORTED_RANGES = {2: 4, 3: 2, 5: 2, 7: 1}
 
@@ -236,16 +236,30 @@ def _check_pair(x: WittVec, y: WittVec) -> None:
         raise ValueError(f"length mismatch: {x.n} vs {y.n}")
 
 
+def _apply(fn, p: int, components) -> tuple:
+    """fn on the components; on their plain residues when all are F_p scalars.
+
+    The compiled tables evaluate over Z as well, so when every component
+    is exactly an FpScalar mod p the result is boxed once per component
+    instead of once per intermediate.  Anything else (MultiPoly, ChartElem,
+    another modulus) goes through the elements' own arithmetic.
+    """
+    for c in components:
+        if type(c) is not FpScalar or c.p != p:
+            return fn(*components)
+    return tuple(FpScalar(p, v) for v in fn(*[c.value for c in components]))
+
+
 def witt_add(x: WittVec, y: WittVec) -> WittVec:
     _check_pair(x, y)
-    return WittVec(x.p, build_witt_table(x.p, x.n).add(*x.components, *y.components))
+    return WittVec(x.p, _apply(build_witt_table(x.p, x.n).add, x.p, x.components + y.components))
 
 def witt_mul(x: WittVec, y: WittVec) -> WittVec:
     _check_pair(x, y)
-    return WittVec(x.p, build_witt_table(x.p, x.n).mul(*x.components, *y.components))
+    return WittVec(x.p, _apply(build_witt_table(x.p, x.n).mul, x.p, x.components + y.components))
 
 def witt_neg(x: WittVec) -> WittVec:
-    return WittVec(x.p, build_witt_table(x.p, x.n).neg(*x.components))
+    return WittVec(x.p, _apply(build_witt_table(x.p, x.n).neg, x.p, x.components))
 
 def witt_sub(x: WittVec, y: WittVec) -> WittVec:
     return witt_add(x, witt_neg(y))

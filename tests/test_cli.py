@@ -4,6 +4,7 @@ import pathlib
 import pytest
 
 from rdpk3.cli import main
+from rdpk3.lattice import glue_from_json
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 EX71 = str(ROOT / "models" / "ex71.json")
@@ -273,6 +274,11 @@ MODEL_DEFECTS = [
         "'variables' must be a list of strings",
     ),
     ("not-an-object", lambda: [], "model must be a JSON object, got []"),
+    (
+        "repeated-variable",
+        lambda: {**ex71_doc(), "chart1": {**ex71_doc()["chart1"], "variables": ["x", "x", "t"]}},
+        "variable 'x' is listed twice",
+    ),
 ]
 
 
@@ -405,6 +411,28 @@ GLUE_SPEC_DEFECTS = [
         lambda s: s.update(right={"diagonal": [True, -2]}),
         "'diagonal' must be a list of integers, got [true, -2]",
     ),
+    ("diagonal-empty", lambda s: s.update(right={"diagonal": []}), "'diagonal' is empty"),
+    ("gram-empty", lambda s: s.update(right={"gram": []}), "'gram' is empty"),
+    (
+        "vector-bool",
+        lambda s: s["pairs"][0]["right_vector"].__setitem__(1, True),
+        "pairs[0] field 'right_vector' entry 1 must be an integer or an \"a/b\" string, got true",
+    ),
+    (
+        "vector-float",
+        lambda s: s["pairs"][0]["left_vector"].__setitem__(0, 0.1),
+        "pairs[0] field 'left_vector' entry 0 must be an integer or an \"a/b\" string, got 0.1",
+    ),
+    (
+        "vector-decimal-string",
+        lambda s: s["pairs"][0]["left_vector"].__setitem__(0, "0.5"),
+        "pairs[0] field 'left_vector' entry 0 must be",
+    ),
+    (
+        "vector-zero-denominator",
+        lambda s: s["pairs"][0]["right_vector"].__setitem__(0, "4/0"),
+        "pairs[0] field 'right_vector' entry 0 must be",
+    ),
 ]
 
 
@@ -430,6 +458,25 @@ def test_lattice_diagonal_flag_rejects_non_integers(capsys):
     code, out, err = run(capsys, "lattice", "disc", "--diagonal", "2.5")
     assert code == 2
     assert "2.5" in err
+
+
+@pytest.mark.parametrize("command", ["disc", "overlattice"])
+@pytest.mark.parametrize("flag,value", [("--diagonal", ","), ("--gram", "[]")])
+def test_lattice_flags_refuse_an_empty_lattice(capsys, command, flag, value):
+    code, out, err = run(capsys, "lattice", command, flag, value)
+    assert code == 2
+    assert f"{flag} gives an empty lattice" in err
+    assert out == ""
+
+
+def test_glue_vector_entries_read_integers_and_fractions():
+    spec = a20_spec()
+    spec["pairs"][0]["left_vector"][6] = 1
+    spec["pairs"][0]["right_vector"] = ["4/7", "-3/7"]
+    glued = glue_from_json(spec)
+    assert glued.rank == 22
+    assert glued.det == -9
+
 
 def test_lattice_disc_needs_exactly_one_source(capsys):
     code, out, err = run(

@@ -8,6 +8,7 @@ package, runs one small reproduce group and uninstalls it again.
 
 import importlib.util
 import pathlib
+import random
 import sys
 
 import rdpk3
@@ -52,3 +53,27 @@ def test_traced_reproduce_counts_chart_products(capsys):
     assert t.calls["chartring.mul"] > 0
     assert t.calls["localcoh.reduce"] > 0
     assert t.calls["cli.main"] == 1
+
+
+def test_traced_witt_trials_count_every_operation_and_scalar():
+    """The F_p fast path still goes through the traced witt_* entry points.
+
+    Each trial at p=2, n=4 makes 12 + p additions (2 for commutativity, 4
+    for associativity, 1 each for zero and negation, 2 for
+    distributivity, 2 for V-additivity, p for p*x), 11 multiplications (2,
+    4, 1 for the unit, 3 for distributivity, 1 for Teichmuller lifts) and
+    one negation.
+    """
+    tracer = load_tracer()
+    trials, p = 5, 2
+    t = tracer.Tracer()
+    t.install(rdpk3)
+    try:
+        failures = rdpk3.reproduce.witt_axiom_trials(p, 4, trials, random.Random(6))
+    finally:
+        t.uninstall()
+    assert failures == 0
+    assert t.calls["ffpoly.fpscalar_new"] > 0
+    assert t.calls["witt.add"] == trials * (12 + p)
+    assert t.calls["witt.mul"] == trials * 11
+    assert t.calls["witt.neg"] == trials

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -335,3 +336,47 @@ def test_compiled_tables_match_interpreter():
                     assert table.add(*xs, *ys) == _interpreted(table.sum_polys, xs, ys)
                     assert table.mul(*xs, *ys) == _interpreted(table.prod_polys, xs, ys)
                     assert table.neg(*xs) == _interpreted(table.neg_polys, xs)
+
+
+def _to_int(p, vec):
+    """The image of an F_p Witt vector in Z/p^n: sum of p^i [a_i], [a] = a^(p^(n-1))."""
+    n = vec.n
+    return sum(p**i * pow(c.value, p ** (n - 1), p**n) for i, c in enumerate(vec.components)) % p**n
+
+
+def test_fp_arithmetic_is_z_mod_p_to_the_n_exhaustively():
+    """W_n(F_p) = Z/p^n on every pair of vectors, for each supported truncation."""
+    for p, nmax in SUPPORTED_RANGES.items():
+        for n in range(1, nmax + 1):
+            m = p**n
+            vecs = [fpvec(p, *digits) for digits in itertools.product(range(p), repeat=n)]
+            assert sorted(_to_int(p, v) for v in vecs) == list(range(m))
+            for x in vecs:
+                xi = _to_int(p, x)
+                neg = witt_neg(x)
+                assert _to_int(p, neg) == -xi % m, (p, n, x)
+                for y in vecs:
+                    yi = _to_int(p, y)
+                    results = (witt_add(x, y), witt_mul(x, y), witt_sub(x, y))
+                    assert [_to_int(p, r) for r in results] == [
+                        (xi + yi) % m, xi * yi % m, (xi - yi) % m
+                    ], (p, n, x, y)
+                    for r in results + (neg,):
+                        assert all(type(c) is FpScalar and c.p == p for c in r.components)
+
+
+def test_a_component_of_another_modulus_still_raises():
+    odd = WittVec(2, (FpScalar(2, 1), FpScalar(3, 1)))
+    y = fpvec(2, 1, 1)
+    for op, args, message in (
+        (witt_add, (odd, y), "modulus mismatch: 3 vs 2"),
+        (witt_add, (y, odd), "modulus mismatch: 2 vs 3"),
+        (witt_mul, (odd, y), "modulus mismatch: 3 vs 2"),
+        (witt_neg, (odd,), "modulus mismatch: 2 vs 3"),
+        (witt_sub, (y, odd), "modulus mismatch: 2 vs 3"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            op(*args)
+    odd = WittVec(3, (FpScalar(3, 1), FpScalar(5, 1)))
+    with pytest.raises(ValueError, match="modulus mismatch: 5 vs 3"):
+        witt_mul(odd, fpvec(3, 2, 1))
