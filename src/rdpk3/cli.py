@@ -74,9 +74,16 @@ def _emit(args, doc: dict, text: str) -> None:
         print(text)
 
 
-def _ints(text: str) -> list:
+def _ints(text: str, flag: str) -> list:
+    """The integers of a comma-separated flag value; [] when every entry is blank."""
+    entries = text.split(",")
+    if not any(x.strip() for x in entries):
+        return []
+    for i, x in enumerate(entries):
+        if not x.strip():
+            raise CliError(f"{flag} {text!r}: entry {i + 1} is empty")
     try:
-        return [int(x) for x in text.split(",") if x.strip()]
+        return [int(x) for x in entries]
     except ValueError:
         raise CliError(f"expected a comma-separated integer list, got {text!r}")
 
@@ -280,7 +287,7 @@ def cmd_height_from_rdp(args) -> int:
 
 def cmd_height_count(args) -> int:
     model = load_model(args.model)
-    qs = _ints(args.q)
+    qs = _ints(args.q, "--q")
     if not qs:
         raise CliError("--q needs at least one field size")
     counts = [count_points(model, q) for q in qs]
@@ -302,7 +309,7 @@ def cmd_height_count(args) -> int:
 
 
 def cmd_height_ordinary(args) -> int:
-    weights = tuple(_ints(args.weights))
+    weights = tuple(_ints(args.weights, "--weights"))
     variables = tuple(v.strip() for v in args.vars.split(",")) if args.vars else None
     poly = parse_poly(args.f, variables, modulus=args.p)
     model = WeightedHypersurface(args.p, weights, poly)
@@ -350,7 +357,7 @@ def _lattice_from_args(args) -> GramLattice:
     if args.gram:
         name, entries = "gram", json.loads(args.gram)
     else:
-        name, entries = "diagonal", _ints(args.diagonal)
+        name, entries = "diagonal", _ints(args.diagonal, "--diagonal")
     if entries == []:
         raise CliError(f"--{name} gives an empty lattice; pass at least one entry")
     return lattice_from_json({name: entries})

@@ -598,6 +598,9 @@ class FiniteField:
     def add(self, a: int, b: int) -> int:
         if self.k == 1:
             return (a + b) % self.p
+        if self.p == 2:
+            # base-2 digits add without carries
+            return a ^ b
         da = _digits(a, self.p, self.k)
         db = _digits(b, self.p, self.k)
         return _undigits([(x + y) % self.p for x, y in zip(da, db)], self.p)
@@ -605,6 +608,8 @@ class FiniteField:
     def neg(self, a: int) -> int:
         if self.k == 1:
             return (-a) % self.p
+        if self.p == 2:
+            return a
         return _undigits([(-x) % self.p for x in _digits(a, self.p, self.k)], self.p)
 
     def mul(self, a: int, b: int) -> int:

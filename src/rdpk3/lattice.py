@@ -10,7 +10,8 @@ form, recorded by its Gram matrix.  This module computes:
   * even overlattices glued from two lattices along an anti-isometry
     of the prime-to-p parts of their discriminant groups (`glue`);
   * existence of integral unimodular overlattices of finite index by
-    exhaustive isotropic-subgroup search (`unimodular_overlattice_exists`);
+    an isotropic-subgroup search in each p-part of L*/L
+    (`unimodular_overlattice_exists`);
   * negative-definite root lattices of types A, D, E (`dynkin_gram`).
 
 All arithmetic is exact (Python ints and Fractions).
@@ -415,6 +416,23 @@ class DiscForm:
             raise ValueError("quadratic discriminant form needs an even lattice")
         return self._raw_dot(elem, elem) % 2
 
+    def p_part(self, p: int) -> "DiscForm":
+        """The p-primary part, read off the same Smith form.
+
+        Factor Z/d of the group contributes Z/p^v (v = v_p(d)), generated
+        by (d / p^v) times its generator; factors prime to p drop out.
+        """
+        orders = []
+        gens = []
+        for d, g in zip(self.orders, self.gens):
+            pv = 1
+            while d % (pv * p) == 0:
+                pv *= p
+            if pv > 1:
+                orders.append(pv)
+                gens.append(tuple((d // pv) * c for c in g))
+        return DiscForm(self.lattice, tuple(orders), tuple(gens))
+
     def prime_to(self, p: int) -> List[Tuple[int, ...]]:
         """All elements of order coprime to p (the prime-to-p part)."""
         return [x for x in self.elements() if gcd(self.order_of(x), p) == 1]
@@ -621,6 +639,35 @@ def _isotropic_subgroups_of_order(
                 frontier.append(new)
 
 
+def _searched_parts(m: int) -> List[Tuple[int, int]]:
+    """(p, m_p) for each prime p of m, m_p the p-power in m, ascending.
+
+    In an L*/L of order m^2 the p-part has order m_p^2; one over
+    SEARCH_GUARD raises.  A prime above isqrt(SEARCH_GUARD) is over it
+    already, so trial division stops there and the cofactor it leaves is
+    refused whole (it is a prime when below the square of the bound).
+    """
+    bound = isqrt(SEARCH_GUARD) + 1
+    parts = []
+    for p in range(2, bound):
+        mp = 1
+        while m % p == 0:
+            m //= p
+            mp *= p
+        if mp > 1:
+            parts.append((p, mp))
+    if m > 1:
+        parts.append((m, m))
+    for p, mp in parts:
+        if mp * mp > SEARCH_GUARD:
+            name = f"{p}-part of" if p < bound * bound else f"part for the primes of {p} in"
+            raise ValueError(
+                f"the {name} the discriminant group has order {mp * mp}, "
+                f"over the search guard {SEARCH_GUARD}"
+            )
+    return parts
+
+
 def unimodular_overlattice_exists(
     L: GramLattice, even_only: bool = False
 ) -> Tuple[bool, Optional[GramLattice]]:
@@ -630,7 +677,12 @@ def unimodular_overlattice_exists(
     with b(H, H) = 0 in Q/Z; the overlattice is unimodular iff
     |H|^2 = |disc(L)|.  With even_only=True (requires L even) the
     subgroup must also satisfy q(H) = 0 in Q/2Z, making the
-    overlattice even.  Returns (found, witness Gram or None).
+    overlattice even.  The discriminant form is the orthogonal sum of
+    its p-parts and q is additive across them (Nikulin 1979), so H
+    exists iff every p-part has such a subgroup of order m_p, the
+    p-power in m = |H|.  Each p-part is searched on its own and the
+    witness is spanned by the subgroups found.  Returns (found,
+    witness Gram or None).
     """
     if even_only and not L.is_even:
         raise ValueError("even_only search needs an even lattice")
@@ -638,19 +690,21 @@ def unimodular_overlattice_exists(
     m = isqrt(disc_order)
     if m * m != disc_order:
         return False, None
-    if disc_order > SEARCH_GUARD:
-        raise ValueError(
-            f"discriminant group order {disc_order} exceeds the search guard"
-        )
+    parts = _searched_parts(m)
     if m == 1:
         return True, GramLattice(L.gram)
     disc = disc_group(L)
-    for sub in _isotropic_subgroups_of_order(disc, m, even_only):
-        witness = _overlattice(L, [disc.vector(e) for e in sub])
-        if abs(witness.det) != 1:
-            raise RuntimeError("witness is not unimodular; search bug")
-        return True, witness
-    return False, None
+    vectors = []
+    for p, mp in parts:
+        part = disc.p_part(p)
+        sub = next(_isotropic_subgroups_of_order(part, mp, even_only), None)
+        if sub is None:
+            return False, None
+        vectors += [part.vector(e) for e in sub]
+    witness = _overlattice(L, vectors)
+    if abs(witness.det) != 1:
+        raise RuntimeError("witness is not unimodular; search bug")
+    return True, witness
 
 
 # ---------------------------------------------------------------------------

@@ -242,11 +242,18 @@ def _apply(fn, p: int, components) -> tuple:
     The compiled tables evaluate over Z as well, so when every component
     is exactly an FpScalar mod p the result is boxed once per component
     instead of once per intermediate.  Anything else (MultiPoly, ChartElem,
-    another modulus) goes through the elements' own arithmetic.
+    another modulus) goes through the elements' own arithmetic.  A scalar
+    of another modulus then raises, even where no polynomial mixes it;
+    the check runs after fn so that one which does still names the pair
+    it mixed.
     """
     for c in components:
         if type(c) is not FpScalar or c.p != p:
-            return fn(*components)
+            out = fn(*components)
+            for d in components:
+                if isinstance(d, FpScalar) and d.p != p:
+                    raise ValueError(f"modulus mismatch: {d.p} vs {p}")
+            return out
     return tuple(FpScalar(p, v) for v in fn(*[c.value for c in components]))
 
 

@@ -460,6 +460,24 @@ def test_lattice_diagonal_flag_rejects_non_integers(capsys):
     assert "2.5" in err
 
 
+@pytest.mark.parametrize(
+    "argv,named",
+    [
+        (("lattice", "disc", "--diagonal", "2,,-2"), "--diagonal '2,,-2': entry 2 is empty"),
+        (("lattice", "overlattice", "--diagonal", ",-2,2"), "--diagonal ',-2,2': entry 1 is empty"),
+        (("lattice", "disc", "--diagonal", "2,-2,"), "--diagonal '2,-2,': entry 3 is empty"),
+        (("height", "count", "--model", EX71, "--q", "2,,4"), "--q '2,,4': entry 2 is empty"),
+        (("height", "ordinary", "--p", "2", "--weights", "1, ,1,1", "--f", "x"), "--weights '1, ,1,1': entry 2 is empty"),
+    ],
+    ids=["diagonal-inner", "diagonal-leading", "diagonal-trailing", "q-inner", "weights-blank"],
+)
+def test_integer_lists_refuse_an_empty_entry(capsys, argv, named):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert named in err
+    assert out == ""
+
+
 @pytest.mark.parametrize("command", ["disc", "overlattice"])
 @pytest.mark.parametrize("flag,value", [("--diagonal", ","), ("--gram", "[]")])
 def test_lattice_flags_refuse_an_empty_lattice(capsys, command, flag, value):

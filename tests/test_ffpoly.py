@@ -229,6 +229,23 @@ def test_finite_field_frobenius_additive():
                 assert lhs == rhs
 
 
+@pytest.mark.parametrize("q", [4, 8, 16, 32, 64])
+def test_characteristic_two_addition_is_the_digit_sum(q):
+    f = FiniteField(q)
+
+    def digit_sum(a, b):
+        out, place = 0, 1
+        while a or b:
+            out += (a % 2 + b % 2) % 2 * place
+            a, b, place = a // 2, b // 2, place * 2
+        return out
+
+    for a in f.elements():
+        assert f.neg(a) == a
+        for b in f.elements():
+            assert f.add(a, b) == digit_sum(a, b)
+
+
 def test_finite_field_evaluate_poly():
     f = FiniteField(4)
     p = parse_poly("x^2 + x", ("x",), modulus=2)

@@ -224,6 +224,11 @@ def test_two_chart_point_counts():
     assert model_from_json(model_to_json(model)) == model
 
 
+def test_two_chart_point_counts_up_to_q32():
+    model = load_model(MODEL_PATH)
+    assert [count_points(model, q) for q in (2, 4, 8, 16, 32)] == [9, 25, 45, 289, 1089]
+
+
 def test_newton_identity_pipeline():
     counts = [9, 25, 45]
     a = power_sums_from_counts(counts, 2)

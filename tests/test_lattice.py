@@ -1,7 +1,9 @@
+import itertools
 import json
 import pathlib
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -19,6 +21,7 @@ from rdpk3.lattice import (
     smith_diagonal,
     unimodular_overlattice_exists,
 )
+from rdpk3.lattice import _isotropic_subgroups_of_order
 from rdpk3.reproduce import a20_glue_data
 
 GLUE_PATH = pathlib.Path(__file__).resolve().parent.parent / "models" / "a20glue.json"
@@ -326,6 +329,73 @@ def test_overlattice_stable_under_unimodular_summand():
     bigger = base.direct_sum(hyperbolic_plane())
     ok, w = unimodular_overlattice_exists(bigger)
     assert ok and abs(w.det) == 1
+
+
+def negated(L):
+    return GramLattice([[-x for x in row] for row in L.gram])
+
+
+def sweep_lattices():
+    """Sums of two or three small blocks with a square determinant in (1, 144]."""
+    blocks = [diagonal_gram([a]) for a in (-4, -3, -2, 2, 3, 6)]
+    for n in (1, 2, 3):
+        blocks += [dynkin_gram(("A", n)), negated(dynkin_gram(("A", n)))]
+    blocks += [GramLattice([[2, 1], [1, k]]) for k in (2, 3, 5)]  # det 3, 5, 9
+    out = []
+    for r in (2, 3):
+        for combo in itertools.combinations_with_replacement(blocks, r):
+            L = combo[0]
+            for b in combo[1:]:
+                L = L.direct_sum(b)
+            d = abs(L.det)
+            if 1 < d <= 144 and isqrt(d) ** 2 == d:
+                out.append(L)
+    return out
+
+
+def test_per_prime_search_agrees_with_the_whole_group_search():
+    mixed = 0
+    for L in sweep_lattices():
+        m = isqrt(abs(L.det))
+        mixed += sum(m % p == 0 for p in (2, 3, 5)) > 1
+        for even_only in (False, True) if L.is_even else (False,):
+            whole = next(_isotropic_subgroups_of_order(disc_group(L), m, even_only), None)
+            found, witness = unimodular_overlattice_exists(L, even_only)
+            assert found == (whole is not None), (L, even_only)
+            if found:
+                assert abs(witness.det) == 1, (L, even_only)
+                assert witness.is_even or not even_only, L
+    assert mixed >= 50
+
+
+def test_overlattice_mixing_the_primes_two_and_three():
+    L = diagonal_gram([-2, 2]).direct_sum(dynkin_gram("A2")).direct_sum(negated(dynkin_gram("A2")))
+    assert abs(L.det) == 36
+    for even_only in (False, True):
+        found, witness = unimodular_overlattice_exists(L, even_only)
+        assert found and abs(witness.det) == 1 and witness.rank == 6
+
+
+def test_overlattice_guard_bounds_the_largest_p_part():
+    # |D| = 30030^2 is about 9e8, but its largest p-part (p = 13) has order 169
+    found, witness = unimodular_overlattice_exists(diagonal_gram([30030, -30030]))
+    assert found and abs(witness.det) == 1
+    with pytest.raises(ValueError, match="317-part of the discriminant group has order 100489"):
+        unimodular_overlattice_exists(diagonal_gram([317, -317]))
+    with pytest.raises(ValueError, match="2-part of the discriminant group has order 262144"):
+        unimodular_overlattice_exists(diagonal_gram([512, -512]))
+
+
+def test_p_part_scales_the_smith_generators():
+    # Z/6 (from diag(6)) splits into Z/2 generated by 3g and Z/3 generated by 2g
+    disc = disc_group(diagonal_gram([6]))
+    assert disc.orders == (6,) and disc.gens == ((Fraction(1, 6),),)
+    two, three = disc.p_part(2), disc.p_part(3)
+    assert (two.orders, two.gens) == ((2,), ((Fraction(1, 2),),))
+    assert (three.orders, three.gens) == ((3,), ((Fraction(1, 3),),))
+    assert disc.p_part(5).orders == ()
+    a3 = disc_group(dynkin_gram("A3"))
+    assert a3.p_part(2) == a3
 
 
 def test_lattice_from_json_forms():

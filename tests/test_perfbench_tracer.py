@@ -77,3 +77,22 @@ def test_traced_witt_trials_count_every_operation_and_scalar():
     assert t.calls["witt.add"] == trials * (12 + p)
     assert t.calls["witt.mul"] == trials * 11
     assert t.calls["witt.neg"] == trials
+
+
+def test_traced_overlattice_search_builds_one_smith_form():
+    """Each p-part comes from the one discriminant group of the search."""
+    tracer = load_tracer()
+    lattices = [lat for _rid, lat, _want in rdpk3.reproduce.overlattice_instances()]
+    lattices += [
+        rdpk3.diagonal_gram([-2, 2, 6, -6]),
+        rdpk3.diagonal_gram([30030, -30030]),
+    ]
+    t = tracer.Tracer()
+    t.install(rdpk3)
+    try:
+        for lat in lattices:
+            rdpk3.unimodular_overlattice_exists(lat)
+    finally:
+        t.uninstall()
+    assert t.calls["lattice.overlattice"] == len(lattices)
+    assert t.calls["lattice.disc_group"] == len(lattices)

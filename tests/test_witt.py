@@ -380,3 +380,19 @@ def test_a_component_of_another_modulus_still_raises():
     odd = WittVec(3, (FpScalar(3, 1), FpScalar(5, 1)))
     with pytest.raises(ValueError, match="modulus mismatch: 5 vs 3"):
         witt_mul(odd, fpvec(3, 2, 1))
+
+
+@pytest.mark.parametrize(
+    "op,args",
+    [
+        (witt_neg, (WittVec(3, (FpScalar(3, 1), FpScalar(5, 1))),)),
+        (witt_add, (WittVec(3, (FpScalar(5, 1),)), WittVec(3, (FpScalar(5, 2),)))),
+        (witt_mul, (WittVec(3, (FpScalar(5, 2),)), WittVec(3, (FpScalar(5, 3),)))),
+        (witt_add, (WittVec(2, (FpScalar(3, 1), FpScalar(3, 2))), WittVec(2, (FpScalar(3, 0), FpScalar(3, 1))))),
+    ],
+    ids=["neg-one-foreign-component", "add-n1", "mul-n1", "add-all-foreign"],
+)
+def test_a_foreign_modulus_raises_even_when_no_polynomial_mixes_it(op, args):
+    # these never combine scalars of two moduli, so only the explicit check sees them
+    with pytest.raises(ValueError, match="modulus mismatch"):
+        op(*args)
