@@ -20,7 +20,7 @@ import functools
 import itertools
 import json
 import re
-from typing import Iterable, Iterator, Optional
+from typing import Optional
 
 MAX_PRIME = 1 << 16
 
@@ -320,12 +320,6 @@ class MultiPoly(SparseTerms):
             return -1
         return max(sum(e) for e in self.terms)
 
-    def degree_in(self, name: str) -> int:
-        if not self.terms:
-            return -1
-        i = self.variables.index(name)
-        return max(e[i] for e in self.terms)
-
     def is_homogeneous(self, weights: Optional[dict] = None) -> bool:
         """True if every term has the same weighted total degree."""
         if not self.terms:
@@ -340,14 +334,6 @@ class MultiPoly(SparseTerms):
     def weighted_degree(self, weights: dict) -> int:
         w = [weights[v] for v in self.variables]
         return max(sum(wi * ei for wi, ei in zip(w, e)) for e in self.terms)
-
-    def depends_only_on(self, names: Iterable[str]) -> bool:
-        allowed = set(names)
-        for e in self.terms:
-            for v, ei in zip(self.variables, e):
-                if ei and v not in allowed:
-                    return False
-        return True
 
     # -- maps --------------------------------------------------------
 
@@ -375,10 +361,6 @@ class MultiPoly(SparseTerms):
         if self.modulus is not None:
             raise ValueError("already reduced")
         return MultiPoly(self.variables, dict(self.terms), p)
-
-    def rename(self, mapping: dict) -> "MultiPoly":
-        new_vars = tuple(mapping.get(v, v) for v in self.variables)
-        return MultiPoly(new_vars, dict(self.terms), self.modulus)
 
     def evaluate(self, env: dict, zero=None):
         """Evaluate in any commutative ring.
@@ -744,8 +726,3 @@ def _find_irreducible(p: int, k: int) -> tuple:
         if _poly_is_irreducible(coeffs, p):
             return coeffs
     raise RuntimeError(f"no irreducible polynomial of degree {k} over F_{p}")
-
-
-def poly_ring_gens(names: Iterable[str], modulus: Optional[int] = None) -> Iterator[MultiPoly]:
-    names = tuple(names)
-    return (MultiPoly.gen(names, n, modulus) for n in names)

@@ -8,9 +8,7 @@ module collects the finite, exactly checkable pieces of that story:
     (`height_from_rdp`), and the resulting realizability criteria for
     a single rational double point on some K3 surface
     (`rdp_realizable_on_k3`, `taut_realizable`);
-  * coindex bookkeeping under partial resolutions
-    (`partial_resolution_coindex`) and the Picard-rank bound
-    (`picard_bound_ok`);
+  * the Picard-rank bound on the singular locus (`picard_bound_ok`);
   * point counting over small finite fields for two flavours of
     surface model (`count_points`), and the integrality test on
     Newton-transformed point counts that pins the height exactly
@@ -18,8 +16,8 @@ module collects the finite, exactly checkable pieces of that story:
   * the Fedder-style ordinarity test for hypersurfaces in weighted
     projective 3-space (`ordinary_test`);
   * height tables for quotients of K3 surfaces by infinitesimal group
-    schemes and by etale group schemes, plus height composition
-    (`quotient_height`, `etale_quotient_height`, `compose_heights`).
+    schemes and by etale group schemes (`quotient_height`,
+    `etale_quotient_height`).
 
 Everything is exact: integer and Fraction arithmetic only.
 """
@@ -80,22 +78,6 @@ def greater_than(l: int) -> HeightValue:
 
 
 INFINITE = HeightValue("infinite")
-
-
-def compose_heights(h1: HeightValue, h2: HeightValue) -> HeightValue:
-    """Height of a composite of two quotient maps: h1 + h2 - 1.
-
-    Infinity absorbs everything.  A factor known only as "> l" makes
-    the composite known only as a strict lower bound as well.
-    """
-    if h1.kind == "infinite" or h2.kind == "infinite":
-        return INFINITE
-    # minimum possible value of each factor
-    m1 = h1.bound if h1.kind == "finite" else h1.bound + 1
-    m2 = h2.bound if h2.kind == "finite" else h2.bound + 1
-    if h1.kind == "finite" and h2.kind == "finite":
-        return finite(m1 + m2 - 1)
-    return greater_than(m1 + m2 - 2)
 
 
 # ---------------------------------------------------------------------------
@@ -214,59 +196,10 @@ def rdp_realizable_on_k3(spec: RdpSpec) -> Verdict:
             "lattice obstruction: the orthogonal complement needed for "
             "D_19 with coindex 8 admits no unimodular overlattice",
         )
+    ok = picard_bound_ok(h, [(family, N, r)])
     if r > 0:
-        limit = 22 - 2 * h.bound
-        ok = N < limit
-        return Verdict(ok, f"height {h.bound} forces rank bound {N} < {limit}")
-    ok = N < 22
+        return Verdict(ok, f"height {h.bound} forces rank bound {N} < {22 - 2 * h.bound}")
     return Verdict(ok, f"coindex 0, rank bound {N} < 22")
-
-
-# ---------------------------------------------------------------------------
-# partial resolutions
-
-
-def is_connected_subdiagram(sub: Tuple[str, int], amb: Tuple[str, int]) -> bool:
-    """Whether `sub` embeds as a connected full subdiagram of `amb`.
-
-    Both are (family, N) pairs of Dynkin types A/D/E.  A chain of
-    length N-1 sits inside D_N and E_N; forks give D_M inside D_N for
-    M <= N and inside E_N for M <= N-1; E_M sits in E_N for M <= N.
-    """
-    fam_s, n_s = sub
-    fam_a, n_a = amb
-    if sub == amb:
-        return True
-    if fam_a == "A":
-        return fam_s == "A" and n_s <= n_a
-    if fam_a == "D":
-        if fam_s == "A":
-            return n_s <= n_a - 1
-        return fam_s == "D" and n_s <= n_a
-    # ambient E_6, E_7, E_8
-    if fam_s == "E":
-        return n_s <= n_a
-    return n_s <= n_a - 1
-
-
-def partial_resolution_coindex(
-    p: int, sym_from: Union[str, Tuple[str, int]], r: int, sym_to: Union[str, Tuple[str, int]]
-) -> int:
-    """Coindex after resolving all but a connected subdiagram.
-
-    Blowing a coindex-r singularity of type S down to the part
-    supported on a connected subdiagram S' leaves coindex
-    max(0, r - (rmax(S) - rmax(S'))).
-    """
-    src = parse_symbol(sym_from) if isinstance(sym_from, str) else tuple(sym_from)
-    dst = parse_symbol(sym_to) if isinstance(sym_to, str) else tuple(sym_to)
-    bound_src = rmax(p, *src)
-    bound_dst = rmax(p, *dst)
-    if not (0 <= r <= bound_src):
-        raise ValueError(f"coindex {r} out of range 0..{bound_src} for {src}")
-    if not is_connected_subdiagram(dst, src):
-        raise ValueError(f"{dst} is not a connected subdiagram of {src}")
-    return max(0, r - (bound_src - bound_dst))
 
 
 # ---------------------------------------------------------------------------
@@ -485,31 +418,6 @@ def model_from_json(doc) -> SurfaceModel:
     raise ValueError(f"unknown model kind {kind!r}")
 
 
-def model_to_json(model: SurfaceModel) -> dict:
-    if isinstance(model, TwoChart):
-        return {
-            "schema": MODEL_SCHEMA,
-            "kind": "two-chart",
-            "characteristic": model.characteristic,
-            "chart1": {
-                "variables": list(model.chart1.variables),
-                "polynomial": str(model.chart1),
-            },
-            "chart2_at_infinity": {
-                "variables": list(model.chart2_at_infinity.variables),
-                "polynomial": str(model.chart2_at_infinity),
-            },
-        }
-    return {
-        "schema": MODEL_SCHEMA,
-        "kind": "weighted-hypersurface",
-        "characteristic": model.characteristic,
-        "weights": list(model.weights),
-        "variables": list(model.polynomial.variables),
-        "polynomial": str(model.polynomial),
-    }
-
-
 def load_model(path: str) -> SurfaceModel:
     with open(path, "r", encoding="utf-8") as fh:
         return model_from_json(json.load(fh))
@@ -582,25 +490,6 @@ def newton_elementary(psums: Sequence[Fraction]) -> List[Fraction]:
             acc -= (-1) ** (i - 1) * es[i - 1] * psums[j - i - 1]
         es.append((-1) ** (j - 1) * acc / j)
     return es
-
-
-def power_sums_from_elementary(es: Sequence[Fraction]) -> List[Fraction]:
-    """Inverse of newton_elementary (forward Newton recursion)."""
-    ps: List[Fraction] = []
-    for j in range(1, len(es) + 1):
-        acc = (-1) ** (j - 1) * j * Fraction(es[j - 1])
-        for i in range(1, j):
-            acc += (-1) ** (i - 1) * es[i - 1] * ps[j - i - 1]
-        ps.append(acc)
-    return ps
-
-
-def counts_from_power_sums(psums: Sequence[Fraction], q: int) -> List[Fraction]:
-    """#Y(F_{q^m}) = 1 + q^{2m} + a(m) q^m for m = 1..len(psums)."""
-    return [
-        1 + q ** (2 * m) + Fraction(psums[m - 1]) * q**m
-        for m in range(1, len(psums) + 1)
-    ]
 
 
 def height_gt_test(counts: Sequence[int], q: int) -> Tuple[List[bool], List[Fraction]]:

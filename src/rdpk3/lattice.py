@@ -27,7 +27,7 @@ from math import gcd, isqrt, lcm
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .chartring import parse_symbol
-from .ffpoly import json_field
+from .ffpoly import is_prime, json_field
 
 SEARCH_GUARD = 100_000
 
@@ -200,7 +200,11 @@ class GramLattice:
     __slots__ = ("gram", "rank", "det")
 
     def __init__(self, gram: Iterable[Iterable[int]]):
-        rows = tuple(tuple(int(x) for x in row) for row in gram)
+        rows = tuple(tuple(row) for row in gram)
+        for i, row in enumerate(rows):
+            for j, x in enumerate(row):
+                if type(x) is not int:
+                    raise ValueError(f"Gram entry [{i}][{j}] must be an integer, got {x!r}")
         n = len(rows)
         if any(len(row) != n for row in rows):
             raise ValueError("Gram matrix must be square")
@@ -267,10 +271,6 @@ def diagonal_gram(entries: Sequence[int]) -> GramLattice:
     return GramLattice(
         [[entries[i] if i == j else 0 for j in range(n)] for i in range(n)]
     )
-
-
-def hyperbolic_plane() -> GramLattice:
-    return GramLattice([[0, 1], [1, 0]])
 
 
 def dynkin_gram(symbol) -> GramLattice:
@@ -347,28 +347,20 @@ def signature(L: GramLattice) -> Tuple[int, int]:
 class DiscForm:
     """The finite group L*/L with its torsion form data.
 
-    orders are the invariant factors > 1 (each divides the next);
-    gens[i] is a rational vector in the basis of L representing a
-    generator of the Z/orders[i] factor.  Elements of the group are
-    integer tuples, one residue per listed order.
+    The group is the direct product of the cyclic factors Z/orders[i],
+    all of order > 1; gens[i] is a rational vector in the basis of L
+    representing a generator of factor i.  Elements of the group are
+    integer tuples, one residue per listed order.  disc_group lists the
+    invariant factors (each dividing the next); a p-part or a product of
+    two groups need not.
     """
 
     lattice: GramLattice
     orders: Tuple[int, ...]
     gens: Tuple[Tuple[Fraction, ...], ...]
 
-    @property
-    def group_order(self) -> int:
-        out = 1
-        for d in self.orders:
-            out *= d
-        return out
-
     def elements(self):
         return itertools.product(*(range(d) for d in self.orders))
-
-    def reduce(self, elem: Sequence[int]) -> Tuple[int, ...]:
-        return tuple(a % d for a, d in zip(elem, self.orders))
 
     def add(self, x: Sequence[int], y: Sequence[int]) -> Tuple[int, ...]:
         return tuple((a + b) % d for a, b, d in zip(x, y, self.orders))
@@ -422,6 +414,8 @@ class DiscForm:
         Factor Z/d of the group contributes Z/p^v (v = v_p(d)), generated
         by (d / p^v) times its generator; factors prime to p drop out.
         """
+        if not is_prime(p):
+            raise ValueError(f"p-part needs a prime p, got {p}")
         orders = []
         gens = []
         for d, g in zip(self.orders, self.gens):
@@ -492,21 +486,6 @@ def _overlattice(
     return GramLattice(gram)
 
 
-def _span(disc: DiscForm, disc2: DiscForm, seeds) -> set:
-    """Closure of seed pairs under addition in disc x disc2."""
-    zero = (tuple([0] * len(disc.orders)), tuple([0] * len(disc2.orders)))
-    out = {zero}
-    frontier = [zero]
-    while frontier:
-        cur = frontier.pop()
-        for sx, sy in seeds:
-            item = (disc.add(cur[0], sx), disc2.add(cur[1], sy))
-            if item not in out:
-                out.add(item)
-                frontier.append(item)
-    return out
-
-
 def _coords_of(disc: DiscForm, vec: Sequence[Fraction]) -> Tuple[int, ...]:
     """Group coordinates of a dual vector, by exhaustive matching.
 
@@ -518,63 +497,6 @@ def _coords_of(disc: DiscForm, vec: Sequence[Fraction]) -> Tuple[int, ...]:
         if all((a - b).denominator == 1 for a, b in zip(rep, vec)):
             return elem
     raise ValueError("vector does not represent a discriminant class")
-
-
-def glue(
-    L: GramLattice,
-    T: GramLattice,
-    p: int,
-    pairs: Sequence[Tuple[Sequence[Fraction], Sequence[Fraction]]],
-) -> GramLattice:
-    """Even overlattice of L + T glued along dual vector pairs.
-
-    Each pair (l, t) of dual vectors adds the glue vector l + t.  The
-    classes generated must form the graph of an anti-isometry between
-    the full prime-to-p parts of the two discriminant groups (checked:
-    q_L(l) + q_T(t) = 0 in Q/2Z on every glued class, and both
-    projections cover the prime-to-p parts exactly).  Returns the glued
-    lattice on a Hermite basis.
-    """
-    if not (L.is_even and T.is_even):
-        raise ValueError("gluing is defined for even lattices")
-    dl = disc_group(L)
-    dt = disc_group(T)
-    seeds = []
-    for vec_l, vec_t in pairs:
-        vl = [Fraction(x) for x in vec_l]
-        vt = [Fraction(x) for x in vec_t]
-        if len(vl) != L.rank or len(vt) != T.rank:
-            raise ValueError("glue vector length disagrees with the rank")
-        if not L.in_dual(vl) or not T.in_dual(vt):
-            raise ValueError("glue vectors must pair integrally with the lattices")
-        seeds.append((_coords_of(dl, vl), _coords_of(dt, vt)))
-    graph = _span(dl, dt, seeds)
-    for x, y in graph:
-        if gcd(dl.order_of(x) * dt.order_of(y), p) != 1:
-            raise ValueError("glued classes must have order coprime to p")
-        if (dl.q_value(x) + dt.q_value(y)) % 2 != 0:
-            raise ValueError(
-                "glue map is not an anti-isometry of discriminant forms"
-            )
-    left = {x for x, _ in graph}
-    right = {y for _, y in graph}
-    if len(left) != len(graph) or len(right) != len(graph):
-        raise ValueError("glue classes do not form the graph of a bijection")
-    if set(dl.prime_to(p)) != left:
-        raise ValueError("glue map does not cover the prime-to-p part of L*/L")
-    if set(dt.prime_to(p)) != right:
-        raise ValueError("glue map does not cover the prime-to-p part of T*/T")
-
-    glue_vectors = [dl.vector(x) + dt.vector(y) for x, y in graph]
-    glued = _overlattice(L.direct_sum(T), glue_vectors)
-    index = len(graph)
-    if abs(glued.det) * index * index != abs(L.det) * abs(T.det):
-        raise RuntimeError("determinant bookkeeping failed in glue")
-    return glued
-
-
-# ---------------------------------------------------------------------------
-# unimodular overlattices
 
 
 def _extend_subgroup(disc: DiscForm, sub: frozenset, e, cap: int):
@@ -592,6 +514,71 @@ def _extend_subgroup(disc: DiscForm, sub: frozenset, e, cap: int):
             return None
         cur = disc.add(cur, e)
     return frozenset(new)
+
+
+def glue(
+    L: GramLattice,
+    T: GramLattice,
+    p: int,
+    pairs: Sequence[Tuple[Sequence[Fraction], Sequence[Fraction]]],
+) -> GramLattice:
+    """Even overlattice of L + T glued along dual vector pairs.
+
+    Each pair (l, t) of dual vectors adds the glue vector l + t, so the
+    glued lattice is the overlattice of L + T given by the subgroup of
+    D_L x D_T the pairs generate (Nikulin 1979).  That subgroup must be
+    the graph of an anti-isometry between
+    the full prime-to-p parts of the two discriminant groups (checked:
+    q_L(l) + q_T(t) = 0 in Q/2Z on every glued class, and both
+    projections cover the prime-to-p parts exactly).  Returns the glued
+    lattice on a Hermite basis.
+    """
+    if not (L.is_even and T.is_even):
+        raise ValueError("gluing is defined for even lattices")
+    dl = disc_group(L)
+    dt = disc_group(T)
+    k = len(dl.orders)
+    # D_L x D_T as the discriminant group of L + T: q and b add, orders lcm
+    pair = DiscForm(
+        L.direct_sum(T),
+        dl.orders + dt.orders,
+        tuple(g + (0,) * T.rank for g in dl.gens) + tuple((0,) * L.rank + g for g in dt.gens),
+    )
+    graph = frozenset([(0,) * len(pair.orders)])
+    for vec_l, vec_t in pairs:
+        vl = [Fraction(x) for x in vec_l]
+        vt = [Fraction(x) for x in vec_t]
+        if len(vl) != L.rank or len(vt) != T.rank:
+            raise ValueError("glue vector length disagrees with the rank")
+        if not L.in_dual(vl) or not T.in_dual(vt):
+            raise ValueError("glue vectors must pair integrally with the lattices")
+        seed = _coords_of(dl, vl) + _coords_of(dt, vt)
+        graph = _extend_subgroup(pair, graph, seed, abs(L.det * T.det))
+    for e in graph:
+        if gcd(pair.order_of(e), p) != 1:
+            raise ValueError("glued classes must have order coprime to p")
+        if pair.q_value(e) != 0:
+            raise ValueError(
+                "glue map is not an anti-isometry of discriminant forms"
+            )
+    left = {e[:k] for e in graph}
+    right = {e[k:] for e in graph}
+    if len(left) != len(graph) or len(right) != len(graph):
+        raise ValueError("glue classes do not form the graph of a bijection")
+    if set(dl.prime_to(p)) != left:
+        raise ValueError("glue map does not cover the prime-to-p part of L*/L")
+    if set(dt.prime_to(p)) != right:
+        raise ValueError("glue map does not cover the prime-to-p part of T*/T")
+
+    glued = _overlattice(pair.lattice, [pair.vector(e) for e in graph])
+    index = len(graph)
+    if abs(glued.det) * index * index != abs(L.det) * abs(T.det):
+        raise RuntimeError("determinant bookkeeping failed in glue")
+    return glued
+
+
+# ---------------------------------------------------------------------------
+# unimodular overlattices
 
 
 def _isotropic_subgroups_of_order(

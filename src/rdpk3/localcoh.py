@@ -64,10 +64,6 @@ class IdealSpec:
             ring.monomial(1, 0, 0, 1),
         ))
 
-    def pth_power(self) -> "IdealSpec":
-        p = self.ring.p
-        return IdealSpec(tuple(g**p for g in self.generators))
-
     def __repr__(self):
         return "IdealSpec(" + ", ".join(str(g) for g in self.generators) + ")"
 
@@ -234,12 +230,6 @@ def int_scalar_class(c: int, e: CohClass) -> CohClass:
     this is plain componentwise scaling; residual purity is preserved.
     """
     return CohClass(e.ring, tuple(comp * c for comp in e.components))
-
-
-def v_class(e: CohClass) -> CohClass:
-    """Shift into length n+1 by prepending a zero component."""
-    check_supported(e.ring.p, e.n + 1)
-    return CohClass(e.ring, (e.ring.zero(),) + e.components)
 
 
 def r_class(e: CohClass) -> CohClass:

@@ -40,14 +40,32 @@ def check_supported(p: int, n: int) -> None:
         raise ValueError(f"W_{n} at p={p} out of supported range 1..{SUPPORTED_RANGES[p]}")
 
 
-def ghost_poly(p: int, N: int, names) -> MultiPoly:
-    """w_N over Z in the given component variable names (length N+1)."""
-    names = tuple(names)
-    acc = MultiPoly.zero(names, None)
-    for i in range(N + 1):
-        t = MultiPoly.gen(names, names[i], None)
-        acc = acc + t ** (p ** (N - i)) * (p**i)
+def ghost(p: int, N: int, components):
+    """w_N at the ring elements t_0, ..., t_N: sum of p^i t_i^(p^(N-i))."""
+    acc = components[0] ** (p**N)
+    for i in range(1, N + 1):
+        acc = acc + components[i] ** (p ** (N - i)) * (p**i)
     return acc
+
+
+def _ghost_sides(p: int, n: int, op: str) -> list:
+    """w_N(a) op w_N(b), or -w_N(a) for neg, for N < n, over Z.
+
+    a and b are the variables a0..a{n-1} and b0..b{n-1} (no b for neg).
+    """
+    names = tuple(f"a{i}" for i in range(n))
+    if op != "neg":
+        names += tuple(f"b{i}" for i in range(n))
+    gens = [MultiPoly.gen(names, v, None) for v in names]
+    sides = []
+    for N in range(n):
+        ga = ghost(p, N, gens[:n])
+        if op == "neg":
+            sides.append(-ga)
+        else:
+            gb = ghost(p, N, gens[n:])
+            sides.append(ga + gb if op == "add" else ga * gb)
+    return sides
 
 
 @functools.lru_cache(maxsize=None)
@@ -63,29 +81,8 @@ def derive_integer_polys(p: int, n: int, op: str) -> tuple:
         raise ValueError(f"p must be prime, got {p}")
     if op not in ("add", "mul", "neg"):
         raise ValueError(f"unknown Witt operation {op!r}")
-    avars = tuple(f"a{i}" for i in range(n))
-    bvars = tuple(f"b{i}" for i in range(n)) if op != "neg" else ()
-    names = avars + bvars
-    a = {v: MultiPoly.gen(names, v, None) for v in avars}
-    b = {v: MultiPoly.gen(names, v, None) for v in bvars}
-    zero = MultiPoly.zero(names, None)
-
-    def ghost_of(components, N):
-        acc = zero
-        for i in range(N + 1):
-            acc = acc + components[i] ** (p ** (N - i)) * (p**i)
-        return acc
-
-    def ghost_rhs(N):
-        ga = ghost_of([a[v] for v in avars], N)
-        if op == "neg":
-            return -ga
-        gb = ghost_of([b[v] for v in bvars], N)
-        return ga + gb if op == "add" else ga * gb
-
     polys: list = []
-    for N in range(n):
-        residue = ghost_rhs(N)
+    for N, residue in enumerate(_ghost_sides(p, n, op)):
         for i in range(N):
             residue = residue - polys[i] ** (p ** (N - i)) * (p**i)
         polys.append(residue.exact_div_by_int(p**N))
@@ -150,27 +147,8 @@ def ghost_compatibility_ok(p: int, n: int) -> bool:
     check_supported(p, n)
     for op in ("add", "mul", "neg"):
         polys = derive_integer_polys(p, n, op)
-        names = polys[0].variables
-        avars = tuple(f"a{i}" for i in range(n))
-        a = [MultiPoly.gen(names, v, None) for v in avars]
-        if op != "neg":
-            b = [MultiPoly.gen(names, f"b{i}", None) for i in range(n)]
-        zero = MultiPoly.zero(names, None)
-        for N in range(n):
-            tnames = tuple(f"t{i}" for i in range(N + 1))
-            w = ghost_poly(p, N, tnames)
-            lhs = w.evaluate({f"t{i}": polys[i] for i in range(N + 1)}, zero)
-            ga = ghost_poly(p, N, avars[: N + 1]).evaluate(
-                {v: a[i] for i, v in enumerate(avars[: N + 1])}, zero
-            )
-            if op == "neg":
-                rhs = -ga
-            else:
-                gb = ghost_poly(p, N, tuple(f"b{i}" for i in range(N + 1))).evaluate(
-                    {f"b{i}": b[i] for i in range(N + 1)}, zero
-                )
-                rhs = ga + gb if op == "add" else ga * gb
-            if lhs != rhs:
+        for N, side in enumerate(_ghost_sides(p, n, op)):
+            if ghost(p, N, polys) != side:
                 return False
     return True
 
@@ -242,15 +220,17 @@ def _apply(fn, p: int, components) -> tuple:
     The compiled tables evaluate over Z as well, so when every component
     is exactly an FpScalar mod p the result is boxed once per component
     instead of once per intermediate.  Anything else (MultiPoly, ChartElem,
-    another modulus) goes through the elements' own arithmetic.  A scalar
-    of another modulus then raises, even where no polynomial mixes it;
-    the check runs after fn so that one which does still names the pair
-    it mixed.
+    another modulus) goes through the elements' own arithmetic.  A plain
+    int, whose results nothing reduces mod p, or a scalar of another
+    modulus then raises, even where no polynomial mixes it; the check
+    runs after fn so that a mixing polynomial still names the pair.
     """
     for c in components:
         if type(c) is not FpScalar or c.p != p:
             out = fn(*components)
             for d in components:
+                if isinstance(d, int):
+                    raise ValueError(f"Witt component {d!r} is a plain int, not in an F_{p}-algebra")
                 if isinstance(d, FpScalar) and d.p != p:
                     raise ValueError(f"modulus mismatch: {d.p} vs {p}")
             return out
@@ -308,31 +288,9 @@ def characteristic_of(elem) -> int:
 
 def teichmuller(elem, n: int) -> WittVec:
     """[a] = (a, 0, ..., 0) in W_n."""
-    z = elem.ring_zero()
-    return WittVec(characteristic_of(elem), (elem,) + (z,) * (n - 1))
-
-
-def v_shift_single(elem, position: int, n: int) -> WittVec:
-    """V^position of the Teichmuller lift, as a length-n vector."""
-    if not (0 <= position < n):
-        raise ValueError(f"position {position} out of range for W_{n}")
-    z = elem.ring_zero()
-    comps = [z] * n
-    comps[position] = elem
-    return WittVec(characteristic_of(elem), tuple(comps))
-
-
-def witt_from_int(n: int, value: int, one) -> WittVec:
-    """value * 1 in W_n, where one is the multiplicative unit of A."""
-    p = characteristic_of(one)
-    acc = WittVec(p, (one.ring_zero(),) * n)
-    unit = teichmuller(one, n)
-    if value < 0:
-        unit = witt_neg(unit)
-        value = -value
-    for _ in range(value):
-        acc = witt_add(acc, unit)
-    return acc
+    p = characteristic_of(elem)
+    check_supported(p, n)
+    return WittVec(p, (elem,) + (elem.ring_zero(),) * (n - 1))
 
 
 def subtraction_components(p: int, n: int) -> tuple:

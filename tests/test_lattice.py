@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import pathlib
 import random
 from fractions import Fraction
@@ -15,7 +16,6 @@ from rdpk3.lattice import (
     dynkin_gram,
     glue,
     glue_from_json,
-    hyperbolic_plane,
     lattice_from_json,
     signature,
     smith_diagonal,
@@ -24,6 +24,7 @@ from rdpk3.lattice import (
 from rdpk3.lattice import _isotropic_subgroups_of_order
 from rdpk3.reproduce import a20_glue_data
 
+HYPERBOLIC_PLANE = GramLattice([[0, 1], [1, 0]])
 GLUE_PATH = pathlib.Path(__file__).resolve().parent.parent / "models" / "a20glue.json"
 
 
@@ -70,13 +71,13 @@ def test_dynkin_determinants():
 def test_signatures():
     assert signature(dynkin_gram("E8")) == (0, 8)
     assert signature(GramLattice([[2, 5], [5, 2]])) == (1, 1)
-    assert signature(hyperbolic_plane()) == (1, 1)
+    assert signature(HYPERBOLIC_PLANE) == (1, 1)
     assert signature(diagonal_gram([-4, 7])) == (1, 1)
 
 
 def test_evenness_and_rank():
     assert dynkin_gram("E8").is_even
-    assert hyperbolic_plane().is_even
+    assert HYPERBOLIC_PLANE.is_even
     assert not diagonal_gram([-4, 7]).is_even
     assert dynkin_gram("D5").rank == 5
 
@@ -84,7 +85,7 @@ def test_evenness_and_rank():
 def test_disc_group_orders():
     assert disc_group(dynkin_gram("A20")).orders == (21,)
     assert disc_group(GramLattice([[2, 5], [5, 2]])).orders == (21,)
-    assert disc_group(hyperbolic_plane()).orders == ()
+    assert disc_group(HYPERBOLIC_PLANE).orders == ()
     assert disc_group(diagonal_gram([-4])).orders == (4,)
     assert disc_group(dynkin_gram("D4")).orders == (2, 2)
 
@@ -109,7 +110,7 @@ def test_disc_form_polarization():
         diagonal_gram([-4, 2, -2]),
     ):
         D = disc_group(lat)
-        assert D.group_order == abs(lat.det)
+        assert math.prod(D.orders) == abs(lat.det)
         for g in D.gens:
             assert lat.in_dual(g)
         elems = list(D.elements())
@@ -166,8 +167,8 @@ def test_glue_from_json_matches():
 
 def test_trivial_glue_is_direct_sum():
     a2 = dynkin_gram("A2")
-    s = glue(a2, hyperbolic_plane(), 3, [])
-    assert s == a2.direct_sum(hyperbolic_plane())
+    s = glue(a2, HYPERBOLIC_PLANE, 3, [])
+    assert s == a2.direct_sum(HYPERBOLIC_PLANE)
 
 
 def test_glue_order2_classes_gives_unimodular():
@@ -229,7 +230,7 @@ def test_glue_determinant_bookkeeping():
             ]
         ]
         lam = glue(L, Lneg, 97, pairs)
-        assert abs(lam.det) * D.group_order**2 == abs(L.det) * abs(Lneg.det)
+        assert abs(lam.det) * math.prod(D.orders) ** 2 == abs(L.det) * abs(Lneg.det)
         done += 1
 
 
@@ -326,7 +327,7 @@ def test_no_overlattice_across_instance_family():
 
 def test_overlattice_stable_under_unimodular_summand():
     base = diagonal_gram([-2, 2])
-    bigger = base.direct_sum(hyperbolic_plane())
+    bigger = base.direct_sum(HYPERBOLIC_PLANE)
     ok, w = unimodular_overlattice_exists(bigger)
     assert ok and abs(w.det) == 1
 
@@ -401,7 +402,7 @@ def test_p_part_scales_the_smith_generators():
 def test_lattice_from_json_forms():
     assert lattice_from_json({"dynkin": "D7"}) == dynkin_gram("D7")
     assert lattice_from_json({"diagonal": [-4, 7]}) == diagonal_gram([-4, 7])
-    assert lattice_from_json({"gram": [[0, 1], [1, 0]]}) == hyperbolic_plane()
+    assert lattice_from_json({"gram": [[0, 1], [1, 0]]}) == HYPERBOLIC_PLANE
     with pytest.raises(ValueError):
         lattice_from_json({"rows": [[2]]})
 
@@ -416,3 +417,25 @@ def test_lattice_from_json_refuses_inexact_diagonal(entries):
 def test_lattice_from_json_needs_an_object(doc):
     with pytest.raises(ValueError, match="must be a JSON object"):
         lattice_from_json(doc)
+
+
+@pytest.mark.parametrize("p", [0, 1, 4, 6])
+def test_p_part_needs_a_prime(p):
+    disc = disc_group(diagonal_gram([12]))
+    with pytest.raises(ValueError, match=f"p-part needs a prime p, got {p}"):
+        disc.p_part(p)
+
+
+@pytest.mark.parametrize(
+    "make,where,got",
+    [
+        (lambda: GramLattice([[2.7]]), r"\[0\]\[0\]", "2.7"),
+        (lambda: GramLattice([[2, 1], [1, True]]), r"\[1\]\[1\]", "True"),
+        (lambda: diagonal_gram([2, Fraction(5, 2)]), r"\[1\]\[1\]", r"Fraction\(5, 2\)"),
+        (lambda: GramLattice([[2, 1.0], [1, 2]]), r"\[0\]\[1\]", "1.0"),
+    ],
+    ids=["float", "bool", "fraction", "integral-float"],
+)
+def test_gram_lattice_refuses_entries_that_are_not_ints(make, where, got):
+    with pytest.raises(ValueError, match=f"Gram entry {where} must be an integer, got {got}"):
+        make()

@@ -15,7 +15,6 @@ from rdpk3.localcoh import (
     reduce,
     scalar_mul_class,
     scalar_multiple_of,
-    v_class,
     zero_class,
 )
 from rdpk3.reproduce import (
@@ -106,11 +105,13 @@ def test_shift_and_truncate_commute():
     ring = chart_from_key("2:D12:3")
     epsj = ring.monomial(1, -1, -3, 1)
     c = class_of(epsj, 1)
-    vc = v_class(c)
-    assert vc.components == (ring.zero(), epsj)
-    assert r_class(vc) == zero_class(ring, 1)
+
+    def shift(e):
+        return CohClass(ring, (ring.zero(),) + e.components)
+
+    assert r_class(shift(c)) == zero_class(ring, 1)
     w2 = CohClass(ring, (epsj, ring.monomial(1, -2, -1, 0)))
-    assert r_class(v_class(w2)) == v_class(r_class(w2))
+    assert r_class(shift(w2)) == shift(r_class(w2))
 
 
 def test_int_scalar_and_multiple_detection():
@@ -135,8 +136,6 @@ def test_ideal_spec_validation():
         IdealSpec.coordinate_power(ring, 0)
     ideal = IdealSpec.maximal(ring)
     assert len(ideal.generators) == 3
-    powered = ideal.pth_power()
-    assert powered.generators[0] == ring.monomial(1, 2, 0)
 
 
 def test_exponent_threshold():

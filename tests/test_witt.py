@@ -10,16 +10,14 @@ from rdpk3.witt import (
     WittVec,
     build_witt_table,
     check_supported,
+    ghost,
     ghost_compatibility_ok,
-    ghost_poly,
     restriction,
     subtraction_components,
     teichmuller,
-    v_shift_single,
     verschiebung,
     witt_add,
     witt_frobenius,
-    witt_from_int,
     witt_mul,
     witt_neg,
     witt_sub,
@@ -48,17 +46,12 @@ def test_supported_ranges():
         check_supported(3, 0)
 
 
-def test_ghost_poly_shape():
+def test_ghost_shape():
     """w_N is sum over i of p^i t_i^(p^(N-i))."""
-    w2 = ghost_poly(2, 2, ("t0", "t1", "t2"))
-    t0 = MultiPoly.gen(("t0", "t1", "t2"), "t0")
-    t1 = MultiPoly.gen(("t0", "t1", "t2"), "t1")
-    t2 = MultiPoly.gen(("t0", "t1", "t2"), "t2")
-    assert w2 == t0**4 + 2 * t1**2 + 4 * t2
-    w1 = ghost_poly(3, 1, ("t0", "t1"))
-    s0 = MultiPoly.gen(("t0", "t1"), "t0")
-    s1 = MultiPoly.gen(("t0", "t1"), "t1")
-    assert w1 == s0**3 + 3 * s1
+    t0, t1, t2 = (MultiPoly.gen(("t0", "t1", "t2"), v) for v in ("t0", "t1", "t2"))
+    assert ghost(2, 2, (t0, t1, t2)) == t0**4 + 2 * t1**2 + 4 * t2
+    assert ghost(2, 2, (3, 5, 7)) == 3**4 + 2 * 5**2 + 4 * 7
+    assert ghost(3, 1, (t0, t1)) == t0**3 + 3 * t1
 
 
 def test_ghost_compatibility_full_grid():
@@ -83,10 +76,17 @@ def test_table_structure():
     assert build_witt_table(2, 3) is tab
 
 
+def multiples(one, count):
+    """0, 1, ..., count - 1 times one, by repeated addition."""
+    els = [one.ring_zero()]
+    while len(els) < count:
+        els.append(els[-1] + one)
+    return els
+
+
 def test_w2f2_is_z4():
     """Length-2 vectors over the 2-element field behave like Z/4."""
-    one = FpScalar(2, 1)
-    els = [witt_from_int(2, k, one) for k in range(4)]
+    els = multiples(teichmuller(FpScalar(2, 1), 2), 4)
     assert els[0] == fpvec(2, 0, 0)
     assert els[1] == fpvec(2, 1, 0)
     assert els[2] == fpvec(2, 0, 1)
@@ -101,8 +101,7 @@ def test_w2f2_is_z4():
 
 
 def test_w2f3_is_z9():
-    one = FpScalar(3, 1)
-    els = [witt_from_int(2, k, one) for k in range(9)]
+    els = multiples(teichmuller(FpScalar(3, 1), 2), 9)
     assert len(set(els)) == 9
     for i in range(0, 9, 2):
         for j in range(0, 9, 3):
@@ -212,10 +211,10 @@ def test_multiplication_by_p_factors():
 
 def test_v_shift_single():
     e = FpScalar(2, 1)
-    assert v_shift_single(e, 0, 3) == fpvec(2, 1, 0, 0)
-    assert v_shift_single(e, 2, 3) == fpvec(2, 0, 0, 1)
+    assert verschiebung(teichmuller(e, 3), 0) == fpvec(2, 1, 0, 0)
+    assert verschiebung(teichmuller(e, 1), 2) == fpvec(2, 0, 0, 1)
     with pytest.raises(ValueError):
-        v_shift_single(e, 3, 3)
+        verschiebung(teichmuller(e, 1), 4)
 
 
 def test_subtraction_prefix_congruence():
@@ -395,4 +394,26 @@ def test_a_component_of_another_modulus_still_raises():
 def test_a_foreign_modulus_raises_even_when_no_polynomial_mixes_it(op, args):
     # these never combine scalars of two moduli, so only the explicit check sees them
     with pytest.raises(ValueError, match="modulus mismatch"):
+        op(*args)
+
+
+def test_teichmuller_refuses_an_empty_length():
+    for n in (0, -1):
+        with pytest.raises(ValueError, match=f"W_{n} at p=2 out of supported range"):
+            teichmuller(FpScalar(2, 1), n)
+    with pytest.raises(ValueError, match="W_5 at p=2"):
+        teichmuller(FpScalar(2, 1), 5)
+
+
+@pytest.mark.parametrize(
+    "op,args",
+    [
+        (witt_add, (WittVec(2, [1, 0]), WittVec(2, [1, 0]))),
+        (witt_mul, (WittVec(3, [2, 1]), fpvec(3, 2, 2))),
+        (witt_neg, (WittVec(5, [FpScalar(5, 1), 3]),)),
+    ],
+    ids=["add-ints", "mul-int-and-scalar", "neg-mixed"],
+)
+def test_plain_int_components_are_refused(op, args):
+    with pytest.raises(ValueError, match=r"Witt component \d is a plain int"):
         op(*args)
