@@ -612,6 +612,20 @@ class FiniteField:
             return 1
         return self._exp[(self._log[a] * e) % (self.q - 1)]
 
+    def trace(self, a: int) -> int:
+        """Absolute trace a + a^p + ... + a^(p^(k-1)), an element of F_p."""
+        acc = 0
+        for _ in range(self.k):
+            acc = self.add(acc, a)
+            a = self.pow(a, self.p)
+        return acc
+
+    def quadratic_character(self, a: int) -> int:
+        """chi(a) in odd characteristic: 0 at 0, 1 on nonzero squares, -1 otherwise."""
+        if a == 0:
+            return 0
+        return 1 if self.pow(a, (self.q - 1) // 2) == 1 else -1
+
     def from_int(self, c: int) -> int:
         """Image of the integer c under Z -> F_p in GF(q)."""
         return c % self.p

@@ -27,7 +27,7 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 from .chartring import RdpSpec, parse_symbol, rmax
 from .ffpoly import FiniteField, MultiPoly, is_prime, json_field, parse_poly
@@ -423,13 +423,71 @@ def load_model(path: str) -> SurfaceModel:
         return model_from_json(json.load(fh))
 
 
-def _affine_count(field: FiniteField, poly: MultiPoly) -> int:
-    nvars = len(poly.variables)
+# Most field operations one count_points call may spend: fibres times
+# coefficient terms, times q for fibres of degree 3 or more.
+COUNT_WORK_GUARD = 2**20
+
+
+def _fibre_variable(poly: MultiPoly) -> Tuple[int, int]:
+    """(index, degree) of the variable of least positive degree; (-1, 0) for a constant."""
+    degrees = [max((e[i] for e in poly.terms), default=0) for i in range(len(poly.variables))]
+    positive = [(d, i) for i, d in enumerate(degrees) if d]
+    if not positive:
+        return -1, 0
+    d, i = min(positive)
+    return i, d
+
+
+def _count_work(poly: MultiPoly, q: int) -> int:
+    i, d = _fibre_variable(poly)
+    if i < 0:
+        return 1
+    return q ** (len(poly.variables) - 1) * len(poly.terms) * (q if d >= 3 else 1)
+
+
+def _roots(field: FiniteField, cs: Dict[int, int]) -> int:
+    """Number of roots in GF(q) of the sum of c_k y^k over cs = {k: c_k}."""
+    cs = {k: c for k, c in cs.items() if c}
+    d = max(cs, default=-1)
+    if d < 0:
+        return field.q
+    if d <= 1:
+        return d  # a nonzero constant has no root, a linear fibre one
+    if d == 2:
+        c, b, a = cs.get(0, 0), cs.get(1, 0), cs[2]
+        if field.p != 2:
+            four_ac = field.mul(field.from_int(4), field.mul(a, c))
+            return 1 + field.quadratic_character(field.add(field.mul(b, b), field.neg(four_ac)))
+        if b == 0:
+            return 1  # squaring is a bijection of GF(2^k)
+        # y = (b/a) z turns the fibre into z^2 + z = ac/b^2 (Artin-Schreier)
+        z = field.mul(field.mul(a, c), field.pow(field.mul(b, b), field.q - 2))
+        return 2 if field.trace(z) == 0 else 0
+    # one pow per nonzero coefficient, so the cost does not grow with d
     count = 0
-    for point in itertools.product(field.elements(), repeat=nvars):
-        if field.evaluate_poly(poly, point) == 0:
-            count += 1
+    for y in field.elements():
+        acc = 0
+        for k, c in cs.items():
+            acc = field.add(acc, field.mul(c, field.pow(y, k)))
+        count += acc == 0
     return count
+
+
+def _affine_count(field: FiniteField, poly: MultiPoly) -> int:
+    """Zeros of poly in GF(q)^n, counted one fibre of the least-degree variable at a time."""
+    n = len(poly.variables)
+    i, _d = _fibre_variable(poly)
+    if i < 0:
+        return field.q**n if field.evaluate_poly(poly, (0,) * n) == 0 else 0
+    rest = poly.variables[:i] + poly.variables[i + 1:]
+    split: Dict[int, dict] = {}
+    for exps, c in poly.terms.items():
+        split.setdefault(exps[i], {})[exps[:i] + exps[i + 1:]] = c
+    coeffs = {k: MultiPoly(rest, terms, poly.modulus) for k, terms in split.items()}
+    return sum(
+        _roots(field, {k: field.evaluate_poly(c, point) for k, c in coeffs.items()})
+        for point in itertools.product(field.elements(), repeat=n - 1)
+    )
 
 
 def count_points(model: SurfaceModel, q: int) -> int:
@@ -440,24 +498,30 @@ def count_points(model: SurfaceModel, q: int) -> int:
     divided by q - 1, since each rational point of the coarse space is
     one orbit of the weighted scaling action with exactly q - 1
     rational points (Hilbert 90), whatever the weights share with q - 1.
+    Affine solutions are counted fibre by fibre; a model whose count
+    would take more than COUNT_WORK_GUARD field operations is refused.
     """
-    field = FiniteField(q)
-    if field.p != model.characteristic:
-        raise ValueError(
-            f"q={q} is not a power of the characteristic {model.characteristic}"
-        )
+    p = model.characteristic
+    power = p
+    while power < q:
+        power *= p
+    if power != q:
+        raise ValueError(f"q={q} is not a power of the characteristic {p}")
     if isinstance(model, TwoChart):
-        if q**3 > 2**30:
-            raise ValueError(f"q={q} exceeds the enumeration guard for charts")
-        return (
-            _affine_count(field, model.chart1)
-            + _affine_count(field, model.chart2_at_infinity)
-            + (q + 1)
+        polys = (model.chart1, model.chart2_at_infinity)
+    else:
+        polys = (model.polynomial,)
+    work = sum(_count_work(poly, q) for poly in polys)
+    if work > COUNT_WORK_GUARD:
+        raise ValueError(
+            f"q={q}: counting points needs about {work} field operations, "
+            f"more than the guard {COUNT_WORK_GUARD}"
         )
-    if q**4 > 2**32:
-        raise ValueError(f"q={q} exceeds the enumeration guard for hypersurfaces")
+    field = FiniteField(q)
+    total = sum(_affine_count(field, poly) for poly in polys)
+    if isinstance(model, TwoChart):
+        return total + q + 1
     poly = model.polynomial
-    total = _affine_count(field, poly)
     if field.evaluate_poly(poly, (0,) * len(model.weights)) == 0:
         total -= 1  # the cone point itself
     if total % (q - 1) != 0:

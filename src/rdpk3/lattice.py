@@ -533,6 +533,8 @@ def glue(
     projections cover the prime-to-p parts exactly).  Returns the glued
     lattice on a Hermite basis.
     """
+    if not is_prime(p):
+        raise ValueError(f"glue needs a prime p, got {p}")
     if not (L.is_even and T.is_even):
         raise ValueError("gluing is defined for even lattices")
     dl = disc_group(L)

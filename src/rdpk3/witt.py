@@ -154,7 +154,12 @@ def ghost_compatibility_ok(p: int, n: int) -> bool:
 
 
 class WittVec:
-    """A length-n Witt vector over a commutative F_p-algebra."""
+    """A length-n Witt vector over a commutative F_p-algebra.
+
+    Each component must be a ring element with ring_zero (an FpScalar,
+    MultiPoly or ChartElem); a plain int or any other object is refused
+    here rather than failing later inside an operation.
+    """
 
     __slots__ = ("p", "components")
 
@@ -163,20 +168,17 @@ class WittVec:
         if not components:
             raise ValueError("Witt vectors here have length >= 1")
         check_supported(p, len(components))
+        for c in components:
+            # the type test spares F_p scalars, the common case, the attribute lookup
+            if type(c) is not FpScalar and not hasattr(c, "ring_zero"):
+                kind = "a plain int" if isinstance(c, int) else f"a {type(c).__name__}"
+                raise ValueError(f"Witt component {c!r} is {kind}, not in an F_{p}-algebra")
         self.p = p
         self.components = components
 
     @property
     def n(self) -> int:
         return len(self.components)
-
-    def ring_zero(self) -> "WittVec":
-        z = self.components[0].ring_zero()
-        return WittVec(self.p, (z,) * self.n)
-
-    def ring_one(self) -> "WittVec":
-        z = self.components[0].ring_zero()
-        return WittVec(self.p, (self.components[0].ring_one(),) + (z,) * (self.n - 1))
 
     def __eq__(self, other):
         return (
@@ -220,17 +222,15 @@ def _apply(fn, p: int, components) -> tuple:
     The compiled tables evaluate over Z as well, so when every component
     is exactly an FpScalar mod p the result is boxed once per component
     instead of once per intermediate.  Anything else (MultiPoly, ChartElem,
-    another modulus) goes through the elements' own arithmetic.  A plain
-    int, whose results nothing reduces mod p, or a scalar of another
-    modulus then raises, even where no polynomial mixes it; the check
-    runs after fn so that a mixing polynomial still names the pair.
+    another modulus) goes through the elements' own arithmetic.  A scalar
+    of another modulus then raises, even where no polynomial mixes it;
+    the check runs after fn so that a mixing polynomial still names the
+    pair.
     """
     for c in components:
         if type(c) is not FpScalar or c.p != p:
             out = fn(*components)
             for d in components:
-                if isinstance(d, int):
-                    raise ValueError(f"Witt component {d!r} is a plain int, not in an F_{p}-algebra")
                 if isinstance(d, FpScalar) and d.p != p:
                     raise ValueError(f"modulus mismatch: {d.p} vs {p}")
             return out

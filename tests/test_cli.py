@@ -1,5 +1,6 @@
 import json
 import pathlib
+import time
 
 import pytest
 
@@ -204,6 +205,24 @@ def test_height_count_non_tower_skips_height(capsys):
     assert "height" not in doc or doc["height"] is None
 
 
+def test_height_count_up_to_q128(capsys):
+    code, doc = run_json(capsys, "height", "count", "--model", EX71, "--q", "2,4,8,16,32,64,128")
+    assert code == 0
+    assert [c["count"] for c in doc["counts"]] == [9, 25, 45, 289, 1089, 4273, 16641]
+    assert doc["height"] == {"kind": "finite", "bound": 3}
+
+
+def test_height_count_refuses_a_field_over_the_work_guard(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "height", "count", "--model", EX71, "--q", "1024")
+    # the refusal comes from the estimate, before any fibre is counted
+    assert time.perf_counter() - start < 5
+    assert code == 2
+    assert "q=1024" in err and "4197376" in err
+    assert "Traceback" not in err
+    assert out == ""
+
+
 def test_height_count_missing_model(capsys):
     code, out, err = run(
         capsys, "height", "count", "--model", "/nonexistent.json", "--q", "2"
@@ -387,6 +406,9 @@ GLUE_SPEC_DEFECTS = [
     ),
     ("string-p", lambda s: s.update(p="3"), "'p' must be an integer, got \"3\""),
     ("float-p", lambda s: s.update(p=3.5), "'p' must be an integer, got 3.5"),
+    ("zero-p", lambda s: s.update(p=0), "glue needs a prime p, got 0"),
+    ("negative-p", lambda s: s.update(p=-3), "glue needs a prime p, got -3"),
+    ("composite-p", lambda s: s.update(p=15), "glue needs a prime p, got 15"),
     ("pairs-object", lambda s: s.update(pairs={}), "'pairs' must be a list, got {}"),
     (
         "pair-number",

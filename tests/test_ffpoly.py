@@ -228,6 +228,30 @@ def test_characteristic_two_addition_is_the_digit_sum(q):
             assert f.add(a, b) == digit_sum(a, b)
 
 
+@pytest.mark.parametrize("q", [2, 4, 8, 16, 3, 7, 9, 25, 27])
+def test_trace_is_an_onto_f_p_linear_map_fixed_by_frobenius(q):
+    f = FiniteField(q)
+    traces = [f.trace(a) for a in f.elements()]
+    # onto F_p, each value on exactly q/p elements
+    assert sorted(traces) == sorted(list(range(f.p)) * (q // f.p))
+    for a in f.elements():
+        assert f.trace(f.pow(a, f.p)) == traces[a]
+        for b in f.elements():
+            assert f.trace(f.add(a, b)) == (traces[a] + traces[b]) % f.p
+    # on the prime field Tr(c) = k c
+    assert [traces[c] for c in range(f.p)] == [f.k * c % f.p for c in range(f.p)]
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9, 25, 27])
+def test_quadratic_character_marks_the_squares(q):
+    f = FiniteField(q)
+    squares = {f.mul(a, a) for a in f.elements() if a}
+    assert len(squares) == (q - 1) // 2
+    assert f.quadratic_character(0) == 0
+    for a in range(1, q):
+        assert f.quadratic_character(a) == (1 if a in squares else -1)
+
+
 def test_finite_field_evaluate_poly():
     f = FiniteField(4)
     p = parse_poly("x^2 + x", ("x",), modulus=2)

@@ -1,16 +1,18 @@
 import itertools
 import pathlib
+import random
 from fractions import Fraction
 
 import pytest
 
 from rdpk3.chartring import RdpSpec, parse_rdp_key
-from rdpk3.ffpoly import FiniteField, parse_poly
+from rdpk3.ffpoly import FiniteField, MultiPoly, parse_poly
 from rdpk3.height import (
     ALPHA_QUOTIENT_TABLE,
     ETALE_QUOTIENT_TABLE,
     INFINITE,
     NonOccurrenceError,
+    TwoChart,
     WeightedHypersurface,
     count_points,
     etale_quotient_height,
@@ -30,6 +32,8 @@ from rdpk3.height import (
     rdp_realizable_on_k3,
     taut_realizable,
 )
+from rdpk3.height import _affine_count
+from rdpk3.reproduce import ordinarity_examples
 
 MODEL_PATH = pathlib.Path(__file__).resolve().parent.parent / "models" / "ex71.json"
 
@@ -259,6 +263,147 @@ def test_genuinely_weighted_count_runs():
     )
     assert count_points(wmodel, 2) > 0
     assert count_points(wmodel, 4) > 0
+
+
+# ---------------------------------------------------------------------------
+# fibre-by-fibre counting against a brute-force loop over GF(q)^n
+
+
+def brute_zeros(field, poly):
+    n = len(poly.variables)
+    return sum(
+        field.evaluate_poly(poly, point) == 0
+        for point in itertools.product(field.elements(), repeat=n)
+    )
+
+
+def two_chart(chart1, chart2):
+    return TwoChart(
+        2,
+        parse_poly(chart1, ("x", "y", "t"), modulus=2),
+        parse_poly(chart2, ("x", "y"), modulus=2),
+    )
+
+
+# y^2 + B*y = C over F_2, B with a factor that vanishes on whole fibres, and B = 0
+TWO_CHART_SHAPES = {
+    "B-divisible-by-t": two_chart(
+        "y^2 + y*x*t + y*t^3 + x^3 + x*t^2 + t^5 + 1", "y^2 + y*x + x^3 + x"
+    ),
+    "B-divisible-by-t^2+t": two_chart(
+        "y^2 + y*x*t^2 + y*x*t + y*t^2 + y*t + x^3 + x^2*t + t^4 + t", "y^2 + y + x^3 + 1"
+    ),
+    "B-zero": two_chart("y^2 + x^3 + x*t^3 + t^5 + t", "y^2 + x^3 + x^2"),
+}
+
+
+@pytest.mark.parametrize("shape", ["ex71"] + sorted(TWO_CHART_SHAPES))
+def test_fibre_count_matches_brute_force_on_two_chart_models(shape):
+    model = load_model(MODEL_PATH) if shape == "ex71" else TWO_CHART_SHAPES[shape]
+    for q in (2, 4, 8, 16, 32):
+        field = FiniteField(q)
+        charts = (model.chart1, model.chart2_at_infinity)
+        want = [brute_zeros(field, chart) for chart in charts]
+        assert [_affine_count(field, chart) for chart in charts] == want, q
+        assert count_points(model, q) == sum(want) + q + 1, q
+
+
+def test_fibre_count_matches_brute_force_on_the_ordinarity_models():
+    for rid, model, _ordinary, _anchor in ordinarity_examples():
+        for q in (2, 4, 8):
+            field = FiniteField(q)
+            cone = brute_zeros(field, model.polynomial) - 1  # both contain the cone point
+            assert _affine_count(field, model.polynomial) == cone + 1, (rid, q)
+            assert count_points(model, q) == cone // (q - 1), (rid, q)
+
+
+# For odd q.  The fibre variable is the first one of least positive degree;
+# the comments name the fibre kinds each polynomial reaches.
+ODD_POLYS = [
+    ("7", ("x", "y")),  # no variable of positive degree, nonzero
+    ("0", ("x", "y")),  # no variable of positive degree, zero
+    ("x*y - 1", ("x", "y")),  # degree 1; degree 0 at y = 0
+    ("x*y", ("x", "y")),  # degree 1; every coefficient zero at y = 0
+    ("y^2 - x^2", ("x", "y")),  # degree 2, discriminant 0 at x = 0, a square elsewhere
+    ("y^2 + x", ("x", "y")),  # degree 2, discriminant -4x of either character
+    ("x*y^2 + 2*y + x^2 + 1", ("x", "y")),  # degree 2; degree 1 at x = 0
+    ("y^3 - x*y + x^2 + 1", ("y", "x")),  # fibre variable x, degree 2 in x
+    ("x^3 + x*y^3 + y + 2", ("x", "y")),  # degree 3 in x; degree 3 at y = 0
+    ("x^4 + y^5*x + y^4 + 1", ("x", "y")),  # degree 4
+    ("y^2*t + x*y + t^2 - 3", ("x", "y", "t")),  # three variables, degree 1 in x
+    ("x^3*t + y^3 + t^3 + x*y*t", ("x", "y", "t")),  # three variables, degree 3
+]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27])
+def test_fibre_count_matches_brute_force_on_random_polynomials(q):
+    field = FiniteField(q)
+    rng = random.Random(q)
+    polys = [parse_poly(text, names, modulus=field.p) for text, names in ODD_POLYS if q % 2]
+    for _ in range(30):
+        names = ("x", "y", "t")[: rng.randint(1, 3 if q <= 16 else 2)]
+        terms = {
+            tuple(rng.randrange(5) for _ in names): rng.randrange(field.p)
+            for _ in range(rng.randint(1, 4))
+        }
+        polys.append(MultiPoly(names, terms, field.p))
+    for poly in polys:
+        if len(poly.variables) == 3 and q > 16:
+            continue
+        assert _affine_count(field, poly) == brute_zeros(field, poly), (q, str(poly))
+
+
+def test_fibre_count_over_no_variables():
+    field = FiniteField(5)
+    assert _affine_count(field, MultiPoly((), {(): 0}, 5)) == 1
+    assert _affine_count(field, MultiPoly((), {(): 3}, 5)) == 0
+
+
+def test_ex71_counts_up_to_q128():
+    model = load_model(MODEL_PATH)
+    assert [count_points(model, q) for q in (64, 128)] == [4273, 16641]
+
+
+def test_count_work_guard_refuses_before_counting():
+    model = load_model(MODEL_PATH)
+    # 1024^2 * 4 fibre terms for chart1 plus 1024 * 3 for chart2
+    with pytest.raises(ValueError, match=r"q=1024: counting points needs about 4197376 "):
+        count_points(model, 1024)
+    fermat = WeightedHypersurface(
+        5,
+        (1, 1, 1, 1),
+        parse_poly("x0^4 + x1^4 + x2^4 + x3^4", ("x0", "x1", "x2", "x3"), modulus=5),
+    )
+    # every variable has degree 4: each fibre is evaluated at all q points
+    with pytest.raises(ValueError, match=r"q=125: .* 976562500 field operations"):
+        count_points(fermat, 125)
+
+
+def test_fibre_degree_does_not_enter_the_work():
+    # every variable of degree about 10^9: the fibres hold only the nonzero
+    # coefficients, so the count costs what the guard estimates
+    big = 10**9
+    model = two_chart(
+        f"y^{big} + x^{big + 1}*y + t^{big}*x + 1", f"x^{big}*y^{big} + y^{big - 1} + 1"
+    )
+    for q in (2, 4, 8):
+        field = FiniteField(q)
+        charts = (model.chart1, model.chart2_at_infinity)
+        want = [brute_zeros(field, chart) for chart in charts]
+        assert [_affine_count(field, chart) for chart in charts] == want, q
+        assert count_points(model, q) == sum(want) + q + 1, q
+    with pytest.raises(ValueError, match=r"q=1024: "):
+        count_points(model, 1024)
+    for q in (3, 9):
+        field = FiniteField(q)
+        poly = parse_poly(f"x^{big}*y^{big} - y^{big + 2} + x - 1", ("x", "y"), modulus=3)
+        assert _affine_count(field, poly) == brute_zeros(field, poly), q
+
+
+@pytest.mark.parametrize("q", [0, 1, 6, 9, -4])
+def test_count_refuses_a_q_outside_the_characteristic(q):
+    with pytest.raises(ValueError, match=f"q={q} is not a power of the characteristic 2"):
+        count_points(load_model(MODEL_PATH), q)
 
 
 def test_ordinarity_criterion():

@@ -201,6 +201,13 @@ def test_glue_rejects_bad_input():
         glue(a20, t_lat, 5, [(l_vec, t_vec)])
 
 
+@pytest.mark.parametrize("p", [0, -3, 1, 4, 21])
+def test_glue_refuses_a_p_that_is_not_prime(p):
+    # gcd(order, 0) and gcd(order, -3) would read 0 and -3 as primes
+    with pytest.raises(ValueError, match=f"glue needs a prime p, got {p}"):
+        glue(dynkin_gram("A2"), HYPERBOLIC_PLANE, p, [])
+
+
 def test_glue_determinant_bookkeeping():
     """det(glued) * index^2 = det(L) * det(T) on random even pieces."""
     rng = random.Random(9)

@@ -1,5 +1,7 @@
 import itertools
 import random
+import re
+from fractions import Fraction
 
 import pytest
 
@@ -76,9 +78,13 @@ def test_table_structure():
     assert build_witt_table(2, 3) is tab
 
 
+def zero_like(x):
+    return WittVec(x.p, tuple(c.ring_zero() for c in x.components))
+
+
 def multiples(one, count):
     """0, 1, ..., count - 1 times one, by repeated addition."""
-    els = [one.ring_zero()]
+    els = [zero_like(one)]
     while len(els) < count:
         els.append(els[-1] + one)
     return els
@@ -116,8 +122,8 @@ def test_operator_overloads():
     assert x * y == witt_mul(x, y)
     assert x - y == witt_sub(x, y)
     assert -x == witt_neg(x)
-    assert x + x.ring_zero() == x
-    assert x * x.ring_one() == x
+    assert x + fpvec(2, 0, 0, 0) == x
+    assert x * fpvec(2, 1, 0, 0) == x
 
 
 def test_pair_validation():
@@ -142,7 +148,7 @@ def test_ring_axioms_random():
                 assert x * y == y * x
                 assert (x * y) * z == x * (y * z)
                 assert x * (y + z) == x * y + x * z
-                assert x + (-x) == x.ring_zero()
+                assert x + (-x) == zero_like(x)
 
 
 def test_teichmuller_multiplicative():
@@ -203,7 +209,7 @@ def test_multiplication_by_p_factors():
         for n in range(2, nmax + 1):
             for _ in range(20):
                 x = fpvec(p, *(rng.randrange(p) for _ in range(n)))
-                px = x.ring_zero()
+                px = zero_like(x)
                 for _ in range(p):
                     px = px + x
                 assert px == verschiebung(witt_frobenius(restriction(x)))
@@ -406,14 +412,31 @@ def test_teichmuller_refuses_an_empty_length():
 
 
 @pytest.mark.parametrize(
-    "op,args",
+    "build",
     [
-        (witt_add, (WittVec(2, [1, 0]), WittVec(2, [1, 0]))),
-        (witt_mul, (WittVec(3, [2, 1]), fpvec(3, 2, 2))),
-        (witt_neg, (WittVec(5, [FpScalar(5, 1), 3]),)),
+        lambda: witt_add(WittVec(2, [1, 0]), WittVec(2, [1, 0])),
+        lambda: witt_mul(WittVec(3, [2, 1]), fpvec(3, 2, 2)),
+        lambda: witt_neg(WittVec(5, [FpScalar(5, 1), 3])),
     ],
     ids=["add-ints", "mul-int-and-scalar", "neg-mixed"],
 )
-def test_plain_int_components_are_refused(op, args):
+def test_plain_int_components_are_refused(build):
     with pytest.raises(ValueError, match=r"Witt component \d is a plain int"):
-        op(*args)
+        build()
+
+
+@pytest.mark.parametrize(
+    "components,named",
+    [
+        ([1, 0], "Witt component 1 is a plain int, not in an F_2-algebra"),
+        ([FpScalar(2, 1), True], "Witt component True is a plain int"),
+        ([Fraction(1, 2)], "Witt component Fraction(1, 2) is a Fraction"),
+        ([FpScalar(2, 1), 0.5], "Witt component 0.5 is a float"),
+        (["1"], "Witt component '1' is a str"),
+    ],
+    ids=["ints", "bool", "fraction", "float", "string"],
+)
+def test_witt_vec_refuses_components_outside_an_f_p_algebra(components, named):
+    # ring_zero and the operations would otherwise fail later, with an AttributeError
+    with pytest.raises(ValueError, match=re.escape(named)):
+        WittVec(2, components)
