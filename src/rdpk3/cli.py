@@ -28,6 +28,7 @@ from .chartring import (
 from .height import (
     NonOccurrenceError,
     WeightedHypersurface,
+    _counted_polys,
     count_points,
     etale_quotient_height,
     height_from_counts,
@@ -290,6 +291,8 @@ def cmd_height_count(args) -> int:
     qs = _ints(args.q, "--q")
     if not qs:
         raise CliError("--q needs at least one field size")
+    for q in qs:
+        _counted_polys(model, q)  # refuse a bad q before counting any field
     counts = [count_points(model, q) for q in qs]
     tower = all(q == qs[0] ** (i + 1) for i, q in enumerate(qs))
     hv = height_from_counts(counts, qs[0]) if tower else None

@@ -490,16 +490,11 @@ def _affine_count(field: FiniteField, poly: MultiPoly) -> int:
     )
 
 
-def count_points(model: SurfaceModel, q: int) -> int:
-    """Number of F_q-rational points of the surface model.
+def _counted_polys(model: SurfaceModel, q: int) -> Tuple[MultiPoly, ...]:
+    """The affine polynomials count_points(model, q) counts the zeros of.
 
-    TwoChart: affine solutions of both charts plus the q+1 points of
-    the zero section.  WeightedHypersurface: nonzero cone solutions
-    divided by q - 1, since each rational point of the coarse space is
-    one orbit of the weighted scaling action with exactly q - 1
-    rational points (Hilbert 90), whatever the weights share with q - 1.
-    Affine solutions are counted fibre by fibre; a model whose count
-    would take more than COUNT_WORK_GUARD field operations is refused.
+    Refuses a q that is not a power of the characteristic, and one
+    whose count would take more than COUNT_WORK_GUARD field operations.
     """
     p = model.characteristic
     power = p
@@ -517,6 +512,21 @@ def count_points(model: SurfaceModel, q: int) -> int:
             f"q={q}: counting points needs about {work} field operations, "
             f"more than the guard {COUNT_WORK_GUARD}"
         )
+    return polys
+
+
+def count_points(model: SurfaceModel, q: int) -> int:
+    """Number of F_q-rational points of the surface model.
+
+    TwoChart: affine solutions of both charts plus the q+1 points of
+    the zero section.  WeightedHypersurface: nonzero cone solutions
+    divided by q - 1, since each rational point of the coarse space is
+    one orbit of the weighted scaling action with exactly q - 1
+    rational points (Hilbert 90), whatever the weights share with q - 1.
+    Affine solutions are counted fibre by fibre; a model whose count
+    would take more than COUNT_WORK_GUARD field operations is refused.
+    """
+    polys = _counted_polys(model, q)
     field = FiniteField(q)
     total = sum(_affine_count(field, poly) for poly in polys)
     if isinstance(model, TwoChart):

@@ -3,9 +3,10 @@
 A lattice is a free Z-module with an integer-valued symmetric bilinear
 form, recorded by its Gram matrix.  This module computes:
 
-  * discriminant groups L*/L with their generator lifts, and the
-    induced quadratic form q(v) = v^2 mod 2Z and bilinear form
-    b(v, w) = v.w mod Z on them (`disc_group`);
+  * discriminant groups L*/L with their generator lifts, read off the
+    right transform of one Smith form, and the induced quadratic form
+    q(v) = v^2 mod 2Z and bilinear form b(v, w) = v.w mod Z on them
+    (`disc_group`);
   * signatures by exact congruence diagonalization (`signature`);
   * even overlattices glued from two lattices along an anti-isometry
     of the prime-to-p parts of their discriminant groups (`glue`);
@@ -14,7 +15,8 @@ form, recorded by its Gram matrix.  This module computes:
     (`unimodular_overlattice_exists`);
   * negative-definite root lattices of types A, D, E (`dynkin_gram`).
 
-All arithmetic is exact (Python ints and Fractions).
+All arithmetic is exact (Python ints and Fractions).  Pairings on L*/L
+are kept as integers: e times v.w, for e the exponent of the group.
 """
 
 import itertools
@@ -23,7 +25,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt, lcm, prod
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .chartring import parse_symbol
@@ -60,40 +62,30 @@ def det_int(rows: Sequence[Sequence[int]]) -> int:
 
 
 def smith_diagonal(rows: Sequence[Sequence[int]]) -> Tuple[List[int], List[List[int]]]:
-    """Smith normal form diagonal plus the inverse left transform.
+    """Smith normal form diagonal plus the right transform.
 
-    Returns (d, W) where d is the list of invariant factors
-    (nonnegative, each dividing the next) of the square matrix M and W
-    is unimodular with the property: if U M V = diag(d) then W = U^{-1},
-    so column i of W generates the Z/d_i factor of coker(M).
+    Returns (d, V) where d is the list of invariant factors
+    (nonnegative, each dividing the next) of the square matrix M and V
+    is unimodular with U M V = diag(d) for some unimodular U.  So
+    M^{-1} = V diag(d)^{-1} U, and for nonsingular M the columns of V
+    divided by the d_i generate M^{-1} Z^n / Z^n, column i the Z/d_i
+    factor.  Only the column operations are recorded.
     """
     n = len(rows)
     m = [list(map(int, row)) for row in rows]
-    w = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def swap_rows(i, j):
-        m[i], m[j] = m[j], m[i]
-        for row in w:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(i, j, c):
-        # row i += c * row j; W gets col j -= c * col i
-        m[i] = [a + c * b for a, b in zip(m[i], m[j])]
-        for row in w:
-            row[j] -= c * row[i]
-
-    def negate_row(i):
-        m[i] = [-a for a in m[i]]
-        for row in w:
-            row[i] = -row[i]
+    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
     def swap_cols(i, j):
-        for row in m:
+        for row in m + v:
             row[i], row[j] = row[j], row[i]
 
     def add_col(i, j, c):
-        for row in m:
+        # col i += c * col j, on M and on V
+        for row in m + v:
             row[i] += c * row[j]
+
+    def add_row(i, j, c):
+        m[i] = [a + c * b for a, b in zip(m[i], m[j])]
 
     for k in range(n):
         while True:
@@ -107,7 +99,7 @@ def smith_diagonal(rows: Sequence[Sequence[int]]) -> Tuple[List[int], List[List[
                 break
             _, bi, bj = best
             if bi != k:
-                swap_rows(k, bi)
+                m[k], m[bi] = m[bi], m[k]
             if bj != k:
                 swap_cols(k, bj)
             dirty = False
@@ -134,8 +126,8 @@ def smith_diagonal(rows: Sequence[Sequence[int]]) -> Tuple[List[int], List[List[
                 break
             add_row(k, offender, 1)
         if m[k][k] < 0:
-            negate_row(k)
-    return [m[i][i] for i in range(n)], w
+            m[k] = [-a for a in m[k]]
+    return [m[i][i] for i in range(n)], v
 
 
 def hermite_row_basis(rows: Sequence[Sequence[int]]) -> List[List[int]]:
@@ -170,24 +162,6 @@ def hermite_row_basis(rows: Sequence[Sequence[int]]) -> List[List[int]]:
         work = [r for r in rest if any(r)]
         col += 1
     return basis
-
-
-def solve_rational(
-    mat: Sequence[Sequence[int]], rhs: Sequence[Fraction]
-) -> List[Fraction]:
-    """Solve M x = rhs exactly (M square nonsingular)."""
-    n = len(mat)
-    a = [[Fraction(mat[i][j]) for j in range(n)] + [Fraction(rhs[i])] for i in range(n)]
-    for k in range(n):
-        piv = next(i for i in range(k, n) if a[i][k] != 0)
-        a[k], a[piv] = a[piv], a[k]
-        inv = 1 / a[k][k]
-        a[k] = [x * inv for x in a[k]]
-        for i in range(n):
-            if i != k and a[i][k]:
-                f = a[i][k]
-                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
-    return [a[i][n] for i in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -380,24 +354,34 @@ class DiscForm:
         return tuple(vec)
 
     @cached_property
-    def _gen_pairings(self) -> Tuple[Tuple[Fraction, ...], ...]:
-        return tuple(
-            tuple(self.lattice.dot(g, h) for h in self.gens) for g in self.gens
-        )
+    def _exponent(self) -> int:
+        return lcm(*self.orders)
 
-    def _raw_dot(self, x: Sequence[int], y: Sequence[int]) -> Fraction:
+    @cached_property
+    def _gen_pairings(self) -> Tuple[Tuple[int, ...], ...]:
+        """e * (g_i . g_j) for e = lcm(orders): integers, as e * g_i is in L and g_j in L*."""
+        e = self._exponent
+        table = [[e * self.lattice.dot(g, h) for h in self.gens] for g in self.gens]
+        if any(x.denominator != 1 for row in table for x in row):
+            raise ValueError("gens are not classes of the listed orders in L*/L")
+        return tuple(tuple(x.numerator for x in row) for row in table)
+
+    def _raw_dot(self, x: Sequence[int], y: Sequence[int]) -> int:
+        """e * (x . y) for the exponent e, from the integer pairing table."""
         pair = self._gen_pairings
-        acc = Fraction(0)
+        acc = 0
         for i, a in enumerate(x):
             if a:
+                row = pair[i]
                 for j, b in enumerate(y):
                     if b:
-                        acc += a * b * pair[i][j]
+                        acc += a * b * row[j]
         return acc
 
     def b_value(self, x: Sequence[int], y: Sequence[int]) -> Fraction:
         """Bilinear pairing in Q/Z, represented in [0, 1)."""
-        return self._raw_dot(x, y) % 1
+        e = self._exponent
+        return Fraction(self._raw_dot(x, y) % e, e)
 
     def q_value(self, elem: Sequence[int]) -> Fraction:
         """Quadratic value v^2 in Q/2Z, represented in [0, 2).
@@ -406,7 +390,8 @@ class DiscForm:
         """
         if not self.lattice.is_even:
             raise ValueError("quadratic discriminant form needs an even lattice")
-        return self._raw_dot(elem, elem) % 2
+        e = self._exponent
+        return Fraction(self._raw_dot(elem, elem) % (2 * e), e)
 
     def p_part(self, p: int) -> "DiscForm":
         """The p-primary part, read off the same Smith form.
@@ -427,30 +412,22 @@ class DiscForm:
                 gens.append(tuple((d // pv) * c for c in g))
         return DiscForm(self.lattice, tuple(orders), tuple(gens))
 
-    def prime_to(self, p: int) -> List[Tuple[int, ...]]:
-        """All elements of order coprime to p (the prime-to-p part)."""
-        return [x for x in self.elements() if gcd(self.order_of(x), p) == 1]
-
 
 def disc_group(L: GramLattice) -> DiscForm:
     """Discriminant group L*/L with generator lifts.
 
-    Smith normal form of the Gram matrix gives the cyclic structure;
-    the inverse left transform gives dual-basis coordinates of the
-    generators, converted to lattice-basis coordinates through G^{-1}.
+    The Smith form U G V = diag(d) of the Gram matrix gives the cyclic
+    structure, and G^{-1} = V diag(d)^{-1} U gives the generators: in
+    lattice-basis coordinates, the Z/d_i factor is generated by column
+    i of the right transform V divided by d_i.
     """
-    diag, w = smith_diagonal(L.gram)
+    diag, v = smith_diagonal(L.gram)
     orders = []
     gens = []
     for i, d in enumerate(diag):
         if d > 1:
-            # column i of the inverse left transform, read in the dual
-            # basis, generates the Z/d factor; G^{-1} converts it to
-            # lattice-basis coordinates
-            dual_coords = [Fraction(w[row][i]) for row in range(L.rank)]
-            vec = solve_rational(L.gram, dual_coords)
-            gens.append(tuple(vec))
             orders.append(d)
+            gens.append(tuple(Fraction(row[i], d) for row in v))
     return DiscForm(L, tuple(orders), tuple(gens))
 
 
@@ -567,9 +544,11 @@ def glue(
     right = {e[k:] for e in graph}
     if len(left) != len(graph) or len(right) != len(graph):
         raise ValueError("glue classes do not form the graph of a bijection")
-    if set(dl.prime_to(p)) != left:
+    # each projection is a subgroup of the prime-to-p part (every glued
+    # class has order prime to p), so it covers that part iff it is as large
+    if len(left) * prod(dl.p_part(p).orders) != abs(L.det):
         raise ValueError("glue map does not cover the prime-to-p part of L*/L")
-    if set(dt.prime_to(p)) != right:
+    if len(right) * prod(dt.p_part(p).orders) != abs(T.det):
         raise ValueError("glue map does not cover the prime-to-p part of T*/T")
 
     glued = _overlattice(pair.lattice, [pair.vector(e) for e in graph])
@@ -598,6 +577,7 @@ def _isotropic_subgroups_of_order(
     trivial = frozenset([zero])
     seen = {trivial}
     frontier = [trivial]
+    exponent = disc._exponent
     elements = []
     for e in disc.elements():
         order = disc.order_of(e)
@@ -616,7 +596,8 @@ def _isotropic_subgroups_of_order(
         for e in elements:
             if e in sub:
                 continue
-            if any(disc.b_value(e, s) != 0 for s in sub):
+            # b(e, s) = 0 in Q/Z, tested on the integer residue
+            if any(disc._raw_dot(e, s) % exponent for s in sub):
                 continue
             new = _extend_subgroup(disc, sub, e, m)
             if new is None or m % len(new):

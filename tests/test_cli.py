@@ -223,6 +223,19 @@ def test_height_count_refuses_a_field_over_the_work_guard(capsys):
     assert out == ""
 
 
+def test_height_count_refuses_a_later_field_before_counting_any(capsys, monkeypatch):
+    import rdpk3.height
+
+    def no_counting(*_args):
+        raise AssertionError("a field was counted before every q was checked")
+
+    monkeypatch.setattr(rdpk3.height, "_affine_count", no_counting)
+    code, out, err = run(capsys, "height", "count", "--model", EX71, "--q", "256,512")
+    assert code == 2
+    assert "q=512: counting points needs about 1050112 field operations" in err
+    assert out == ""
+
+
 def test_height_count_missing_model(capsys):
     code, out, err = run(
         capsys, "height", "count", "--model", "/nonexistent.json", "--q", "2"

@@ -9,6 +9,7 @@ from math import isqrt
 import pytest
 
 from rdpk3.lattice import (
+    DiscForm,
     GramLattice,
     det_int,
     diagonal_gram,
@@ -44,12 +45,15 @@ def test_det_and_smith_against_cofactors():
         rows = [[rng.randrange(-6, 7) for _ in range(n)] for _ in range(n)]
         d = det_int(rows)
         assert d == cofactor_det(rows), rows
-        diag, w = smith_diagonal(rows)
-        assert abs(det_int(w)) == 1
-        prod = 1
-        for x in diag:
-            prod *= x
-        assert prod == abs(d)
+        diag, v = smith_diagonal(rows)
+        # U M V = diag(d): M times column i of V is d_i times an integer
+        # vector, and with |det V| = 1 and prod(d) = |det M| the columns
+        # over the d_i generate M^{-1} Z^n / Z^n
+        for i, di in enumerate(diag):
+            image = [sum(r[j] * v[j][i] for j in range(n)) for r in rows]
+            assert all(x % di == 0 for x in image) if di else not any(image), rows
+        assert abs(det_int(v)) == 1
+        assert math.prod(diag) == abs(d)
         for a, b in zip(diag, diag[1:]):
             if a:
                 assert b % a == 0 or b == 0
@@ -97,6 +101,49 @@ def test_disc_group_quadratic_values():
     assert da2.orders == (3,)
     assert da2.q_value((1,)) == Fraction(4, 3)
     assert da2.q_value((2,)) == Fraction(4, 3)
+
+
+def fracs(text):
+    return tuple(Fraction(x) for x in text.split())
+
+
+A20_GEN = " ".join(f"{i}/21" for i in range(1, 21))
+A20_L, A20_T, _, _ = a20_glue_data()
+# disc_group's generators are one choice among many; these pin it:
+# lattice, orders, generators (lattice-basis coordinates), q on each generator
+PINNED_DISC_FORMS = {
+    "A2": (dynkin_gram("A2"), (3,), ["1/3 2/3"], ["4/3"]),
+    "A3": (dynkin_gram("A3"), (4,), ["1/4 1/2 3/4"], ["5/4"]),
+    "D4": (dynkin_gram("D4"), (2, 2), ["0 0 -1/2 1/2", "1/2 1 1/2 1"], ["1", "1"]),
+    "D5": (dynkin_gram("D5"), (4,), ["-1/2 -1 -3/2 -3/4 -5/4"], ["3/4"]),
+    "E6": (dynkin_gram("E6"), (3,), ["-2/3 -4/3 -2 -5/3 -4/3 -1"], ["2/3"]),
+    "E7": (dynkin_gram("E7"), (2,), ["-1 -2 -3 -5/2 -2 -3/2 -3/2"], ["1/2"]),
+    "A20": (dynkin_gram("A20"), (21,), [A20_GEN], ["22/21"]),
+    "[[2,5],[5,2]]": (GramLattice([[2, 5], [5, 2]]), (21,), ["5/21 -2/21"], ["40/21"]),
+    "A20+T": (
+        A20_L.direct_sum(A20_T),
+        (21, 21),
+        [A20_GEN + " 0 0", "0 " * 20 + "5/21 -2/21"],
+        ["22/21", "40/21"],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED_DISC_FORMS))
+def test_disc_group_pinned_generators(name):
+    lat, orders, gens, q_values = PINNED_DISC_FORMS[name]
+    D = disc_group(lat)
+    assert D.orders == orders
+    assert D.gens == tuple(fracs(g) for g in gens)
+    units = [tuple(int(i == j) for j in range(len(orders))) for i in range(len(orders))]
+    assert [D.q_value(u) for u in units] == [Fraction(q) for q in q_values]
+
+
+def test_disc_form_refuses_generators_off_their_orders():
+    # 1/4 has order 4 in L*/L for L = (4), not the listed 2
+    D = DiscForm(diagonal_gram([4]), (2,), ((Fraction(1, 4),),))
+    with pytest.raises(ValueError, match="gens are not classes of the listed orders"):
+        D.b_value((1,), (1,))
 
 
 def test_disc_form_polarization():
@@ -185,7 +232,7 @@ def test_glue_order2_classes_gives_unimodular():
 
 def test_glue_rejects_bad_input():
     # q values add to -1, not 0 mod 2Z: no even overlattice
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="anti-isometry"):
         glue(
             diagonal_gram([-2]),
             diagonal_gram([-2]),
@@ -197,8 +244,14 @@ def test_glue_rejects_bad_input():
     t_lat = GramLattice([[2, 5], [5, 2]])
     l_vec = [Fraction(i, 7) for i in range(1, 21)]
     t_vec = [Fraction(4, 7), Fraction(4, 7)]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"does not cover the prime-to-p part of L\*/L"):
         glue(a20, t_lat, 5, [(l_vec, t_vec)])
+    # A2 is covered, but only one Z/3 of the (Z/3)^2 of -A2 + -A2
+    a2 = dynkin_gram("A2")
+    two_neg_a2 = negated(a2).direct_sum(negated(a2))
+    third = [Fraction(1, 3), Fraction(2, 3)]
+    with pytest.raises(ValueError, match=r"does not cover the prime-to-p part of T\*/T"):
+        glue(a2, two_neg_a2, 2, [(third, third + [0, 0])])
 
 
 @pytest.mark.parametrize("p", [0, -3, 1, 4, 21])

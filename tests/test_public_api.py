@@ -4,8 +4,9 @@ Every public function, class and method defined in a module of
 ``src/rdpk3`` must be used somewhere a user of the package or the
 benchmark would meet it: in another part of the package (the re-export
 lists of ``__init__.py`` do not count), in the benchmark's Python files
-(the tracer's dotted target strings included), or in the README.
-Docstrings that mention a name do not count.
+(through the ``rdpk3`` module object, or as one of the tracer's dotted
+target strings), or in the README.  Docstrings that mention a name do
+not count.
 
 A use counts for a definition only where its site allows it, so that a
 dead definition cannot hide behind a namesake (``DiscForm.reduce``
@@ -36,6 +37,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "rdpk3"
 ANY = None  # owner of an attribute whose receiver the site does not show
 TOP = ""  # owner of a bare name
+PACKAGE_OBJECT = object()  # what a benchmark name bound to the package module maps to
 
 # Shared-name definitions reached only through a receiver the site does
 # not show: definition -> the package function (module.qualname) whose
@@ -96,12 +98,28 @@ def resolve(classes, cls, name):
     return None
 
 
-def used_names(tree, classes, strings=False):
+def from_package(node, known):
+    """Whether an expression is rooted in the package's module object.
+
+    That is ``rdpk3``, ``self.rdpk3``, an attribute of either, or a name
+    bound to one of these (``trials = self.rdpk3.reproduce``).
+    """
+    while isinstance(node, ast.Attribute):
+        if node.attr == "rdpk3":
+            return True
+        node = node.value
+    return isinstance(node, ast.Name) and (node.id == "rdpk3" or known.get(node.id) is PACKAGE_OBJECT)
+
+
+def used_names(tree, classes, bench=False):
     """How often each (owner, name) is read in tree; owner TOP, ANY or a class name.
 
-    With strings, a string constant that names a definition (the
-    tracer's dotted targets) is a use too; only the benchmark's files
-    are read that way, so a word in a package string is no use.
+    With bench, tree is one of the benchmark's files, which reach the
+    package only through its module object: an attribute counts only on
+    a receiver from_package accepts (so ``args.trace`` is no use of
+    ``FiniteField.trace``), a bare name not at all, and a string
+    constant that names a definition (the tracer's dotted targets) is a
+    use.  A word in a package string is no use.
     """
     out = Counter()
 
@@ -115,14 +133,18 @@ def used_names(tree, classes, strings=False):
                 name = ann.id if isinstance(ann, ast.Name) else getattr(ann, "value", None)
                 if name in classes:
                     known[arg.arg] = name
-        if isinstance(node, ast.Name):
+        elif isinstance(node, ast.Assign) and from_package(node.value, known):
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    known[target.id] = PACKAGE_OBJECT
+        if isinstance(node, ast.Name) and not bench:
             out[TOP, node.id] += 1
-        elif isinstance(node, ast.Attribute):
+        elif isinstance(node, ast.Attribute) and (not bench or from_package(node.value, known)):
             recv = node.value.id if isinstance(node.value, ast.Name) else None
             recv = known.get(recv, recv)
             owner = resolve(classes, recv, node.attr) if recv in classes else ANY
             out[owner or ANY, node.attr] += 1
-        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+        elif bench and isinstance(node, ast.Constant) and isinstance(node.value, str):
             head, _, tail = node.value.rpartition(".")
             if head in classes:
                 out[resolve(classes, head, tail) or ANY, tail] += 1
@@ -165,7 +187,7 @@ def offenders(modules, bench_trees, readme):
         package_uses.update(used_names(tree, classes))
     bench_uses = Counter()
     for tree in bench_trees:
-        bench_uses.update(used_names(tree, classes, strings=True))
+        bench_uses.update(used_names(tree, classes, bench=True))
     defined = Counter(
         name for tree in modules.values() for _owner, name, _node in definitions(tree)
     )
@@ -213,6 +235,33 @@ def test_a_package_string_is_no_use_of_a_function():
     assert offenders(modules, [], "") == ["m.finite", "m.kind"]
     # a benchmark string names a tracer target, which is a use
     assert offenders(modules, [ast.parse("TARGET = 'finite'")], "") == ["m.kind"]
+
+
+def test_a_benchmark_attribute_counts_only_on_a_package_receiver():
+    modules = {
+        pathlib.Path("m.py"): ast.parse(
+            "class Field:\n"
+            "    def trace(self):\n"
+            "        return 0\n"
+            "    def norm(self):\n"
+            "        return 1\n"
+            "    def size(self):\n"
+            "        return 2\n"
+            "def count():\n"
+            "    return 3\n"
+        )
+    }
+    bench = ast.parse(
+        "class Load:\n"
+        "    def __init__(self, rdpk3):\n"
+        "        self.rdpk3 = rdpk3\n"
+        "    def run(self, args):\n"
+        "        field = self.rdpk3.m.Field\n"
+        "        count = args.count\n"
+        "        return args.trace, self.rdpk3.norm, field.size, count\n"
+    )
+    # args is a namespace of the benchmark's own, and count a local name
+    assert offenders(modules, [bench], "") == ["m.Field.trace", "m.count"]
 
 
 def test_every_dispatched_definition_exists():
