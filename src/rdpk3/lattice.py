@@ -9,9 +9,10 @@ form, recorded by its Gram matrix.  This module computes:
     (`disc_group`);
   * signatures by exact congruence diagonalization (`signature`);
   * even overlattices glued from two lattices along an anti-isometry
-    of the prime-to-p parts of their discriminant groups (`glue`);
-  * existence of integral unimodular overlattices of finite index by
-    an isotropic-subgroup search in each p-part of L*/L
+    of the prime-to-p parts of their discriminant groups, every
+    condition checked on the given glue vectors (`glue`);
+  * existence of integral unimodular overlattices of finite index, from
+    one greedy maximal isotropic subgroup in each p-part of L*/L
     (`unimodular_overlattice_exists`);
   * negative-definite root lattices of types A, D, E (`dynkin_gram`).
 
@@ -25,7 +26,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, isqrt, lcm, prod
+from math import isqrt, lcm, prod
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .chartring import parse_symbol
@@ -339,12 +340,6 @@ class DiscForm:
     def add(self, x: Sequence[int], y: Sequence[int]) -> Tuple[int, ...]:
         return tuple((a + b) % d for a, b, d in zip(x, y, self.orders))
 
-    def order_of(self, elem: Sequence[int]) -> int:
-        out = 1
-        for a, d in zip(elem, self.orders):
-            out = lcm(out, d // gcd(a, d))
-        return out
-
     def vector(self, elem: Sequence[int]) -> Tuple[Fraction, ...]:
         """A coset representative in L tensor Q (lattice basis coords)."""
         vec = [Fraction(0)] * self.lattice.rank
@@ -435,6 +430,20 @@ def disc_group(L: GramLattice) -> DiscForm:
 # overlattices and gluing
 
 
+def _span_basis(n: int, vectors: Iterable[Sequence[Fraction]]) -> Tuple[int, List[List[int]]]:
+    """Z^n plus rational vectors: (scale, Hermite rows of scale times a basis)."""
+    gens = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    gens += [list(vec) for vec in vectors]
+    scale = lcm(*(f.denominator for row in gens for f in row))
+    return scale, hermite_row_basis([[int(f * scale) for f in row] for row in gens])
+
+
+def _index(n: int, vectors: Iterable[Sequence[Fraction]]) -> int:
+    """The index [Z^n + span(vectors) : Z^n], as scale^n over the pivots."""
+    scale, rows = _span_basis(n, vectors)
+    return scale**n // prod(row[i] for i, row in enumerate(rows))
+
+
 def _overlattice(
     ambient: GramLattice, vectors: Iterable[Sequence[Fraction]]
 ) -> GramLattice:
@@ -444,10 +453,7 @@ def _overlattice(
     integral lattice of full rank.
     """
     n = ambient.rank
-    gens = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    gens += [list(vec) for vec in vectors]
-    scale = lcm(*(f.denominator for row in gens for f in row))
-    basis_rows = hermite_row_basis([[int(f * scale) for f in row] for row in gens])
+    scale, basis_rows = _span_basis(n, vectors)
     if len(basis_rows) != n:
         raise RuntimeError("overlattice lost rank; basis extraction bug")
     basis = [[Fraction(x, scale) for x in row] for row in basis_rows]
@@ -463,36 +469,6 @@ def _overlattice(
     return GramLattice(gram)
 
 
-def _coords_of(disc: DiscForm, vec: Sequence[Fraction]) -> Tuple[int, ...]:
-    """Group coordinates of a dual vector, by exhaustive matching.
-
-    Two dual vectors represent the same class iff their difference is
-    integral in lattice coordinates.
-    """
-    for elem in disc.elements():
-        rep = disc.vector(elem)
-        if all((a - b).denominator == 1 for a, b in zip(rep, vec)):
-            return elem
-    raise ValueError("vector does not represent a discriminant class")
-
-
-def _extend_subgroup(disc: DiscForm, sub: frozenset, e, cap: int):
-    """The subgroup generated by a subgroup and one more element.
-
-    Builds the coset union sub + 0*e, sub + 1*e, ... until a multiple
-    of e falls back into sub; returns None as soon as the size
-    exceeds cap.
-    """
-    new = set(sub)
-    cur = e
-    while cur not in sub:
-        new.update(disc.add(cur, s) for s in sub)
-        if len(new) > cap:
-            return None
-        cur = disc.add(cur, e)
-    return frozenset(new)
-
-
 def glue(
     L: GramLattice,
     T: GramLattice,
@@ -501,29 +477,32 @@ def glue(
 ) -> GramLattice:
     """Even overlattice of L + T glued along dual vector pairs.
 
-    Each pair (l, t) of dual vectors adds the glue vector l + t, so the
-    glued lattice is the overlattice of L + T given by the subgroup of
-    D_L x D_T the pairs generate (Nikulin 1979).  That subgroup must be
-    the graph of an anti-isometry between
-    the full prime-to-p parts of the two discriminant groups (checked:
-    q_L(l) + q_T(t) = 0 in Q/2Z on every glued class, and both
-    projections cover the prime-to-p parts exactly).  Returns the glued
-    lattice on a Hermite basis.
+    Each pair (l, t) of dual vectors adds the glue vector v = l + t, so
+    the glued lattice is the overlattice of L + T given by the subgroup
+    H of D_L x D_T the classes of the v_i generate (Nikulin 1979).  H
+    must be the graph of an anti-isometry between the full prime-to-p
+    parts of the two discriminant groups.  Every condition is read off
+    the generators:
+
+      * the order of the class of v is the lcm of its denominators, and
+        must be prime to p;
+      * q vanishes on H iff v_i.v_i is in 2Z and v_i.v_j is in Z, as
+        q(x + y) = q(x) + q(y) + 2 b(x, y);
+      * |H|, |left| and |right| (the projections of H to D_L and D_T)
+        are the indices of the lattices the v_i, l_i and t_i span over
+        L + T, L and T; H is the graph of a bijection iff all three
+        agree;
+      * a projection lies in the prime-to-p part, so it covers that
+        part iff its order times the order of the p-part is |det|.
+
+    Returns the glued lattice on a Hermite basis.
     """
     if not is_prime(p):
         raise ValueError(f"glue needs a prime p, got {p}")
     if not (L.is_even and T.is_even):
         raise ValueError("gluing is defined for even lattices")
-    dl = disc_group(L)
-    dt = disc_group(T)
-    k = len(dl.orders)
-    # D_L x D_T as the discriminant group of L + T: q and b add, orders lcm
-    pair = DiscForm(
-        L.direct_sum(T),
-        dl.orders + dt.orders,
-        tuple(g + (0,) * T.rank for g in dl.gens) + tuple((0,) * L.rank + g for g in dt.gens),
-    )
-    graph = frozenset([(0,) * len(pair.orders)])
+    ambient = L.direct_sum(T)
+    lefts, rights = [], []
     for vec_l, vec_t in pairs:
         vl = [Fraction(x) for x in vec_l]
         vt = [Fraction(x) for x in vec_t]
@@ -531,28 +510,29 @@ def glue(
             raise ValueError("glue vector length disagrees with the rank")
         if not L.in_dual(vl) or not T.in_dual(vt):
             raise ValueError("glue vectors must pair integrally with the lattices")
-        seed = _coords_of(dl, vl) + _coords_of(dt, vt)
-        graph = _extend_subgroup(pair, graph, seed, abs(L.det * T.det))
-    for e in graph:
-        if gcd(pair.order_of(e), p) != 1:
+        lefts.append(vl)
+        rights.append(vt)
+    glue_vectors = [vl + vt for vl, vt in zip(lefts, rights)]
+    for i, v in enumerate(glue_vectors):
+        if lcm(*(x.denominator for x in v)) % p == 0:
             raise ValueError("glued classes must have order coprime to p")
-        if pair.q_value(e) != 0:
+        if ambient.dot(v, v) % 2 or any(
+            ambient.dot(v, w).denominator != 1 for w in glue_vectors[:i]
+        ):
             raise ValueError(
                 "glue map is not an anti-isometry of discriminant forms"
             )
-    left = {e[:k] for e in graph}
-    right = {e[k:] for e in graph}
-    if len(left) != len(graph) or len(right) != len(graph):
+    index = _index(ambient.rank, glue_vectors)
+    left = _index(L.rank, lefts)
+    right = _index(T.rank, rights)
+    if left != index or right != index:
         raise ValueError("glue classes do not form the graph of a bijection")
-    # each projection is a subgroup of the prime-to-p part (every glued
-    # class has order prime to p), so it covers that part iff it is as large
-    if len(left) * prod(dl.p_part(p).orders) != abs(L.det):
+    if left * prod(disc_group(L).p_part(p).orders) != abs(L.det):
         raise ValueError("glue map does not cover the prime-to-p part of L*/L")
-    if len(right) * prod(dt.p_part(p).orders) != abs(T.det):
+    if right * prod(disc_group(T).p_part(p).orders) != abs(T.det):
         raise ValueError("glue map does not cover the prime-to-p part of T*/T")
 
-    glued = _overlattice(pair.lattice, [pair.vector(e) for e in graph])
-    index = len(graph)
+    glued = _overlattice(ambient, glue_vectors)
     if abs(glued.det) * index * index != abs(L.det) * abs(T.det):
         raise RuntimeError("determinant bookkeeping failed in glue")
     return glued
@@ -562,51 +542,61 @@ def glue(
 # unimodular overlattices
 
 
-def _isotropic_subgroups_of_order(
-    disc: DiscForm, m: int, even_only: bool
-) -> Iterable[frozenset]:
-    """Isotropic subgroups of exact order m (b = 0 on the subgroup).
+def _extend_subgroup(disc: DiscForm, sub: frozenset, e) -> frozenset:
+    """The subgroup generated by a subgroup and one more element.
 
-    With even_only the quadratic values must vanish too.  Subgroups of
-    isotropic subgroups are isotropic, so the closure-extension search
-    stays inside isotropic subgroups of order dividing m and still
-    reaches every target: any chain of single-element extensions of an
-    order-m isotropic subgroup consists of such groups.
+    Builds the coset union sub + 0*e, sub + 1*e, ... until a multiple
+    of e falls back into sub.
     """
-    zero = tuple([0] * len(disc.orders))
-    trivial = frozenset([zero])
-    seen = {trivial}
-    frontier = [trivial]
-    exponent = disc._exponent
-    elements = []
-    for e in disc.elements():
-        order = disc.order_of(e)
-        if order == 1 or m % order:
+    new = set(sub)
+    cur = e
+    while cur not in sub:
+        new.update(disc.add(cur, s) for s in sub)
+        cur = disc.add(cur, e)
+    return frozenset(new)
+
+
+def _maximal_isotropic(part: DiscForm, even_only: bool) -> frozenset:
+    """A maximal isotropic subgroup H of a p-part, in one pass over it.
+
+    Isotropic means b(H, H) = 0 in Q/Z and, with even_only, also
+    q(H) = 0 in Q/2Z.  The pass walks the elements once and adds e to H
+    (closing up with `_extend_subgroup`) when e is not in H, b(e, e) = 0
+    (and q(e) = 0 when even_only), and b(e, g) = 0 for the generators g
+    added so far; by bilinearity and q(x + y) = q(x) + q(y) + 2 b(x, y),
+    H stays isotropic.  Each rejection only gets stronger as H grows,
+    so no element can extend the final H: it is maximal.  An isotropic
+    H lies in H^perp, of order |D|/|H|, so |H|^2 <= |D| and the pass
+    stops once that is an equality.
+
+    All maximal isotropic subgroups of a nondegenerate finite form have
+    the same order (H^perp/H is its anisotropic kernel; Nikulin 1979,
+    Sec. 1; Miranda-Morrison, Embeddings of integral quadratic forms),
+    for q and for b alone, the odd-lattice case at p = 2 included.
+    Proof: let H, H' be maximal, and I = H cap H'.  An x in H' with
+    b(x, H) = 0 extends H to the isotropic H + <x>, as
+    q(h + kx) = q(h) + k^2 q(x) + 2k b(h, x), so x is in H.  Hence the
+    map H' -> Hom(H, Q/Z), x -> b(x, -), has kernel I; its image
+    vanishes on I, as H' is isotropic, so lies in Hom(H/I, Q/Z), of
+    order |H|/|I|.  Thus |H'| <= |H|, and |H| <= |H'| by symmetry.
+    """
+    size = prod(part.orders)
+    exponent = part._exponent
+    sub = frozenset([(0,) * len(part.orders)])
+    gens = []
+    for e in part.elements():
+        if len(sub) ** 2 == size:
+            break
+        if e in sub or part.b_value(e, e) != 0:
             continue
-        if disc.b_value(e, e) != 0:
+        if even_only and part.q_value(e) != 0:
             continue
-        if even_only and disc.q_value(e) != 0:
+        # b(e, g) = 0 in Q/Z, tested on the integer residue
+        if any(part._raw_dot(e, g) % exponent for g in gens):
             continue
-        elements.append(e)
-    while frontier:
-        sub = frontier.pop()
-        if len(sub) == m:
-            yield sub
-            continue
-        for e in elements:
-            if e in sub:
-                continue
-            # b(e, s) = 0 in Q/Z, tested on the integer residue
-            if any(disc._raw_dot(e, s) % exponent for s in sub):
-                continue
-            new = _extend_subgroup(disc, sub, e, m)
-            if new is None or m % len(new):
-                continue
-            if new not in seen:
-                seen.add(new)
-                if len(seen) > SEARCH_GUARD:
-                    raise RuntimeError("subgroup search guard exceeded")
-                frontier.append(new)
+        sub = _extend_subgroup(part, sub, e)
+        gens.append(e)
+    return sub
 
 
 def _searched_parts(m: int) -> List[Tuple[int, int]]:
@@ -641,7 +631,7 @@ def _searched_parts(m: int) -> List[Tuple[int, int]]:
 def unimodular_overlattice_exists(
     L: GramLattice, even_only: bool = False
 ) -> Tuple[bool, Optional[GramLattice]]:
-    """Search for a finite-index unimodular overlattice of L.
+    """Whether L has a finite-index unimodular overlattice, with a witness.
 
     Overlattices of finite index correspond to subgroups H of L*/L
     with b(H, H) = 0 in Q/Z; the overlattice is unimodular iff
@@ -650,9 +640,10 @@ def unimodular_overlattice_exists(
     overlattice even.  The discriminant form is the orthogonal sum of
     its p-parts and q is additive across them (Nikulin 1979), so H
     exists iff every p-part has such a subgroup of order m_p, the
-    p-power in m = |H|.  Each p-part is searched on its own and the
-    witness is spanned by the subgroups found.  Returns (found,
-    witness Gram or None).
+    p-power in m = |H|.  All maximal isotropic subgroups of a p-part
+    have one order, so one greedy pass per p-part decides it
+    (`_maximal_isotropic`), and the witness is spanned by the subgroups
+    found.  Returns (found, witness Gram or None).
     """
     if even_only and not L.is_even:
         raise ValueError("even_only search needs an even lattice")
@@ -667,8 +658,8 @@ def unimodular_overlattice_exists(
     vectors = []
     for p, mp in parts:
         part = disc.p_part(p)
-        sub = next(_isotropic_subgroups_of_order(part, mp, even_only), None)
-        if sub is None:
+        sub = _maximal_isotropic(part, even_only)
+        if len(sub) != mp:
             return False, None
         vectors += [part.vector(e) for e in sub]
     witness = _overlattice(L, vectors)

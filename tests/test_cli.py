@@ -547,6 +547,21 @@ def test_lattice_glue(capsys):
     assert doc["even"] is True
 
 
+def test_lattice_glue_of_a_large_cyclic_group(capsys, tmp_path):
+    # D_L x D_T has order about 1.6e11; the glue is read off its one generator
+    spec = {
+        "schema": "rdpk3/glue-spec/1",
+        "p": 2,
+        "left": {"diagonal": [200002]},
+        "right": {"diagonal": [-200002]},
+        "pairs": [{"left_vector": ["1/100001"], "right_vector": ["1/100001"]}],
+    }
+    code, doc = run_json(capsys, "lattice", "glue", "--spec", write_json(tmp_path, spec))
+    assert code == 0
+    assert doc["det"] == -4
+    assert doc["disc_orders"] == [2, 2]
+
+
 def test_lattice_overlattice(capsys):
     code, doc = run_json(capsys, "lattice", "overlattice", "--diagonal=-2,2")
     assert code == 0

@@ -22,7 +22,7 @@ from rdpk3.lattice import (
     smith_diagonal,
     unimodular_overlattice_exists,
 )
-from rdpk3.lattice import _isotropic_subgroups_of_order
+from rdpk3.lattice import _extend_subgroup
 from rdpk3.reproduce import a20_glue_data
 
 HYPERBOLIC_PLANE = GramLattice([[0, 1], [1, 0]])
@@ -239,6 +239,11 @@ def test_glue_rejects_bad_input():
             3,
             [([Fraction(1, 2)], [Fraction(1, 2)])],
         )
+    # q vanishes on both glue vectors of U(2) + U(2) but not on their sum
+    u2 = GramLattice([[0, 2], [2, 0]])
+    e, f = [Fraction(1, 2), 0], [0, Fraction(1, 2)]
+    with pytest.raises(ValueError, match="anti-isometry"):
+        glue(u2, u2, 3, [(e, e), (f, e)])
     # prime-to-5 parts are all of Z/21; one order-7 pair cannot cover them
     a20 = dynkin_gram("A20")
     t_lat = GramLattice([[2, 5], [5, 2]])
@@ -252,6 +257,9 @@ def test_glue_rejects_bad_input():
     third = [Fraction(1, 3), Fraction(2, 3)]
     with pytest.raises(ValueError, match=r"does not cover the prime-to-p part of T\*/T"):
         glue(a2, two_neg_a2, 2, [(third, third + [0, 0])])
+    # the class (0, t) of order 3 projects to zero in L*/L: not injective
+    with pytest.raises(ValueError, match="glue classes do not form the graph of a bijection"):
+        glue(a2, negated(a2).direct_sum(a2), 2, [([0, 0], third + third)])
 
 
 @pytest.mark.parametrize("p", [0, -3, 1, 4, 21])
@@ -294,30 +302,31 @@ def test_glue_determinant_bookkeeping():
         done += 1
 
 
-# The overlattice builder's output on a Hermite basis, entry for entry.
+# The overlattice builder's output on a Hermite basis, entry for entry:
+# L + T + Z(l + t), on the basis spanned by the one glue vector.
 A20_GLUED_GRAM = [
-        [-30, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, -3, 0, 15],
-        [0, -2, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
-        [0, 1, -2, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
-        [0, 0, 1, -2, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
-        [0, 0, 0, 1, -2, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
-        [0, 0, 0, 0, 1, -2, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
-        [0, 0, 0, 0, 0, 1, -2, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
-        [0, 0, 0, 0, 0, 0, 1, -2, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
-        [0, 0, 0, 0, 0, 0, 0, 1, -2, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
-        [0, 0, 0, 0, 0, 0, 0, 0, 1, -2, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
-        [0, 0, 0, 0, 0, 0, 0, 0, 0, 1, -2, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
-        [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, -2, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0],
-        [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, -2, 1, 0, 0, 0, 0, 0, 0, 0, 0],
-        [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, -2, 1, 0, 0, 0, 0, 0, 0, 0],
-        [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, -2, 1, 0, 0, 0, 0, 0, 0],
-        [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, -2, 1, 0, 0, 0, 0, 0],
-        [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, -2, 1, 0, 0, 0, 0],
-        [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, -2, 1, 0, 0, 0],
-        [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, -2, 1, 0, 0],
-        [-3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, -2, 0, 0],
-        [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 5],
-        [15, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 5, 2],
+    [-4, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, -3, 4, 4],
+    [0, -2, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+    [0, 1, -2, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+    [0, 0, 1, -2, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+    [0, 0, 0, 1, -2, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+    [0, 0, 0, 0, 1, -2, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+    [0, 0, 0, 0, 0, 1, -2, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+    [0, 0, 0, 0, 0, 0, 1, -2, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+    [0, 0, 0, 0, 0, 0, 0, 1, -2, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+    [0, 0, 0, 0, 0, 0, 0, 0, 1, -2, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+    [0, 0, 0, 0, 0, 0, 0, 0, 0, 1, -2, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+    [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, -2, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+    [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, -2, 1, 0, 0, 0, 0, 0, 0, 0, 0],
+    [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, -2, 1, 0, 0, 0, 0, 0, 0, 0],
+    [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, -2, 1, 0, 0, 0, 0, 0, 0],
+    [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, -2, 1, 0, 0, 0, 0, 0],
+    [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, -2, 1, 0, 0, 0, 0],
+    [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, -2, 1, 0, 0, 0],
+    [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, -2, 1, 0, 0],
+    [-3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, -2, 0, 0],
+    [4, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 5],
+    [4, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 5, 2],
 ]
 
 
@@ -325,6 +334,17 @@ def test_glue_a20_gram_rows():
     L, T, l_vec, t_vec = a20_glue_data()
     glued = glue(L, T, 3, [(l_vec, t_vec)])
     assert [list(row) for row in glued.gram] == A20_GLUED_GRAM
+    assert glued.det == -9 and glued.is_even
+    assert signature(glued) == (1, 21)
+    assert disc_group(glued).orders == (3, 3)
+
+
+def test_glue_of_a_large_cyclic_group_works_on_its_generator():
+    d = 100_001
+    glued = glue(
+        diagonal_gram([2 * d]), diagonal_gram([-2 * d]), 2, [([Fraction(1, d)], [Fraction(1, d)])]
+    )
+    assert glued.gram == ((0, -2), (-2, -2 * d))
 
 
 @pytest.mark.parametrize(
@@ -414,19 +434,88 @@ def sweep_lattices():
     return out
 
 
+def order_of(disc, elem):
+    out = 1
+    for a, d in zip(elem, disc.orders):
+        out = math.lcm(out, d // math.gcd(a, d))
+    return out
+
+
+def isotropic_subgroups_of_order(disc, m, even_only):
+    """Every isotropic subgroup of order m, by exhaustive depth-first search.
+
+    The oracle for the one-pass search.  Subgroups of isotropic subgroups
+    are isotropic, so growing by one element at a time, inside isotropic
+    subgroups of order dividing m, reaches every target.
+    """
+    trivial = frozenset([(0,) * len(disc.orders)])
+    seen = {trivial}
+    frontier = [trivial]
+    elements = [
+        e
+        for e in disc.elements()
+        if order_of(disc, e) > 1
+        and m % order_of(disc, e) == 0
+        and disc.b_value(e, e) == 0
+        and not (even_only and disc.q_value(e) != 0)
+    ]
+    while frontier:
+        sub = frontier.pop()
+        if len(sub) == m:
+            yield sub
+            continue
+        for e in elements:
+            if e in sub or any(disc.b_value(e, s) for s in sub):
+                continue
+            new = _extend_subgroup(disc, sub, e)
+            if m % len(new) == 0 and new not in seen:
+                seen.add(new)
+                frontier.append(new)
+
+
+def assert_search_agrees_with_the_oracle(L, even_only):
+    m = isqrt(abs(L.det))
+    whole = next(isotropic_subgroups_of_order(disc_group(L), m, even_only), None)
+    found, witness = unimodular_overlattice_exists(L, even_only)
+    assert found == (whole is not None), (L, even_only)
+    if found:
+        assert abs(witness.det) == 1, (L, even_only)
+        assert witness.is_even or not even_only, L
+    return found
+
+
 def test_per_prime_search_agrees_with_the_whole_group_search():
     mixed = 0
     for L in sweep_lattices():
         m = isqrt(abs(L.det))
         mixed += sum(m % p == 0 for p in (2, 3, 5)) > 1
         for even_only in (False, True) if L.is_even else (False,):
-            whole = next(_isotropic_subgroups_of_order(disc_group(L), m, even_only), None)
-            found, witness = unimodular_overlattice_exists(L, even_only)
-            assert found == (whole is not None), (L, even_only)
-            if found:
-                assert abs(witness.det) == 1, (L, even_only)
-                assert witness.is_even or not even_only, L
+            assert_search_agrees_with_the_oracle(L, even_only)
     assert mixed >= 50
+
+
+def random_square_det_lattice(rng, n, even, max_det):
+    """A random symmetric Gram of rank n with |det| a square in (1, max_det]."""
+    while True:
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            rows[i][i] = 2 * rng.randrange(-8, 9) if even else rng.randrange(-16, 17)
+            for j in range(i):
+                rows[i][j] = rows[j][i] = rng.randrange(-6, 7)
+        d = abs(det_int(rows))
+        if 1 < d <= max_det and isqrt(d) ** 2 == d:
+            return GramLattice(rows)
+
+
+def test_one_pass_search_agrees_with_the_exhaustive_search_on_random_lattices():
+    rng = random.Random(11)
+    counts = {False: 0, True: 0}
+    for k in range(400):
+        L = random_square_det_lattice(rng, 1 + k % 4, k // 4 % 2 == 0, 2000)
+        for even_only in (False, True) if L.is_even else (False,):
+            counts[assert_search_agrees_with_the_oracle(L, even_only)] += 1
+    # both verdicts occur often
+    assert min(counts.values()) >= 100, counts
 
 
 def test_overlattice_mixing_the_primes_two_and_three():
@@ -440,6 +529,9 @@ def test_overlattice_mixing_the_primes_two_and_three():
 def test_overlattice_guard_bounds_the_largest_p_part():
     # |D| = 30030^2 is about 9e8, but its largest p-part (p = 13) has order 169
     found, witness = unimodular_overlattice_exists(diagonal_gram([30030, -30030]))
+    assert found and abs(witness.det) == 1
+    # a 2-part of order 2^16 is under the guard; the pass stops at (1, 1), of order 256
+    found, witness = unimodular_overlattice_exists(diagonal_gram([256, -256]))
     assert found and abs(witness.det) == 1
     with pytest.raises(ValueError, match="317-part of the discriminant group has order 100489"):
         unimodular_overlattice_exists(diagonal_gram([317, -317]))
