@@ -373,11 +373,6 @@ class DiscForm:
                         acc += a * b * row[j]
         return acc
 
-    def b_value(self, x: Sequence[int], y: Sequence[int]) -> Fraction:
-        """Bilinear pairing in Q/Z, represented in [0, 1)."""
-        e = self._exponent
-        return Fraction(self._raw_dot(x, y) % e, e)
-
     def q_value(self, elem: Sequence[int]) -> Fraction:
         """Quadratic value v^2 in Q/2Z, represented in [0, 2).
 
@@ -582,14 +577,14 @@ def _maximal_isotropic(part: DiscForm, even_only: bool) -> frozenset:
     """
     size = prod(part.orders)
     exponent = part._exponent
+    # b(e, e) = 0 iff e.e is in Z; q(e) = 0, which implies it, iff e.e is in 2Z
+    self_modulus = 2 * exponent if even_only else exponent
     sub = frozenset([(0,) * len(part.orders)])
     gens = []
     for e in part.elements():
         if len(sub) ** 2 == size:
             break
-        if e in sub or part.b_value(e, e) != 0:
-            continue
-        if even_only and part.q_value(e) != 0:
+        if e in sub or part._raw_dot(e, e) % self_modulus:
             continue
         # b(e, g) = 0 in Q/Z, tested on the integer residue
         if any(part._raw_dot(e, g) % exponent for g in gens):

@@ -12,9 +12,11 @@ monomials with j >= 0 lie in A[1/u], those with i >= 0 and j < 0 lie in
 A[1/v], and peeling components from the bottom (the 0-th component of a
 Witt sum determines the summands' 0-th components additively) shows a
 residual vector lying in the denominator subgroup must vanish.  reduce
-computes that representative by repeated Witt subtraction; the class
-operations (Frobenius, pullback along suitable ring maps, scalar
-multiplication, V and R) act on representatives and re-reduce.
+computes that representative by tail subtraction of a Teichmuller lift:
+x - V^i[t] changes only positions >= i, as (x_i, ..., x_{n-1}) - [t] in
+W_{n-i}.  The class operations (Frobenius, pullback along suitable ring
+maps, scalar multiplication, V and R) act on representatives and
+re-reduce.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from .chartring import ChartElem, ChartRing, RingMap, frobenius_map
-from .witt import WittVec, check_supported, witt_add, witt_sub
+from .witt import WittVec, _teich_sub, check_supported, witt_add, witt_neg
 
 
 class IdealSpec:
@@ -115,8 +117,6 @@ class CohClass:
         return reduce(total)
 
     def __neg__(self):
-        from .witt import witt_neg
-
         return reduce(witt_neg(WittVec(self.ring.p, self.components)))
 
     def __sub__(self, other):
@@ -146,12 +146,13 @@ def reduce(components, order=("xi", "eta")) -> CohClass:
     """Canonical residual representative of a Witt vector of elements.
 
     Walks the components bottom up; at position i the non-residual parts
-    xi (in A[1/u]) and eta (in A[1/v]) are Witt-subtracted as vectors
-    supported at position i.  Such a subtraction changes position i by
-    exactly -xi (resp. -eta) and touches only positions >= i, so each
-    pass leaves a residual component behind and the loop terminates.
-    The result is independent of the subtraction order within a
-    position; order is exposed for the cross-check tests.
+    xi (in A[1/u]) and eta (in A[1/v]) are removed by tail subtraction
+    of a Teichmuller lift: x - V^i[t] keeps x_0, ..., x_{i-1} and
+    replaces the tail by (x_i, ..., x_{n-1}) - [t] in W_{n-i}.  That
+    changes position i by exactly -t and touches only positions >= i,
+    so each pass leaves a residual component behind and the loop
+    terminates.  The result is independent of the subtraction order
+    within a position; order is exposed for the cross-check tests.
     """
     if isinstance(components, CohClass):
         return components
@@ -165,17 +166,13 @@ def reduce(components, order=("xi", "eta")) -> CohClass:
     p = ring.p
     n = len(comps)
     check_supported(p, n)
-    zero = ring.zero()
     for i in range(n):
         xi, eta, _rho = comps[i].split()
         parts = {"xi": xi, "eta": eta}
         for name in order:
             part = parts[name]
-            if part.is_zero():
-                continue
-            vec = [zero] * n
-            vec[i] = part
-            comps = list(witt_sub(WittVec(p, comps), WittVec(p, vec)).components)
+            if not part.is_zero():
+                comps[i:] = _teich_sub(p, n - i)(*comps[i:], part)
     return CohClass(ring, comps)
 
 

@@ -137,6 +137,23 @@ def build_witt_table(p: int, n: int) -> WittPolyTable:
     return WittPolyTable(p, n)
 
 
+@functools.lru_cache(maxsize=None)
+def _teich_sub(p: int, m: int):
+    """x - [t] in W_m, compiled as one function of a0, ..., a{m-1}, t.
+
+    The table's mod-p sum polynomials at b = -[t], the negation
+    polynomials at (t, 0, ..., 0), both run over F_p[a0, ..., t].  Since
+    x - V^i[t] is (x_0, ..., x_{i-1}, (x_i, ..., x_{n-1}) - [t]) in W_n,
+    this is the tail op of localcoh.reduce, at m = n - i.
+    """
+    table = build_witt_table(p, m)
+    names = tuple(f"a{i}" for i in range(m)) + ("t",)
+    *xs, t = (MultiPoly.gen(names, v, p) for v in names)
+    zero = MultiPoly.zero(names, p)
+    polys = table.add(*xs, *table.neg(t, *[zero] * (m - 1)))
+    return _compile_polys(polys, f"witt_teich_sub_p{p}_m{m}")
+
+
 def ghost_compatibility_ok(p: int, n: int) -> bool:
     """Re-derive and check the ghost identities over Z, before reduction.
 

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from rdpk3.chartring import RdpSpec, chart_from_key, quotient_case_from_key, rdp_chart
+from rdpk3.chartring import RdpSpec, chart_from_key, quotient_case_from_key, rdp_chart, rmax
 from rdpk3.localcoh import (
     CohClass,
     IdealSpec,
@@ -26,6 +26,7 @@ from rdpk3.reproduce import (
     quotient_pullback_check,
     reproduce_all,
 )
+from rdpk3.witt import SUPPORTED_RANGES, WittVec, witt_sub
 
 
 def test_class_construction():
@@ -75,6 +76,101 @@ def test_reduce_idempotent_on_random_inputs():
         e = reduce(comps)
         assert reduce(list(e.components)) == e
         assert reduce(comps, order=("eta", "xi")) == e
+
+
+def full_vector_reduce(components, order=("xi", "eta")):
+    """The oracle: reduce by witt_sub of a whole W_n vector zero off position i."""
+    comps = list(components)
+    ring = comps[0].ring
+    p, n = ring.p, len(comps)
+    zero = ring.zero()
+    for i in range(n):
+        xi, eta, _rho = comps[i].split()
+        parts = {"xi": xi, "eta": eta}
+        for name in order:
+            part = parts[name]
+            if part.is_zero():
+                continue
+            vec = [zero] * n
+            vec[i] = part
+            comps = list(witt_sub(WittVec(p, comps), WittVec(p, vec)).components)
+    return CohClass(ring, comps)
+
+
+ORACLE_CHARTS = (
+    "2:D9:2", "2:D12:0", "2:E7:3", "2:E8:0", "2:A1",
+    "3:E6:1", "3:E8:2", "3:A2", "5:E8:1", "5:A4", "7:A6",
+)
+
+
+@pytest.mark.parametrize("key", ORACLE_CHARTS)
+def test_reduce_agrees_with_the_full_vector_reduce(key):
+    """Tail subtraction of a Teichmuller lift gives the full-vector result."""
+    rng = random.Random(f"reduce-oracle-{key}")
+    ring = chart_from_key(key)
+    for n in range(1, SUPPORTED_RANGES[ring.p] + 1):
+        for _ in range(10):
+            comps = []
+            for _k in range(n):
+                terms = {
+                    (rng.randrange(-2, 3), rng.randrange(-2, 3), rng.randrange(ring.wdeg)):
+                        rng.randrange(1, ring.p)
+                    for _t in range(rng.randrange(0, 4))
+                }
+                comps.append(sum((ring.monomial(c, *k) for k, c in terms.items()), ring.zero()))
+            for order in (("xi", "eta"), ("eta", "xi")):
+                assert reduce(comps, order=order) == full_vector_reduce(comps, order), (n, order)
+
+
+# computed strings of the 22 admissible d_frobenius_check(N, r, 4, 1), N = 18..21,
+# as the full-vector reduce gave them; the reproduce report stops at n = 3
+D_FAMILY_N4_COMPUTED = {
+    (18, 0): "(0, 0, 0, 0)",
+    (18, 1): "(0, 0, 0, x^-1*y^-1*z)",
+    (18, 2): "(0, 0, 0, x^-1*y^-2*z)",
+    (18, 3): "(0, 0, 0, x^-1*y^-3*z)",
+    (18, 4): "(0, 0, 0, x^-1*y^-4*z)",
+    (19, 0): "(0, 0, 0, 0)",
+    (19, 1): "(0, 0, 0, x^-1*y^-1*z)",
+    (19, 2): "(0, 0, 0, x^-1*y^-2*z)",
+    (19, 3): "(0, 0, 0, x^-1*y^-3*z)",
+    (19, 4): "(0, 0, 0, x^-1*y^-4*z)",
+    (20, 0): "(0, 0, 0, 0)",
+    (20, 1): "(0, 0, 0, 0)",
+    (20, 2): "(0, 0, 0, x^-1*y^-1*z)",
+    (20, 3): "(0, 0, 0, x^-1*y^-2*z)",
+    (20, 4): "(0, 0, 0, x^-1*y^-3*z)",
+    (20, 5): "(0, 0, 0, x^-1*y^-4*z)",
+    (21, 0): "(0, 0, 0, 0)",
+    (21, 1): "(0, 0, 0, 0)",
+    (21, 2): "(0, 0, 0, x^-1*y^-1*z)",
+    (21, 3): "(0, 0, 0, x^-1*y^-2*z)",
+    (21, 4): "(0, 0, 0, x^-1*y^-3*z)",
+    (21, 5): "(0, 0, 0, x^-1*y^-4*z)",
+}
+
+
+def test_d_family_at_length_four_is_pinned():
+    computed = {}
+    for N in range(18, 22):
+        for r in range(rmax(2, "D", N) + 1):
+            try:
+                rec = d_frobenius_check(N, r, 4, 1)
+            except HypothesisError:
+                continue
+            assert rec.status == "pass", rec.line()
+            computed[N, r] = rec.computed
+    assert computed == D_FAMILY_N4_COMPUTED
+
+
+def test_e8_frobenius_at_length_four_is_pinned():
+    """A characterization of the engine at (2, E8, n = 4, r = 0), not a claim of the paper.
+
+    The n <= 3 closed form predicts 0 here; the engine gives V^3[x^-1 y^-1].
+    """
+    ring = chart_from_key("2:E8:0")
+    e = class_of(ring.monomial(1, -1, -1, 1), 4)
+    assert str(frobenius_class(e)) == "(0, 0, 0, x^-1*y^-1)"
 
 
 def test_frobenius_kills_designated_class_e8_char2():

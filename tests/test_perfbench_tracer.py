@@ -53,6 +53,8 @@ def test_traced_reproduce_counts_chart_products(capsys):
     assert t.calls["chartring.mul"] > 0
     assert t.calls["localcoh.reduce"] > 0
     assert t.calls["cli.main"] == 1
+    # reduce subtracts a Teichmuller lift on the tail, never through witt_sub
+    assert t.metrics([])["localcoh.reduce.subs_per_call"] == 0
 
 
 def test_traced_witt_trials_count_every_operation_and_scalar():

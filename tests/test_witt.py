@@ -10,6 +10,7 @@ from rdpk3.ffpoly import FpScalar, MultiPoly
 from rdpk3.witt import (
     SUPPORTED_RANGES,
     WittVec,
+    _teich_sub,
     build_witt_table,
     check_supported,
     ghost,
@@ -341,6 +342,22 @@ def test_compiled_tables_match_interpreter():
                     assert table.add(*xs, *ys) == _interpreted(table.sum_polys, xs, ys)
                     assert table.mul(*xs, *ys) == _interpreted(table.prod_polys, xs, ys)
                     assert table.neg(*xs) == _interpreted(table.neg_polys, xs)
+
+
+def test_tail_subtraction_of_a_teichmuller_lift_matches_witt_sub():
+    """The compiled x - [t] equals the full witt_sub of a Teichmuller lift."""
+    rng = random.Random(1207)
+    keys = {2: "2:D9:2", 3: "3:E8:2", 5: "5:A4", 7: "7:A6"}
+    rings = {p: chart_from_key(key) for p, key in keys.items()}
+    for p, nmax in SUPPORTED_RANGES.items():
+        for m in range(1, nmax + 1):
+            sub = _teich_sub(p, m)
+            for kind in ("scalar", "poly", rings[p]):
+                for _ in range(4):
+                    xs = tuple(_random_component(kind, p, rng) for _ in range(m))
+                    t = _random_component(kind, p, rng)
+                    want = witt_sub(WittVec(p, xs), teichmuller(t, m)).components
+                    assert sub(*xs, t) == want, (p, m, kind)
 
 
 def _to_int(p, vec):
