@@ -113,9 +113,16 @@ def parse_rdp_key(key: str) -> RdpSpec:
         parts.append("0")
     if len(parts) != 3:
         raise ValueError(f"bad catalog key {key!r}; expected p:SN:r")
-    p = int(parts[0])
+    p = _key_int(key, "prime", parts[0])
     family, N = parse_symbol(parts[1])
-    return RdpSpec(p, family, N, int(parts[2]))
+    return RdpSpec(p, family, N, _key_int(key, "coindex", parts[2]))
+
+
+def _key_int(key: str, name: str, text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"bad catalog key {key!r}: {name} {text!r} is not an integer") from None
 
 
 class ChartRing:
@@ -310,12 +317,6 @@ class ChartElem(SparseTerms):
         return all(i >= 0 and j >= 0 for (i, j, _) in self.terms)
 
 
-def _eval_uv(poly: MultiPoly, U: ChartElem, V: ChartElem) -> ChartElem:
-    """Evaluate a polynomial in the chart's (u, v) at target elements."""
-    names = poly.variables
-    return poly.evaluate({names[0]: U, names[1]: V}, U.ring_zero())
-
-
 class RingMap:
     """A ring homomorphism between chart rings.
 
@@ -351,11 +352,9 @@ class RingMap:
         self.image_v = tuple(image_v)
         self.image_w = image_w
         if source.wdeg >= 2:
-            U = target.monomial(1, *image_u)
-            V = target.monomial(1, *image_v)
-            rhs = _eval_uv(source.rel_p, U, V)
-            if not source.rel_q.is_zero():
-                rhs = rhs + _eval_uv(source.rel_q, U, V) * image_w
+            uv = (target.monomial(1, *image_u), target.monomial(1, *image_v))
+            env, zero = dict(zip(source.labels, uv)), target.zero()
+            rhs = source.rel_p.evaluate(env, zero) + source.rel_q.evaluate(env, zero) * image_w
             if image_w ** source.wdeg != rhs:
                 raise ValueError(
                     "not a ring map: the image of w violates the source relation"
@@ -380,15 +379,6 @@ class RingMap:
 
     def __repr__(self):
         return f"RingMap({self.source!r} -> {self.target!r})"
-
-
-def frobenius_map(ring: ChartRing) -> RingMap:
-    """u -> u^p, v -> v^p, w -> w^p; the absolute Frobenius."""
-    p = ring.p
-    iw = None
-    if ring.wdeg >= 2:
-        iw = ring.monomial(1, 0, 0, 1) ** p
-    return RingMap(ring, ring, (p, 0), (0, p), iw)
 
 
 # -- the catalog ----------------------------------------------------------
@@ -596,7 +586,7 @@ def quotient_case_from_key(key: str) -> QuotientCase:
     parts = key.split(":")
     if len(parts) != 4 or parts[0] != "quot":
         raise ValueError(f"bad quotient key {key!r}; expected quot:p:group:SN")
-    return quotient_case(int(parts[1]), parts[2], parts[3])
+    return quotient_case(_key_int(key, "prime", parts[1]), parts[2], parts[3])
 
 
 def chart_from_key(key: str, unified: bool = False) -> ChartRing:

@@ -176,14 +176,15 @@ class SparseTerms:
     def __pow__(self, e: int):
         if e < 0:
             raise ValueError(f"negative power {e} of a {type(self).__name__}")
-        result = self.ring_one()
-        base = self
+        # square-and-multiply from the lowest set bit: no product by one
+        base, result = self, None
         while e:
             if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
+                result = base if result is None else result * base
             e >>= 1
-        return result
+            if e:
+                base = base * base
+        return self.ring_one() if result is None else result
 
     def ring_zero(self):
         return self._like({})

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .chartring import ChartElem, ChartRing, RingMap, frobenius_map
+from .chartring import ChartElem, ChartRing, RingMap
 from .witt import WittVec, _teich_sub, check_supported, witt_add, witt_neg
 
 
@@ -177,9 +177,11 @@ def reduce(components, order=("xi", "eta")) -> CohClass:
 
 
 def frobenius_class(e: CohClass) -> CohClass:
-    """The class of the componentwise p-th power representative."""
-    fr = frobenius_map(e.ring)
-    return reduce([fr.apply(c) for c in e.components])
+    """The class of the componentwise p-th power: the Witt Frobenius over F_p.
+
+    On a chart ring c^p is c at u^p, v^p, w^p (Serre, Local Fields, II 6).
+    """
+    return reduce([c ** e.ring.p for c in e.components])
 
 
 def pullback_class(rmap: RingMap, e: CohClass) -> CohClass:

@@ -93,18 +93,27 @@ def _compile_polys(polys, label: str):
     """Compile mod-p polynomials in the same variables into one function.
 
     The function takes a ring element per variable and returns the tuple
-    of values, summed term by term in MultiPoly.evaluate's order; each
-    power above the first is computed once and shared.  Witt structure
-    polynomials have no constant term, so every term has a variable.
+    of values, summed term by term in MultiPoly.evaluate's order.  Each
+    power above the first is one shared local, a product of two earlier
+    ones (v_e = v_{e/2} * v_{e/2}, or v_{e-1} * v for odd e), so no product
+    is by one.  Witt structure polynomials have no constant term, so
+    every term has a variable.
     """
     names = polys[0].variables
     powers: dict = {}
+
+    def power(v, e):
+        local = f"{v}_{e}" if e > 1 else v
+        if e > 1 and local not in powers:
+            a, b = (power(v, e - 1), v) if e % 2 else (power(v, e // 2),) * 2
+            powers[local] = f"{a} * {b}"
+        return local
+
     exprs = []
     for q in polys:
         terms = []
         for exps, c in q.terms.items():
-            powers.update({f"{v}_{e}": f"{v} ** {e}" for v, e in zip(names, exps) if e > 1})
-            factors = [v if e == 1 else f"{v}_{e}" for v, e in zip(names, exps) if e]
+            factors = [power(v, e) for v, e in zip(names, exps) if e]
             terms.append(" * ".join(factors + ([str(c)] if c != 1 else [])))
         exprs.append(" + ".join(terms))
     lines = [f"def {label}({', '.join(names)}):"]

@@ -1,24 +1,63 @@
+import random
+
 import pytest
 
 from rdpk3.chartring import (
     ALL_QUOTIENT_KEYS,
     ChartElem,
     RdpSpec,
+    RingMap,
     catalog_coindexes,
     chart_from_key,
-    frobenius_map,
     parse_rdp_key,
     quotient_case,
     quotient_case_from_key,
     rdp_chart,
     rmax,
 )
+from rdpk3.ffpoly import MultiPoly
+from rdpk3.localcoh import frobenius_class, reduce
+from rdpk3.witt import SUPPORTED_RANGES
 
 COINDEXED = [
     (2, "D", 4), (2, "D", 5), (2, "D", 12), (2, "D", 13),
     (2, "E", 6), (2, "E", 7), (2, "E", 8),
     (3, "E", 6), (3, "E", 7), (3, "E", 8), (5, "E", 8),
 ]
+
+
+def frobenius_map(ring):
+    """The oracle: the absolute Frobenius u -> u^p, v -> v^p, w -> w^p as a ring map.
+
+    RingMap checks at construction that w^p satisfies the relation.
+    """
+    p = ring.p
+    iw = ring.monomial(1, 0, 0, 1) ** p if ring.wdeg >= 2 else None
+    return RingMap(ring, ring, (p, 0), (0, p), iw)
+
+
+def catalog_charts():
+    """Every catalog chart: both D_N^0 equations, A_{p-1}, quotient sources and covers."""
+    rings = []
+    for p, fam, N in COINDEXED:
+        for r in catalog_coindexes(p, fam, N):
+            rings.append(rdp_chart(RdpSpec(p, fam, N, r)))
+            if r == 0:
+                rings.append(rdp_chart(RdpSpec(p, fam, N, 0), unified=True))
+    rings += [chart_from_key(f"{p}:A{p - 1}") for p in (2, 3, 5, 7)]
+    for key in ALL_QUOTIENT_KEYS:
+        case = quotient_case_from_key(key)
+        rings += [case.source, case.target]
+    return rings
+
+
+def random_elem(ring, rng):
+    terms = {
+        (rng.randrange(-3, 4), rng.randrange(-3, 4), rng.randrange(ring.wdeg)):
+            rng.randrange(1, ring.p)
+        for _ in range(rng.randrange(5))
+    }
+    return ChartElem(ring, terms)
 
 
 def test_coindex_bounds():
@@ -42,12 +81,8 @@ def test_catalog_coindexes_match_bound():
 
 def test_every_catalog_chart_constructs():
     """Each listed chart builds, and its relation survives the map check."""
-    for p, fam, N in COINDEXED:
-        for r in catalog_coindexes(p, fam, N):
-            ring = rdp_chart(RdpSpec(p, fam, N, r))
-            frobenius_map(ring)
-            if r == 0:
-                rdp_chart(RdpSpec(p, fam, N, 0), unified=True)
+    for ring in catalog_charts():
+        frobenius_map(ring)
 
 
 def test_relation_rewriting():
@@ -95,6 +130,59 @@ def test_frobenius_on_elements():
     assert fr.apply(x + y) == x**2 + y**2
     assert fr.apply(z) == z * z
     assert fr.apply(ring.monomial(1, -1, -1, 0)) == ring.monomial(1, -2, -2, 0)
+
+
+def test_p_th_power_is_the_frobenius_ring_map():
+    rng = random.Random(1301)
+    for ring in catalog_charts():
+        fr = frobenius_map(ring)
+        for _ in range(8):
+            c = random_elem(ring, rng)
+            assert c ** ring.p == fr.apply(c), ring
+
+
+def test_frobenius_class_is_the_class_of_the_ring_map_images():
+    rng = random.Random(1302)
+    for ring in catalog_charts():
+        if ring.wdeg == 1:
+            continue
+        fr = frobenius_map(ring)
+        for n in range(1, SUPPORTED_RANGES[ring.p] + 1):
+            for _ in range(3):
+                e = reduce([random_elem(ring, rng) for _ in range(n)])
+                assert frobenius_class(e) == reduce([fr.apply(c) for c in e.components]), (ring, n)
+
+
+@pytest.mark.parametrize("key", ["2:D12:3", "3:A2"])
+def test_powers_make_only_square_and_multiply_products(monkeypatch, key):
+    ring = chart_from_key(key)
+    x = ChartElem(ring, {(1, -1, 0): 1, (0, 2, 1): 1, (-1, 0, 1): 1})
+    repeated = [x]
+    for _ in range(15):
+        repeated.append(repeated[-1] * x)
+    products = []
+    mul = ChartElem.__mul__
+
+    def counting_mul(a, b):
+        products.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(ChartElem, "__mul__", counting_mul)
+    for e in range(1, 17):
+        products.clear()
+        assert x ** e == repeated[e - 1], e
+        assert len(products) == e.bit_length() + bin(e).count("1") - 2, e
+
+
+def test_zeroth_power_is_one():
+    ring = chart_from_key("2:D12:3")
+    assert ring.zero() ** 0 == ring.zero().ring_one() == ring.one()
+    assert ring.monomial(1, -1, 2, 1) ** 0 == ring.one()
+    f = MultiPoly.gen(("x", "y"), "x", 3) + MultiPoly.gen(("x", "y"), "y", 3)
+    assert f ** 0 == f.ring_one() == MultiPoly(("x", "y"), {(0, 0): 1}, 3)
+    assert MultiPoly.zero(("x",), None) ** 0 == MultiPoly(("x",), {(0,): 1}, None)
+    with pytest.raises(ValueError, match="negative power -1 of a ChartElem"):
+        ring.one() ** -1
 
 
 def test_frobenius_is_multiplicative():

@@ -90,6 +90,27 @@ def test_chart_show_bad_key(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "argv,named",
+    [
+        (("chart", "show", "2:E8:x"), "bad catalog key '2:E8:x': coindex 'x' is not an integer"),
+        (("chart", "show", "x:E8"), "bad catalog key 'x:E8': prime 'x' is not an integer"),
+        (("chart", "show", "quot:x:alpha:D4"),
+         "bad catalog key 'quot:x:alpha:D4': prime 'x' is not an integer"),
+        (("height", "from-rdp", "2:D10:q"), "bad catalog key '2:D10:q': coindex 'q' is not an integer"),
+        (("localcoh", "frob", "--chart", "2:D12:x", "--n", "2", "--j", "1"),
+         "bad catalog key '2:D12:x': coindex 'x' is not an integer"),
+    ],
+    ids=["chart-coindex", "chart-prime", "chart-quotient-prime", "height-coindex", "frob-coindex"],
+)
+def test_catalog_keys_name_a_field_that_is_not_an_integer(capsys, argv, named):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert named in err
+    assert "invalid literal" not in err
+    assert out == ""
+
+
 def test_localcoh_frob_d_family(capsys):
     code, out, err = run(
         capsys, "localcoh", "frob", "--chart", "2:D12:3", "--n", "2", "--j", "1"

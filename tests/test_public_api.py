@@ -45,6 +45,7 @@ PACKAGE_OBJECT = object()  # what a benchmark name bound to the package module m
 DISPATCHED = {
     "ffpoly.FpScalar.ring_zero": "witt.teichmuller",  # on an F_p scalar in the Witt trials
     "ffpoly.FpScalar.ring_one": "ffpoly.MultiPoly.evaluate",  # over F_p scalar values
+    "ffpoly.SparseTerms.ring_zero": "reproduce.check_witt_identities",  # on polynomial generators
     "ffpoly.SparseTerms.is_zero": "localcoh.CohClass.is_zero",  # on chart elements
     "localcoh.CohClass.is_zero": "localcoh.is_torsion",  # on scalar_mul_class results
     "height.HeightValue.as_json": "cli.cmd_height_count",  # on height_from_counts results

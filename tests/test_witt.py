@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from rdpk3 import witt
 from rdpk3.chartring import ChartElem, chart_from_key
 from rdpk3.ffpoly import FpScalar, MultiPoly
 from rdpk3.witt import (
@@ -342,6 +343,36 @@ def test_compiled_tables_match_interpreter():
                     assert table.add(*xs, *ys) == _interpreted(table.sum_polys, xs, ys)
                     assert table.mul(*xs, *ys) == _interpreted(table.prod_polys, xs, ys)
                     assert table.neg(*xs) == _interpreted(table.neg_polys, xs)
+
+
+def test_compiled_powers_are_square_and_multiply_chains(monkeypatch):
+    """Each power local is one product of two earlier locals; no ** is left."""
+    sources = []
+
+    def capture(source, *args):
+        sources.append(source)
+        return compile(source, *args)
+
+    monkeypatch.setattr(witt, "compile", capture, raising=False)
+    for p, nmax in SUPPORTED_RANGES.items():
+        for n in range(1, nmax + 1):
+            table = build_witt_table(p, n)
+            for polys in (table.sum_polys, table.prod_polys, table.neg_polys):
+                sources.clear()
+                witt._compile_polys(polys, "f")
+                [source] = sources
+                assert "**" not in source
+                names = polys[0].variables
+                exponent = {v: (v, 1) for v in names}
+                cost = {v: set() for v in names}
+                for line in source.splitlines()[1:-1]:
+                    local, a, b = re.fullmatch(r" {4}(\w+) = (\w+) \* (\w+)", line).groups()
+                    (va, ea), (vb, eb) = exponent[a], exponent[b]
+                    assert va == vb and local == f"{va}_{ea + eb}", line
+                    exponent[local] = (va, ea + eb)
+                    cost[local] = cost[a] | cost[b] | {local}
+                for local, (v, e) in exponent.items():
+                    assert len(cost[local]) == e.bit_length() + bin(e).count("1") - 2, local
 
 
 def test_tail_subtraction_of_a_teichmuller_lift_matches_witt_sub():
