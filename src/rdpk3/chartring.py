@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .ffpoly import MultiPoly, SparseTerms, _check_modulus
+from .ffpoly import MultiPoly, SparseTerms, _check_modulus, parse_poly
 
 
 def rmax(p: int, family: str, N: int) -> int:
@@ -385,8 +385,6 @@ class RingMap:
 
 
 def _poly(p, uv, text):
-    from .ffpoly import parse_poly
-
     return parse_poly(text, variables=uv, modulus=p)
 
 

@@ -452,12 +452,7 @@ def cmd_lattice_overlattice(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
-    echo = "reproduce"
-    if args.only:
-        echo += f" --only {args.only}"
-    if args.seed:
-        echo += f" --seed {args.seed}"
-    report = reproduce_all(only=args.only, seed=args.seed, command=echo)
+    report = reproduce_all(only=args.only, seed=args.seed)
     if args.format == "json":
         print(json.dumps(report.as_json(), indent=2, sort_keys=True))
     else:

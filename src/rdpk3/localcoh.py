@@ -21,10 +21,10 @@ re-reduce.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .chartring import ChartElem, ChartRing, RingMap
-from .witt import WittVec, _teich_sub, check_supported, witt_add, witt_neg
+from .witt import WittVec, _teich_sub, check_supported
 
 
 class IdealSpec:
@@ -107,32 +107,11 @@ class CohClass:
     def __hash__(self):
         return hash((self.ring, self.components))
 
-    def __add__(self, other):
-        if not isinstance(other, CohClass):
-            return NotImplemented
-        if other.ring != self.ring or other.n != self.n:
-            raise ValueError("class mismatch")
-        p = self.ring.p
-        total = witt_add(WittVec(p, self.components), WittVec(p, other.components))
-        return reduce(total)
-
-    def __neg__(self):
-        return reduce(witt_neg(WittVec(self.ring.p, self.components)))
-
-    def __sub__(self, other):
-        if not isinstance(other, CohClass):
-            return NotImplemented
-        return self + (-other)
-
     def __str__(self):
         return "(" + ", ".join(str(c) for c in self.components) + ")"
 
     def __repr__(self):
         return f"CohClass{self}"
-
-
-def zero_class(ring: ChartRing, n: int) -> CohClass:
-    return CohClass(ring, (ring.zero(),) * n)
 
 
 def class_of(elem: ChartElem, n: int = 1) -> CohClass:
@@ -154,8 +133,6 @@ def reduce(components, order=("xi", "eta")) -> CohClass:
     terminates.  The result is independent of the subtraction order
     within a position; order is exposed for the cross-check tests.
     """
-    if isinstance(components, CohClass):
-        return components
     if isinstance(components, WittVec):
         comps = list(components.components)
     else:
@@ -222,15 +199,6 @@ def scalar_mul_class(g: ChartElem, e: CohClass) -> CohClass:
     return reduce(out)
 
 
-def int_scalar_class(c: int, e: CohClass) -> CohClass:
-    """Multiply by the constant Witt lift of a prime-field scalar.
-
-    The lift acts on component i by c^(p^i), which equals c mod p, so
-    this is plain componentwise scaling; residual purity is preserved.
-    """
-    return CohClass(e.ring, tuple(comp * c for comp in e.components))
-
-
 def r_class(e: CohClass) -> CohClass:
     """Restrict to length n-1 by dropping the last component."""
     if e.n < 2:
@@ -254,14 +222,3 @@ def is_torsion(e: CohClass, ideal: IdealSpec) -> bool:
     if e.n >= 2 and not frobenius_class(r_class(e)).is_zero():
         return False
     return True
-
-
-def scalar_multiple_of(e: CohClass, base: CohClass) -> Optional[int]:
-    """The unit c with e = (constant lift of c) * base, if one exists."""
-    if e.ring != base.ring or e.n != base.n:
-        return None
-    p = e.ring.p
-    for c in range(1, p):
-        if e == int_scalar_class(c, base):
-            return c
-    return None

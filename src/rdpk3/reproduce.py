@@ -56,8 +56,6 @@ from .localcoh import (
     is_torsion,
     pullback_class,
     r_class,
-    scalar_multiple_of,
-    zero_class,
 )
 from .localcoh import reduce as reduce_class
 from .height import (
@@ -221,6 +219,30 @@ def _record(check_id, ok, computed, expected, anchor, note=""):
         anchor=anchor,
         note=note,
     )
+
+
+def _class_record(rid, got, ring, n, gen, anchor, problems, tail=()):
+    """A class against V^(n-1)[gen] up to a unit, or the zero class if gen is None.
+
+    Passes when got = c V^(n-1)[gen] for a unit c in 1..p-1 and the
+    driver found no problems.  The note names c when it is not 1, then
+    the problems, then the driver's tail.
+    """
+    zero = ring.zero()
+    predicted = CohClass(ring, (zero,) * (n - 1) + (zero if gen is None else gen,))
+    notes = []
+    unit = 1 if got == predicted else None
+    if unit is None and gen is not None:
+        unit = next((
+            c for c in range(2, ring.p)
+            if got == CohClass(ring, predicted.components[:-1] + (gen * c,))
+        ), None)
+        if unit is not None:
+            notes.append(f"unit {unit}")
+    notes += problems
+    notes += tail
+    ok = unit is not None and not problems
+    return _record(rid, ok, got, predicted, anchor, "; ".join(notes))
 
 
 # ---------------------------------------------------------------------------
@@ -408,42 +430,27 @@ def d_frobenius_check(N: int, r: int, n: int, j: int,
     ring = rdp_chart(spec, unified=unified)
     eps = ring.monomial(1, -1, -j, 1)
     e = class_of(eps, n)
-    fe = frobenius_class(e)
     a = m - r - c_one(n, j)
 
     rid = f"frobenius:2:D:N{N:02d}:r{r:02d}:n{n:02d}:j{j:02d}"
     if unified:
         rid += ":variant=unified"
-    notes = []
-
-    if a >= 0:
-        predicted = zero_class(ring, n)
-        ok = fe == predicted
-    else:
-        gen = ring.monomial(1, -1, a, 1)
-        predicted = CohClass(ring, (ring.zero(),) * (n - 1) + (gen,))
-        scale = scalar_multiple_of(fe, predicted)
-        ok = scale is not None
-        if scale is not None and scale != 1:
-            notes.append(f"unit {scale}")
-
+    problems = []
     if e.components[0] != eps or not all(
         c.is_zero() for c in e.components[1:]
     ):
-        ok = False
-        notes.append("base class is not (eps, 0, ..)")
-    ideal = IdealSpec.coordinate_power(ring, j)
-    if not is_torsion(e, ideal):
-        ok = False
-        notes.append("e not torsion for (x, y^j, z)")
+        problems.append("base class is not (eps, 0, ..)")
+    if not is_torsion(e, IdealSpec.coordinate_power(ring, j)):
+        problems.append("e not torsion for (x, y^j, z)")
     rest = e
     while rest.n > 1:
         rest = r_class(rest)
     if rest.is_zero():
-        ok = False
-        notes.append("restriction of e vanishes")
-    notes.append(f"a={a}")
-    return _record(rid, ok, fe, predicted, ANCHOR_D_FAMILY, "; ".join(notes))
+        problems.append("restriction of e vanishes")
+    gen = ring.monomial(1, -1, a, 1) if a < 0 else None
+    return _class_record(
+        rid, frobenius_class(e), ring, n, gen, ANCHOR_D_FAMILY, problems, (f"a={a}",)
+    )
 
 
 def _admissible(check: Callable, grid) -> List[CheckRecord]:
@@ -457,14 +464,13 @@ def _admissible(check: Callable, grid) -> List[CheckRecord]:
     return recs
 
 
-def d_frobenius_sweep(max_N: int = 21, max_n: int = 3,
-                      max_j: int = 4) -> List[CheckRecord]:
-    """All admissible (N, r, n, j) instances; both equations at r = 0."""
+def d_frobenius_sweep() -> List[CheckRecord]:
+    """All admissible (N, r, n, j) with N <= 21, n <= 3, j <= 4; both equations at r = 0."""
     return _admissible(d_frobenius_check, (
         (N, r, n, j, unified)
-        for N in range(4, max_N + 1)
-        for n in range(1, max_n + 1)
-        for j in range(1, max_j + 1)
+        for N in range(4, 22)
+        for n in range(1, 4)
+        for j in range(1, 5)
         for r in range(rmax(2, "D", N) + 1)
         for unified in ((False, True) if r == 0 else (False,))
     ))
@@ -480,22 +486,16 @@ def e8_pair_check(r: int) -> CheckRecord:
     if r not in (0, 1):
         raise HypothesisError("only coindexes 0 and 1 are covered here")
     ring = rdp_chart(RdpSpec(2, "E", 8, r))
-    eps = ring.monomial(1, -1, -2, 1)
-    e = class_of(eps, 1)
-    fe = frobenius_class(e)
-    gen = class_of(ring.monomial(1, -1, -1, 1), 1)
-    predicted = gen if r == 1 else zero_class(ring, 1)
-    ok = fe == predicted
-    notes = []
+    e = class_of(ring.monomial(1, -1, -2, 1), 1)
+    problems = []
     if not is_torsion(e, IdealSpec.coordinate_power(ring, 2)):
-        ok = False
-        notes.append("e not (x, y^2, z)-torsion")
+        problems.append("e not (x, y^2, z)-torsion")
     if is_torsion(e, IdealSpec.maximal(ring)):
-        ok = False
-        notes.append("e unexpectedly torsion for (x, y, z)")
-    return _record(
-        f"frobenius:2:E8:j2:r{r:02d}", ok, fe, predicted, ANCHOR_E8_PAIR,
-        "; ".join(notes),
+        problems.append("e unexpectedly torsion for (x, y, z)")
+    gen = ring.monomial(1, -1, -1, 1) if r == 1 else None
+    return _class_record(
+        f"frobenius:2:E8:j2:r{r:02d}", frobenius_class(e), ring, 1, gen,
+        ANCHOR_E8_PAIR, problems,
     )
 
 
@@ -535,23 +535,12 @@ def e_frobenius_check(p: int, N: int, n: int, r: int) -> CheckRecord:
     ring = rdp_chart(RdpSpec(p, "E", N, r))
     eps = ring.monomial(1, -1, -1, 1)
     e = class_of(eps, n)
-    fe = frobenius_class(e)
-    notes = []
-    if r < threshold:
-        predicted = zero_class(ring, n)
-        ok = fe == predicted
-    else:
-        predicted = CohClass(ring, (ring.zero(),) * (n - 1) + (eps,))
-        scale = scalar_multiple_of(fe, predicted)
-        ok = scale is not None
-        if scale is not None and scale != 1:
-            notes.append(f"unit {scale}")
+    problems = []
     if not is_torsion(e, IdealSpec.maximal(ring)):
-        ok = False
-        notes.append("e not coordinate-ideal torsion")
-    return _record(
-        f"frobenius:E:p{p:02d}:N{N:02d}:n{n:02d}:r{r:02d}", ok, fe, predicted,
-        ANCHOR_E_FAMILY, "; ".join(notes),
+        problems.append("e not coordinate-ideal torsion")
+    return _class_record(
+        f"frobenius:E:p{p:02d}:N{N:02d}:n{n:02d}:r{r:02d}", frobenius_class(e),
+        ring, n, eps if r == threshold else None, ANCHOR_E_FAMILY, problems,
     )
 
 
@@ -574,31 +563,21 @@ def quotient_pullback_check(key: str) -> CheckRecord:
     """
     case = quotient_case_from_key(key)
     n = case.n_expected
-    source, target = case.source, case.target
     e = class_of(case.eps, n)
-    pe = pullback_class(case.rmap, e)
-    predicted = CohClass(
-        target, (target.zero(),) * (n - 1) + (case.predicted_gen,)
-    )
-    notes = []
-    scale = scalar_multiple_of(pe, predicted)
-    ok = scale is not None
-    if scale is not None and scale != 1:
-        notes.append(f"unit {scale}")
-    if not is_torsion(e, IdealSpec.maximal(source)):
-        ok = False
-        notes.append("e not coordinate-ideal torsion downstairs")
-    if predicted.is_zero():
-        ok = False
-        notes.append("predicted generator vanished")
-    return _record(
-        f"quotient-pullback:case{case.case_id:02d}:key={key}:n{n:02d}", ok, pe,
-        predicted, ANCHOR_QUOTIENT, "; ".join(notes),
+    problems = []
+    if not is_torsion(e, IdealSpec.maximal(case.source)):
+        problems.append("e not coordinate-ideal torsion downstairs")
+    if case.predicted_gen.is_zero():
+        problems.append("predicted generator vanished")
+    return _class_record(
+        f"quotient-pullback:case{case.case_id:02d}:key={key}:n{n:02d}",
+        pullback_class(case.rmap, e), case.target, n, case.predicted_gen,
+        ANCHOR_QUOTIENT, problems,
     )
 
 
-def quotient_pullback_sweep(keys=ALL_QUOTIENT_KEYS) -> List[CheckRecord]:
-    return [quotient_pullback_check(key) for key in keys]
+def quotient_pullback_sweep() -> List[CheckRecord]:
+    return [quotient_pullback_check(key) for key in ALL_QUOTIENT_KEYS]
 
 
 # ---------------------------------------------------------------------------
@@ -1126,19 +1105,16 @@ def _select_groups(only: Optional[str]):
     return chosen
 
 
-def reproduce_all(
-    only: Optional[str] = None, seed: int = 0, command: Optional[str] = None
-) -> RunReport:
+def reproduce_all(only: Optional[str] = None, seed: int = 0) -> RunReport:
     """Run the reproduction checks (optionally filtered) into one report."""
     start = time.perf_counter()
     records: List[CheckRecord] = []
     for _gid, fn, seeded, _aliases in _select_groups(only):
         records.extend(fn(seed) if seeded else fn())
     records.sort(key=lambda r: r.check_id)
-    if command is None:
-        command = "reproduce" + (f" --only {only}" if only else "")
     return RunReport(
-        command=command,
+        command="reproduce" + (f" --only {only}" if only else "")
+        + (f" --seed {seed}" if seed else ""),
         seed=seed,
         records=records,
         wall_time=time.perf_counter() - start,

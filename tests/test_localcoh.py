@@ -8,17 +8,16 @@ from rdpk3.localcoh import (
     IdealSpec,
     class_of,
     frobenius_class,
-    int_scalar_class,
     is_torsion,
     pullback_class,
     r_class,
     reduce,
     scalar_mul_class,
-    scalar_multiple_of,
-    zero_class,
 )
 from rdpk3.reproduce import (
+    PLUMBING,
     HypothesisError,
+    _class_record,
     c_one,
     d_frobenius_check,
     e8_pair_check,
@@ -35,7 +34,7 @@ def test_class_construction():
     e = class_of(eps, 3)
     assert e.n == 3
     assert e.components == (eps, ring.zero(), ring.zero())
-    assert zero_class(ring, 2).is_zero()
+    assert CohClass(ring, (ring.zero(),) * 2).is_zero()
     assert not e.is_zero()
 
 
@@ -205,21 +204,29 @@ def test_shift_and_truncate_commute():
     def shift(e):
         return CohClass(ring, (ring.zero(),) + e.components)
 
-    assert r_class(shift(c)) == zero_class(ring, 1)
+    assert r_class(shift(c)) == CohClass(ring, (ring.zero(),))
     w2 = CohClass(ring, (epsj, ring.monomial(1, -2, -1, 0)))
     assert r_class(shift(w2)) == shift(r_class(w2))
 
 
-def test_int_scalar_and_multiple_detection():
+def test_class_record_matches_up_to_a_unit():
     ring = chart_from_key("5:E8:1")
     eps = ring.monomial(1, -1, -1, 1)
-    c = class_of(eps, 1)
-    c3 = int_scalar_class(3, c)
-    assert c3 == class_of(ring.monomial(3, -1, -1, 1), 1)
-    assert scalar_multiple_of(c3, c) == 3
-    assert scalar_multiple_of(c, c3) == 2  # 2 * 3 = 6 = 1 mod 5
-    assert scalar_multiple_of(zero_class(ring, 1), c) is None
-    assert int_scalar_class(0, c).is_zero()
+    zero, pred, pred3 = (class_of(eps * c, 1) for c in (0, 1, 3))
+
+    def check(got, gen, problems=(), tail=()):
+        rec = _class_record("id", got, ring, 1, gen, PLUMBING, list(problems), tail)
+        assert rec.expected == str(CohClass(ring, (ring.zero() if gen is None else gen,)))
+        return rec.status, rec.note
+
+    assert check(zero, None) == ("pass", "")
+    assert check(pred, None) == ("fail", "")
+    assert check(pred3, eps) == ("pass", "unit 3")
+    assert check(pred, eps * 3) == ("pass", "unit 2")  # 2 * 3 = 6 = 1 mod 5
+    assert check(zero, eps) == ("fail", "")
+    assert check(pred3, eps, ["e not torsion"], ("a=-1",)) == (
+        "fail", "unit 3; e not torsion; a=-1"
+    )
 
 
 def test_ideal_spec_validation():
