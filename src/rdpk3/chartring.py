@@ -29,6 +29,7 @@ computations are stated.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -394,8 +395,17 @@ def rdp_chart(spec: RdpSpec, unified: bool = False) -> ChartRing:
     For D_N^0 two equations are in use: the default drops the z*x*y^m
     (resp. z*y^m-companion) term, unified=True keeps the r = 0
     specialization of the general-coindex equation.  For r >= 1 the two
-    agree and the flag is ignored.
+    agree and the flag is ignored.  Recent charts are shared, not built
+    again, so their relations are parsed once and ring comparisons are
+    identity tests.
     """
+    return _rdp_chart(spec, unified and spec.r == 0)
+
+
+# A reproduce asks for 677 charts, 150 distinct; keeping the last 32
+# builds 156 of them and holds about 50 KB, keeping all 150 builds 150.
+@functools.lru_cache(maxsize=32)
+def _rdp_chart(spec: RdpSpec, unified: bool) -> ChartRing:
     p, family, N, r = spec.p, spec.family, spec.N, spec.r
     uv = ("x", "y")
     key = str(spec)

@@ -208,6 +208,11 @@ def rdp_realizable_on_k3(spec: RdpSpec) -> Verdict:
 
 SING_TOKEN = re.compile(r"^(?:(\d+)\s*[x*]?\s*)?([ADEade])\s*(\d+)(?::(\d+))?$")
 
+# The exceptional curves of the singular points of a K3 surface span a
+# negative-definite lattice in NS, of rank at most 21, so a K3 surface
+# has at most 21 singular points.
+_MAX_SING_POINTS = 21
+
 
 def parse_sing_config(text: str) -> Tuple[Tuple[str, int, int], ...]:
     """Parse "2D4:0 + A2" into (("A",2,0), ("D",4,0), ("D",4,0)).
@@ -226,6 +231,11 @@ def parse_sing_config(text: str) -> Tuple[Tuple[str, int, int], ...]:
         if m is None:
             raise ValueError(f"bad singularity token {token!r}")
         count = int(m.group(1)) if m.group(1) else 1
+        if len(items) + count > _MAX_SING_POINTS:
+            raise ValueError(
+                f"singularity token {token!r} takes the configuration over "
+                f"{_MAX_SING_POINTS} points, more than a K3 surface can have"
+            )
         family = m.group(2).upper()
         N = int(m.group(3))
         r = int(m.group(4)) if m.group(4) else 0

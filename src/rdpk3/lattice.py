@@ -33,6 +33,10 @@ from .chartring import parse_symbol
 from .ffpoly import is_prime, json_field
 
 SEARCH_GUARD = 100_000
+# Lattice input above this rank is refused before any row is built.  The
+# lattices of K3 surfaces have rank <= 22; the exact arithmetic here is
+# cubic or worse in the rank (the discriminant of A400 takes seconds).
+_RANK_GUARD = 128
 
 
 # ---------------------------------------------------------------------------
@@ -241,8 +245,14 @@ class GramLattice:
         return f"GramLattice({self})"
 
 
+def _check_rank(n: int, what: str) -> None:
+    if n > _RANK_GUARD:
+        raise ValueError(f"{what} has rank {n}, over the rank guard {_RANK_GUARD}")
+
+
 def diagonal_gram(entries: Sequence[int]) -> GramLattice:
     n = len(entries)
+    _check_rank(n, "diagonal lattice")
     return GramLattice(
         [[entries[i] if i == j else 0 for j in range(n)] for i in range(n)]
     )
@@ -257,6 +267,7 @@ def dynkin_gram(symbol) -> GramLattice:
     node on its third node.
     """
     family, N = parse_symbol(symbol) if isinstance(symbol, str) else tuple(symbol)
+    _check_rank(N, f"root lattice {family}{N}")
     edges = []
     if family == "A":
         edges = [(i, i + 1) for i in range(N - 1)]
@@ -678,6 +689,7 @@ def gram_from_json(rows) -> GramLattice:
     """
     if not isinstance(rows, list):
         raise ValueError(f"Gram matrix must be a list of rows, got {json.dumps(rows)}")
+    _check_rank(len(rows), "Gram matrix")
     for i, row in enumerate(rows):
         if not isinstance(row, list):
             raise ValueError(f"Gram row {i} must be a list, got {json.dumps(row)}")

@@ -14,9 +14,11 @@ Witt sum determines the summands' 0-th components additively) shows a
 residual vector lying in the denominator subgroup must vanish.  reduce
 computes that representative by tail subtraction of a Teichmuller lift:
 x - V^i[t] changes only positions >= i, as (x_i, ..., x_{n-1}) - [t] in
-W_{n-i}.  The class operations (Frobenius, pullback along suitable ring
-maps, scalar multiplication, V and R) act on representatives and
-re-reduce.
+W_{n-i}.  That difference y is compiled once per (p, m) as a triangular
+solve of x = y + [t] (witt._teich_sub): y_0 = x_0 - t, and each y_k is
+x_k minus a carry polynomial in y_0, ..., y_{k-1}, t in Horner form.
+The class operations (Frobenius, pullback along suitable ring maps,
+scalar multiplication, V and R) act on representatives and re-reduce.
 """
 
 from __future__ import annotations
@@ -127,10 +129,10 @@ def reduce(components, order=("xi", "eta")) -> CohClass:
     Walks the components bottom up; at position i the non-residual parts
     xi (in A[1/u]) and eta (in A[1/v]) are removed by tail subtraction
     of a Teichmuller lift: x - V^i[t] keeps x_0, ..., x_{i-1} and
-    replaces the tail by (x_i, ..., x_{n-1}) - [t] in W_{n-i}.  That
-    changes position i by exactly -t and touches only positions >= i,
-    so each pass leaves a residual component behind and the loop
-    terminates.  The result is independent of the subtraction order
+    replaces the tail by (x_i, ..., x_{n-1}) - [t] in W_{n-i}, solved
+    level by level from x = y + [t].  That changes position i by exactly
+    -t and touches only positions >= i, so each pass leaves a residual
+    component behind and the loop terminates.  The result is independent of the subtraction order
     within a position; order is exposed for the cross-check tests.
     """
     if isinstance(components, WittVec):

@@ -89,36 +89,127 @@ def derive_integer_polys(p: int, n: int, op: str) -> tuple:
     return tuple(polys)
 
 
-def _compile_polys(polys, label: str):
+def _compile_polys(polys, label: str, nargs=None):
     """Compile mod-p polynomials in the same variables into one function.
 
-    The function takes a ring element per variable and returns the tuple
-    of values, summed term by term in MultiPoly.evaluate's order.  Each
-    power above the first is one shared local, a product of two earlier
-    ones (v_e = v_{e/2} * v_{e/2}, or v_{e-1} * v for odd e), so no product
-    is by one.  Witt structure polynomials have no constant term, so
-    every term has a variable.
+    The function takes a ring element for each of the first nargs
+    variables (all of them by default) and returns the tuple of values.
+    Each later variable names a value already computed, in order, so
+    polys[k] may use the values of polys[0], ..., polys[k-1]: a
+    triangular solve compiles like a table.
+
+    Each polynomial is written in Horner form: the common monomial of
+    its terms is taken out first; otherwise the terms are split as
+    v*Q + R on the variable v that occurs in the most of them, and Q and
+    R are factored the same way.  A power is a square-and-multiply chain
+    (v^e from v^(e/2) * v^(e/2), or v^(e-1) * v for odd e), and no
+    product is by one.  Coefficients are units mod p: a sum takes out
+    the unit of one summand, and the other's relative unit r is a +, a
+    - at r = p - 1, or a product by r.  A subexpression used twice is
+    one local; one used once is written inline, so plain ints pay no
+    extra local stores.  Every line is binary operations on arguments,
+    earlier locals and int constants.
     """
     names = polys[0].variables
-    powers: dict = {}
+    nargs = len(names) if nargs is None else nargs
+    p = polys[0].modulus
+    one = -1  # the node id of the constant 1, which is never written out
+    nodes: list = []  # node id -> ("v", name), ("c", int) or (op, left id, right id)
+    ids: dict = {}
+
+    def node(key):
+        if key not in ids:
+            ids[key] = len(nodes)
+            nodes.append(key)
+        return ids[key]
+
+    def times(a, b):
+        return b if a == one else a if b == one else node(("*", a, b))
+
+    leaf = {v: node(("v", v)) for v in names[:nargs]}
 
     def power(v, e):
-        local = f"{v}_{e}" if e > 1 else v
-        if e > 1 and local not in powers:
-            a, b = (power(v, e - 1), v) if e % 2 else (power(v, e // 2),) * 2
-            powers[local] = f"{a} * {b}"
-        return local
+        if e == 1:
+            return leaf[v]
+        if e % 2:
+            return times(power(v, e - 1), leaf[v])
+        half = power(v, e // 2)
+        return times(half, half)
 
-    exprs = []
-    for q in polys:
-        terms = []
-        for exps, c in q.terms.items():
-            factors = [power(v, e) for v, e in zip(names, exps) if e]
-            terms.append(" * ".join(factors + ([str(c)] if c != 1 else [])))
-        exprs.append(" + ".join(terms))
-    lines = [f"def {label}({', '.join(names)}):"]
-    lines += [f"    {local} = {expr}" for local, expr in powers.items()]
-    lines.append(f"    return ({', '.join(exprs)},)")
+    def plus(a, b):
+        """The sum of two (node, unit) pairs, as one pair.
+
+        It takes out the unit of a summand that is not the constant 1,
+        one with unit 1 if there is one; the other summand's relative
+        unit r makes a +, a - (r = p - 1) or a product by r.
+        """
+        if a[0] == one or (b[0] != one and b[1] == 1 != a[1]):
+            a, b = b, a
+        (x, cx), (y, cy) = a, b
+        y = node(("c", 1)) if y == one else y
+        r = cy * pow(cx, -1, p) % p
+        if r == 1:
+            return node(("+", x, y)), cx
+        if r == p - 1:
+            return node(("-", x, y)), cx
+        return node(("+", x, times(y, node(("c", r))))), cx
+
+    def horner(terms):
+        """(node, c) with c * node the polynomial {exponents: coefficient}."""
+        if len(terms) == 1:
+            [(exps, c)] = terms.items()
+            acc = one
+            for v, e in zip(names, exps):
+                if e:
+                    acc = times(acc, power(v, e))
+            return acc, c
+        common = tuple(map(min, *terms))
+        if any(common):
+            x, c = horner({tuple(e - g for e, g in zip(exps, common)): c for exps, c in terms.items()})
+            return times(horner({common: 1})[0], x), c
+        k = max(range(len(names)), key=lambda i: sum(1 for exps in terms if exps[i]))
+        return plus(
+            horner({exps: c for exps, c in terms.items() if exps[k]}),
+            horner({exps: c for exps, c in terms.items() if not exps[k]}),
+        )
+
+    outs = []
+    for k, q in enumerate(polys):
+        x, c = horner(q.terms)
+        outs.append(times(x, node(("c", c))) if c != 1 else x)
+        if nargs + k < len(names):
+            leaf[names[nargs + k]] = outs[-1]
+
+    uses = [0] * len(nodes)
+    order = []
+
+    def visit(i):
+        uses[i] += 1
+        if uses[i] == 1 and nodes[i][0] in "+-*":
+            visit(nodes[i][1])
+            visit(nodes[i][2])
+            order.append(i)
+
+    for i in outs:
+        visit(i)
+    local = {}
+
+    def text(i, top=False):
+        kind, *args = nodes[i]
+        if kind in ("v", "c"):
+            return str(args[0])
+        if i in local:
+            return local[i]
+        body = f"{text(args[0])} {kind} {text(args[1])}"
+        return body if top else f"({body})"
+
+    lines = [f"def {label}({', '.join(names[:nargs])}):"]
+    for i in order:
+        if uses[i] > 1:
+            name = f"_{len(local)}"
+            lines.append(f"    {name} = {text(i, True)}")
+            local[i] = name
+    lines.append(f"    return ({', '.join(text(i, True) for i in outs)},)")
     namespace: dict = {}
     exec(compile("\n".join(lines), f"<{label}>", "exec"), namespace)
     return namespace[label]
@@ -150,17 +241,23 @@ def build_witt_table(p: int, n: int) -> WittPolyTable:
 def _teich_sub(p: int, m: int):
     """x - [t] in W_m, compiled as one function of a0, ..., a{m-1}, t.
 
-    The table's mod-p sum polynomials at b = -[t], the negation
-    polynomials at (t, 0, ..., 0), both run over F_p[a0, ..., t].  Since
-    x - V^i[t] is (x_0, ..., x_{i-1}, (x_i, ..., x_{n-1}) - [t]) in W_n,
-    this is the tail op of localcoh.reduce, at m = n - i.
+    It solves x = y + [t] for y level by level.  The k-th sum polynomial
+    is a_k + b_k plus terms in lower indices (Serre, Local Fields, II 6),
+    so at a = y, b = (t, 0, ..., 0) it reads x_k = y_k + c_k(y_0, ...,
+    y_{k-1}, t).  Hence y_0 = x_0 - t and y_k = x_k - c_k, with each c_k
+    computed once over F_p[y0, ..., t] from the table's mod-p sum
+    polynomials.  Since x - V^i[t] is (x_0, ..., x_{i-1},
+    (x_i, ..., x_{n-1}) - [t]) in W_n, this is the tail op of
+    localcoh.reduce, at m = n - i.
     """
     table = build_witt_table(p, m)
-    names = tuple(f"a{i}" for i in range(m)) + ("t",)
-    *xs, t = (MultiPoly.gen(names, v, p) for v in names)
+    names = tuple(f"a{i}" for i in range(m)) + ("t",) + tuple(f"y{i}" for i in range(m))
+    *xs, t = (MultiPoly.gen(names, v, p) for v in names[: m + 1])
+    ys = [MultiPoly.gen(names, v, p) for v in names[m + 1 :]]
     zero = MultiPoly.zero(names, p)
-    polys = table.add(*xs, *table.neg(t, *[zero] * (m - 1)))
-    return _compile_polys(polys, f"witt_teich_sub_p{p}_m{m}")
+    sums = table.add(*ys, t, *[zero] * (m - 1))
+    polys = [x - (s - y) for x, s, y in zip(xs, sums, ys)]
+    return _compile_polys(polys, f"witt_teich_sub_p{p}_m{m}", m + 1)
 
 
 def ghost_compatibility_ok(p: int, n: int) -> bool:

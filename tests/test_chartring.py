@@ -85,6 +85,17 @@ def test_every_catalog_chart_constructs():
         frobenius_map(ring)
 
 
+def test_catalog_charts_are_built_once_and_shared():
+    spec = RdpSpec(2, "D", 12, 3)
+    assert rdp_chart(spec) is rdp_chart(RdpSpec(2, "D", 12, 3))
+    # the flag changes the equation only at r = 0
+    assert rdp_chart(spec, unified=True) is rdp_chart(spec)
+    d0 = RdpSpec(2, "D", 12, 0)
+    assert rdp_chart(d0, unified=True) is not rdp_chart(d0)
+    assert rdp_chart(d0, unified=True) != rdp_chart(d0)
+    assert chart_from_key("2:D12:0", unified=True) is rdp_chart(d0, unified=True)
+
+
 def test_relation_rewriting():
     ring = chart_from_key("2:D12:3")
     d = ring.designated()

@@ -369,6 +369,35 @@ def test_height_quotient(capsys):
     assert doc["height"] == {"kind": "finite", "bound": 3}
 
 
+@pytest.mark.parametrize(
+    "sing,token",
+    [("99999999999xD4:1", "'99999999999xD4:1'"), ("20xA1 + A2 + 2xD4:1", "'2xD4:1'")],
+)
+def test_height_quotient_refuses_more_points_than_a_k3_has(capsys, sing, token):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "height", "quotient", "--G", "mu", "--p", "2", "--sing", sing)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert f"singularity token {token} takes the configuration over 21 points" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "flag,value,named",
+    [
+        ("--dynkin", "A100000", "root lattice A100000 has rank 100000"),
+        ("--diagonal", ",".join(["2"] * 129), "diagonal lattice has rank 129"),
+        ("--gram", json.dumps([[1]] * 200), "Gram matrix has rank 200"),
+    ],
+    ids=["dynkin", "diagonal", "gram"],
+)
+def test_lattice_input_over_the_rank_guard_is_refused(capsys, flag, value, named):
+    code, out, err = run(capsys, "lattice", "disc", flag, value)
+    assert code == 2
+    assert f"{named}, over the rank guard 128" in err
+    assert out == ""
+
+
 def test_lattice_disc(capsys):
     code, doc = run_json(capsys, "lattice", "disc", "--dynkin", "A20")
     assert code == 0

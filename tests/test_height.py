@@ -131,6 +131,9 @@ def test_parse_sing_config():
     assert parse_sing_config("8A1") == (("A", 1, 0),) * 8
     assert parse_sing_config("D8:2") == (("D", 8, 2),)
     assert parse_sing_config("2 x E8:1, A2") == (("A", 2, 0), ("E", 8, 1), ("E", 8, 1))
+    assert parse_sing_config("20xA1 + A2") == (("A", 1, 0),) * 20 + (("A", 2, 0),)
+    with pytest.raises(ValueError, match="token 'A2' takes the configuration over 21 points"):
+        parse_sing_config("21xA1 + A2")
 
 
 def test_picard_rank_bound():

@@ -3,6 +3,7 @@ import json
 import math
 import pathlib
 import random
+import tracemalloc
 from fractions import Fraction
 from math import isqrt
 
@@ -22,7 +23,7 @@ from rdpk3.lattice import (
     smith_diagonal,
     unimodular_overlattice_exists,
 )
-from rdpk3.lattice import _extend_subgroup
+from rdpk3.lattice import _RANK_GUARD, _extend_subgroup
 from rdpk3.reproduce import a20_glue_data
 
 HYPERBOLIC_PLANE = GramLattice([[0, 1], [1, 0]])
@@ -555,6 +556,33 @@ def test_p_part_scales_the_smith_generators():
     assert disc.p_part(5).orders == ()
     a3 = disc_group(dynkin_gram("A3"))
     assert a3.p_part(2) == a3
+
+
+@pytest.mark.parametrize(
+    "build,arg,named",
+    [
+        (dynkin_gram, "A" + "9" * 12, "root lattice A999999999999 has rank 999999999999"),
+        (dynkin_gram, ("D", _RANK_GUARD + 1), f"root lattice D129 has rank {_RANK_GUARD + 1}"),
+        (diagonal_gram, range(10**12), "diagonal lattice has rank 1000000000000"),
+        (lattice_from_json, {"gram": [[1]] * 10**4}, "Gram matrix has rank 10000"),
+    ],
+    ids=["dynkin-symbol", "dynkin-pair", "diagonal", "gram"],
+)
+def test_rank_guard_refuses_before_building_any_row(build, arg, named):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=named):
+            build(arg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the rows of the smallest refused lattice, rank 129, take over 130 KiB
+    assert peak < 16 * 1024, peak
+
+
+def test_rank_guard_admits_rank_128():
+    assert dynkin_gram(("A", _RANK_GUARD)).rank == _RANK_GUARD
+    assert diagonal_gram([2] * _RANK_GUARD).rank == _RANK_GUARD
 
 
 def test_lattice_from_json_forms():

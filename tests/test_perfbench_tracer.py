@@ -37,6 +37,11 @@ def test_every_target_is_defined_on_its_owner():
         assert attr in vars(owner), f"rdpk3.{modname}.{path}"
 
 
+# Chart products of one reproduce at seed 0, as measured with the
+# Horner-form tail op; the flat monomial sums made 19,116.
+REPRODUCE_CHART_PRODUCTS = 11_509
+
+
 def test_traced_reproduce_counts_chart_products(capsys):
     tracer = load_tracer()
     mul = vars(ChartElem)["__mul__"]
@@ -44,13 +49,13 @@ def test_traced_reproduce_counts_chart_products(capsys):
     t.install(rdpk3)
     try:
         assert vars(ChartElem)["__mul__"] is not mul
-        code = rdpk3.cli.main(["reproduce", "--only", "4.3"])
+        code = rdpk3.cli.main(["reproduce"])
     finally:
         t.uninstall()
     capsys.readouterr()
     assert code == 0
     assert vars(ChartElem)["__mul__"] is mul
-    assert t.calls["chartring.mul"] > 0
+    assert 0 < t.calls["chartring.mul"] <= REPRODUCE_CHART_PRODUCTS
     assert t.calls["localcoh.reduce"] > 0
     assert t.calls["cli.main"] == 1
     # reduce subtracts a Teichmuller lift on the tail, never through witt_sub

@@ -1,3 +1,4 @@
+import ast
 import itertools
 import random
 import re
@@ -345,8 +346,24 @@ def test_compiled_tables_match_interpreter():
                     assert table.neg(*xs) == _interpreted(table.neg_polys, xs)
 
 
-def test_compiled_powers_are_square_and_multiply_chains(monkeypatch):
-    """Each power local is one product of two earlier locals; no ** is left."""
+# Products per compiled function, (Horner form, flat monomial sums): the
+# flat sums are the same polynomials summed term by term with shared
+# square-and-multiply powers, and the tail op there was add(x, neg([t])).
+PRODUCTS = {
+    (2, 1, "add"): (0, 0), (2, 1, "mul"): (1, 1), (2, 1, "neg"): (0, 0), (2, 1, "tail"): (0, 0),
+    (2, 2, "add"): (1, 1), (2, 2, "mul"): (5, 5), (2, 2, "neg"): (1, 1), (2, 2, "tail"): (1, 2),
+    (2, 3, "add"): (5, 12), (2, 3, "mul"): (13, 15), (2, 3, "neg"): (3, 4), (2, 3, "tail"): (4, 9),
+    (2, 4, "add"): (23, 77), (2, 4, "mul"): (35, 57), (2, 4, "neg"): (9, 12), (2, 4, "tail"): (17, 39),
+    (3, 1, "add"): (0, 0), (3, 1, "mul"): (1, 1), (3, 1, "neg"): (1, 1), (3, 1, "tail"): (0, 1),
+    (3, 2, "add"): (2, 6), (3, 2, "mul"): (7, 7), (3, 2, "neg"): (2, 2), (3, 2, "tail"): (2, 6),
+    (5, 1, "add"): (0, 0), (5, 1, "mul"): (1, 1), (5, 1, "neg"): (1, 1), (5, 1, "tail"): (0, 1),
+    (5, 2, "add"): (8, 14), (5, 2, "mul"): (9, 9), (5, 2, "neg"): (2, 2), (5, 2, "tail"): (8, 14),
+    (7, 1, "add"): (0, 0), (7, 1, "mul"): (1, 1), (7, 1, "neg"): (1, 1), (7, 1, "tail"): (0, 1),
+}
+
+
+def _compiled_sources(monkeypatch):
+    """(p, n, op) -> the source of every compiled table and tail op."""
     sources = []
 
     def capture(source, *args):
@@ -354,25 +371,68 @@ def test_compiled_powers_are_square_and_multiply_chains(monkeypatch):
         return compile(source, *args)
 
     monkeypatch.setattr(witt, "compile", capture, raising=False)
+    out = {}
     for p, nmax in SUPPORTED_RANGES.items():
         for n in range(1, nmax + 1):
             table = build_witt_table(p, n)
-            for polys in (table.sum_polys, table.prod_polys, table.neg_polys):
-                sources.clear()
+            for op, polys in (("add", table.sum_polys), ("mul", table.prod_polys), ("neg", table.neg_polys)):
                 witt._compile_polys(polys, "f")
-                [source] = sources
-                assert "**" not in source
-                names = polys[0].variables
-                exponent = {v: (v, 1) for v in names}
-                cost = {v: set() for v in names}
-                for line in source.splitlines()[1:-1]:
-                    local, a, b = re.fullmatch(r" {4}(\w+) = (\w+) \* (\w+)", line).groups()
-                    (va, ea), (vb, eb) = exponent[a], exponent[b]
-                    assert va == vb and local == f"{va}_{ea + eb}", line
-                    exponent[local] = (va, ea + eb)
-                    cost[local] = cost[a] | cost[b] | {local}
-                for local, (v, e) in exponent.items():
-                    assert len(cost[local]) == e.bit_length() + bin(e).count("1") - 2, local
+                out[p, n, op] = sources.pop()
+            _teich_sub.__wrapped__(p, n)
+            out[p, n, "tail"] = sources.pop()
+    return out
+
+
+def test_compiled_functions_are_shared_straight_line_binary_ops(monkeypatch):
+    """Each line is +, - and * on arguments, earlier locals and int constants.
+
+    There is no **, no product by 1, every local is used at least twice
+    (one used once is written inline), no subexpression is written out
+    twice, and the products of each function are pinned at or below the
+    flat monomial sums.
+    """
+    sources = _compiled_sources(monkeypatch)
+    assert set(sources) == set(PRODUCTS)
+    for key, source in sources.items():
+        assert "**" not in source, key
+        [fn] = ast.parse(source).body
+        *assigns, ret = fn.body
+        args = {a.arg for a in fn.args.args}
+        known, uses = set(args), {}
+        seen, products = set(), 0
+
+        def check(expr):
+            nonlocal products
+            if isinstance(expr, ast.Name):
+                assert expr.id in known, (key, expr.id)
+                uses[expr.id] = uses.get(expr.id, 0) + 1
+            elif isinstance(expr, ast.Constant):
+                assert type(expr.value) is int and 1 <= expr.value < key[0], (key, expr.value)
+            else:
+                assert isinstance(expr, ast.BinOp), (key, ast.dump(expr))
+                assert isinstance(expr.op, (ast.Add, ast.Sub, ast.Mult)), (key, ast.dump(expr))
+                dump = ast.dump(expr)
+                assert dump not in seen, (key, "written twice", ast.unparse(expr))
+                seen.add(dump)
+                if isinstance(expr.op, ast.Mult):
+                    products += 1
+                    assert not any(isinstance(e, ast.Constant) and e.value == 1
+                                   for e in (expr.left, expr.right)), key
+                check(expr.left)
+                check(expr.right)
+
+        for line in assigns:
+            assert isinstance(line, ast.Assign) and isinstance(line.value, ast.BinOp), key
+            [target] = line.targets
+            check(line.value)
+            assert target.id not in known, key
+            known.add(target.id)
+        assert isinstance(ret.value, ast.Tuple), key
+        for expr in ret.value.elts:
+            check(expr)
+        assert all(uses.get(name, 0) >= 2 for name in known - args), (key, uses)
+        horner, flat = PRODUCTS[key]
+        assert products == horner <= flat, (key, products)
 
 
 def test_tail_subtraction_of_a_teichmuller_lift_matches_witt_sub():
