@@ -251,7 +251,18 @@ class ChartElem(SparseTerms):
         return NotImplemented
 
     def _like(self, terms) -> "ChartElem":
-        return ChartElem(self.ring, terms)
+        """An element of this ring from terms a ring operation built.
+
+        The keys of a sum, a negation, a product after the relation
+        rewrite or a split() part have w-exponents in range by
+        construction, so only the coefficients are reduced mod p and the
+        zeros dropped; ChartElem() checks everything.
+        """
+        p = self.ring.p
+        elem = object.__new__(ChartElem)
+        elem.ring = self.ring
+        elem.terms = {key: r for key, c in terms.items() if (r := c % p)}
+        return elem
 
     @property
     def _names(self) -> tuple:
@@ -277,7 +288,7 @@ class ChartElem(SparseTerms):
                     for (di, dj, dc), rc in ring._rel_terms:
                         key = (i + di, j + dj, c - d + dc)
                         terms[key] = terms.get(key, 0) + coeff * rc
-        return ChartElem(ring, terms)
+        return self._like(terms)
 
     __rmul__ = __mul__
 
@@ -308,8 +319,7 @@ class ChartElem(SparseTerms):
                 eta[key] = c
             else:
                 rho[key] = c
-        ring = self.ring
-        return ChartElem(ring, xi), ChartElem(ring, eta), ChartElem(ring, rho)
+        return self._like(xi), self._like(eta), self._like(rho)
 
     def is_residual(self) -> bool:
         return all(i < 0 and j < 0 for (i, j, _) in self.terms)

@@ -16,7 +16,7 @@ import json
 import re
 import sys
 
-from .ffpoly import parse_poly
+from .ffpoly import json_document, parse_poly
 from .witt import WittVec, build_witt_table, witt_add, witt_mul, witt_neg, witt_sub
 from .chartring import (
     catalog_coindexes,
@@ -358,7 +358,7 @@ def _lattice_from_args(args) -> GramLattice:
     if args.dynkin:
         return lattice_from_json({"dynkin": args.dynkin})
     if args.gram:
-        name, entries = "gram", json.loads(args.gram)
+        name, entries = "gram", json_document(args.gram, "--gram")
     else:
         name, entries = "diagonal", _ints(args.diagonal, "--diagonal")
     if entries == []:
@@ -415,7 +415,7 @@ def cmd_lattice_disc(args) -> int:
 
 def cmd_lattice_glue(args) -> int:
     with open(args.spec, "r", encoding="utf-8") as fh:
-        spec_doc = json.load(fh)
+        spec_doc = json_document(fh.read(), f"glue spec {args.spec}")
     glued = glue_from_json(spec_doc)
     doc = _lattice_summary(glued)
     text = "glued lattice:\n" + _lattice_text(doc)

@@ -10,8 +10,9 @@ Supported moduli are the primes 2, 3, 5, 7 (anything below 2^16 works,
 the small bound only matters for the GF(p^k) tables used in point
 counting).
 
-``json_field`` is the one checked reader of fields in JSON input
-documents (surface models and glue specs).
+``json_document`` is the one parser of JSON input documents, and
+``json_field`` the one checked reader of their fields (surface models
+and glue specs).
 """
 
 from __future__ import annotations
@@ -114,6 +115,8 @@ class FpScalar:
         return FpScalar(self.p, 1)
 
     def __eq__(self, other):
+        if type(other) is FpScalar:
+            return self.value == other.value and self.p == other.p
         # an int is equal only when it is the residue itself, so hashes agree
         if isinstance(other, int):
             return self.value == other
@@ -142,7 +145,8 @@ class SparseTerms:
     Holds the arithmetic that does not depend on the parent ring: sums,
     negation, differences, powers, zero and one, term order and
     printing.  A subclass stores ``terms`` and supplies ``_like`` (an
-    element of the same ring from a term dict), ``_coerce`` (an int or a
+    element of the same ring from a term dict a ring operation built,
+    so its keys need no check), ``_coerce`` (an int or a
     peer as a like element, NotImplemented otherwise), ``_one_key`` (the
     exponent key of 1), ``_names`` (one name per exponent slot) and its
     own ``__mul__``.
@@ -168,7 +172,10 @@ class SparseTerms:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        terms = dict(self.terms)
+        for key, c in other.terms.items():
+            terms[key] = terms.get(key, 0) - c
+        return self._like(terms)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -496,6 +503,19 @@ _JSON_KINDS = {
     "a list of integers": lambda v: isinstance(v, list) and all(type(x) is int for x in v),
     "a list of strings": lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
 }
+
+
+def json_document(text: str, what: str):
+    """text parsed as JSON, read from an input called what.
+
+    json.loads recurses once per level of nesting, so a deep enough
+    [[[...]]] raises RecursionError; that is refused as a ValueError
+    naming the input.
+    """
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError(f"{what} is nested too deeply to read") from None
 
 
 def json_field(doc, name: str, kind: str, what: str):

@@ -23,14 +23,13 @@ Everything is exact: integer and Fraction arithmetic only.
 """
 
 import itertools
-import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple, Union
 
 from .chartring import RdpSpec, parse_symbol, rmax
-from .ffpoly import FiniteField, MultiPoly, is_prime, json_field, parse_poly
+from .ffpoly import FiniteField, MultiPoly, is_prime, json_document, json_field, parse_poly
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +429,7 @@ def model_from_json(doc) -> SurfaceModel:
 
 def load_model(path: str) -> SurfaceModel:
     with open(path, "r", encoding="utf-8") as fh:
-        return model_from_json(json.load(fh))
+        return model_from_json(json_document(fh.read(), f"model file {path}"))
 
 
 # Most field operations one count_points call may spend: fibres times

@@ -339,37 +339,66 @@ def _check_pair(x: WittVec, y: WittVec) -> None:
         raise ValueError(f"length mismatch: {x.n} vs {y.n}")
 
 
+@functools.lru_cache(maxsize=None)
+def _residues(p: int) -> tuple:
+    """FpScalar(p, 0), ..., FpScalar(p, p - 1), shared by every F_p result.
+
+    Only asked for after build_witt_table(p, n) has accepted p, so there
+    is one tuple per supported prime at most.
+    """
+    return tuple(FpScalar(p, v) for v in range(p))
+
+
+def _wrap(p: int, components: tuple) -> WittVec:
+    """The Witt vector of a ring operation's result, not checked again.
+
+    The table of (p, n) exists only for a supported truncation, and an
+    operation on ring elements yields ring elements, so what WittVec()
+    would check holds by construction.
+    """
+    x = object.__new__(WittVec)
+    x.p = p
+    x.components = components
+    return x
+
+
 def _apply(fn, p: int, components) -> tuple:
     """fn on the components; on their plain residues when all are F_p scalars.
 
     The compiled tables evaluate over Z as well, so when every component
-    is exactly an FpScalar mod p the result is boxed once per component
-    instead of once per intermediate.  Anything else (MultiPoly, ChartElem,
-    another modulus) goes through the elements' own arithmetic.  A scalar
-    of another modulus then raises, even where no polynomial mixes it;
-    the check runs after fn so that a mixing polynomial still names the
-    pair.
+    is exactly an FpScalar mod p, fn is one call on ints and each result
+    is the interned scalar of its residue: no FpScalar is built.
+    Anything else (MultiPoly, ChartElem, another modulus) goes through
+    the elements' own arithmetic.  A scalar of another modulus then
+    raises, even where no polynomial mixes it; the check runs after fn
+    so that a mixing polynomial still names the pair.
     """
-    for c in components:
-        if type(c) is not FpScalar or c.p != p:
-            out = fn(*components)
-            for d in components:
-                if isinstance(d, FpScalar) and d.p != p:
-                    raise ValueError(f"modulus mismatch: {d.p} vs {p}")
-            return out
-    return tuple(FpScalar(p, v) for v in fn(*[c.value for c in components]))
+    values = [c.value for c in components if type(c) is FpScalar and c.p == p]
+    if len(values) == len(components):
+        box = _residues(p)
+        return tuple([box[v % p] for v in fn(*values)])
+    out = fn(*components)
+    for d in components:
+        if isinstance(d, FpScalar) and d.p != p:
+            raise ValueError(f"modulus mismatch: {d.p} vs {p}")
+    return out
 
 
 def witt_add(x: WittVec, y: WittVec) -> WittVec:
-    _check_pair(x, y)
-    return WittVec(x.p, _apply(build_witt_table(x.p, x.n).add, x.p, x.components + y.components))
+    p, xs, ys = x.p, x.components, y.components
+    if p != y.p or len(xs) != len(ys):
+        _check_pair(x, y)
+    return _wrap(p, _apply(build_witt_table(p, len(xs)).add, p, xs + ys))
 
 def witt_mul(x: WittVec, y: WittVec) -> WittVec:
-    _check_pair(x, y)
-    return WittVec(x.p, _apply(build_witt_table(x.p, x.n).mul, x.p, x.components + y.components))
+    p, xs, ys = x.p, x.components, y.components
+    if p != y.p or len(xs) != len(ys):
+        _check_pair(x, y)
+    return _wrap(p, _apply(build_witt_table(p, len(xs)).mul, p, xs + ys))
 
 def witt_neg(x: WittVec) -> WittVec:
-    return WittVec(x.p, _apply(build_witt_table(x.p, x.n).neg, x.p, x.components))
+    p, xs = x.p, x.components
+    return _wrap(p, _apply(build_witt_table(p, len(xs)).neg, p, xs))
 
 def witt_sub(x: WittVec, y: WittVec) -> WittVec:
     return witt_add(x, witt_neg(y))

@@ -133,6 +133,22 @@ def test_split_parts_are_disjoint():
         assert nonzero[0] == e
 
 
+def test_ring_operation_results_pass_the_public_constructor():
+    """Results built without the w-exponent check would pass it, reduced and without zeros."""
+    rng = random.Random(16)
+    for ring in catalog_charts():
+        p = ring.p
+        for _ in range(3):
+            a, b = random_elem(ring, rng), random_elem(ring, rng)
+            for r in (a + b, a - b, -a, a * b, a**p, *a.split()):
+                assert r.ring is ring
+                assert ChartElem(r.ring, r.terms).terms == r.terms, ring
+                assert all(1 <= c < p for c in r.terms.values()), ring
+        for c in (-1, max(ring.wdeg, 1)):
+            with pytest.raises(ValueError, match=f"w-exponent {c} out of range"):
+                ChartElem(ring, {(0, 0, c): 1})
+
+
 def test_frobenius_on_elements():
     ring = chart_from_key("2:D12:3")
     d = ring.designated()

@@ -661,3 +661,26 @@ def test_localcoh_frob_failing_check_exits_1(capsys, monkeypatch):
     )
     assert code == 1
     assert "FAIL" in out
+
+
+NESTED = "[" * 5000 + "]" * 5000
+
+
+@pytest.mark.parametrize(
+    "argv,named",
+    [
+        (("lattice", "disc", "--gram", NESTED), "--gram"),
+        (("lattice", "glue", "--spec", "{path}"), "glue spec {path}"),
+        (("height", "count", "--model", "{path}", "--q", "2"), "model file {path}"),
+    ],
+    ids=["gram", "glue-spec", "model"],
+)
+def test_json_nested_too_deeply_is_refused(capsys, tmp_path, argv, named):
+    # json.loads recurses per level and raises RecursionError at this depth
+    path = tmp_path / "nested.json"
+    path.write_text(NESTED, encoding="utf-8")
+    code, out, err = run(capsys, *(a.format(path=path) for a in argv))
+    assert code == 2
+    assert "Traceback" not in err
+    assert f"error: {named.format(path=path)} is nested too deeply to read" in err
+    assert out == ""

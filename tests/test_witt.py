@@ -478,6 +478,38 @@ def test_fp_arithmetic_is_z_mod_p_to_the_n_exhaustively():
                         assert all(type(c) is FpScalar and c.p == p for c in r.components)
 
 
+def test_fp_arithmetic_builds_no_scalar_and_checks_no_result(monkeypatch):
+    """Results are wrapped as built, from the interned residues of each p."""
+    rng = random.Random(16)
+    pairs = [
+        (fpvec(p, *rng.choices(range(p), k=n)), fpvec(p, *rng.choices(range(p), k=n)))
+        for p, nmax in SUPPORTED_RANGES.items()
+        for n in range(1, nmax + 1)
+        for _ in range(5)
+    ]
+
+    def every_result():
+        return [
+            r for x, y in pairs for r in (witt_add(x, y), witt_mul(x, y), witt_neg(x), witt_sub(x, y))
+        ]
+
+    every_result()  # tables and residue tuples are built once, outside the count
+    built = {"FpScalar": 0, "WittVec": 0}
+    for cls in (FpScalar, WittVec):
+        init = cls.__init__
+
+        def counted(self, *args, _init=init, _name=cls.__name__):
+            built[_name] += 1
+            _init(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    results = every_result()
+    assert built == {"FpScalar": 0, "WittVec": 0}
+    for r in results:
+        assert type(r) is WittVec
+        assert all(c is witt._residues(r.p)[c.value] for c in r.components)
+
+
 def test_a_component_of_another_modulus_still_raises():
     odd = WittVec(2, (FpScalar(2, 1), FpScalar(3, 1)))
     y = fpvec(2, 1, 1)
