@@ -63,6 +63,10 @@ HEIGHT_SCHEMA = "rdpk3/height/1"
 COUNT_SCHEMA = "rdpk3/count/1"
 LATTICE_SCHEMA = "rdpk3/lattice/1"
 
+# `chart show` lists every catalog coindex 0..rmax, and D_N in
+# characteristic 2 has rmax = N/2 - 1; a key with a larger rmax is refused.
+_COINDEX_GUARD = 1024
+
 
 class CliError(Exception):
     """A user-input problem that should print cleanly, not traceback."""
@@ -200,6 +204,12 @@ def cmd_chart_show(args) -> int:
         return 0
 
     spec = parse_rdp_key(key)
+    bound = rmax(spec.p, spec.family, spec.N)
+    if bound > _COINDEX_GUARD:
+        raise CliError(
+            f"catalog key {key!r} has maximal coindex {bound}, "
+            f"over the coindex guard {_COINDEX_GUARD}"
+        )
     ring = rdp_chart(spec, unified=args.unified)
     designated = {name: str(elem) for name, elem in ring.designated().items()}
     doc = {
@@ -209,7 +219,7 @@ def cmd_chart_show(args) -> int:
         "p": spec.p,
         "symbol": spec.symbol,
         "coindex": spec.r,
-        "max_coindex": rmax(spec.p, spec.family, spec.N),
+        "max_coindex": bound,
         "catalog_coindexes": catalog_coindexes(spec.p, spec.family, spec.N),
         "relation": ring.relation_str(),
         "designated": designated,

@@ -518,6 +518,18 @@ def json_document(text: str, what: str):
         raise ValueError(f"{what} is nested too deeply to read") from None
 
 
+# Longest JSON text an error message echoes whole.
+_ECHO_LIMIT = 80
+
+
+def json_echo(value) -> str:
+    """value as JSON for an error message: a longer text than _ECHO_LIMIT is cut, with its length."""
+    text = json.dumps(value)
+    if len(text) <= _ECHO_LIMIT:
+        return text
+    return f"{text[:_ECHO_LIMIT]}… ({len(text)} characters)"
+
+
 def json_field(doc, name: str, kind: str, what: str):
     """doc[name] from a JSON document called what, checked against _JSON_KINDS[kind].
 
@@ -526,12 +538,12 @@ def json_field(doc, name: str, kind: str, what: str):
     naming the field.
     """
     if not isinstance(doc, dict):
-        raise ValueError(f"{what} must be a JSON object, got {json.dumps(doc)}")
+        raise ValueError(f"{what} must be a JSON object, got {json_echo(doc)}")
     if name not in doc:
         raise ValueError(f"{what} needs a {name!r} field")
     value = doc[name]
     if not _JSON_KINDS[kind](value):
-        raise ValueError(f"{what} field {name!r} must be {kind}, got {json.dumps(value)}")
+        raise ValueError(f"{what} field {name!r} must be {kind}, got {json_echo(value)}")
     return value
 
 
@@ -555,6 +567,10 @@ class FiniteField:
         else:
             modpoly = _find_irreducible(p, k)
             self._build_tables(modpoly)
+        # Tr is F_p-linear, so its values on the basis p^i give it all
+        traces = [self._frobenius_sum(p**i) for i in range(k)]
+        self._trace_basis = traces
+        self._trace_mask = sum(t << i for i, t in enumerate(traces)) if p == 2 else 0
 
     def _build_tables(self, modpoly: tuple) -> None:
         p, k, q = self.p, self.k, self.q
@@ -633,13 +649,22 @@ class FiniteField:
             return 1
         return self._exp[(self._log[a] * e) % (self.q - 1)]
 
-    def trace(self, a: int) -> int:
-        """Absolute trace a + a^p + ... + a^(p^(k-1)), an element of F_p."""
+    def _frobenius_sum(self, a: int) -> int:
         acc = 0
         for _ in range(self.k):
             acc = self.add(acc, a)
             a = self.pow(a, self.p)
         return acc
+
+    def trace(self, a: int) -> int:
+        """Absolute trace a + a^p + ... + a^(p^(k-1)), an element of F_p.
+
+        Read off the base-p digits of a and the traces of the basis.
+        """
+        if self.p == 2:
+            return (a & self._trace_mask).bit_count() & 1
+        digits = _digits(a, self.p, self.k)
+        return sum(d * t for d, t in zip(digits, self._trace_basis)) % self.p
 
     def quadratic_character(self, a: int) -> int:
         """chi(a) in odd characteristic: 0 at 0, 1 on nonzero squares, -1 otherwise."""
@@ -664,6 +689,61 @@ class FiniteField:
                     t = self.mul(t, self.pow(vals[name], e))
             acc = self.add(acc, t)
         return acc
+
+    def evaluator(self, polys):
+        """A function point -> [value of each poly at point], for polys in the same variables.
+
+        Each term is split once into its coefficient and its (variable
+        index, exponent) factors, and terms whose coefficient is 0 mod p
+        are dropped.  For k > 1 a term is exp[(log c + sum e_i log x_i)
+        mod (q - 1)], from one log per coordinate, and 0 when a factor
+        has coordinate 0; for prime q it is an int product reduced mod p
+        per factor.  Agrees with evaluate_poly at every point.
+        """
+        p, q = self.p, self.q
+        plans = []
+        for poly in polys:
+            if poly.modulus != p:
+                raise ValueError(f"polynomial modulus {poly.modulus} is not {p}")
+            plans.append([
+                (c % p, tuple((i, e) for i, e in enumerate(exps) if e))
+                for exps, c in poly.terms.items()
+                if c % p
+            ])
+        if self.k == 1:
+            def at(point):
+                out = []
+                for terms in plans:
+                    acc = 0
+                    for t, factors in terms:
+                        for i, e in factors:
+                            t = t * pow(point[i], e, p) % p
+                        acc += t
+                    out.append(acc % p)
+                return out
+            return at
+
+        log, exp, order = self._log, self._exp, q - 1
+        plans = [[(log[c], factors) for c, factors in terms] for terms in plans]
+        add = self.add
+
+        def at(point):
+            logs = [log[x] if x else -1 for x in point]
+            out = []
+            for terms in plans:
+                acc = 0
+                for s, factors in terms:
+                    for i, e in factors:
+                        lx = logs[i]
+                        if lx < 0:
+                            break
+                        s += e * lx
+                    else:
+                        # base-2 digits add without carries
+                        acc = acc ^ exp[s % order] if p == 2 else add(acc, exp[s % order])
+                out.append(acc)
+            return out
+        return at
 
 
 def _prime_power(q: int):

@@ -469,8 +469,13 @@ def _roots(field: FiniteField, cs: Dict[int, int]) -> int:
             return 1 + field.quadratic_character(field.add(field.mul(b, b), field.neg(four_ac)))
         if b == 0:
             return 1  # squaring is a bijection of GF(2^k)
+        if c == 0:
+            return 2  # y (a y + b) = 0
+        if field.k == 1:
+            return 0  # y^2 + y + 1 has no root in F_2
         # y = (b/a) z turns the fibre into z^2 + z = ac/b^2 (Artin-Schreier)
-        z = field.mul(field.mul(a, c), field.pow(field.mul(b, b), field.q - 2))
+        log = field._log
+        z = field._exp[(log[a] + log[c] - 2 * log[b]) % (field.q - 1)]
         return 2 if field.trace(z) == 0 else 0
     # one pow per nonzero coefficient, so the cost does not grow with d
     count = 0
@@ -492,9 +497,10 @@ def _affine_count(field: FiniteField, poly: MultiPoly) -> int:
     split: Dict[int, dict] = {}
     for exps, c in poly.terms.items():
         split.setdefault(exps[i], {})[exps[:i] + exps[i + 1:]] = c
-    coeffs = {k: MultiPoly(rest, terms, poly.modulus) for k, terms in split.items()}
+    ks = tuple(split)
+    at = field.evaluator([MultiPoly(rest, split[k], poly.modulus) for k in ks])
     return sum(
-        _roots(field, {k: field.evaluate_poly(c, point) for k, c in coeffs.items()})
+        _roots(field, dict(zip(ks, at(point))))
         for point in itertools.product(field.elements(), repeat=n - 1)
     )
 

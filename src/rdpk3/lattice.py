@@ -21,16 +21,16 @@ are kept as integers: e times v.w, for e the exponent of the group.
 """
 
 import itertools
-import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import isqrt, lcm, prod
+from operator import mul
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .chartring import parse_symbol
-from .ffpoly import is_prime, json_field
+from .ffpoly import is_prime, json_echo, json_field
 
 SEARCH_GUARD = 100_000
 # Lattice input above this rank is refused before any row is built.  The
@@ -438,10 +438,11 @@ def disc_group(L: GramLattice) -> DiscForm:
 
 def _span_basis(n: int, vectors: Iterable[Sequence[Fraction]]) -> Tuple[int, List[List[int]]]:
     """Z^n plus rational vectors: (scale, Hermite rows of scale times a basis)."""
-    gens = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    gens += [list(vec) for vec in vectors]
-    scale = lcm(*(f.denominator for row in gens for f in row))
-    return scale, hermite_row_basis([[int(f * scale) for f in row] for row in gens])
+    vectors = [list(vec) for vec in vectors]
+    scale = lcm(*(f.denominator for vec in vectors for f in vec))
+    rows = [[scale if i == j else 0 for j in range(n)] for i in range(n)]
+    rows += [[f.numerator * (scale // f.denominator) for f in vec] for vec in vectors]
+    return scale, hermite_row_basis(rows)
 
 
 def _index(n: int, vectors: Iterable[Sequence[Fraction]]) -> int:
@@ -456,21 +457,23 @@ def _overlattice(
     """The lattice spanned by ambient and rational vectors, on a Hermite basis.
 
     The vectors are in ambient-basis coordinates; the span must be an
-    integral lattice of full rank.
+    integral lattice of full rank.  Its Gram is B G B^T / scale^2 for the
+    integer rows B of _span_basis, computed over Z.
     """
     n = ambient.rank
-    scale, basis_rows = _span_basis(n, vectors)
-    if len(basis_rows) != n:
+    scale, basis = _span_basis(n, vectors)
+    if len(basis) != n:
         raise RuntimeError("overlattice lost rank; basis extraction bug")
-    basis = [[Fraction(x, scale) for x in row] for row in basis_rows]
+    square = scale * scale
+    bg = [[sum(map(mul, b, col)) for col in ambient.gram] for b in basis]  # G is symmetric
     gram = []
-    for brow in basis:
+    for row in bg:
         row_out = []
-        for bcol in basis:
-            val = ambient.dot(brow, bcol)
-            if val.denominator != 1:
+        for b in basis:
+            val, rem = divmod(sum(map(mul, row, b)), square)
+            if rem:
                 raise RuntimeError("overlattice is not integral; glue or isotropy bug")
-            row_out.append(int(val))
+            row_out.append(val)
         gram.append(row_out)
     return GramLattice(gram)
 
@@ -688,15 +691,15 @@ def gram_from_json(rows) -> GramLattice:
     error names the offending entry.
     """
     if not isinstance(rows, list):
-        raise ValueError(f"Gram matrix must be a list of rows, got {json.dumps(rows)}")
+        raise ValueError(f"Gram matrix must be a list of rows, got {json_echo(rows)}")
     _check_rank(len(rows), "Gram matrix")
     for i, row in enumerate(rows):
         if not isinstance(row, list):
-            raise ValueError(f"Gram row {i} must be a list, got {json.dumps(row)}")
+            raise ValueError(f"Gram row {i} must be a list, got {json_echo(row)}")
         for j, x in enumerate(row):
             if type(x) is not int:
                 raise ValueError(
-                    f"Gram entry [{i}][{j}] must be an integer, got {json.dumps(x)}"
+                    f"Gram entry [{i}][{j}] must be an integer, got {json_echo(x)}"
                 )
     return GramLattice(rows)
 
@@ -705,7 +708,7 @@ def lattice_from_json(doc) -> GramLattice:
     """A lattice from a document with a dynkin, diagonal, or gram field."""
     what = "lattice document"
     if not isinstance(doc, dict):
-        raise ValueError(f"{what} must be a JSON object, got {json.dumps(doc)}")
+        raise ValueError(f"{what} must be a JSON object, got {json_echo(doc)}")
     if "dynkin" in doc:
         return dynkin_gram(json_field(doc, "dynkin", "a string", what))
     if "diagonal" in doc:
@@ -727,7 +730,7 @@ def _glue_entry(x, where: str) -> Fraction:
     """A glue-vector entry: a JSON integer or an "a/b" string, never a float or bool."""
     if type(x) is int or isinstance(x, str) and _RATIONAL.fullmatch(x):
         return Fraction(x)
-    raise ValueError(f'{where} must be an integer or an "a/b" string, got {json.dumps(x)}')
+    raise ValueError(f'{where} must be an integer or an "a/b" string, got {json_echo(x)}')
 
 
 def glue_from_json(doc) -> GramLattice:

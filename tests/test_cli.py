@@ -90,6 +90,32 @@ def test_chart_show_bad_key(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("key", ["2:D99999999999:3", "2:D99999999:3"])
+def test_chart_show_refuses_a_key_with_too_many_coindexes(capsys, key):
+    # the catalog coindexes of D_N are 0..N/2 - 1, listed in the output
+    start = time.perf_counter()
+    code, out, err = run(capsys, "chart", "show", key)
+    assert time.perf_counter() - start < 0.1
+    assert code == 2
+    assert f"error: catalog key {key!r} has maximal coindex" in err
+    assert "over the coindex guard" in err
+    assert out == ""
+
+
+def test_chart_show_under_the_coindex_guard_is_unchanged(capsys):
+    code, out, err = run(capsys, "chart", "show", "2:D21:3")
+    assert code == 0
+    assert out == (
+        "chart for D21 with coindex 3, characteristic 2\n"
+        "  relation: z^2 = x^2*y + (y^10 + x*y^7)*z\n"
+        "  designated elements: x = x, y = y, z = z\n"
+        "  coindex range: 0..9\n"
+    )
+    code, doc = run_json(capsys, "chart", "show", "2:D21:3")
+    assert doc["catalog_coindexes"] == list(range(10))
+    assert doc["max_coindex"] == 9
+
+
 @pytest.mark.parametrize(
     "argv,named",
     [
@@ -537,6 +563,41 @@ def test_lattice_glue_rejects_a_spec_that_is_not_an_object(capsys, tmp_path):
     code, out, err = run(capsys, "lattice", "glue", "--spec", write_json(tmp_path, [1, 2]))
     assert code == 2
     assert "glue spec must be a JSON object, got [1, 2]" in err
+
+
+HUGE_LIST = [0] * 200_000
+
+
+@pytest.mark.parametrize(
+    "argv,make,field",
+    [
+        (
+            ("height", "count", "--model", "{path}", "--q", "2"),
+            lambda: {**ex71_doc(), "characteristic": HUGE_LIST},
+            "model field 'characteristic' must be an integer, got [0, 0, ",
+        ),
+        (
+            ("lattice", "glue", "--spec", "{path}"),
+            lambda: {**a20_spec(), "p": HUGE_LIST},
+            "glue spec field 'p' must be an integer, got [0, 0, ",
+        ),
+        (
+            ("lattice", "glue", "--spec", "{path}"),
+            lambda: {**a20_spec(), "right": {"gram": [[HUGE_LIST]]}},
+            "Gram entry [0][0] must be an integer, got [0, 0, ",
+        ),
+    ],
+    ids=["model-field", "glue-field", "gram-entry"],
+)
+def test_a_huge_json_value_is_echoed_cut_short(capsys, tmp_path, argv, make, field):
+    path = write_json(tmp_path, make())
+    code, out, err = run(capsys, *(a.format(path=path) for a in argv))
+    assert code == 2
+    assert "Traceback" not in err
+    assert field in err
+    assert f"… ({len(json.dumps(HUGE_LIST))} characters)" in err
+    assert len(err.encode("utf-8")) < 300
+    assert out == ""
 
 
 def test_lattice_diagonal_flag_rejects_non_integers(capsys):

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -266,3 +267,51 @@ def test_finite_field_rejects_non_prime_power():
         FiniteField(6)
     with pytest.raises(ValueError):
         FiniteField(1)
+
+
+EVALUATOR_FIELDS = [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 32]
+
+
+def random_polys(rng, p, q, m, count):
+    """Seeded polynomials in m variables: constant terms, coefficients that are
+    0 mod p or negative, and exponents at and above q."""
+    names = tuple(f"x{i}" for i in range(m))
+    polys = []
+    for _ in range(count):
+        terms = {}
+        for _ in range(rng.randrange(6)):
+            exps = tuple(rng.choice([0, 0, 1, 2, 3, q - 1, q, q + 1, 2 * q + 3]) for _ in range(m))
+            terms[exps] = rng.choice([0, p, -p, 1, -1, rng.randrange(-3 * p, 3 * p)])
+        terms[(0,) * m] = rng.randrange(-p, 2 * p)
+        polys.append(MultiPoly(names, terms, p))
+    return polys
+
+
+@pytest.mark.parametrize("q", EVALUATOR_FIELDS)
+def test_evaluator_agrees_with_evaluate_poly_at_every_point(q):
+    f = FiniteField(q)
+    rng = random.Random(q)
+    for m in (1, 2, 3):
+        polys = random_polys(rng, f.p, q, m, 4)
+        at = f.evaluator(polys)
+        for point in itertools.product(f.elements(), repeat=m):
+            assert at(point) == [f.evaluate_poly(poly, point) for poly in polys], (q, point)
+
+
+def test_evaluator_of_no_polynomials_and_of_zero():
+    f = FiniteField(8)
+    assert f.evaluator([])((3,)) == []
+    zero = MultiPoly(("x",), {(2,): 2, (0,): 4}, 2)
+    assert f.evaluator([zero])((5,)) == [0]
+    with pytest.raises(ValueError, match="modulus 3 is not 2"):
+        f.evaluator([MultiPoly(("x",), {(1,): 1}, 3)])
+
+
+@pytest.mark.parametrize("q", EVALUATOR_FIELDS)
+def test_trace_is_the_sum_of_the_frobenius_conjugates(q):
+    f = FiniteField(q)
+    for a in f.elements():
+        acc = 0
+        for i in range(f.k):
+            acc = f.add(acc, f.pow(a, f.p**i))
+        assert f.trace(a) == acc, (q, a)

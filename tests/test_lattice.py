@@ -23,8 +23,9 @@ from rdpk3.lattice import (
     smith_diagonal,
     unimodular_overlattice_exists,
 )
-from rdpk3.lattice import _RANK_GUARD, _extend_subgroup
-from rdpk3.reproduce import a20_glue_data
+import rdpk3.lattice as lattice_module
+from rdpk3.lattice import _RANK_GUARD, _extend_subgroup, _overlattice
+from rdpk3.reproduce import a20_glue_data, overlattice_instances
 
 HYPERBOLIC_PLANE = GramLattice([[0, 1], [1, 0]])
 GLUE_PATH = pathlib.Path(__file__).resolve().parent.parent / "models" / "a20glue.json"
@@ -276,8 +277,8 @@ def test_glue_refuses_a_p_that_is_not_prime(p):
         glue(dynkin_gram("A2"), HYPERBOLIC_PLANE, p, [])
 
 
-def test_glue_determinant_bookkeeping():
-    """det(glued) * index^2 = det(L) * det(T) on random even pieces."""
+def random_glue_cases():
+    """20 seeded (L, -L, pairs, D_L): rank-2 even L glued to -L along all of D_L."""
     rng = random.Random(9)
 
     def random_even_lattice(n):
@@ -304,9 +305,15 @@ def test_glue_determinant_bookkeeping():
                 for k in range(len(D.orders))
             ]
         ]
+        yield L, Lneg, pairs, D
+        done += 1
+
+
+def test_glue_determinant_bookkeeping():
+    """det(glued) * index^2 = det(L) * det(T) on random even pieces."""
+    for L, Lneg, pairs, D in random_glue_cases():
         lam = glue(L, Lneg, 97, pairs)
         assert abs(lam.det) * math.prod(D.orders) ** 2 == abs(L.det) * abs(Lneg.det)
-        done += 1
 
 
 # The overlattice builder's output on a Hermite basis, entry for entry:
@@ -514,11 +521,16 @@ def random_square_det_lattice(rng, n, even, max_det):
             return GramLattice(rows)
 
 
-def test_one_pass_search_agrees_with_the_exhaustive_search_on_random_lattices():
+def seeded_random_lattices():
+    """400 seeded lattices of rank 1..4, even and odd, with |det| a square up to 2000."""
     rng = random.Random(11)
-    counts = {False: 0, True: 0}
     for k in range(400):
-        L = random_square_det_lattice(rng, 1 + k % 4, k // 4 % 2 == 0, 2000)
+        yield random_square_det_lattice(rng, 1 + k % 4, k // 4 % 2 == 0, 2000)
+
+
+def test_one_pass_search_agrees_with_the_exhaustive_search_on_random_lattices():
+    counts = {False: 0, True: 0}
+    for L in seeded_random_lattices():
         for even_only in (False, True) if L.is_even else (False,):
             counts[assert_search_agrees_with_the_oracle(L, even_only)] += 1
     # both verdicts occur often
@@ -625,3 +637,68 @@ def test_p_part_needs_a_prime(p):
 def test_gram_lattice_refuses_entries_that_are_not_ints(make, where, got):
     with pytest.raises(ValueError, match=f"Gram entry {where} must be an integer, got {got}"):
         make()
+
+
+def fraction_overlattice_gram(ambient, vectors):
+    """The oracle: the overlattice Gram over Fractions, one GramLattice.dot per entry."""
+    scale, rows = lattice_module._span_basis(ambient.rank, vectors)
+    basis = [[Fraction(x, scale) for x in row] for row in rows]
+    gram = [[ambient.dot(b, c) for c in basis] for b in basis]
+    assert all(x.denominator == 1 for row in gram for x in row)
+    return tuple(tuple(int(x) for x in row) for row in gram)
+
+
+@pytest.fixture
+def checked_overlattices(monkeypatch):
+    """Every overlattice glue and the search build, checked against the oracle as it is built."""
+    built = []
+
+    def checked(ambient, vectors):
+        vectors = [list(v) for v in vectors]
+        got = _overlattice(ambient, vectors)
+        assert got.gram == fraction_overlattice_gram(ambient, vectors)
+        built.append(got)
+        return got
+
+    monkeypatch.setattr(lattice_module, "_overlattice", checked)
+    return built
+
+
+def test_integer_gram_agrees_with_the_fraction_gram_on_every_glue(checked_overlattices):
+    L, T, l_vec, t_vec = a20_glue_data()
+    glue(L, T, 3, [(l_vec, t_vec)])
+    with open(GLUE_PATH) as fh:
+        glue_from_json(json.load(fh))
+    glue(dynkin_gram("A2"), HYPERBOLIC_PLANE, 3, [])
+    glue(diagonal_gram([-2]), diagonal_gram([2]), 3, [([Fraction(1, 2)], [Fraction(1, 2)])])
+    d = 100_001
+    glue(diagonal_gram([2 * d]), diagonal_gram([-2 * d]), 2, [([Fraction(1, d)], [Fraction(1, d)])])
+    for L, Lneg, pairs, _D in random_glue_cases():
+        glue(L, Lneg, 97, pairs)
+    assert len(checked_overlattices) == 25
+
+
+def test_integer_gram_agrees_with_the_fraction_gram_on_every_witness(checked_overlattices):
+    pinned = [lat for _rid, lat, _want in overlattice_instances()]
+    pinned += [
+        diagonal_gram([-2, 2]),
+        dynkin_gram("A3"),
+        diagonal_gram([-2, 2]).direct_sum(HYPERBOLIC_PLANE),
+        diagonal_gram([-2, 2]).direct_sum(dynkin_gram("A2")).direct_sum(negated(dynkin_gram("A2"))),
+        diagonal_gram([30030, -30030]),
+        diagonal_gram([256, -256]),
+    ]
+    found = 0
+    for L in pinned + sweep_lattices() + list(seeded_random_lattices()):
+        for even_only in (False, True) if L.is_even else (False,):
+            found += unimodular_overlattice_exists(L, even_only)[0]
+    # the search builds one overlattice for each witness it returns
+    assert found == len(checked_overlattices) > 300
+
+
+def test_a_span_that_is_not_integral_is_refused():
+    # Z + Z/2 under the form 2x^2 has the basis 1/2, of square 1/2
+    with pytest.raises(RuntimeError, match="overlattice is not integral"):
+        _overlattice(diagonal_gram([2]), [[Fraction(1, 2)]])
+    with pytest.raises(RuntimeError, match="overlattice is not integral"):
+        _overlattice(dynkin_gram("A2"), [[Fraction(1, 3), Fraction(1, 3)]])

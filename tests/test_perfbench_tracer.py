@@ -110,3 +110,22 @@ def test_traced_overlattice_search_builds_one_smith_form():
         t.uninstall()
     assert t.calls["lattice.overlattice"] == len(lattices)
     assert t.calls["lattice.disc_group"] == len(lattices)
+
+
+def test_traced_count_evaluates_each_fibre_without_evaluate_poly():
+    """count_points reads every fibre off one evaluator per polynomial.
+
+    Evaluating each fibre coefficient with FiniteField.evaluate_poly made
+    one call per coefficient per point, thousands at q = 32.
+    """
+    tracer = load_tracer()
+    model = rdpk3.load_model(str(ROOT / "models" / "ex71.json"))
+    t = tracer.Tracer()
+    t.install(rdpk3)
+    try:
+        count = rdpk3.count_points(model, 32)
+    finally:
+        t.uninstall()
+    assert count == 1089
+    assert t.calls["height.count_points"] == 1
+    assert t.calls["ffpoly.ff_evaluate"] <= 2
