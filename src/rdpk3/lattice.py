@@ -7,7 +7,7 @@ form, recorded by its Gram matrix.  This module computes:
     right transform of one Smith form, and the induced quadratic form
     q(v) = v^2 mod 2Z and bilinear form b(v, w) = v.w mod Z on them
     (`disc_group`);
-  * signatures by exact congruence diagonalization (`signature`);
+  * determinants and signatures by fraction-free elimination (`signature`);
   * even overlattices glued from two lattices along an anti-isometry
     of the prime-to-p parts of their discriminant groups, every
     condition checked on the given glue vectors (`glue`);
@@ -16,8 +16,11 @@ form, recorded by its Gram matrix.  This module computes:
     (`unimodular_overlattice_exists`);
   * negative-definite root lattices of types A, D, E (`dynkin_gram`).
 
-All arithmetic is exact (Python ints and Fractions).  Pairings on L*/L
-are kept as integers: e times v.w, for e the exponent of the group.
+All arithmetic is over Z, every pairing by one kernel x^T M y (`_pair`).
+Fractions appear only at the edges: rational vectors come in and are
+brought over their least common denominator (`_integral`), and `dot`,
+`DiscForm.gens` and `q_value` hand Fractions out.  Pairings on L*/L are
+integers: e times v.w, for e the exponent of the group.
 """
 
 import itertools
@@ -30,7 +33,7 @@ from operator import mul
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .chartring import parse_symbol
-from .ffpoly import is_prime, json_echo, json_field
+from .ffpoly import _check_modulus, is_prime, json_echo, json_field
 
 SEARCH_GUARD = 100_000
 # Lattice input above this rank is refused before any row is built.  The
@@ -43,27 +46,84 @@ _RANK_GUARD = 128
 # integer matrix utilities
 
 
-def det_int(rows: Sequence[Sequence[int]]) -> int:
-    """Determinant of an integer matrix by Bareiss elimination."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    m = [list(map(int, row)) for row in rows]
-    sign = 1
+def _pair(m: Sequence[Sequence[int]], x: Sequence[int], y: Sequence[int]) -> int:
+    """x^T m y over Z, skipping zero entries of x and y."""
+    acc = 0
+    for a, row in zip(x, m):
+        if a:
+            for b, c in zip(y, row):
+                if b:
+                    acc += a * b * c
+    return acc
+
+
+def _integral(vectors: Sequence[Sequence[Fraction]], n: int) -> Tuple[int, List[List[int]]]:
+    """(d, rows): the least common denominator d of rational n-vectors, and d times each."""
+    for vec in vectors:
+        if len(vec) != n:
+            raise ValueError(f"vector has length {len(vec)}, but the lattice has rank {n}")
+    d = lcm(*(x.denominator for vec in vectors for x in vec))
+    return d, [[x.numerator * (d // x.denominator) for x in vec] for vec in vectors]
+
+
+def _quotient_gram(
+    m: Sequence[Sequence[int]], rows: Sequence[Sequence[int]], num: int, den: int
+) -> Optional[Tuple[Tuple[int, ...], ...]]:
+    """num R m R^T / den for integer rows R, or None when it is not integral."""
+    out = []
+    for x in rows:
+        out_row = []
+        for y in rows:
+            val, rem = divmod(num * _pair(m, x, y), den)
+            if rem:
+                return None
+            out_row.append(val)
+        out.append(tuple(out_row))
+    return tuple(out)
+
+
+def _inertia(rows: Sequence[Sequence[int]]) -> Tuple[int, int, int]:
+    """(det, positive, negative index) of a symmetric integer matrix.
+
+    Bareiss elimination (Bareiss 1968) with symmetric pivoting: a zero
+    pivot is swapped, row and column, for a nonzero trailing diagonal
+    entry, or else row and column j are folded into i for an m_ij != 0,
+    giving 2 m_ij.  Both are unimodular congruences, so the pivots are the
+    leading principal minors D_1..D_n of a matrix congruent to M: det is
+    D_n, and the negative index counts sign changes in 1, D_1, ..., D_n.
+    A zero trailing block means det 0 and the indices of the leading block.
+    """
+    m = [list(row) for row in rows]
+    n = len(m)
     prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            piv = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
+    pos = neg = 0
+    for k in range(n):
+        if not m[k][k]:
+            piv = next((i for i in range(k + 1, n) if m[i][i]), None)
             if piv is None:
-                return 0
+                fold = next(((i, j) for i in range(k, n) for j in range(i + 1, n) if m[i][j]), None)
+                if fold is None:
+                    return 0, pos, neg
+                piv, j = fold
+                for c in range(k, n):
+                    m[piv][c] += m[j][c]
+                for r in range(k, n):
+                    m[r][piv] += m[r][j]
             m[k], m[piv] = m[piv], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
+            for row in m[k:]:
+                row[k], row[piv] = row[piv], row[k]
+        top = m[k]
+        d = top[k]
+        if (d > 0) == (prev > 0):
+            pos += 1
+        else:
+            neg += 1
+        for row in m[k + 1:]:
+            a = row[k]
             for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+                row[j] = (row[j] * d - a * top[j]) // prev
+        prev = d
+    return prev, pos, neg
 
 
 def smith_diagonal(rows: Sequence[Sequence[int]]) -> Tuple[List[int], List[List[int]]]:
@@ -191,7 +251,7 @@ class GramLattice:
             for j in range(i):
                 if rows[i][j] != rows[j][i]:
                     raise ValueError("Gram matrix must be symmetric")
-        d = det_int(rows)
+        d = _inertia(rows)[0]
         if d == 0:
             raise ValueError("degenerate lattice (zero determinant)")
         object.__setattr__(self, "gram", rows)
@@ -206,21 +266,14 @@ class GramLattice:
         return all(self.gram[i][i] % 2 == 0 for i in range(self.rank))
 
     def dot(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> Fraction:
-        acc = Fraction(0)
-        for i in range(self.rank):
-            if x[i]:
-                for j in range(self.rank):
-                    if y[j]:
-                        acc += x[i] * self.gram[i][j] * y[j]
-        return acc
+        """x.y for rational vectors in lattice-basis coordinates."""
+        d, (xs, ys) = _integral((x, y), self.rank)
+        return Fraction(_pair(self.gram, xs, ys), d * d)
 
     def in_dual(self, vec: Sequence[Fraction]) -> bool:
         """Whether a rational vector pairs integrally with the lattice."""
-        for i in range(self.rank):
-            pairing = sum(Fraction(self.gram[i][j]) * vec[j] for j in range(self.rank))
-            if pairing.denominator != 1:
-                return False
-        return True
+        d, (xs,) = _integral((vec,), self.rank)
+        return all(sum(map(mul, row, xs)) % d == 0 for row in self.gram)
 
     def direct_sum(self, other: "GramLattice") -> "GramLattice":
         n, m = self.rank, other.rank
@@ -284,45 +337,8 @@ def dynkin_gram(symbol) -> GramLattice:
 
 
 def signature(L: GramLattice) -> Tuple[int, int]:
-    """(positive, negative) inertia indices, by exact diagonalization."""
-    n = L.rank
-    a = [[Fraction(x) for x in row] for row in L.gram]
-    pos = neg = 0
-    for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][i] != 0), None)
-        if piv is None:
-            # symmetric matrix with zero diagonal: fold a nonzero
-            # off-diagonal entry onto the diagonal
-            found = next(
-                (i, j)
-                for i in range(k, n)
-                for j in range(i + 1, n)
-                if a[i][j] != 0
-            )
-            i, j = found
-            for c in range(n):
-                a[i][c] += a[j][c]
-            for r in range(n):
-                a[r][i] += a[r][j]
-            piv = i
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            for r in range(n):
-                a[r][k], a[r][piv] = a[r][piv], a[r][k]
-        d = a[k][k]
-        if d > 0:
-            pos += 1
-        else:
-            neg += 1
-        for i in range(k + 1, n):
-            if a[i][k]:
-                f = a[i][k] / d
-                for c in range(n):
-                    a[i][c] -= f * a[k][c]
-        for j in range(k + 1, n):
-            a[k][j] = Fraction(0)
-            a[j][k] = Fraction(0)
-    return pos, neg
+    """(positive, negative) inertia indices, by fraction-free elimination."""
+    return _inertia(L.gram)[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -366,23 +382,15 @@ class DiscForm:
     @cached_property
     def _gen_pairings(self) -> Tuple[Tuple[int, ...], ...]:
         """e * (g_i . g_j) for e = lcm(orders): integers, as e * g_i is in L and g_j in L*."""
-        e = self._exponent
-        table = [[e * self.lattice.dot(g, h) for h in self.gens] for g in self.gens]
-        if any(x.denominator != 1 for row in table for x in row):
+        s, rows = _integral(self.gens, self.lattice.rank)
+        table = _quotient_gram(self.lattice.gram, rows, self._exponent, s * s)
+        if table is None:
             raise ValueError("gens are not classes of the listed orders in L*/L")
-        return tuple(tuple(x.numerator for x in row) for row in table)
+        return table
 
     def _raw_dot(self, x: Sequence[int], y: Sequence[int]) -> int:
         """e * (x . y) for the exponent e, from the integer pairing table."""
-        pair = self._gen_pairings
-        acc = 0
-        for i, a in enumerate(x):
-            if a:
-                row = pair[i]
-                for j, b in enumerate(y):
-                    if b:
-                        acc += a * b * row[j]
-        return acc
+        return _pair(self._gen_pairings, x, y)
 
     def q_value(self, elem: Sequence[int]) -> Fraction:
         """Quadratic value v^2 in Q/2Z, represented in [0, 2).
@@ -436,45 +444,32 @@ def disc_group(L: GramLattice) -> DiscForm:
 # overlattices and gluing
 
 
-def _span_basis(n: int, vectors: Iterable[Sequence[Fraction]]) -> Tuple[int, List[List[int]]]:
+def _span_basis(n: int, vectors: Sequence[Sequence[Fraction]]) -> Tuple[int, List[List[int]]]:
     """Z^n plus rational vectors: (scale, Hermite rows of scale times a basis)."""
-    vectors = [list(vec) for vec in vectors]
-    scale = lcm(*(f.denominator for vec in vectors for f in vec))
+    scale, scaled = _integral(vectors, n)
     rows = [[scale if i == j else 0 for j in range(n)] for i in range(n)]
-    rows += [[f.numerator * (scale // f.denominator) for f in vec] for vec in vectors]
-    return scale, hermite_row_basis(rows)
+    return scale, hermite_row_basis(rows + scaled)
 
 
-def _index(n: int, vectors: Iterable[Sequence[Fraction]]) -> int:
-    """The index [Z^n + span(vectors) : Z^n], as scale^n over the pivots."""
-    scale, rows = _span_basis(n, vectors)
-    return scale**n // prod(row[i] for i, row in enumerate(rows))
+def _index(span: Tuple[int, List[List[int]]]) -> int:
+    """The index [Z^n + span(vectors) : Z^n] of a _span_basis, as scale^n over the pivots."""
+    scale, rows = span
+    return scale ** len(rows) // prod(row[i] for i, row in enumerate(rows))
 
 
-def _overlattice(
-    ambient: GramLattice, vectors: Iterable[Sequence[Fraction]]
-) -> GramLattice:
+def _overlattice(ambient: GramLattice, span: Tuple[int, List[List[int]]]) -> GramLattice:
     """The lattice spanned by ambient and rational vectors, on a Hermite basis.
 
-    The vectors are in ambient-basis coordinates; the span must be an
-    integral lattice of full rank.  Its Gram is B G B^T / scale^2 for the
-    integer rows B of _span_basis, computed over Z.
+    span is the _span_basis of the vectors, in ambient-basis coordinates;
+    the span must be an integral lattice of full rank.  Its Gram is
+    B G B^T / scale^2 for the integer rows B of the span, computed over Z.
     """
-    n = ambient.rank
-    scale, basis = _span_basis(n, vectors)
-    if len(basis) != n:
+    scale, basis = span
+    if len(basis) != ambient.rank:
         raise RuntimeError("overlattice lost rank; basis extraction bug")
-    square = scale * scale
-    bg = [[sum(map(mul, b, col)) for col in ambient.gram] for b in basis]  # G is symmetric
-    gram = []
-    for row in bg:
-        row_out = []
-        for b in basis:
-            val, rem = divmod(sum(map(mul, row, b)), square)
-            if rem:
-                raise RuntimeError("overlattice is not integral; glue or isotropy bug")
-            row_out.append(val)
-        gram.append(row_out)
+    gram = _quotient_gram(ambient.gram, basis, 1, scale * scale)
+    if gram is None:
+        raise RuntimeError("overlattice is not integral; glue or isotropy bug")
     return GramLattice(gram)
 
 
@@ -502,12 +497,17 @@ def glue(
         L + T, L and T; H is the graph of a bijection iff all three
         agree;
       * a projection lies in the prime-to-p part, so it covers that
-        part iff its order times the order of the p-part is |det|.
+        part iff its order is |det| with its factors p removed, as
+        |L*/L| = |det L|.
 
-    Returns the glued lattice on a Hermite basis.
+    p must be a prime below 2^16.  Returns the glued lattice on a
+    Hermite basis.
     """
-    if not is_prime(p):
-        raise ValueError(f"glue needs a prime p, got {p}")
+    try:
+        _check_modulus(p)
+    except ValueError:
+        msg = f"glue needs a prime p, got {json_echo(p)}, not a prime below 2^16"
+        raise ValueError(msg) from None
     if not (L.is_even and T.is_even):
         raise ValueError("gluing is defined for even lattices")
     ambient = L.direct_sum(T)
@@ -515,33 +515,32 @@ def glue(
     for vec_l, vec_t in pairs:
         vl = [Fraction(x) for x in vec_l]
         vt = [Fraction(x) for x in vec_t]
-        if len(vl) != L.rank or len(vt) != T.rank:
-            raise ValueError("glue vector length disagrees with the rank")
         if not L.in_dual(vl) or not T.in_dual(vt):
             raise ValueError("glue vectors must pair integrally with the lattices")
         lefts.append(vl)
         rights.append(vt)
     glue_vectors = [vl + vt for vl, vt in zip(lefts, rights)]
-    for i, v in enumerate(glue_vectors):
-        if lcm(*(x.denominator for x in v)) % p == 0:
-            raise ValueError("glued classes must have order coprime to p")
-        if ambient.dot(v, v) % 2 or any(
-            ambient.dot(v, w).denominator != 1 for w in glue_vectors[:i]
-        ):
-            raise ValueError(
-                "glue map is not an anti-isometry of discriminant forms"
-            )
-    index = _index(ambient.rank, glue_vectors)
-    left = _index(L.rank, lefts)
-    right = _index(T.rank, rights)
+    # s is the lcm of the orders of the glue classes
+    s, rows = _integral(glue_vectors, ambient.rank)
+    if s % p == 0:
+        raise ValueError("glued classes must have order coprime to p")
+    pairings = _quotient_gram(ambient.gram, rows, 1, s * s)
+    if pairings is None or any(pairings[i][i] % 2 for i in range(len(rows))):
+        raise ValueError("glue map is not an anti-isometry of discriminant forms")
+    span = _span_basis(ambient.rank, glue_vectors)
+    index = _index(span)
+    left = _index(_span_basis(L.rank, lefts))
+    right = _index(_span_basis(T.rank, rights))
     if left != index or right != index:
         raise ValueError("glue classes do not form the graph of a bijection")
-    if left * prod(disc_group(L).p_part(p).orders) != abs(L.det):
-        raise ValueError("glue map does not cover the prime-to-p part of L*/L")
-    if right * prod(disc_group(T).p_part(p).orders) != abs(T.det):
-        raise ValueError("glue map does not cover the prime-to-p part of T*/T")
+    for lat, order, name in ((L, left, "L*/L"), (T, right, "T*/T")):
+        prime_to_p = abs(lat.det)
+        while prime_to_p % p == 0:
+            prime_to_p //= p
+        if order != prime_to_p:
+            raise ValueError(f"glue map does not cover the prime-to-p part of {name}")
 
-    glued = _overlattice(ambient, glue_vectors)
+    glued = _overlattice(ambient, span)
     if abs(glued.det) * index * index != abs(L.det) * abs(T.det):
         raise RuntimeError("determinant bookkeeping failed in glue")
     return glued
@@ -671,7 +670,7 @@ def unimodular_overlattice_exists(
         if len(sub) != mp:
             return False, None
         vectors += [part.vector(e) for e in sub]
-    witness = _overlattice(L, vectors)
+    witness = _overlattice(L, _span_basis(L.rank, vectors))
     if abs(witness.det) != 1:
         raise RuntimeError("witness is not unimodular; search bug")
     return True, witness

@@ -498,6 +498,7 @@ GLUE_SPEC_DEFECTS = [
     ("zero-p", lambda s: s.update(p=0), "glue needs a prime p, got 0"),
     ("negative-p", lambda s: s.update(p=-3), "glue needs a prime p, got -3"),
     ("composite-p", lambda s: s.update(p=15), "glue needs a prime p, got 15"),
+    ("prime-p-over-2^16", lambda s: s.update(p=65537), "glue needs a prime p, got 65537"),
     ("pairs-object", lambda s: s.update(pairs={}), "'pairs' must be a list, got {}"),
     (
         "pair-number",
@@ -557,6 +558,18 @@ def test_lattice_glue_rejects_malformed_spec(capsys, tmp_path, edit, named):
     assert code == 2
     assert named in err
     assert "Traceback" not in err
+
+
+def test_lattice_glue_refuses_a_p_over_the_prime_bound_at_once(capsys, tmp_path):
+    # trial division would spin on this 21-digit prime
+    spec = a20_spec()
+    spec["p"] = 100000000000000000039
+    start = time.perf_counter()
+    code, out, err = run(capsys, "lattice", "glue", "--spec", write_json(tmp_path, spec))
+    assert time.perf_counter() - start < 0.5
+    assert code == 2
+    assert "glue needs a prime p, got 100000000000000000039, not a prime below 2^16" in err
+    assert "Traceback" not in err and out == ""
 
 
 def test_lattice_glue_rejects_a_spec_that_is_not_an_object(capsys, tmp_path):

@@ -3,6 +3,7 @@ import json
 import math
 import pathlib
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 from math import isqrt
@@ -12,7 +13,6 @@ import pytest
 from rdpk3.lattice import (
     DiscForm,
     GramLattice,
-    det_int,
     diagonal_gram,
     disc_group,
     dynkin_gram,
@@ -24,7 +24,7 @@ from rdpk3.lattice import (
     unimodular_overlattice_exists,
 )
 import rdpk3.lattice as lattice_module
-from rdpk3.lattice import _RANK_GUARD, _extend_subgroup, _overlattice
+from rdpk3.lattice import _RANK_GUARD, _extend_subgroup, _inertia, _overlattice, _span_basis
 from rdpk3.reproduce import a20_glue_data, overlattice_instances
 
 HYPERBOLIC_PLANE = GramLattice([[0, 1], [1, 0]])
@@ -51,8 +51,13 @@ def test_det_and_smith_against_cofactors():
     for _ in range(150):
         n = rng.randrange(1, 5)
         rows = [[rng.randrange(-6, 7) for _ in range(n)] for _ in range(n)]
-        d = det_int(rows)
-        assert d == cofactor_det(rows), rows
+        d = cofactor_det(rows)
+        sym = [[rows[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+        if cofactor_det(sym):
+            assert GramLattice(sym).det == cofactor_det(sym), sym
+        else:
+            with pytest.raises(ValueError, match="degenerate lattice"):
+                GramLattice(sym)
         diag, v = smith_diagonal(rows)
         # U M V = diag(d): M times column i of V is d_i times an integer
         # vector, and with |det V| = 1 and prod(d) = |det M| the columns
@@ -60,7 +65,7 @@ def test_det_and_smith_against_cofactors():
         for i, di in enumerate(diag):
             image = [sum(r[j] * v[j][i] for j in range(n)) for r in rows]
             assert all(x % di == 0 for x in image) if di else not any(image), rows
-        assert abs(det_int(v)) == 1
+        assert abs(cofactor_det(v)) == 1
         assert math.prod(diag) == abs(d)
         for a, b in zip(diag, diag[1:]):
             if a:
@@ -85,6 +90,192 @@ def test_signatures():
     assert signature(GramLattice([[2, 5], [5, 2]])) == (1, 1)
     assert signature(HYPERBOLIC_PLANE) == (1, 1)
     assert signature(diagonal_gram([-4, 7])) == (1, 1)
+
+
+def fraction_inertia(rows):
+    """The oracle: (det, positive, negative index) by congruence diagonalization over Fractions.
+
+    det is the product of the pivots; when the trailing block is zero the
+    matrix is degenerate, det is 0 and the indices are those found so far.
+    """
+    n = len(rows)
+    a = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    pos = neg = 0
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][i] != 0), None)
+        if piv is None:
+            # symmetric matrix with zero diagonal: fold a nonzero
+            # off-diagonal entry onto the diagonal
+            found = next(
+                ((i, j) for i in range(k, n) for j in range(i + 1, n) if a[i][j] != 0), None
+            )
+            if found is None:
+                return 0, pos, neg
+            i, j = found
+            for c in range(n):
+                a[i][c] += a[j][c]
+            for r in range(n):
+                a[r][i] += a[r][j]
+            piv = i
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            for r in range(n):
+                a[r][k], a[r][piv] = a[r][piv], a[r][k]
+        d = a[k][k]
+        det *= d
+        if d > 0:
+            pos += 1
+        else:
+            neg += 1
+        for i in range(k + 1, n):
+            if a[i][k]:
+                f = a[i][k] / d
+                for c in range(n):
+                    a[i][c] -= f * a[k][c]
+        for j in range(k + 1, n):
+            a[k][j] = Fraction(0)
+            a[j][k] = Fraction(0)
+    return det, pos, neg
+
+
+def congruent(rows, rng, steps):
+    """P rows P^T for a random unimodular P: elementary row-and-column additions and swaps."""
+    m = [list(row) for row in rows]
+    n = len(m)
+    for _ in range(steps):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i == j:
+            continue
+        if rng.random() < 0.3:
+            m[i], m[j] = m[j], m[i]
+            for row in m:
+                row[i], row[j] = row[j], row[i]
+        else:
+            c = rng.choice((-2, -1, 1, 2))
+            m[i] = [x + c * y for x, y in zip(m[i], m[j])]
+            for row in m:
+                row[i] += c * row[j]
+    return m
+
+
+def seeded_symmetric_matrices():
+    """2,400 seeded symmetric matrices of rank 1..6, by kind: random, zero
+    diagonal, hyperbolic blocks with a unimodular change of basis, and
+    degenerate (a zero block under a unimodular change of basis)."""
+    rng = random.Random(18)
+    for k in range(2400):
+        n = 1 + k % 6
+        kind = ("random", "zero-diagonal", "hyperbolic", "degenerate")[k // 6 % 4]
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1):
+                rows[i][j] = rows[j][i] = rng.randrange(-4, 5)
+        if kind == "zero-diagonal":
+            for i in range(n):
+                rows[i][i] = 0
+        elif kind == "hyperbolic":
+            rows = [[0] * n for _ in range(n)]
+            for i in range(0, n - 1, 2):
+                rows[i][i + 1] = rows[i + 1][i] = rng.choice((-3, -1, 1, 2))
+            if n % 2:
+                rows[n - 1][n - 1] = rng.choice((-2, 2))
+            rows = congruent(rows, rng, 2 * n) if k % 12 >= 6 else rows
+        elif kind == "degenerate":
+            for i in rng.sample(range(n), rng.randrange(1, n + 1)):
+                for j in range(n):
+                    rows[i][j] = rows[j][i] = 0
+            rows = congruent(rows, rng, 2 * n)
+        yield kind, rows
+
+
+def test_inertia_agrees_with_the_fraction_oracle_and_the_cofactor_det():
+    kinds = dict.fromkeys(("random", "zero-diagonal", "hyperbolic", "degenerate"), 0)
+    singular = 0
+    rng = random.Random(81)
+    for kind, rows in seeded_symmetric_matrices():
+        got = _inertia(rows)
+        assert got == fraction_inertia(rows), rows
+        assert got[0] == cofactor_det(rows), rows
+        # Sylvester's law of inertia, and det(P)^2 = 1
+        assert _inertia(congruent(rows, rng, 6)) == got, rows
+        kinds[kind] += 1
+        singular += got[0] == 0
+        if kind == "degenerate":
+            assert got[0] == 0 and got[1] + got[2] < len(rows), rows
+        elif kind == "hyperbolic":
+            assert got[0] != 0 and got[2] >= len(rows) // 2, rows
+    assert kinds == dict.fromkeys(kinds, 600)
+    assert 600 < singular < 1200, singular
+
+
+def test_inertia_of_the_empty_and_the_zero_matrix():
+    assert _inertia([]) == (1, 0, 0)
+    assert _inertia([[0, 0], [0, 0]]) == (0, 0, 0)
+    assert _inertia([[0, 3], [3, 0]]) == (-9, 1, 1)
+
+
+def test_signature_of_a_dense_rank_64_gram_is_fast_and_agrees_with_the_oracle():
+    rng = random.Random(64)
+    n = 64
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = 2 * rng.randrange(-25, 26)
+        for j in range(i):
+            rows[i][j] = rows[j][i] = rng.randrange(-50, 51)
+    L = GramLattice(rows)
+    start = time.perf_counter()
+    sig = signature(L)
+    # elimination over Fractions took about 0.8 s here
+    assert time.perf_counter() - start < 0.2
+    assert (L.det, *sig) == fraction_inertia(rows)
+    assert sum(sig) == n
+
+
+def test_the_integer_paths_construct_no_fraction(monkeypatch):
+    L, T, l_vec, t_vec = a20_glue_data()
+    ambient = L.direct_sum(T)
+    rows = [list(row) for row in ambient.gram]
+    disc = disc_group(dynkin_gram("D4").direct_sum(diagonal_gram([6])))
+    disc._gen_pairings  # the table is built once, outside the count
+    made = []
+
+    def counted(*args):
+        made.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(lattice_module, "Fraction", counted)
+    GramLattice(rows)
+    assert signature(ambient) == (1, 21)
+    _overlattice(ambient, _span_basis(ambient.rank, [l_vec + t_vec]))
+    for x in disc.elements():
+        for y in disc.elements():
+            disc._raw_dot(x, y)
+    assert made == []
+    # the count sees a construction at an edge: dot hands a Fraction out
+    assert L.dot(l_vec, l_vec) == Fraction(-60, 7) and len(made) == 1
+
+
+def test_in_dual_is_integral_pairing_with_every_row():
+    a2 = dynkin_gram("A2")
+    assert a2.in_dual([Fraction(1, 3), Fraction(2, 3)])
+    assert not a2.in_dual([Fraction(1, 3), Fraction(1, 3)])
+    assert diagonal_gram([2, 2]).in_dual([Fraction(1, 2), 0])
+    assert not diagonal_gram([2, 2]).in_dual([0, Fraction(1, 4)])
+    with pytest.raises(ValueError, match="glue vectors must pair integrally with the lattices"):
+        glue(a2, negated(a2), 2, [([Fraction(1, 3), Fraction(1, 3)], [Fraction(1, 3), Fraction(2, 3)])])
+
+
+@pytest.mark.parametrize("vec", [[1, 2, 3], [1]], ids=["long", "short"])
+def test_dot_and_in_dual_refuse_a_vector_whose_length_is_not_the_rank(vec):
+    L = diagonal_gram([2, 2])
+    named = f"vector has length {len(vec)}, but the lattice has rank 2"
+    with pytest.raises(ValueError, match=named):
+        L.dot(vec, vec)
+    with pytest.raises(ValueError, match=named):
+        L.dot([1, 1], vec)
+    with pytest.raises(ValueError, match=named):
+        L.in_dual(vec)
 
 
 def test_evenness_and_rank():
@@ -265,6 +456,9 @@ def test_glue_rejects_bad_input():
     third = [Fraction(1, 3), Fraction(2, 3)]
     with pytest.raises(ValueError, match=r"does not cover the prime-to-p part of T\*/T"):
         glue(a2, two_neg_a2, 2, [(third, third + [0, 0])])
+    # the glue class of order 2 is not prime to p = 2
+    with pytest.raises(ValueError, match="glued classes must have order coprime to p"):
+        glue(diagonal_gram([-2]), diagonal_gram([2]), 2, [([Fraction(1, 2)], [Fraction(1, 2)])])
     # the class (0, t) of order 3 projects to zero in L*/L: not injective
     with pytest.raises(ValueError, match="glue classes do not form the graph of a bijection"):
         glue(a2, negated(a2).direct_sum(a2), 2, [([0, 0], third + third)])
@@ -288,7 +482,7 @@ def random_glue_cases():
                 rows[i][i] = 2 * rng.randrange(-3, 4)
                 for j in range(i):
                     rows[i][j] = rows[j][i] = rng.randrange(-2, 3)
-            if det_int(rows) != 0:
+            if cofactor_det(rows) != 0:
                 return GramLattice(rows)
 
     done = 0
@@ -409,7 +603,7 @@ def test_no_overlattice_across_instance_family():
         23: GramLattice([[2, 1], [1, 12]]),
     }
     for d0, l3 in by_d0.items():
-        assert det_int(l3.gram) == d0
+        assert cofactor_det(l3.gram) == d0
         for l1 in (diagonal_gram([-4]), diagonal_gram([2, -2])):
             inst = l1.direct_sum(diagonal_gram([d0])).direct_sum(l3)
             found, _ = unimodular_overlattice_exists(inst)
@@ -516,7 +710,7 @@ def random_square_det_lattice(rng, n, even, max_det):
             rows[i][i] = 2 * rng.randrange(-8, 9) if even else rng.randrange(-16, 17)
             for j in range(i):
                 rows[i][j] = rows[j][i] = rng.randrange(-6, 7)
-        d = abs(det_int(rows))
+        d = abs(cofactor_det(rows))
         if 1 < d <= max_det and isqrt(d) ** 2 == d:
             return GramLattice(rows)
 
@@ -639,11 +833,22 @@ def test_gram_lattice_refuses_entries_that_are_not_ints(make, where, got):
         make()
 
 
-def fraction_overlattice_gram(ambient, vectors):
-    """The oracle: the overlattice Gram over Fractions, one GramLattice.dot per entry."""
-    scale, rows = lattice_module._span_basis(ambient.rank, vectors)
+def fraction_dot(gram, x, y):
+    """x.y for Fraction vectors, one product per pair of nonzero entries."""
+    acc = Fraction(0)
+    for i, a in enumerate(x):
+        if a:
+            for j, b in enumerate(y):
+                if b:
+                    acc += a * gram[i][j] * b
+    return acc
+
+
+def fraction_overlattice_gram(ambient, span):
+    """The oracle: the overlattice Gram over Fractions, one Fraction dot per entry."""
+    scale, rows = span
     basis = [[Fraction(x, scale) for x in row] for row in rows]
-    gram = [[ambient.dot(b, c) for c in basis] for b in basis]
+    gram = [[fraction_dot(ambient.gram, b, c) for c in basis] for b in basis]
     assert all(x.denominator == 1 for row in gram for x in row)
     return tuple(tuple(int(x) for x in row) for row in gram)
 
@@ -653,10 +858,9 @@ def checked_overlattices(monkeypatch):
     """Every overlattice glue and the search build, checked against the oracle as it is built."""
     built = []
 
-    def checked(ambient, vectors):
-        vectors = [list(v) for v in vectors]
-        got = _overlattice(ambient, vectors)
-        assert got.gram == fraction_overlattice_gram(ambient, vectors)
+    def checked(ambient, span):
+        got = _overlattice(ambient, span)
+        assert got.gram == fraction_overlattice_gram(ambient, span)
         built.append(got)
         return got
 
@@ -699,6 +903,6 @@ def test_integer_gram_agrees_with_the_fraction_gram_on_every_witness(checked_ove
 def test_a_span_that_is_not_integral_is_refused():
     # Z + Z/2 under the form 2x^2 has the basis 1/2, of square 1/2
     with pytest.raises(RuntimeError, match="overlattice is not integral"):
-        _overlattice(diagonal_gram([2]), [[Fraction(1, 2)]])
+        _overlattice(diagonal_gram([2]), _span_basis(1, [[Fraction(1, 2)]]))
     with pytest.raises(RuntimeError, match="overlattice is not integral"):
-        _overlattice(dynkin_gram("A2"), [[Fraction(1, 3), Fraction(1, 3)]])
+        _overlattice(dynkin_gram("A2"), _span_basis(2, [[Fraction(1, 3), Fraction(1, 3)]]))
