@@ -10,7 +10,9 @@ equations z^2 + ... = 0 from the classification of non-taut rational
 double points in small characteristic all fit with d = 2 (solve for
 z^2); the cyclic quotient singularity z^p = x*y needs d = p and a
 monomial right side.  Elements are finite sums of monomials
-u^i * v^j * w^c with i, j in Z and 0 <= c < d.
+u^i * v^j * w^c with i, j in Z and 0 <= c < d.  In characteristic p the
+p-th power is additive, so ChartElem.frobenius computes it term by term
+from the powers (w^c)^p each ring keeps.
 
 The catalog covers:
 
@@ -129,7 +131,7 @@ def _key_int(key: str, name: str, text: str) -> int:
 class ChartRing:
     """Rank-d free module over Laurent F_p[u, v] with a w-relation."""
 
-    __slots__ = ("p", "wdeg", "rel_p", "rel_q", "_rel_terms", "labels", "key")
+    __slots__ = ("p", "wdeg", "rel_p", "rel_q", "_rel_terms", "_frob_w", "labels", "key")
 
     def __init__(self, p, wdeg, rel_p=None, rel_q=None, labels=("x", "y", "z"),
                  key=""):
@@ -168,6 +170,11 @@ class ChartRing:
         self._rel_terms = tuple(rel_terms)
         self.labels = labels
         self.key = key
+        # the terms of (w^c)^p for 0 <= c < wdeg, read by ChartElem.frobenius
+        self._frob_w = ((((0, 0, 0), 1),),) + tuple(
+            tuple((self.monomial(1, 0, 0, c) ** p).terms.items())
+            for c in range(1, wdeg)
+        )
 
     def __eq__(self, other):
         if self is other:
@@ -243,35 +250,62 @@ class ChartElem(SparseTerms):
 
     def _coerce(self, other):
         if isinstance(other, ChartElem):
-            if other.ring != self.ring:
+            if other.ring is not self.ring and other.ring != self.ring:
                 raise ValueError("chart ring mismatch")
             return other
         if isinstance(other, int):
             return ChartElem(self.ring, {(0, 0, 0): other})
         return NotImplemented
 
-    def _like(self, terms) -> "ChartElem":
-        """An element of this ring from terms a ring operation built.
-
-        The keys of a sum, a negation, a product after the relation
-        rewrite or a split() part have w-exponents in range by
-        construction, so only the coefficients are reduced mod p and the
-        zeros dropped; ChartElem() checks everything.
-        """
-        p = self.ring.p
+    def _raw(self, terms) -> "ChartElem":
+        """An element of this ring from nonzero coefficients already reduced mod p."""
         elem = object.__new__(ChartElem)
         elem.ring = self.ring
-        elem.terms = {key: r for key, c in terms.items() if (r := c % p)}
+        elem.terms = terms
         return elem
+
+    def _like(self, terms) -> "ChartElem":
+        """An element from the terms of a ring operation: keys in range, coefficients reduced here."""
+        p = self.ring.p
+        return self._raw({key: r for key, c in terms.items() if (r := c % p)})
+
+    def _merged(self, base: dict, terms: dict, sign: int) -> "ChartElem":
+        """base + sign * terms: a copy of base, with only the keys of terms reduced again."""
+        p = self.ring.p
+        out = dict(base)
+        for key, c in terms.items():
+            r = (out.get(key, 0) + sign * c) % p
+            if r:
+                out[key] = r
+            else:
+                del out[key]
+        return self._raw(out)
 
     @property
     def _names(self) -> tuple:
         return self.ring.labels
 
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        a, b = self.terms, other.terms
+        return self._merged(a, b, 1) if len(a) >= len(b) else self._merged(b, a, 1)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self._merged(self.terms, other.terms, -1)
+
     def __mul__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if not self.terms or not other.terms:
+            return self._raw({})
         ring = self.ring
         d = ring.wdeg
         terms: dict = {}
@@ -291,6 +325,22 @@ class ChartElem(SparseTerms):
         return self._like(terms)
 
     __rmul__ = __mul__
+
+    def frobenius(self) -> "ChartElem":
+        """self ** p as the linear map it is in characteristic p, with no product.
+
+        (sum k u^i v^j w^c)^p = sum k u^(pi) v^(pj) (w^c)^p, since k^p = k
+        in F_p; each (w^c)^p is taken once per ring (ChartRing._frob_w).
+        """
+        ring = self.ring
+        p, frob_w = ring.p, ring._frob_w
+        terms: dict = {}
+        for (i, j, c), k in self.terms.items():
+            i, j = p * i, p * j
+            for (di, dj, dc), rc in frob_w[c]:
+                key = (i + di, j + dj, dc)
+                terms[key] = terms.get(key, 0) + k * rc
+        return self._like(terms)
 
     def __eq__(self, other):
         return (
@@ -319,7 +369,7 @@ class ChartElem(SparseTerms):
                 eta[key] = c
             else:
                 rho[key] = c
-        return self._like(xi), self._like(eta), self._like(rho)
+        return self._raw(xi), self._raw(eta), self._raw(rho)
 
     def is_residual(self) -> bool:
         return all(i < 0 and j < 0 for (i, j, _) in self.terms)

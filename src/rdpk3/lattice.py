@@ -33,7 +33,7 @@ from operator import mul
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .chartring import parse_symbol
-from .ffpoly import _check_modulus, is_prime, json_echo, json_field
+from .ffpoly import _check_modulus, json_echo, json_field
 
 SEARCH_GUARD = 100_000
 # Lattice input above this rank is refused before any row is built.  The
@@ -407,9 +407,13 @@ class DiscForm:
 
         Factor Z/d of the group contributes Z/p^v (v = v_p(d)), generated
         by (d / p^v) times its generator; factors prime to p drop out.
+        p must be a prime below 2^16, as every part the overlattice
+        search admits is.
         """
-        if not is_prime(p):
-            raise ValueError(f"p-part needs a prime p, got {p}")
+        try:
+            _check_modulus(p)
+        except ValueError:
+            raise ValueError(f"p-part needs a prime p, got {p}, not a prime below 2^16") from None
         orders = []
         gens = []
         for d, g in zip(self.orders, self.gens):

@@ -16,9 +16,11 @@ computes that representative by tail subtraction of a Teichmuller lift:
 x - V^i[t] changes only positions >= i, as (x_i, ..., x_{n-1}) - [t] in
 W_{n-i}.  That difference y is compiled once per (p, m) as a triangular
 solve of x = y + [t] (witt._teich_sub): y_0 = x_0 - t, and each y_k is
-x_k minus a carry polynomial in y_0, ..., y_{k-1}, t in Horner form.
+x_k minus a carry polynomial in y_0, ..., y_{k-1}, t in Horner form; at
+the last position (m = 1) it is plain x - t, so no call is made there.
 The class operations (Frobenius, pullback along suitable ring maps,
-scalar multiplication, V and R) act on representatives and re-reduce.
+scalar multiplication, V and R) act on representatives and re-reduce;
+Frobenius goes through the linear map ChartElem.frobenius.
 """
 
 from __future__ import annotations
@@ -116,6 +118,9 @@ class CohClass:
         return f"CohClass{self}"
 
 
+_ORDERS = (("xi", "eta"), ("eta", "xi"))
+
+
 def class_of(elem: ChartElem, n: int = 1) -> CohClass:
     """The class of (elem, 0, ..., 0) in length-n cohomology."""
     ring = elem.ring
@@ -131,36 +136,50 @@ def reduce(components, order=("xi", "eta")) -> CohClass:
     of a Teichmuller lift: x - V^i[t] keeps x_0, ..., x_{i-1} and
     replaces the tail by (x_i, ..., x_{n-1}) - [t] in W_{n-i}, solved
     level by level from x = y + [t].  That changes position i by exactly
-    -t and touches only positions >= i, so each pass leaves a residual
-    component behind and the loop terminates.  The result is independent of the subtraction order
-    within a position; order is exposed for the cross-check tests.
+    -t and touches only positions >= i, so each pass leaves the residual
+    part rho at position i; at the last one rho is put in with no tail
+    op.  The result is independent of the subtraction order within a
+    position; order is exposed for the cross-check tests.  The input is
+    checked up front, so the class is built without CohClass()'s checks.
     """
-    if isinstance(components, WittVec):
-        comps = list(components.components)
-    else:
-        comps = list(components)
+    comps = list(components.components if isinstance(components, WittVec) else components)
+    if not isinstance(order, (tuple, list)) or tuple(order) not in _ORDERS:
+        raise ValueError(f"order {order!r} is not a permutation of ('xi', 'eta')")
     if not comps:
         raise ValueError("need at least one component")
-    ring = comps[0].ring
+    ring = comps[0].ring if isinstance(comps[0], ChartElem) else None
+    for i, c in enumerate(comps):
+        if not isinstance(c, ChartElem) or (c.ring is not ring and c.ring != ring):
+            where = "a chart ring" if ring is None else repr(ring)
+            raise ValueError(f"component {i} ({c!r}) is not an element of {where}")
     p = ring.p
     n = len(comps)
     check_supported(p, n)
-    for i in range(n):
+    xi_first = order[0] == "xi"
+    for i in range(n - 1):
         xi, eta, _rho = comps[i].split()
-        parts = {"xi": xi, "eta": eta}
-        for name in order:
-            part = parts[name]
-            if not part.is_zero():
+        for part in (xi, eta) if xi_first else (eta, xi):
+            if part.terms:
                 comps[i:] = _teich_sub(p, n - i)(*comps[i:], part)
-    return CohClass(ring, comps)
+    comps[-1] = comps[-1].split()[2]
+    return _wrap(ring, tuple(comps))
+
+
+def _wrap(ring: ChartRing, components: tuple) -> CohClass:
+    """The class of residual components of ring, not checked again."""
+    e = object.__new__(CohClass)
+    e.ring = ring
+    e.components = components
+    return e
 
 
 def frobenius_class(e: CohClass) -> CohClass:
     """The class of the componentwise p-th power: the Witt Frobenius over F_p.
 
-    On a chart ring c^p is c at u^p, v^p, w^p (Serre, Local Fields, II 6).
+    On a chart ring c^p is c at u^p, v^p, w^p (Serre, Local Fields, II 6),
+    a linear map term by term (ChartElem.frobenius), so no product is made.
     """
-    return reduce([c ** e.ring.p for c in e.components])
+    return reduce([c.frobenius() for c in e.components])
 
 
 def pullback_class(rmap: RingMap, e: CohClass) -> CohClass:
@@ -185,19 +204,23 @@ def scalar_mul_class(g: ChartElem, e: CohClass) -> CohClass:
 
     The lift acts componentwise through its p-power twists:
     (g, 0, ...) * (e_0, ..., e_{n-1}) = (g e_0, g^p e_1, ..., g^{p^i} e_i),
-    an identity of the ghost coordinates.
+    an identity of the ghost coordinates.  Zero components stay zero, so
+    g^{p^i} = F^i(g) (ChartElem.frobenius) is taken only up to the last
+    nonzero one.
     """
     if g.ring != e.ring:
         raise ValueError("scalar lives in the wrong ring")
     if not g.has_nonnegative_exponents():
         raise ValueError("scalar must have nonnegative exponents")
-    p = e.ring.p
-    out = []
+    comps = e.components
+    out = list(comps)
     power = g
-    for i, comp in enumerate(e.components):
+    last = max((i for i, c in enumerate(comps) if c.terms), default=-1)
+    for i in range(last + 1):
         if i:
-            power = power**p
-        out.append(power * comp)
+            power = power.frobenius()
+        if comps[i].terms:
+            out[i] = power * comps[i]
     return reduce(out)
 
 
@@ -205,7 +228,7 @@ def r_class(e: CohClass) -> CohClass:
     """Restrict to length n-1 by dropping the last component."""
     if e.n < 2:
         raise ValueError("restriction needs length >= 2")
-    return CohClass(e.ring, e.components[:-1])
+    return _wrap(e.ring, e.components[:-1])
 
 
 def is_torsion(e: CohClass, ideal: IdealSpec) -> bool:

@@ -140,7 +140,7 @@ def test_ring_operation_results_pass_the_public_constructor():
         p = ring.p
         for _ in range(3):
             a, b = random_elem(ring, rng), random_elem(ring, rng)
-            for r in (a + b, a - b, -a, a * b, a**p, *a.split()):
+            for r in (a + b, a - b, b - a, -a, a * b, a**p, a.frobenius(), *a.split()):
                 assert r.ring is ring
                 assert ChartElem(r.ring, r.terms).terms == r.terms, ring
                 assert all(1 <= c < p for c in r.terms.values()), ring
@@ -166,6 +166,43 @@ def test_p_th_power_is_the_frobenius_ring_map():
         for _ in range(8):
             c = random_elem(ring, rng)
             assert c ** ring.p == fr.apply(c), ring
+
+
+def every_chart():
+    """Each (p, family, N, r) with a chart (D_N up to N = 21), A_{p-1} and the quotient covers."""
+    rings = catalog_charts()
+    for N in range(4, 22):
+        for r in catalog_coindexes(2, "D", N):
+            rings += [rdp_chart(RdpSpec(2, "D", N, r)), rdp_chart(RdpSpec(2, "D", N, r), unified=True)]
+    return rings
+
+
+def test_frobenius_is_the_p_th_power():
+    """The term-by-term map equals c ** p, on every w-degree and negative exponents."""
+    rng = random.Random(1901)
+    for ring in every_chart():
+        p, d = ring.p, ring.wdeg
+        samples = [ring.zero(), ring.one(), -ring.one()]
+        samples += [ring.monomial(k, i, j, c) for c in range(d) for i, j, k in
+                    ((-3, -2, 1), (2, -5, p - 1), (0, 4, 1))]
+        samples += [random_elem(ring, rng) for _ in range(10)]
+        # one term at every w-degree, so products of w-powers meet the relation
+        samples += [sum((ring.monomial(rng.randrange(1, p), rng.randrange(-4, 5), rng.randrange(-4, 5), c)
+                         for c in range(d)), ring.zero()) for _ in range(4)]
+        for c in samples:
+            assert c.frobenius() == c ** p, (ring, str(c))
+
+
+def test_frobenius_makes_no_products(monkeypatch):
+    ring = chart_from_key("2:E8:3")
+    x = ChartElem(ring, {(1, -1, 0): 1, (0, 2, 1): 1, (-1, 0, 1): 1})
+    want = x ** 2
+
+    def no_mul(a, b):
+        raise AssertionError("a product in frobenius()")
+
+    monkeypatch.setattr(ChartElem, "__mul__", no_mul)
+    assert x.frobenius() == want
 
 
 def test_frobenius_class_is_the_class_of_the_ring_map_images():

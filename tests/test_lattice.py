@@ -818,6 +818,16 @@ def test_p_part_needs_a_prime(p):
         disc.p_part(p)
 
 
+@pytest.mark.parametrize("p", [65537, 100000000000000000039])
+def test_p_part_refuses_a_large_prime_at_once(p):
+    """A prime at or above 2^16 is refused without trial division."""
+    disc = disc_group(diagonal_gram([6]))
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"got {p}, not a prime below 2\\^16"):
+        disc.p_part(p)
+    assert time.perf_counter() - start < 1.0
+
+
 @pytest.mark.parametrize(
     "make,where,got",
     [

@@ -2,7 +2,15 @@ import random
 
 import pytest
 
-from rdpk3.chartring import RdpSpec, chart_from_key, quotient_case_from_key, rdp_chart, rmax
+from rdpk3.chartring import (
+    RdpSpec,
+    chart_from_key,
+    parse_rdp_key,
+    quotient_case_from_key,
+    rdp_chart,
+    rmax,
+)
+from rdpk3.ffpoly import FpScalar
 from rdpk3.localcoh import (
     CohClass,
     IdealSpec,
@@ -15,9 +23,11 @@ from rdpk3.localcoh import (
     scalar_mul_class,
 )
 from rdpk3.reproduce import (
+    CANONICITY_CHART_KEYS,
     PLUMBING,
     HypothesisError,
     _class_record,
+    _random_elem,
     c_one,
     d_frobenius_check,
     e8_pair_check,
@@ -25,7 +35,7 @@ from rdpk3.reproduce import (
     quotient_pullback_check,
     reproduce_all,
 )
-from rdpk3.witt import SUPPORTED_RANGES, WittVec, witt_sub
+from rdpk3.witt import SUPPORTED_RANGES, WittVec, _teich_sub, witt_add, witt_sub
 
 
 def test_class_construction():
@@ -119,6 +129,103 @@ def test_reduce_agrees_with_the_full_vector_reduce(key):
                 comps.append(sum((ring.monomial(c, *k) for k, c in terms.items()), ring.zero()))
             for order in (("xi", "eta"), ("eta", "xi")):
                 assert reduce(comps, order=order) == full_vector_reduce(comps, order), (n, order)
+
+
+def tail_op_reduce(components, order=("xi", "eta")):
+    """The oracle: the tail op at every position, the last one too, and a checked CohClass."""
+    comps = list(components)
+    ring = comps[0].ring
+    p, n = ring.p, len(comps)
+    for i in range(n):
+        xi, eta, _rho = comps[i].split()
+        parts = {"xi": xi, "eta": eta}
+        for name in order:
+            if not parts[name].is_zero():
+                comps[i:] = _teich_sub(p, n - i)(*comps[i:], parts[name])
+    return CohClass(ring, comps)
+
+
+@pytest.mark.parametrize("key", CANONICITY_CHART_KEYS)
+def test_reduce_agrees_with_the_tail_op_at_every_position(key):
+    """Putting rho at the last position, unchecked, gives the old checked class.
+
+    The vectors are those of the canonicity trials: random elements,
+    and the same plus one vector from each localized subring.
+    """
+    rng = random.Random(f"reduce-last-position-{key}")
+    ring = rdp_chart(parse_rdp_key(key))
+    for n in range(1, SUPPORTED_RANGES[ring.p] + 1):
+        for _ in range(6):
+            comps = [_random_elem(ring, rng) for _ in range(n)]
+            shifted = WittVec(ring.p, tuple(comps))
+            for region in ("xi", "eta"):
+                extra = [_random_elem(ring, rng, region) for _ in range(n)]
+                shifted = witt_add(shifted, WittVec(ring.p, tuple(extra)))
+            for vec, plain in ((comps, comps), (shifted, list(shifted.components))):
+                for order in (("xi", "eta"), ("eta", "xi")):
+                    got = reduce(vec, order)
+                    assert got == tail_op_reduce(plain, order), (n, order)
+                    assert got.ring is ring and type(got.components) is tuple
+
+
+@pytest.mark.parametrize("order", [("foo",), ("xi",), (), ("xi", "xi"), ("xi", "eta", "xi"),
+                                   "xieta", None])
+def test_reduce_refuses_a_bad_order(order):
+    ring = chart_from_key("2:E8:0")
+    with pytest.raises(ValueError, match="is not a permutation of"):
+        reduce([ring.monomial(1, 0, -1)], order)
+
+
+def test_reduce_takes_an_order_list():
+    ring = chart_from_key("2:E8:0")
+    comps = [ring.monomial(1, 0, -1) + ring.monomial(1, -1, -1, 1), ring.zero()]
+    assert reduce(comps, ["eta", "xi"]) == reduce(comps, ("eta", "xi"))
+
+
+def test_reduce_refuses_components_outside_the_first_ring():
+    ring = chart_from_key("2:E8:0")
+    other = chart_from_key("2:E8:1")
+    x = ring.monomial(1, -1, -1, 1)
+    with pytest.raises(ValueError, match=r"component 0 \(3\) is not an element of a chart ring"):
+        reduce([3, x])
+    with pytest.raises(ValueError, match=r"component 1 \(3\) is not an element of ChartRing\(2:E8:0\)"):
+        reduce([x, 3])
+    with pytest.raises(ValueError, match=r"component 1 .* is not an element of ChartRing\(2:E8:0\)"):
+        reduce([x, other.monomial(1, -1, -1, 1)])
+    with pytest.raises(ValueError, match="component 0 .* is not an element of a chart ring"):
+        reduce(WittVec(2, (FpScalar(2, 1), FpScalar(2, 0))))
+
+
+def scalar_mul_oracle(g, e):
+    """The old loop: every power g^(p^i) by **, every component multiplied."""
+    out, power = [], g
+    for i, comp in enumerate(e.components):
+        if i:
+            power = power ** e.ring.p
+        out.append(power * comp)
+    return reduce(out)
+
+
+@pytest.mark.parametrize("key", ["2:D12:3", "2:E8:0", "3:E6:1", "5:E8:1", "3:A2"])
+def test_scalar_mul_class_agrees_with_the_full_loop(key):
+    """Classes with zero components, where the powers stop at the last nonzero one."""
+    rng = random.Random(f"scalar-mul-{key}")
+    ring = chart_from_key(key)
+    nmax = SUPPORTED_RANGES[ring.p]
+    eps = ring.monomial(1, -1, -1, ring.wdeg - 1)
+    gens = list(IdealSpec.maximal(ring).generators) + [ring.one(), ring.zero()]
+    gens += [ring.monomial(1, 1, 1) + ring.monomial(1, 0, 2, ring.wdeg - 1)]
+    for n in range(1, nmax + 1):
+        shapes = [[eps if k == i else ring.zero() for k in range(n)] for i in range(n)]
+        shapes.append([ring.zero()] * n)
+        shapes.append([eps] + [ring.zero()] * (n - 2) + [eps] if n >= 2 else [eps])
+        for _ in range(4):
+            shapes.append([_random_elem(ring, rng) if rng.random() < 0.5 else ring.zero()
+                           for _ in range(n)])
+        for comps in shapes:
+            e = reduce(comps)
+            for g in gens:
+                assert scalar_mul_class(g, e) == scalar_mul_oracle(g, e), (n, str(g), str(e))
 
 
 # computed strings of the 22 admissible d_frobenius_check(N, r, 4, 1), N = 18..21,
