@@ -69,17 +69,18 @@ def _integral(vectors: Sequence[Sequence[Fraction]], n: int) -> Tuple[int, List[
 def _quotient_gram(
     m: Sequence[Sequence[int]], rows: Sequence[Sequence[int]], num: int, den: int
 ) -> Optional[Tuple[Tuple[int, ...], ...]]:
-    """num R m R^T / den for integer rows R, or None when it is not integral."""
-    out = []
-    for x in rows:
-        out_row = []
-        for y in rows:
-            val, rem = divmod(num * _pair(m, x, y), den)
+    """num R m R^T / den for integer rows R, or None when it is not integral.
+
+    m is symmetric, so each unordered pair of rows is paired once and mirrored.
+    """
+    out = [[0] * len(rows) for _ in rows]
+    for i, x in enumerate(rows):
+        for j in range(i + 1):
+            val, rem = divmod(num * _pair(m, x, rows[j]), den)
             if rem:
                 return None
-            out_row.append(val)
-        out.append(tuple(out_row))
-    return tuple(out)
+            out[i][j] = out[j][i] = val
+    return tuple(map(tuple, out))
 
 
 def _inertia(rows: Sequence[Sequence[int]]) -> Tuple[int, int, int]:
@@ -276,13 +277,15 @@ class GramLattice:
         return all(sum(map(mul, row, xs)) % d == 0 for row in self.gram)
 
     def direct_sum(self, other: "GramLattice") -> "GramLattice":
+        """The orthogonal sum, not checked again: its det is the product of the dets."""
         n, m = self.rank, other.rank
-        rows = []
-        for i in range(n):
-            rows.append(list(self.gram[i]) + [0] * m)
-        for i in range(m):
-            rows.append([0] * n + list(other.gram[i]))
-        return GramLattice(rows)
+        rows = tuple(row + (0,) * m for row in self.gram)
+        rows += tuple((0,) * n + row for row in other.gram)
+        out = object.__new__(GramLattice)
+        object.__setattr__(out, "gram", rows)
+        object.__setattr__(out, "rank", n + m)
+        object.__setattr__(out, "det", self.det * other.det)
+        return out
 
     def __eq__(self, other):
         return isinstance(other, GramLattice) and self.gram == other.gram

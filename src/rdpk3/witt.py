@@ -22,6 +22,12 @@ implement +, -, *, ** and ring_zero/ring_one:
     R (restriction)   drops the last component, W_n -> W_{n-1}
     F (frobenius)     raises components to the p-th power; on W_n of an
                       F_p-algebra this is the Witt Frobenius
+
+Over A = F_p itself, W_n(F_p) = Z/p^n has p^n <= 25 elements in every
+supported truncation.  A vector whose components are all F_p scalars of
+its prime carries its index sum v_k p^k, and every operation on such
+vectors is a lookup: add, mul and neg in Cayley tables filled once per
+(p, n) by the compiled functions, [a], V, R and F as index arithmetic.
 """
 
 from __future__ import annotations
@@ -281,34 +287,48 @@ class WittVec:
 
     Each component must be a ring element with ring_zero (an FpScalar,
     MultiPoly or ChartElem); a plain int or any other object is refused
-    here rather than failing later inside an operation.
+    here rather than failing later inside an operation.  Immutable.
+
+    When every component is an FpScalar of the vector's prime, _ix holds
+    its index sum v_k p^k in W_n(F_p) and the operations look it up in
+    the Cayley tables of (p, n); otherwise _ix is None.
     """
 
-    __slots__ = ("p", "components")
+    __slots__ = ("p", "components", "_ix")
 
     def __init__(self, p: int, components):
         components = tuple(components)
         if not components:
             raise ValueError("Witt vectors here have length >= 1")
         check_supported(p, len(components))
-        for c in components:
-            # the type test spares F_p scalars, the common case, the attribute lookup
+        ix = 0
+        for k, c in enumerate(components):
+            if type(c) is FpScalar and c.p == p:
+                if ix is not None:
+                    ix += c.value * p**k
+                continue
+            ix = None
+            # the type test spares F_p scalars of another modulus the attribute lookup
             if type(c) is not FpScalar and not hasattr(c, "ring_zero"):
                 kind = "a plain int" if isinstance(c, int) else f"a {type(c).__name__}"
                 raise ValueError(f"Witt component {c!r} is {kind}, not in an F_{p}-algebra")
-        self.p = p
-        self.components = components
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "components", components)
+        object.__setattr__(self, "_ix", ix)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("WittVec is immutable")
 
     @property
     def n(self) -> int:
         return len(self.components)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, WittVec)
-            and self.p == other.p
-            and self.components == other.components
-        )
+        if not isinstance(other, WittVec) or self.p != other.p:
+            return False
+        if self._ix is None or other._ix is None:
+            return self.components == other.components
+        return self._ix == other._ix and len(self.components) == len(other.components)
 
     def __hash__(self):
         return hash((self.p, self.components))
@@ -341,7 +361,7 @@ def _check_pair(x: WittVec, y: WittVec) -> None:
 
 @functools.lru_cache(maxsize=None)
 def _residues(p: int) -> tuple:
-    """FpScalar(p, 0), ..., FpScalar(p, p - 1), shared by every F_p result.
+    """FpScalar(p, 0), ..., FpScalar(p, p - 1), the components of every table element.
 
     Only asked for after build_witt_table(p, n) has accepted p, so there
     is one tuple per supported prime at most.
@@ -349,34 +369,51 @@ def _residues(p: int) -> tuple:
     return tuple(FpScalar(p, v) for v in range(p))
 
 
+@functools.lru_cache(maxsize=None)
+def _cayley(p: int, n: int) -> tuple:
+    """(elems, add, mul, neg): W_n(F_p) as lookups by index.
+
+    elems[i] is the vector of index i, with components from _residues(p);
+    add[i * p^n + j] and mul[i * p^n + j] are elems[i] + elems[j] and
+    elems[i] * elems[j], and neg[i] is -elems[i].  Every entry is the
+    table's compiled function evaluated on the digits and reduced mod p,
+    never Z/p^n, so checks against Z/p^n still test the polynomials.
+    """
+    table = build_witt_table(p, n)
+    box = _residues(p)
+    digits = [tuple(i // p**k % p for k in range(n)) for i in range(p**n)]
+    elems = tuple(WittVec(p, tuple(box[d] for d in ds)) for ds in digits)
+
+    def lookup(values):
+        return elems[sum(v % p * p**k for k, v in enumerate(values))]
+
+    add = [lookup(table.add(*x, *y)) for x in digits for y in digits]
+    mul = [lookup(table.mul(*x, *y)) for x in digits for y in digits]
+    neg = [lookup(table.neg(*x)) for x in digits]
+    return elems, add, mul, neg
+
+
 def _wrap(p: int, components: tuple) -> WittVec:
-    """The Witt vector of a ring operation's result, not checked again.
+    """The Witt vector of a generic ring operation's result, not checked again.
 
     The table of (p, n) exists only for a supported truncation, and an
     operation on ring elements yields ring elements, so what WittVec()
-    would check holds by construction.
+    would check holds by construction.  It carries no index.
     """
     x = object.__new__(WittVec)
-    x.p = p
-    x.components = components
+    object.__setattr__(x, "p", p)
+    object.__setattr__(x, "components", components)
+    object.__setattr__(x, "_ix", None)
     return x
 
 
 def _apply(fn, p: int, components) -> tuple:
-    """fn on the components; on their plain residues when all are F_p scalars.
+    """fn on the components, through the elements' own arithmetic.
 
-    The compiled tables evaluate over Z as well, so when every component
-    is exactly an FpScalar mod p, fn is one call on ints and each result
-    is the interned scalar of its residue: no FpScalar is built.
-    Anything else (MultiPoly, ChartElem, another modulus) goes through
-    the elements' own arithmetic.  A scalar of another modulus then
-    raises, even where no polynomial mixes it; the check runs after fn
-    so that a mixing polynomial still names the pair.
+    A scalar of another modulus raises, even where no polynomial mixes
+    it; the check runs after fn so that a mixing polynomial still names
+    the pair.
     """
-    values = [c.value for c in components if type(c) is FpScalar and c.p == p]
-    if len(values) == len(components):
-        box = _residues(p)
-        return tuple([box[v % p] for v in fn(*values)])
     out = fn(*components)
     for d in components:
         if isinstance(d, FpScalar) and d.p != p:
@@ -386,19 +423,29 @@ def _apply(fn, p: int, components) -> tuple:
 
 def witt_add(x: WittVec, y: WittVec) -> WittVec:
     p, xs, ys = x.p, x.components, y.components
-    if p != y.p or len(xs) != len(ys):
+    n = len(xs)
+    if p != y.p or n != len(ys):
         _check_pair(x, y)
-    return _wrap(p, _apply(build_witt_table(p, len(xs)).add, p, xs + ys))
+    if x._ix is None or y._ix is None:
+        return _wrap(p, _apply(build_witt_table(p, n).add, p, xs + ys))
+    elems, add, _, _ = _cayley(p, n)
+    return add[x._ix * len(elems) + y._ix]
 
 def witt_mul(x: WittVec, y: WittVec) -> WittVec:
     p, xs, ys = x.p, x.components, y.components
-    if p != y.p or len(xs) != len(ys):
+    n = len(xs)
+    if p != y.p or n != len(ys):
         _check_pair(x, y)
-    return _wrap(p, _apply(build_witt_table(p, len(xs)).mul, p, xs + ys))
+    if x._ix is None or y._ix is None:
+        return _wrap(p, _apply(build_witt_table(p, n).mul, p, xs + ys))
+    elems, _, mul, _ = _cayley(p, n)
+    return mul[x._ix * len(elems) + y._ix]
 
 def witt_neg(x: WittVec) -> WittVec:
     p, xs = x.p, x.components
-    return _wrap(p, _apply(build_witt_table(p, len(xs)).neg, p, xs))
+    if x._ix is None:
+        return _wrap(p, _apply(build_witt_table(p, len(xs)).neg, p, xs))
+    return _cayley(p, len(xs))[3][x._ix]
 
 def witt_sub(x: WittVec, y: WittVec) -> WittVec:
     return witt_add(x, witt_neg(y))
@@ -408,6 +455,8 @@ def verschiebung(x: WittVec, times: int = 1) -> WittVec:
     """V^times: prepend zero components (lands in W_{n+times})."""
     if times < 0:
         raise ValueError("V only shifts forward")
+    if x._ix is not None:
+        return _cayley(x.p, len(x.components) + times)[0][x._ix * x.p**times]
     z = x.components[0].ring_zero()
     return WittVec(x.p, (z,) * times + x.components)
 
@@ -416,11 +465,20 @@ def restriction(x: WittVec, times: int = 1) -> WittVec:
     """R^times: drop the last components (lands in W_{n-times})."""
     if times < 0 or times >= x.n:
         raise ValueError(f"cannot restrict W_{x.n} {times} times")
-    return WittVec(x.p, x.components[: x.n - times]) if times else x
+    if not times:
+        return x
+    if x._ix is not None:
+        return _cayley(x.p, x.n - times)[0][x._ix % x.p ** (x.n - times)]
+    return WittVec(x.p, x.components[: x.n - times])
 
 
 def witt_frobenius(x: WittVec) -> WittVec:
-    """Componentwise p-th power; the Witt Frobenius for F_p-algebras."""
+    """Componentwise p-th power; the Witt Frobenius for F_p-algebras.
+
+    On W_n(F_p) it is the identity, since c^p = c in F_p.
+    """
+    if x._ix is not None:
+        return x
     return WittVec(x.p, tuple(c ** x.p for c in x.components))
 
 
@@ -442,6 +500,8 @@ def teichmuller(elem, n: int) -> WittVec:
     """[a] = (a, 0, ..., 0) in W_n."""
     p = characteristic_of(elem)
     check_supported(p, n)
+    if type(elem) is FpScalar:
+        return _cayley(p, n)[0][elem.value]
     return WittVec(p, (elem,) + (elem.ring_zero(),) * (n - 1))
 
 

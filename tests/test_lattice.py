@@ -24,7 +24,15 @@ from rdpk3.lattice import (
     unimodular_overlattice_exists,
 )
 import rdpk3.lattice as lattice_module
-from rdpk3.lattice import _RANK_GUARD, _extend_subgroup, _inertia, _overlattice, _span_basis
+from rdpk3.lattice import (
+    _RANK_GUARD,
+    _extend_subgroup,
+    _inertia,
+    _overlattice,
+    _pair,
+    _quotient_gram,
+    _span_basis,
+)
 from rdpk3.reproduce import a20_glue_data, overlattice_instances
 
 HYPERBOLIC_PLANE = GramLattice([[0, 1], [1, 0]])
@@ -207,6 +215,57 @@ def test_inertia_agrees_with_the_fraction_oracle_and_the_cofactor_det():
             assert got[0] != 0 and got[2] >= len(rows) // 2, rows
     assert kinds == dict.fromkeys(kinds, 600)
     assert 600 < singular < 1200, singular
+
+
+def full_quotient_gram(m, rows, num, den):
+    """num R m R^T / den over every ordered pair of rows, or None: the oracle."""
+    out = []
+    for x in rows:
+        out_row = []
+        for y in rows:
+            val, rem = divmod(num * _pair(m, x, y), den)
+            if rem:
+                return None
+            out_row.append(val)
+        out.append(tuple(out_row))
+    return tuple(out)
+
+
+def rebuilt_direct_sum(a, b):
+    """The block-diagonal Gram of a and b built and checked by GramLattice: the oracle."""
+    n, m = a.rank, b.rank
+    return GramLattice([list(row) + [0] * m for row in a.gram] + [[0] * n + list(row) for row in b.gram])
+
+
+def test_quotient_gram_mirrors_one_triangle_as_the_full_product_does():
+    rng = random.Random(20)
+    kinds = {"integral": 0, "none": 0}
+    for k, (_kind, m) in enumerate(seeded_symmetric_matrices()):
+        if k % 4:
+            continue
+        n = len(m)
+        rows = [[rng.randrange(-3, 4) for _ in range(n)] for _ in range(rng.randrange(1, 5))]
+        num, den = rng.choice(((1, 1), (1, 2), (3, 4), (1, 9), (2, 3)))
+        got = _quotient_gram(m, rows, num, den)
+        assert got == full_quotient_gram(m, rows, num, den), (m, rows, num, den)
+        kinds["none" if got is None else "integral"] += 1
+    assert min(kinds.values()) > 100, kinds
+    assert _quotient_gram([[2, 2], [2, 4]], [[1, 0], [0, 1]], 1, 2) == ((1, 1), (1, 2))
+    # an integral diagonal does not make the off-diagonal pairing integral
+    assert _quotient_gram([[2, 1], [1, 2]], [[1, 0], [0, 1]], 1, 2) is None
+
+
+def test_direct_sum_takes_det_as_the_product_of_the_blocks():
+    rng = random.Random(21)
+    lattices = [GramLattice(rows) for _kind, rows in seeded_symmetric_matrices() if _inertia(rows)[0]]
+    lattices = lattices[:200] + [dynkin_gram("E8"), HYPERBOLIC_PLANE, diagonal_gram([6])]
+    for _ in range(300):
+        a, b = rng.choice(lattices), rng.choice(lattices)
+        got, want = a.direct_sum(b), rebuilt_direct_sum(a, b)
+        assert (got.gram, got.rank, got.det) == (want.gram, want.rank, want.det)
+        assert got == want and hash(got) == hash(want)
+    with pytest.raises(AttributeError):
+        got.det = 1
 
 
 def test_inertia_of_the_empty_and_the_zero_matrix():

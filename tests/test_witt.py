@@ -478,8 +478,71 @@ def test_fp_arithmetic_is_z_mod_p_to_the_n_exhaustively():
                         assert all(type(c) is FpScalar and c.p == p for c in r.components)
 
 
+def test_every_cayley_entry_is_the_compiled_function_and_z_mod_p_to_the_n():
+    for p, nmax in SUPPORTED_RANGES.items():
+        for n in range(1, nmax + 1):
+            table = build_witt_table(p, n)
+            elems, add, mul, neg = witt._cayley(p, n)
+            size = p**n
+            assert len(elems) == len(neg) == size and len(add) == len(mul) == size * size
+            box = witt._residues(p)
+            for i, x in enumerate(elems):
+                assert all(c is box[c.value] for c in x.components)
+                assert x._ix == sum(c.value * p**k for k, c in enumerate(x.components)) == i
+            for i, x in enumerate(elems):
+                xs = x.components
+                assert neg[i].components == table.neg(*xs), (p, n, i)
+                assert _to_int(p, neg[i]) == -_to_int(p, x) % size
+                for j, y in enumerate(elems):
+                    ys = y.components
+                    for got, fn, op in ((add, table.add, int.__add__), (mul, table.mul, int.__mul__)):
+                        r = got[i * size + j]
+                        assert r.components == fn(*xs, *ys), (p, n, i, j)
+                        assert _to_int(p, r) == op(_to_int(p, x), _to_int(p, y)) % size
+
+
+def test_interned_and_fresh_vectors_are_equal_and_hash_equal():
+    for p, nmax in SUPPORTED_RANGES.items():
+        for n in range(1, nmax + 1):
+            for i, interned in enumerate(witt._cayley(p, n)[0]):
+                fresh = fpvec(p, *(i // p**k % p for k in range(n)))
+                assert fresh is not interned and fresh._ix == interned._ix == i
+                assert fresh == interned and interned == fresh
+                assert hash(fresh) == hash(interned)
+                boxed = witt._wrap(p, fresh.components)  # no index: compared by components
+                assert boxed == interned and interned == boxed and hash(boxed) == hash(interned)
+    # one index, another truncation or prime
+    assert fpvec(2, 1) != fpvec(2, 1, 0)
+    assert fpvec(2, 1, 0) != fpvec(3, 1, 0)
+
+
+def test_witt_vectors_are_immutable():
+    x = fpvec(2, 1, 0)
+    for name, value in (("components", (FpScalar(2, 0), FpScalar(2, 0))), ("p", 3), ("_ix", 0)):
+        with pytest.raises(AttributeError, match="WittVec is immutable"):
+            setattr(x, name, value)
+    assert x == fpvec(2, 1, 0) and x._ix == 1
+
+
+def test_shifts_and_lifts_out_of_range_raise_as_before():
+    a = gens(2, ("a",))[0]
+    for x in (fpvec(2, 1, 0, 1), WittVec(2, (a, a, a))):
+        with pytest.raises(ValueError, match=re.escape("W_5 at p=2 out of supported range 1..4")):
+            verschiebung(x, 2)
+        with pytest.raises(ValueError, match="V only shifts forward"):
+            verschiebung(x, -1)
+        with pytest.raises(ValueError, match="cannot restrict W_3 3 times"):
+            restriction(x, 3)
+    with pytest.raises(ValueError, match=re.escape("W_2 at p=7 out of supported range 1..1")):
+        verschiebung(fpvec(7, 3))
+    with pytest.raises(ValueError, match=re.escape("W_3 at p=5 out of supported range 1..2")):
+        teichmuller(FpScalar(5, 2), 3)
+    with pytest.raises(ValueError, match=re.escape("unsupported prime 11")):
+        teichmuller(FpScalar(11, 2), 1)
+
+
 def test_fp_arithmetic_builds_no_scalar_and_checks_no_result(monkeypatch):
-    """Results are wrapped as built, from the interned residues of each p."""
+    """Results are table elements, whose components are the interned residues of each p."""
     rng = random.Random(16)
     pairs = [
         (fpvec(p, *rng.choices(range(p), k=n)), fpvec(p, *rng.choices(range(p), k=n)))
@@ -489,9 +552,17 @@ def test_fp_arithmetic_builds_no_scalar_and_checks_no_result(monkeypatch):
     ]
 
     def every_result():
-        return [
-            r for x, y in pairs for r in (witt_add(x, y), witt_mul(x, y), witt_neg(x), witt_sub(x, y))
-        ]
+        out = []
+        for x, y in pairs:
+            p, n = x.p, x.n
+            out += [witt_add(x, y), witt_mul(x, y), witt_neg(x), witt_sub(x, y)]
+            out += [teichmuller(x.components[0], n), verschiebung(x, 0)]
+            if n < SUPPORTED_RANGES[p]:
+                out.append(verschiebung(x, SUPPORTED_RANGES[p] - n))
+            if n > 1:
+                out.append(restriction(x, n - 1))
+            assert witt_frobenius(x) is x
+        return out
 
     every_result()  # tables and residue tuples are built once, outside the count
     built = {"FpScalar": 0, "WittVec": 0}
@@ -525,6 +596,14 @@ def test_a_component_of_another_modulus_still_raises():
     odd = WittVec(3, (FpScalar(3, 1), FpScalar(5, 1)))
     with pytest.raises(ValueError, match="modulus mismatch: 5 vs 3"):
         witt_mul(odd, fpvec(3, 2, 1))
+    # V, R and F of such a vector carry no index, and still raise in an operation
+    odd = WittVec(2, (FpScalar(2, 1), FpScalar(3, 1)))
+    for x in (verschiebung(odd), restriction(WittVec(2, odd.components + (FpScalar(2, 0),))), witt_frobenius(odd)):
+        assert x._ix is None
+        with pytest.raises(ValueError, match="modulus mismatch: 3 vs 2"):
+            witt_add(x, fpvec(2, *[1] * x.n))
+    # restriction that drops the foreign component leaves an F_2 vector
+    assert restriction(odd)._ix == 1 and restriction(odd) + fpvec(2, 1) == fpvec(2, 0)
 
 
 @pytest.mark.parametrize(
