@@ -13,6 +13,8 @@ so downstream consumers can detect format changes.
 
 import argparse
 import json
+import math
+import operator
 import re
 import sys
 
@@ -66,6 +68,10 @@ LATTICE_SCHEMA = "rdpk3/lattice/1"
 # `chart show` lists every catalog coindex 0..rmax, and D_N in
 # characteristic 2 has rmax = N/2 - 1; a key with a larger rmax is refused.
 _COINDEX_GUARD = 1024
+
+# `witt eval` runs the compiled structure polynomials on the user's
+# polynomials; an operation whose work estimate is above this is refused.
+_WITT_EVAL_GUARD = 2 * 10**7
 
 
 class CliError(Exception):
@@ -134,19 +140,61 @@ def cmd_witt_table(args) -> int:
     return 0
 
 
+def _evaluation_work(fn, counts) -> tuple:
+    """(work, term bounds of the results) of a compiled Witt function on polynomials.
+
+    Argument v of fn stands for a polynomial of counts[v] terms, and fn
+    runs once on the monomial sets of its arguments.  A value P has at
+    most S(P) terms, the sum over the monomials of P of the product of
+    C(t_v + e_v - 1, e_v) (a power e of a t-term sum has at most
+    C(t + e - 1, e) terms).  Work is the total over the program of
+    S(P) * S(Q) for each product and S(P) + S(Q) for each sum.
+    """
+    work = 0
+
+    def bound(monos):
+        return sum(math.prod(math.comb(t + e - 1, e) for t, e in zip(counts, m) if e) for m in monos)
+
+    class Monos(frozenset):
+        def __add__(self, other):
+            nonlocal work
+            other = other if type(other) is Monos else one
+            work += bound(self) + bound(other)
+            return Monos(self | other)
+
+        def __mul__(self, other):
+            nonlocal work
+            other = other if type(other) is Monos else one
+            work += bound(self) * bound(other)
+            return Monos(tuple(map(operator.add, a, b)) for a in self for b in other)
+
+        __radd__ = __sub__ = __rsub__ = __add__
+        __rmul__ = __mul__
+
+    one = Monos({(0,) * len(counts)})
+    results = fn(*(Monos({tuple(int(i == v) for i in range(len(counts)))}) for v in range(len(counts))))
+    return work, [bound(r) for r in results]
+
+
 def cmd_witt_eval(args) -> int:
+    if (args.op == "neg") != (args.rhs is None):
+        raise CliError("neg takes only --lhs" if args.op == "neg" else f"op {args.op} needs --rhs")
     variables = _literal_variables(args.lhs, args.rhs)
-    lhs = _witt_literal(args.lhs, args.p, args.n, variables)
-    if args.op == "neg":
-        if args.rhs is not None:
-            raise CliError("neg takes only --lhs")
-        result = witt_neg(lhs)
-    else:
-        if args.rhs is None:
-            raise CliError(f"op {args.op} needs --rhs")
-        rhs = _witt_literal(args.rhs, args.p, args.n, variables)
-        op = {"add": witt_add, "mul": witt_mul, "sub": witt_sub}[args.op]
-        result = op(lhs, rhs)
+    vecs = [_witt_literal(text, args.p, args.n, variables) for text in (args.lhs, args.rhs) if text is not None]
+    # refuse before any expansion: the work estimate (-y first for x - y)
+    # times the length of every exponent key
+    table, work = build_witt_table(args.p, args.n), 0
+    counts = [len(c.terms) for v in vecs for c in v.components]
+    if args.op == "sub":
+        work, counts[args.n:] = _evaluation_work(table.neg, counts[args.n:])
+    fn = {"add": table.add, "sub": table.add, "mul": table.mul, "neg": table.neg}[args.op]
+    estimate = (work + _evaluation_work(fn, counts)[0]) * len(variables)
+    if estimate > _WITT_EVAL_GUARD:
+        raise CliError(
+            f"{args.op} in W_{args.n} at p={args.p} needs about {estimate} term operations, "
+            f"more than the guard {_WITT_EVAL_GUARD}"
+        )
+    result = {"add": witt_add, "mul": witt_mul, "sub": witt_sub, "neg": witt_neg}[args.op](*vecs)
     doc = {
         "schema": WITT_EVAL_SCHEMA,
         "p": args.p,
@@ -301,9 +349,11 @@ def cmd_height_count(args) -> int:
     qs = _ints(args.q, "--q")
     if not qs:
         raise CliError("--q needs at least one field size")
-    for q in qs:
+    distinct = dict.fromkeys(qs)  # each field once, in the order given
+    for q in distinct:
         _counted_polys(model, q)  # refuse a bad q before counting any field
-    counts = [count_points(model, q) for q in qs]
+    by_q = {q: count_points(model, q) for q in distinct}
+    counts = [by_q[q] for q in qs]
     tower = all(q == qs[0] ** (i + 1) for i, q in enumerate(qs))
     hv = height_from_counts(counts, qs[0]) if tower else None
     doc = {

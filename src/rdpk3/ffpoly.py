@@ -10,6 +10,10 @@ Supported moduli are the primes 2, 3, 5, 7 (anything below 2^16 works,
 the small bound only matters for the GF(p^k) tables used in point
 counting).
 
+``FpScalar`` is a residue label with no arithmetic: it names an element
+of F_p inside a Witt vector over F_p.  F_p and GF(q) arithmetic runs on
+plain ints in ``FiniteField``.
+
 ``json_document`` is the one parser of JSON input documents, and
 ``json_field`` the one checked reader of their fields (surface models
 and glue specs).
@@ -37,7 +41,7 @@ def is_prime(n: int) -> bool:
     return True
 
 
-# every FpScalar result re-checks its modulus; only valid primes are cached
+# every FpScalar and MultiPoly mod p checks its modulus; only valid primes are cached
 @functools.lru_cache(maxsize=None)
 def _check_modulus(p: int) -> None:
     if not (2 <= p < MAX_PRIME and is_prime(p)):
@@ -45,10 +49,10 @@ def _check_modulus(p: int) -> None:
 
 
 class FpScalar:
-    """An element of the prime field F_p.
+    """An element of the prime field F_p as its residue label: immutable, equal to its residue.
 
-    Immutable.  Arithmetic stays inside one fixed p; mixing moduli is a
-    bug and raises.
+    It has no arithmetic: F_p and GF(q) arithmetic runs on ints in
+    FiniteField, and W_n(F_p) arithmetic on the index of a WittVec.
     """
 
     __slots__ = ("p", "value")
@@ -61,70 +65,11 @@ class FpScalar:
     def __setattr__(self, name, value):
         raise AttributeError("FpScalar is immutable")
 
-    def _coerce(self, other) -> "FpScalar":
-        if isinstance(other, FpScalar):
-            if other.p != self.p:
-                raise ValueError(f"modulus mismatch: {self.p} vs {other.p}")
-            return other
-        if isinstance(other, int):
-            return FpScalar(self.p, other)
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FpScalar(self.p, self.value + other.value)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return FpScalar(self.p, -self.value)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FpScalar(self.p, self.value - other.value)
-
-    def __rsub__(self, other):
-        return (-self).__add__(other)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FpScalar(self.p, self.value * other.value)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, e: int):
-        if e < 0:
-            return self.inverse() ** (-e)
-        return FpScalar(self.p, pow(self.value, e, self.p))
-
-    def inverse(self) -> "FpScalar":
-        if self.value == 0:
-            raise ZeroDivisionError("inverse of 0 in F_p")
-        return FpScalar(self.p, pow(self.value, self.p - 2, self.p))
-
-    def ring_zero(self) -> "FpScalar":
-        return FpScalar(self.p, 0)
-
-    def ring_one(self) -> "FpScalar":
-        return FpScalar(self.p, 1)
-
     def __eq__(self, other):
         if type(other) is FpScalar:
             return self.value == other.value and self.p == other.p
         # an int is equal only when it is the residue itself, so hashes agree
-        if isinstance(other, int):
-            return self.value == other
-        return (
-            isinstance(other, FpScalar)
-            and self.p == other.p
-            and self.value == other.value
-        )
+        return isinstance(other, int) and self.value == other
 
     def __hash__(self):
         return hash(self.value)

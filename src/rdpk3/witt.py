@@ -24,10 +24,11 @@ implement +, -, *, ** and ring_zero/ring_one:
                       F_p-algebra this is the Witt Frobenius
 
 Over A = F_p itself, W_n(F_p) = Z/p^n has p^n <= 25 elements in every
-supported truncation.  A vector whose components are all F_p scalars of
-its prime carries its index sum v_k p^k, and every operation on such
-vectors is a lookup: add, mul and neg in Cayley tables filled once per
-(p, n) by the compiled functions, [a], V, R and F as index arithmetic.
+supported truncation.  Its components are FpScalar residue labels, which
+have no arithmetic: a vector of them carries its index sum v_k p^k, and
+every operation on such vectors is a lookup: add, mul and neg in Cayley
+tables filled once per (p, n) by the compiled functions on ints, [a],
+V, R and F as index arithmetic.
 """
 
 from __future__ import annotations
@@ -285,13 +286,12 @@ def ghost_compatibility_ok(p: int, n: int) -> bool:
 class WittVec:
     """A length-n Witt vector over a commutative F_p-algebra.
 
-    Each component must be a ring element with ring_zero (an FpScalar,
-    MultiPoly or ChartElem); a plain int or any other object is refused
-    here rather than failing later inside an operation.  Immutable.
-
-    When every component is an FpScalar of the vector's prime, _ix holds
-    its index sum v_k p^k in W_n(F_p) and the operations look it up in
-    the Cayley tables of (p, n); otherwise _ix is None.
+    The components are all FpScalars of the vector's prime, or all ring
+    elements of characteristic p (MultiPoly, ChartElem); anything else is
+    refused here, once, not inside an operation or by a wrong answer.
+    Immutable.  A vector of FpScalars holds its index sum v_k p^k in
+    W_n(F_p) in _ix, looked up in the Cayley tables of (p, n); otherwise
+    _ix is None.
     """
 
     __slots__ = ("p", "components", "_ix")
@@ -303,15 +303,11 @@ class WittVec:
         check_supported(p, len(components))
         ix = 0
         for k, c in enumerate(components):
-            if type(c) is FpScalar and c.p == p:
-                if ix is not None:
-                    ix += c.value * p**k
-                continue
-            ix = None
-            # the type test spares F_p scalars of another modulus the attribute lookup
-            if type(c) is not FpScalar and not hasattr(c, "ring_zero"):
-                kind = "a plain int" if isinstance(c, int) else f"a {type(c).__name__}"
-                raise ValueError(f"Witt component {c!r} is {kind}, not in an F_{p}-algebra")
+            if type(c) is not FpScalar or c.p != p:
+                _check_ring_elements(p, components)
+                ix = None
+                break
+            ix += c.value * p**k
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "components", components)
         object.__setattr__(self, "_ix", ix)
@@ -352,6 +348,23 @@ class WittVec:
         return f"WittVec(p={self.p}, {self})"
 
 
+def _check_ring_elements(p: int, components: tuple) -> None:
+    """Raise ValueError unless the components are ring elements of characteristic p."""
+    scalar = None
+    for c in components:
+        if type(c) is FpScalar:
+            char, scalar = c.p, c
+        elif hasattr(c, "ring_zero"):
+            char = characteristic_of(c)
+        else:
+            kind = "a plain int" if isinstance(c, int) else f"a {type(c).__name__}"
+            raise ValueError(f"Witt component {c!r} is {kind}, not in an F_{p}-algebra")
+        if char != p:
+            raise ValueError(f"Witt component {c!r} has characteristic {char}, not {p}")
+    if scalar is not None:
+        raise ValueError(f"Witt component {scalar!r} is an F_{p} scalar, but other components are ring elements")
+
+
 def _check_pair(x: WittVec, y: WittVec) -> None:
     if x.p != y.p:
         raise ValueError(f"prime mismatch: {x.p} vs {y.p}")
@@ -361,10 +374,11 @@ def _check_pair(x: WittVec, y: WittVec) -> None:
 
 @functools.lru_cache(maxsize=None)
 def _residues(p: int) -> tuple:
-    """FpScalar(p, 0), ..., FpScalar(p, p - 1), the components of every table element.
+    """FpScalar(p, 0), ..., FpScalar(p, p - 1), the interned residue labels of F_p.
 
-    Only asked for after build_witt_table(p, n) has accepted p, so there
-    is one tuple per supported prime at most.
+    They are the components of every Cayley table element and of the
+    inputs the Witt trials draw.  Only supported primes ask for them, so
+    there is one tuple per supported prime at most.
     """
     return tuple(FpScalar(p, v) for v in range(p))
 
@@ -376,8 +390,8 @@ def _cayley(p: int, n: int) -> tuple:
     elems[i] is the vector of index i, with components from _residues(p);
     add[i * p^n + j] and mul[i * p^n + j] are elems[i] + elems[j] and
     elems[i] * elems[j], and neg[i] is -elems[i].  Every entry is the
-    table's compiled function evaluated on the digits and reduced mod p,
-    never Z/p^n, so checks against Z/p^n still test the polynomials.
+    table's compiled function evaluated on the digits as ints and reduced
+    mod p, never Z/p^n, so checks against Z/p^n still test the polynomials.
     """
     table = build_witt_table(p, n)
     box = _residues(p)
@@ -397,8 +411,9 @@ def _wrap(p: int, components: tuple) -> WittVec:
     """The Witt vector of a generic ring operation's result, not checked again.
 
     The table of (p, n) exists only for a supported truncation, and an
-    operation on ring elements yields ring elements, so what WittVec()
-    would check holds by construction.  It carries no index.
+    operation on ring elements of characteristic p yields such elements,
+    so what WittVec() would check holds by construction.  It carries no
+    index.
     """
     x = object.__new__(WittVec)
     object.__setattr__(x, "p", p)
@@ -407,27 +422,13 @@ def _wrap(p: int, components: tuple) -> WittVec:
     return x
 
 
-def _apply(fn, p: int, components) -> tuple:
-    """fn on the components, through the elements' own arithmetic.
-
-    A scalar of another modulus raises, even where no polynomial mixes
-    it; the check runs after fn so that a mixing polynomial still names
-    the pair.
-    """
-    out = fn(*components)
-    for d in components:
-        if isinstance(d, FpScalar) and d.p != p:
-            raise ValueError(f"modulus mismatch: {d.p} vs {p}")
-    return out
-
-
 def witt_add(x: WittVec, y: WittVec) -> WittVec:
     p, xs, ys = x.p, x.components, y.components
     n = len(xs)
     if p != y.p or n != len(ys):
         _check_pair(x, y)
     if x._ix is None or y._ix is None:
-        return _wrap(p, _apply(build_witt_table(p, n).add, p, xs + ys))
+        return _wrap(p, build_witt_table(p, n).add(*xs, *ys))
     elems, add, _, _ = _cayley(p, n)
     return add[x._ix * len(elems) + y._ix]
 
@@ -437,14 +438,14 @@ def witt_mul(x: WittVec, y: WittVec) -> WittVec:
     if p != y.p or n != len(ys):
         _check_pair(x, y)
     if x._ix is None or y._ix is None:
-        return _wrap(p, _apply(build_witt_table(p, n).mul, p, xs + ys))
+        return _wrap(p, build_witt_table(p, n).mul(*xs, *ys))
     elems, _, mul, _ = _cayley(p, n)
     return mul[x._ix * len(elems) + y._ix]
 
 def witt_neg(x: WittVec) -> WittVec:
     p, xs = x.p, x.components
     if x._ix is None:
-        return _wrap(p, _apply(build_witt_table(p, len(xs)).neg, p, xs))
+        return _wrap(p, build_witt_table(p, len(xs)).neg(*xs))
     return _cayley(p, len(xs))[3][x._ix]
 
 def witt_sub(x: WittVec, y: WittVec) -> WittVec:
@@ -483,16 +484,13 @@ def witt_frobenius(x: WittVec) -> WittVec:
 
 
 def characteristic_of(elem) -> int:
-    """The prime p of the F_p-algebra an element belongs to."""
+    """The characteristic of the ring an element belongs to: its prime p, or 0 over Z."""
     ring = getattr(elem, "ring", None)
     if ring is not None:
         return ring.p
-    p = getattr(elem, "p", None)
-    if p is not None:
-        return p
-    m = getattr(elem, "modulus", None)
-    if m:
-        return m
+    for name in ("p", "modulus"):
+        if hasattr(elem, name):
+            return getattr(elem, name) or 0
     raise TypeError(f"cannot infer characteristic of {elem!r}")
 
 

@@ -1,10 +1,13 @@
 import json
 import pathlib
+import random
 import time
 
 import pytest
 
-from rdpk3.cli import main
+from rdpk3.cli import _evaluation_work, main
+from rdpk3.ffpoly import MultiPoly, parse_poly
+from rdpk3.witt import SUPPORTED_RANGES, build_witt_table
 from rdpk3.lattice import glue_from_json
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -69,6 +72,65 @@ def test_witt_eval_sub_json(capsys):
     assert code == 0
     assert doc["schema"] == "rdpk3/witt-eval/1"
     assert len(doc["result"]) == 2
+
+
+def _sum_literal(names, n):
+    return "(" + ",".join(["+".join(names)] * n) + ")"
+
+
+@pytest.mark.parametrize("op", ["mul", "add", "sub"])
+def test_witt_eval_refuses_an_expansion_over_the_work_guard(capsys, op):
+    # 16 terms per component: mul ran 57 s into a MemoryError, add 20 s
+    lhs = _sum_literal([f"a{i}" for i in range(16)], 4)
+    rhs = _sum_literal([f"b{i}" for i in range(16)], 4)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "witt", "eval", "--p", "2", "--n", "4", "--op", op, "--lhs", lhs, "--rhs", rhs)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert f"error: {op} in W_4 at p=2 needs about " in err
+    assert "term operations, more than the guard 20000000" in err
+    assert "Traceback" not in err
+
+
+def test_witt_eval_answers_under_the_work_guard(capsys):
+    lhs = _sum_literal([f"a{i}" for i in range(4)], 4)
+    rhs = _sum_literal([f"b{i}" for i in range(4)], 4)
+    code, doc = run_json(capsys, "witt", "eval", "--p", "2", "--n", "4", "--op", "mul", "--lhs", lhs, "--rhs", rhs)
+    names = sorted(f"{v}{i}" for v in "ab" for i in range(4))
+    a, b = (parse_poly(f"{v}0+{v}1+{v}2+{v}3", names, 2) for v in "ab")
+    assert code == 0 and doc["result"][0] == str(a * b)
+
+
+def test_the_work_estimate_bounds_every_evaluation(monkeypatch):
+    """No result has more terms, and no evaluation more term operations, than estimated."""
+    made = 0
+
+    def counted(op, cost):
+        def wrapper(x, y):
+            nonlocal made
+            made += cost(len(x.terms), len(y.terms) if isinstance(y, MultiPoly) else 1)
+            return op(x, y)
+        return wrapper
+
+    monkeypatch.setattr(MultiPoly, "__mul__", counted(MultiPoly.__mul__, int.__mul__))
+    for name in ("__add__", "__sub__"):
+        monkeypatch.setattr(MultiPoly, name, counted(getattr(MultiPoly, name), int.__add__))
+    rng = random.Random(21)
+    names = [f"x{i}" for i in range(4)]
+    for p, nmax in SUPPORTED_RANGES.items():
+        for n in range(1, nmax + 1):
+            table = build_witt_table(p, n)
+            for _ in range(5):
+                xs = [
+                    parse_poly("+".join(rng.sample(names, rng.randint(1, 4))), names, p)
+                    for _ in range(2 * n)
+                ]
+                for fn, args in ((table.add, xs), (table.mul, xs), (table.neg, xs[:n])):
+                    work, bounds = _evaluation_work(fn, [len(x.terms) for x in args])
+                    made = 0
+                    results = fn(*args)
+                    assert made <= work, (p, n)
+                    assert all(len(r.terms) <= b for r, b in zip(results, bounds)), (p, n)
 
 
 def test_chart_show_rdp(capsys):
@@ -281,6 +343,29 @@ def test_height_count_refuses_a_later_field_before_counting_any(capsys, monkeypa
     assert code == 2
     assert "q=512: counting points needs about 1050112 field operations" in err
     assert out == ""
+
+
+def test_height_count_counts_each_distinct_field_once(capsys, monkeypatch):
+    import rdpk3.cli
+
+    counted = []
+    count_points = rdpk3.cli.count_points
+
+    def recorded(model, q):
+        counted.append(q)
+        return count_points(model, q)
+
+    monkeypatch.setattr(rdpk3.cli, "count_points", recorded)
+    start = time.perf_counter()
+    code, doc = run_json(capsys, "height", "count", "--model", EX71, "--q", ",".join(["32"] * 3000))
+    assert time.perf_counter() - start < 2
+    assert code == 0 and counted == [32]
+    assert doc["counts"] == [{"q": 32, "count": 1089}] * 3000
+    # every entry is still listed, in the order given
+    code, doc = run_json(capsys, "height", "count", "--model", EX71, "--q", "4,2,4,8,2")
+    assert code == 0 and counted == [32, 4, 2, 8]
+    assert [(c["q"], c["count"]) for c in doc["counts"]] == [(4, 25), (2, 9), (4, 25), (8, 45), (2, 9)]
+    assert doc["height"] is None
 
 
 def test_height_count_missing_model(capsys):

@@ -43,8 +43,6 @@ PACKAGE_OBJECT = object()  # what a benchmark name bound to the package module m
 # not show: definition -> the package function (module.qualname) whose
 # attribute call reaches it, and on what.
 DISPATCHED = {
-    "ffpoly.FpScalar.ring_zero": "witt.teichmuller",  # on an F_p scalar in the Witt trials
-    "ffpoly.FpScalar.ring_one": "ffpoly.MultiPoly.evaluate",  # over F_p scalar values
     "ffpoly.SparseTerms.ring_zero": "reproduce.check_witt_identities",  # on polynomial generators
     "ffpoly.SparseTerms.is_zero": "localcoh.CohClass.is_zero",  # on chart elements
     "localcoh.CohClass.is_zero": "localcoh.is_torsion",  # on scalar_mul_class results

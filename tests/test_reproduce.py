@@ -3,7 +3,10 @@ import random
 
 import pytest
 
+from rdpk3 import reproduce
 from rdpk3.chartring import chart_from_key
+from rdpk3.ffpoly import FpScalar
+from rdpk3.witt import SUPPORTED_RANGES
 from rdpk3.reproduce import (
     CANONICITY_CHART_KEYS,
     CHECK_GROUPS,
@@ -136,6 +139,68 @@ def test_property_trials_zero_failures():
     assert witt_axiom_trials(3, 2, 50, rng) == 0
     rng = random.Random("unit:projection")
     assert projection_trials(40, rng) == 0
+
+
+def _parent_axiom_draws(p, n, trials, rng):
+    """The inputs the axiom trials drew when they built fresh FpScalars, in order.
+
+    ("vec", p, residues) is a Witt vector built, ("lift", p, a) the
+    Teichmuller lift of a.
+    """
+
+    def rv(length=n):
+        return ("vec", p, tuple(FpScalar(p, rng.randrange(p)).value for _ in range(length)))
+
+    drawn = [("vec", p, (FpScalar(p, 0).value,) * n), ("lift", p, 1)]
+    for _ in range(trials):
+        drawn += [rv(), rv(), rv()]
+        a = FpScalar(p, rng.randrange(p))
+        b = FpScalar(p, rng.randrange(p))
+        drawn += [("lift", p, a.value), ("lift", p, b.value), ("lift", p, a.value * b.value % p)]
+        if n >= 2:
+            drawn += [rv(n - 1), rv(n - 1)]
+    return drawn
+
+
+def _parent_projection_draws(trials, rng):
+    """The vectors the projection trials drew when they built fresh FpScalars, in order."""
+    drawn = []
+    eligible = [p for p, nmax in SUPPORTED_RANGES.items() if nmax >= 2]
+    for _ in range(trials):
+        p = rng.choice(eligible)
+        total = rng.randint(2, SUPPORTED_RANGES[p])
+        m = rng.randint(1, total - 1)
+        n = total - m
+        for length in (n, total):
+            drawn.append(("vec", p, tuple(FpScalar(p, rng.randrange(p)).value for _ in range(length))))
+    return drawn
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2026])
+def test_witt_trials_draw_the_vectors_they_drew_from_fresh_scalars(seed, monkeypatch):
+    """Taking interned residue labels changed no input of the Witt trials."""
+    drawn = []
+    build, lift = reproduce.WittVec, reproduce.teichmuller
+
+    def recorded_build(p, components):
+        drawn.append(("vec", p, tuple(c.value for c in components)))
+        return build(p, components)
+
+    def recorded_lift(a, n):
+        drawn.append(("lift", a.p, a.value))
+        return lift(a, n)
+
+    monkeypatch.setattr(reproduce, "WittVec", recorded_build)
+    monkeypatch.setattr(reproduce, "teichmuller", recorded_lift)
+    for p, nmax in SUPPORTED_RANGES.items():
+        for n in range(1, nmax + 1):
+            drawn.clear()
+            key = f"{seed}:axioms:{p}:{n}"
+            assert witt_axiom_trials(p, n, 20, random.Random(key)) == 0
+            assert drawn == _parent_axiom_draws(p, n, 20, random.Random(key)), (p, n)
+    drawn.clear()
+    assert projection_trials(50, random.Random(f"{seed}:projection")) == 0
+    assert drawn == _parent_projection_draws(50, random.Random(f"{seed}:projection"))
 
 
 def test_property_suite_records_and_determinism():

@@ -8,7 +8,7 @@ import pytest
 
 from rdpk3 import witt
 from rdpk3.chartring import ChartElem, chart_from_key
-from rdpk3.ffpoly import FpScalar, MultiPoly
+from rdpk3.ffpoly import FiniteField, FpScalar, MultiPoly
 from rdpk3.witt import (
     SUPPORTED_RANGES,
     WittVec,
@@ -82,7 +82,7 @@ def test_table_structure():
 
 
 def zero_like(x):
-    return WittVec(x.p, tuple(c.ring_zero() for c in x.components))
+    return fpvec(x.p, *[0] * x.n)
 
 
 def multiples(one, count):
@@ -158,11 +158,11 @@ def test_teichmuller_multiplicative():
     rng = random.Random(5)
     for p, nmax in SUPPORTED_RANGES.items():
         for _ in range(20):
-            a = FpScalar(p, rng.randrange(p))
-            b = FpScalar(p, rng.randrange(p))
-            ta = teichmuller(a, nmax)
-            tb = teichmuller(b, nmax)
-            assert ta * tb == teichmuller(a * b, nmax)
+            a = rng.randrange(p)
+            b = rng.randrange(p)
+            ta = teichmuller(FpScalar(p, a), nmax)
+            tb = teichmuller(FpScalar(p, b), nmax)
+            assert ta * tb == teichmuller(FpScalar(p, a * b), nmax)
     t = teichmuller(FpScalar(5, 3), 2)
     assert t == fpvec(5, 3, 0)
 
@@ -312,9 +312,9 @@ def _interpreted(polys, xs, ys=()):
 
 
 def _random_component(kind, p, rng):
-    """A random element of F_p, of F_p[s, t], or of a chart ring over F_p."""
+    """A random element of F_p (an int), of F_p[s, t], or of a chart ring over F_p."""
     if kind == "scalar":
-        return FpScalar(p, rng.randrange(p))
+        return rng.randrange(p)
     if kind == "poly":
         terms = {(rng.randrange(3), rng.randrange(3)): rng.randrange(p) for _ in range(3)}
         return MultiPoly(("s", "t"), terms, p)
@@ -327,10 +327,16 @@ def _random_component(kind, p, rng):
     return ChartElem(ring, terms)
 
 
+def _mod(p, values):
+    return [v % p for v in values]
+
+
 def test_compiled_tables_match_interpreter():
+    """On ints mod p against FiniteField.evaluate_poly, on ring elements against MultiPoly.evaluate."""
     rng = random.Random(4686)
     rings = {2: chart_from_key("2:D9:2"), 3: chart_from_key("3:E8:2")}
     for p, nmax in SUPPORTED_RANGES.items():
+        field = FiniteField(p)
         kinds = ["scalar", "poly"] + ([rings[p]] if p in rings else [])
         for n in range(1, nmax + 1):
             table = build_witt_table(p, n)
@@ -341,6 +347,14 @@ def test_compiled_tables_match_interpreter():
                 for _ in range(3):
                     xs = tuple(_random_component(kind, p, rng) for _ in range(n))
                     ys = tuple(_random_component(kind, p, rng) for _ in range(n))
+                    if kind == "scalar":
+                        for fn, polys, args in (
+                            (table.add, table.sum_polys, xs + ys),
+                            (table.mul, table.prod_polys, xs + ys),
+                            (table.neg, table.neg_polys, xs),
+                        ):
+                            assert _mod(p, fn(*args)) == [field.evaluate_poly(q, args) for q in polys]
+                        continue
                     assert table.add(*xs, *ys) == _interpreted(table.sum_polys, xs, ys)
                     assert table.mul(*xs, *ys) == _interpreted(table.prod_polys, xs, ys)
                     assert table.neg(*xs) == _interpreted(table.neg_polys, xs)
@@ -436,17 +450,29 @@ def test_compiled_functions_are_shared_straight_line_binary_ops(monkeypatch):
 
 
 def test_tail_subtraction_of_a_teichmuller_lift_matches_witt_sub():
-    """The compiled x - [t] equals the full witt_sub of a Teichmuller lift."""
+    """The compiled x - [t] equals the full witt_sub of a Teichmuller lift.
+
+    On ints mod p the oracle is x + (-[t]) from the table's sum and
+    negation polynomials, evaluated by FiniteField.evaluate_poly.
+    """
     rng = random.Random(1207)
     keys = {2: "2:D9:2", 3: "3:E8:2", 5: "5:A4", 7: "7:A6"}
     rings = {p: chart_from_key(key) for p, key in keys.items()}
     for p, nmax in SUPPORTED_RANGES.items():
+        field = FiniteField(p)
         for m in range(1, nmax + 1):
             sub = _teich_sub(p, m)
+            table = build_witt_table(p, m)
             for kind in ("scalar", "poly", rings[p]):
                 for _ in range(4):
                     xs = tuple(_random_component(kind, p, rng) for _ in range(m))
                     t = _random_component(kind, p, rng)
+                    if kind == "scalar":
+                        lift = (t,) + (0,) * (m - 1)
+                        neg = tuple(field.evaluate_poly(q, lift) for q in table.neg_polys)
+                        want = [field.evaluate_poly(q, xs + neg) for q in table.sum_polys]
+                        assert _mod(p, sub(*xs, t)) == want, (p, m, kind)
+                        continue
                     want = witt_sub(WittVec(p, xs), teichmuller(t, m)).components
                     assert sub(*xs, t) == want, (p, m, kind)
 
@@ -479,7 +505,10 @@ def test_fp_arithmetic_is_z_mod_p_to_the_n_exhaustively():
 
 
 def test_every_cayley_entry_is_the_compiled_function_and_z_mod_p_to_the_n():
+    """Each entry is the compiled function on the digits as ints mod p, the
+    structure polynomials evaluated by FiniteField.evaluate_poly, and Z/p^n."""
     for p, nmax in SUPPORTED_RANGES.items():
+        field = FiniteField(p)
         for n in range(1, nmax + 1):
             table = build_witt_table(p, n)
             elems, add, mul, neg = witt._cayley(p, n)
@@ -489,15 +518,25 @@ def test_every_cayley_entry_is_the_compiled_function_and_z_mod_p_to_the_n():
             for i, x in enumerate(elems):
                 assert all(c is box[c.value] for c in x.components)
                 assert x._ix == sum(c.value * p**k for k, c in enumerate(x.components)) == i
+            digits = [tuple(c.value for c in x.components) for x in elems]
+
+            def values(r):
+                return [c.value for c in r.components]
+
             for i, x in enumerate(elems):
-                xs = x.components
-                assert neg[i].components == table.neg(*xs), (p, n, i)
+                xs = digits[i]
+                want = [field.evaluate_poly(q, xs) for q in table.neg_polys]
+                assert values(neg[i]) == _mod(p, table.neg(*xs)) == want, (p, n, i)
                 assert _to_int(p, neg[i]) == -_to_int(p, x) % size
                 for j, y in enumerate(elems):
-                    ys = y.components
-                    for got, fn, op in ((add, table.add, int.__add__), (mul, table.mul, int.__mul__)):
+                    args = xs + digits[j]
+                    for got, fn, polys, op in (
+                        (add, table.add, table.sum_polys, int.__add__),
+                        (mul, table.mul, table.prod_polys, int.__mul__),
+                    ):
                         r = got[i * size + j]
-                        assert r.components == fn(*xs, *ys), (p, n, i, j)
+                        want = [field.evaluate_poly(q, args) for q in polys]
+                        assert values(r) == _mod(p, fn(*args)) == want, (p, n, i, j)
                         assert _to_int(p, r) == op(_to_int(p, x), _to_int(p, y)) % size
 
 
@@ -582,44 +621,64 @@ def test_fp_arithmetic_builds_no_scalar_and_checks_no_result(monkeypatch):
 
 
 def test_a_component_of_another_modulus_still_raises():
-    odd = WittVec(2, (FpScalar(2, 1), FpScalar(3, 1)))
-    y = fpvec(2, 1, 1)
-    for op, args, message in (
-        (witt_add, (odd, y), "modulus mismatch: 3 vs 2"),
-        (witt_add, (y, odd), "modulus mismatch: 2 vs 3"),
-        (witt_mul, (odd, y), "modulus mismatch: 3 vs 2"),
-        (witt_neg, (odd,), "modulus mismatch: 2 vs 3"),
-        (witt_sub, (y, odd), "modulus mismatch: 2 vs 3"),
+    """A scalar of another prime is refused when the vector is built, and named."""
+    for p, components, named in (
+        (2, (FpScalar(2, 1), FpScalar(3, 1)), "FpScalar(3, 1) has characteristic 3, not 2"),
+        (3, (FpScalar(3, 1), FpScalar(5, 1)), "FpScalar(5, 1) has characteristic 5, not 3"),
+        (2, (FpScalar(3, 1), FpScalar(3, 2)), "FpScalar(3, 1) has characteristic 3, not 2"),
     ):
-        with pytest.raises(ValueError, match=message):
-            op(*args)
-    odd = WittVec(3, (FpScalar(3, 1), FpScalar(5, 1)))
-    with pytest.raises(ValueError, match="modulus mismatch: 5 vs 3"):
-        witt_mul(odd, fpvec(3, 2, 1))
-    # V, R and F of such a vector carry no index, and still raise in an operation
-    odd = WittVec(2, (FpScalar(2, 1), FpScalar(3, 1)))
-    for x in (verschiebung(odd), restriction(WittVec(2, odd.components + (FpScalar(2, 0),))), witt_frobenius(odd)):
-        assert x._ix is None
-        with pytest.raises(ValueError, match="modulus mismatch: 3 vs 2"):
-            witt_add(x, fpvec(2, *[1] * x.n))
-    # restriction that drops the foreign component leaves an F_2 vector
-    assert restriction(odd)._ix == 1 and restriction(odd) + fpvec(2, 1) == fpvec(2, 0)
+        with pytest.raises(ValueError, match=re.escape(f"Witt component {named}")):
+            WittVec(p, components)
+    # V, R and F start from a checked vector, so none of them can carry one in
+    x = fpvec(2, 1, 1)
+    for r in (verschiebung(x), restriction(fpvec(2, 1, 1, 0)), witt_frobenius(x)):
+        assert r._ix is not None and all(c.p == 2 for c in r.components)
 
 
 @pytest.mark.parametrize(
-    "op,args",
+    "build,named",
     [
-        (witt_neg, (WittVec(3, (FpScalar(3, 1), FpScalar(5, 1))),)),
-        (witt_add, (WittVec(3, (FpScalar(5, 1),)), WittVec(3, (FpScalar(5, 2),)))),
-        (witt_mul, (WittVec(3, (FpScalar(5, 2),)), WittVec(3, (FpScalar(5, 3),)))),
-        (witt_add, (WittVec(2, (FpScalar(3, 1), FpScalar(3, 2))), WittVec(2, (FpScalar(3, 0), FpScalar(3, 1))))),
+        (lambda: witt_neg(WittVec(3, (FpScalar(3, 1), FpScalar(5, 1)))), "FpScalar(5, 1) has characteristic 5"),
+        (lambda: witt_add(WittVec(3, (FpScalar(5, 1),)), fpvec(3, 2)), "FpScalar(5, 1) has characteristic 5"),
+        (lambda: witt_mul(fpvec(3, 2), WittVec(3, (FpScalar(5, 3),))), "FpScalar(5, 3) has characteristic 5"),
+        (
+            lambda: witt_add(WittVec(2, (FpScalar(3, 1), FpScalar(3, 2))), fpvec(2, 0, 1)),
+            "FpScalar(3, 1) has characteristic 3",
+        ),
     ],
     ids=["neg-one-foreign-component", "add-n1", "mul-n1", "add-all-foreign"],
 )
-def test_a_foreign_modulus_raises_even_when_no_polynomial_mixes_it(op, args):
-    # these never combine scalars of two moduli, so only the explicit check sees them
-    with pytest.raises(ValueError, match="modulus mismatch"):
-        op(*args)
+def test_a_foreign_modulus_raises_even_when_no_polynomial_mixes_it(build, named):
+    # no operation is reached: the vector is refused when it is built
+    with pytest.raises(ValueError, match=re.escape(f"Witt component {named}, not")):
+        build()
+
+
+def _f3_poly():
+    return MultiPoly.gen(("a",), "a", 3)
+
+
+@pytest.mark.parametrize(
+    "components,named",
+    [
+        (lambda: (_f3_poly(), _f3_poly().ring_zero()), "MultiPoly(a) has characteristic 3, not 2"),
+        (lambda: (MultiPoly.gen(("a",), "a"), MultiPoly.zero(("a",))), "MultiPoly(a) has characteristic 0, not 2"),
+        (
+            lambda: (chart_from_key("3:E8:1").monomial(1, -1, -1, 1), chart_from_key("3:E8:1").monomial(0, 0, 0, 0)),
+            "has characteristic 3, not 2",
+        ),
+        (lambda: (FpScalar(3, 1), FpScalar(3, 0)), "FpScalar(3, 1) has characteristic 3, not 2"),
+        (
+            lambda: (FpScalar(2, 1), MultiPoly.gen(("a",), "a", 2)),
+            "FpScalar(2, 1) is an F_2 scalar, but other components are ring elements",
+        ),
+    ],
+    ids=["f3-poly", "z-poly", "3-E8-1-element", "f3-scalar", "scalar-and-poly"],
+)
+def test_witt_vec_refuses_components_of_another_characteristic(components, named):
+    """Such a vector used to be accepted, and witt_add of (a, 0) with itself gave (2a, a^2)."""
+    with pytest.raises(ValueError, match="Witt component .*" + re.escape(named)):
+        WittVec(2, components())
 
 
 def test_teichmuller_refuses_an_empty_length():
