@@ -248,15 +248,6 @@ class ChartElem(SparseTerms):
         self.ring = ring
         self.terms = clean
 
-    def _coerce(self, other):
-        if isinstance(other, ChartElem):
-            if other.ring is not self.ring and other.ring != self.ring:
-                raise ValueError("chart ring mismatch")
-            return other
-        if isinstance(other, int):
-            return ChartElem(self.ring, {(0, 0, 0): other})
-        return NotImplemented
-
     def _raw(self, terms) -> "ChartElem":
         """An element of this ring from nonzero coefficients already reduced mod p."""
         elem = object.__new__(ChartElem)
@@ -264,41 +255,13 @@ class ChartElem(SparseTerms):
         elem.terms = terms
         return elem
 
-    def _like(self, terms) -> "ChartElem":
-        """An element from the terms of a ring operation: keys in range, coefficients reduced here."""
-        p = self.ring.p
-        return self._raw({key: r for key, c in terms.items() if (r := c % p)})
-
-    def _merged(self, base: dict, terms: dict, sign: int) -> "ChartElem":
-        """base + sign * terms: a copy of base, with only the keys of terms reduced again."""
-        p = self.ring.p
-        out = dict(base)
-        for key, c in terms.items():
-            r = (out.get(key, 0) + sign * c) % p
-            if r:
-                out[key] = r
-            else:
-                del out[key]
-        return self._raw(out)
+    @property
+    def modulus(self) -> int:
+        return self.ring.p
 
     @property
     def _names(self) -> tuple:
         return self.ring.labels
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b = self.terms, other.terms
-        return self._merged(a, b, 1) if len(a) >= len(b) else self._merged(b, a, 1)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self._merged(self.terms, other.terms, -1)
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -342,16 +305,6 @@ class ChartElem(SparseTerms):
                 terms[key] = terms.get(key, 0) + k * rc
         return self._like(terms)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, ChartElem)
-            and self.ring == other.ring
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.ring, frozenset(self.terms.items())))
-
     def split(self) -> tuple:
         """Cech decomposition (xi, eta, rho) of this element.
 
@@ -376,6 +329,10 @@ class ChartElem(SparseTerms):
 
     def has_nonnegative_exponents(self) -> bool:
         return all(i >= 0 and j >= 0 for (i, j, _) in self.terms)
+
+
+# The SparseTerms parent hook is the ring slot itself, read with no property call.
+ChartElem._parent = ChartElem.ring
 
 
 class RingMap:

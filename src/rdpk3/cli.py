@@ -180,7 +180,16 @@ def cmd_witt_eval(args) -> int:
     if (args.op == "neg") != (args.rhs is None):
         raise CliError("neg takes only --lhs" if args.op == "neg" else f"op {args.op} needs --rhs")
     variables = _literal_variables(args.lhs, args.rhs)
-    vecs = [_witt_literal(text, args.p, args.n, variables) for text in (args.lhs, args.rhs) if text is not None]
+    texts = [text for text in (args.lhs, args.rhs) if text is not None]
+    # the parse gives every term a key as long as the list of variables:
+    # bound that from the +, - and , separators before parsing
+    terms = sum(text.count("+") + text.count("-") + text.count(",") + 1 for text in texts)
+    if terms * len(variables) > _WITT_EVAL_GUARD:
+        raise CliError(
+            f"{args.op} in W_{args.n} at p={args.p} reads about {terms} terms over {len(variables)} "
+            f"variables, {terms * len(variables)} exponent entries, more than the guard {_WITT_EVAL_GUARD}"
+        )
+    vecs = [_witt_literal(text, args.p, args.n, variables) for text in texts]
     # refuse before any expansion: the work estimate (-y first for x - y)
     # times the length of every exponent key
     table, work = build_witt_table(args.p, args.n), 0

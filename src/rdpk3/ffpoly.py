@@ -87,26 +87,59 @@ class FpScalar:
 class SparseTerms:
     """A finite sum of monomials stored as {exponent key: coefficient}.
 
-    Holds the arithmetic that does not depend on the parent ring: sums,
-    negation, differences, powers, zero and one, term order and
-    printing.  A subclass stores ``terms`` and supplies ``_like`` (an
-    element of the same ring from a term dict a ring operation built,
-    so its keys need no check), ``_coerce`` (an int or a
-    peer as a like element, NotImplemented otherwise), ``_one_key`` (the
-    exponent key of 1), ``_names`` (one name per exponent slot) and its
-    own ``__mul__``.
+    The one home of the term-dict arithmetic of polynomials and chart
+    elements: coercion, sums, negation, differences, powers, equality,
+    hashing, zero and one, term order and printing.  It reads two hooks:
+    ``_parent``, the ring (elements combine and compare only when their
+    parents are the same object or equal), and ``modulus``, the prime p
+    the coefficients are reduced by, or None over Z.  A subclass stores
+    ``terms`` and supplies a validating ``__init__`` for input from
+    outside, ``_raw`` (a like element from nonzero reduced coefficients,
+    not checked again: the results of ring operations), ``_one_key``
+    (the exponent key of 1), ``_names`` (one name per exponent slot) and
+    its own ``__mul__``.
     """
 
     __slots__ = ()
+
+    def _coerce(self, other):
+        """other as an element of this parent: a peer, or an int as a constant; NotImplemented otherwise."""
+        if isinstance(other, SparseTerms):
+            mine, theirs = self._parent, other._parent
+            if mine is not theirs and mine != theirs:
+                raise ValueError(f"incompatible parents: {mine} vs {theirs}")
+            return other
+        if isinstance(other, int):
+            return self._like({self._one_key: other})
+        return NotImplemented
+
+    def _like(self, terms):
+        """An element from the terms of a ring operation: keys in range, coefficients reduced here."""
+        p = self.modulus
+        if p is None:
+            return self._raw({key: c for key, c in terms.items() if c})
+        return self._raw({key: r for key, c in terms.items() if (r := c % p)})
+
+    def _merged(self, base: dict, terms: dict, sign: int):
+        """base + sign * terms: a copy of base, with only the keys of terms reduced again."""
+        p = self.modulus
+        out = dict(base)
+        for key, c in terms.items():
+            r = out.get(key, 0) + sign * c
+            if p is not None:
+                r %= p
+            if r:
+                out[key] = r
+            else:
+                del out[key]
+        return self._raw(out)
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        terms = dict(self.terms)
-        for key, c in other.terms.items():
-            terms[key] = terms.get(key, 0) + c
-        return self._like(terms)
+        a, b = self.terms, other.terms
+        return self._merged(a, b, 1) if len(a) >= len(b) else self._merged(b, a, 1)
 
     __radd__ = __add__
 
@@ -117,10 +150,7 @@ class SparseTerms:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        terms = dict(self.terms)
-        for key, c in other.terms.items():
-            terms[key] = terms.get(key, 0) - c
-        return self._like(terms)
+        return self._merged(self.terms, other.terms, -1)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -139,10 +169,19 @@ class SparseTerms:
         return self.ring_one() if result is None else result
 
     def ring_zero(self):
-        return self._like({})
+        return self._raw({})
 
     def ring_one(self):
-        return self._like({self._one_key: 1})
+        return self._raw({self._one_key: 1})
+
+    def __eq__(self, other):
+        if not isinstance(other, SparseTerms):
+            return False
+        mine, theirs = self._parent, other._parent
+        return (mine is theirs or mine == theirs) and self.terms == other.terms
+
+    def __hash__(self):
+        return hash((self._parent, frozenset(self.terms.items())))
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -191,15 +230,11 @@ class MultiPoly(SparseTerms):
                 raise ValueError(f"exponent tuple {exps} does not match {variables}")
             if any(e < 0 for e in exps):
                 raise ValueError(f"negative exponent in {exps}")
-            if modulus is not None:
-                c %= modulus
-            if c:
-                clean[exps] = clean.get(exps, 0) + c
-                if not clean[exps]:
-                    del clean[exps]
+            clean[exps] = clean.get(exps, 0) + c
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "terms", clean)
+        # reduced mod p and cleared of zeros as a ring operation's result is
+        object.__setattr__(self, "terms", self._like(clean).terms)
 
     def __setattr__(self, name, value):
         raise AttributeError("MultiPoly is immutable")
@@ -211,11 +246,6 @@ class MultiPoly(SparseTerms):
         return cls(variables, {}, modulus)
 
     @classmethod
-    def const(cls, variables, c: int, modulus=None) -> "MultiPoly":
-        n = len(tuple(variables))
-        return cls(variables, {(0,) * n: c}, modulus)
-
-    @classmethod
     def gen(cls, variables, name: str, modulus=None) -> "MultiPoly":
         variables = tuple(variables)
         i = variables.index(name)
@@ -224,23 +254,17 @@ class MultiPoly(SparseTerms):
 
     # -- ring structure ----------------------------------------------
 
-    def _compat(self, other: "MultiPoly") -> None:
-        if self.variables != other.variables or self.modulus != other.modulus:
-            raise ValueError(
-                f"incompatible polynomials: {self.variables}/{self.modulus} "
-                f"vs {other.variables}/{other.modulus}"
-            )
+    def _raw(self, terms) -> "MultiPoly":
+        """A polynomial in these variables and modulus from nonzero coefficients already reduced."""
+        poly = object.__new__(MultiPoly)
+        object.__setattr__(poly, "variables", self.variables)
+        object.__setattr__(poly, "modulus", self.modulus)
+        object.__setattr__(poly, "terms", terms)
+        return poly
 
-    def _like(self, terms) -> "MultiPoly":
-        return MultiPoly(self.variables, terms, self.modulus)
-
-    def _coerce(self, other):
-        if isinstance(other, int):
-            return MultiPoly.const(self.variables, other, self.modulus)
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
-        self._compat(other)
-        return other
+    @property
+    def _parent(self) -> tuple:
+        return self.variables, self.modulus
 
     @property
     def _one_key(self) -> tuple:
@@ -259,7 +283,7 @@ class MultiPoly(SparseTerms):
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
                 terms[e] = terms.get(e, 0) + c1 * c2
-        return MultiPoly(self.variables, terms, self.modulus)
+        return self._like(terms)
 
     __rmul__ = __mul__
 
@@ -308,7 +332,7 @@ class MultiPoly(SparseTerms):
                 mono = _format_term(self.variables, exps, c)
                 raise ArithmeticError(f"coefficient of {mono} is not divisible by {d}")
             terms[exps] = q
-        return MultiPoly(self.variables, terms, None)
+        return self._raw(terms)
 
     def reduce_mod(self, p: int) -> "MultiPoly":
         if self.modulus is not None:
@@ -344,19 +368,6 @@ class MultiPoly(SparseTerms):
                     mono = mono * power(name, e)
             acc = acc + mono * c
         return acc
-
-    # -- comparison and display ---------------------------------------
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, MultiPoly)
-            and self.variables == other.variables
-            and self.modulus == other.modulus
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.variables, self.modulus, frozenset(self.terms.items())))
 
 
 def _format_term(variables, exps, c) -> str:

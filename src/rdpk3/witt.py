@@ -372,6 +372,12 @@ def _check_pair(x: WittVec, y: WittVec) -> None:
         raise ValueError(f"length mismatch: {x.n} vs {y.n}")
 
 
+def _mixed(x: WittVec, y: WittVec) -> ValueError:
+    """The error for a vector of F_p scalars met with one of ring elements, naming both kinds."""
+    kinds = [f"F_{v.p} scalars" if v._ix is not None else f"{type(v.components[0]).__name__} elements" for v in (x, y)]
+    return ValueError(f"cannot combine a Witt vector of {kinds[0]} with one of {kinds[1]}")
+
+
 @functools.lru_cache(maxsize=None)
 def _residues(p: int) -> tuple:
     """FpScalar(p, 0), ..., FpScalar(p, p - 1), the interned residue labels of F_p.
@@ -428,6 +434,8 @@ def witt_add(x: WittVec, y: WittVec) -> WittVec:
     if p != y.p or n != len(ys):
         _check_pair(x, y)
     if x._ix is None or y._ix is None:
+        if x._ix is not None or y._ix is not None:
+            raise _mixed(x, y)
         return _wrap(p, build_witt_table(p, n).add(*xs, *ys))
     elems, add, _, _ = _cayley(p, n)
     return add[x._ix * len(elems) + y._ix]
@@ -438,6 +446,8 @@ def witt_mul(x: WittVec, y: WittVec) -> WittVec:
     if p != y.p or n != len(ys):
         _check_pair(x, y)
     if x._ix is None or y._ix is None:
+        if x._ix is not None or y._ix is not None:
+            raise _mixed(x, y)
         return _wrap(p, build_witt_table(p, n).mul(*xs, *ys))
     elems, _, mul, _ = _cayley(p, n)
     return mul[x._ix * len(elems) + y._ix]
@@ -484,14 +494,12 @@ def witt_frobenius(x: WittVec) -> WittVec:
 
 
 def characteristic_of(elem) -> int:
-    """The characteristic of the ring an element belongs to: its prime p, or 0 over Z."""
-    ring = getattr(elem, "ring", None)
-    if ring is not None:
-        return ring.p
-    for name in ("p", "modulus"):
-        if hasattr(elem, name):
-            return getattr(elem, name) or 0
-    raise TypeError(f"cannot infer characteristic of {elem!r}")
+    """The characteristic of an element's ring: an FpScalar's p, else its modulus, or 0 over Z."""
+    if type(elem) is FpScalar:
+        return elem.p
+    if not hasattr(elem, "modulus"):
+        raise TypeError(f"cannot infer characteristic of {elem!r}")
+    return elem.modulus or 0
 
 
 def teichmuller(elem, n: int) -> WittVec:

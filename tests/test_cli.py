@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from rdpk3 import cli
 from rdpk3.cli import _evaluation_work, main
 from rdpk3.ffpoly import MultiPoly, parse_poly
 from rdpk3.witt import SUPPORTED_RANGES, build_witt_table
@@ -90,6 +91,21 @@ def test_witt_eval_refuses_an_expansion_over_the_work_guard(capsys, op):
     assert f"error: {op} in W_4 at p=2 needs about " in err
     assert "term operations, more than the guard 20000000" in err
     assert "Traceback" not in err
+
+
+def test_witt_eval_bounds_the_parse_of_its_literals(capsys, monkeypatch):
+    # 6,000 terms a side, one new variable per term: the parse alone took 27 s
+    monkeypatch.setattr(cli, "_witt_literal", lambda *args: pytest.fail("the literals were parsed"))
+    lhs = "(" + "+".join(f"a{i}" for i in range(6000)) + ")"
+    rhs = "(" + "+".join(f"b{i}" for i in range(6000)) + ")"
+    start = time.perf_counter()
+    code, out, err = run(capsys, "witt", "eval", "--p", "7", "--n", "1", "--op", "add", "--lhs", lhs, "--rhs", rhs)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err == (
+        "error: add in W_1 at p=7 reads about 12000 terms over 12000 variables, "
+        "144000000 exponent entries, more than the guard 20000000\n"
+    )
 
 
 def test_witt_eval_answers_under_the_work_guard(capsys):

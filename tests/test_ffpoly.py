@@ -1,8 +1,10 @@
 import itertools
+import operator
 import random
 
 import pytest
 
+from rdpk3.chartring import ChartElem, ChartRing, parse_rdp_key, rdp_chart
 from rdpk3.ffpoly import (
     FiniteField,
     FpScalar,
@@ -10,6 +12,7 @@ from rdpk3.ffpoly import (
     is_prime,
     parse_poly,
 )
+from rdpk3.reproduce import CANONICITY_CHART_KEYS
 from rdpk3.witt import WittVec
 
 
@@ -88,6 +91,13 @@ def test_multipoly_mod_p_collapse():
     x = MultiPoly.gen(("x",), "x", 3)
     assert x + x + x == MultiPoly.zero(("x",), 3)
     assert (x + 1) ** 3 == x**3 + 1
+
+
+def test_multipoly_reduces_keys_that_become_the_same_tuple():
+    """Coefficients of keys equal only as tuples are summed before they are reduced mod p."""
+    f = MultiPoly(("x",), {(1,): 2, range(1, 2): 2}, 3)
+    assert f.terms == {(1,): 1} and f == MultiPoly.gen(("x",), "x", 3)
+    assert MultiPoly(("x",), {(1,): 2, range(1, 2): 1}, 3).is_zero()
 
 
 def test_multipoly_frobenius_binomial():
@@ -297,3 +307,146 @@ def test_trace_is_the_sum_of_the_frobenius_conjugates(q):
         for i in range(f.k):
             acc = f.add(acc, f.pow(a, f.p**i))
         assert f.trace(a) == acc, (q, a)
+
+
+# -- the sparse-term kernel that polynomials and chart elements share ------
+
+KERNEL_NAMES = ("x", "y", "z")
+KERNEL_PARENTS = ("Z", "F_2", "F_3", "F_5", "F_7") + CANONICITY_CHART_KEYS
+
+
+def _kernel_elements(parent, rng, count):
+    """count random elements of a parent, built by the validating constructors from raw terms."""
+    out = []
+    for _ in range(count):
+        size = rng.randint(0, 4)
+        if parent.startswith(("Z", "F_")):
+            modulus = None if parent == "Z" else int(parent[2:])
+            keys = [tuple(rng.randint(0, 2) for _ in KERNEL_NAMES) for _ in range(size)]
+            out.append(MultiPoly(KERNEL_NAMES, {k: rng.randint(-9, 9) for k in keys}, modulus))
+        else:
+            ring = rdp_chart(parse_rdp_key(parent))
+            keys = [(rng.randint(-2, 2), rng.randint(-2, 2), rng.randrange(ring.wdeg)) for _ in range(size)]
+            out.append(ChartElem(ring, {k: rng.randint(-9, 9) for k in keys}))
+    return out
+
+
+def _validated(elem, terms):
+    """The element of elem's parent that the validating constructor builds from terms."""
+    if isinstance(elem, MultiPoly):
+        return MultiPoly(elem.variables, terms, elem.modulus)
+    return ChartElem(elem.ring, terms)
+
+
+def _combined(a, b_terms, sign):
+    """a + sign * b as a term dict, neither reduced nor cleared of zeros."""
+    out = dict(a.terms)
+    for k, c in b_terms.items():
+        out[k] = out.get(k, 0) + sign * c
+    return out
+
+
+def _assert_normal(result, like):
+    """result is in like's parent, in the form its validating constructor gives, and hashes so."""
+    assert type(result) is type(like)
+    rebuilt = _validated(like, result.terms)
+    assert result.terms == rebuilt.terms
+    assert result == rebuilt and rebuilt == result
+    assert hash(result) == hash(rebuilt)
+    assert all(result.terms.values())
+    if result.modulus is not None:
+        assert all(0 < c < result.modulus for c in result.terms.values())
+
+
+@pytest.mark.parametrize("parent", KERNEL_PARENTS)
+def test_kernel_results_equal_their_validated_construction(parent):
+    """+, -, unary -, *, ** and int operands on both sides: right, reduced, no zeros, equal hashes."""
+    rng = random.Random(f"kernel:{parent}")
+    elems = _kernel_elements(parent, rng, 6)
+    for a, b in itertools.product(elems, repeat=2):
+        cases = [
+            (a + b, _combined(a, b.terms, 1)),
+            (a - b, _combined(a, b.terms, -1)),
+            (-a, {key: -c for key, c in a.terms.items()}),
+        ]
+        for k in (-7, -1, 0, 1, 2, 10):
+            const = {a._one_key: k}
+            cases += [
+                (a + k, _combined(a, const, 1)),
+                (k + a, _combined(a, const, 1)),
+                (a - k, _combined(a, const, -1)),
+                (k - a, {key: -c for key, c in _combined(a, const, -1).items()}),
+                (a * k, {key: c * k for key, c in a.terms.items()}),
+                (k * a, {key: c * k for key, c in a.terms.items()}),
+            ]
+        for result, terms in cases:
+            _assert_normal(result, a)
+            assert result == _validated(a, terms)
+        if isinstance(a, MultiPoly):
+            product = {}
+            for (e1, c1), (e2, c2) in itertools.product(a.terms.items(), b.terms.items()):
+                e = tuple(map(operator.add, e1, e2))
+                product[e] = product.get(e, 0) + c1 * c2
+            assert a * b == _validated(a, product)
+        for result in (a * b, b * a, a**0, a**1, a**3, (a + b) ** 2):
+            _assert_normal(result, a)
+        assert a * b == b * a
+        assert a**3 == a * a * a
+        assert (a + b) ** 2 == a * a + a * b + b * a + b * b
+        assert (a - a).is_zero() and a - a == a.ring_zero()
+        assert (a == b) == (a.terms == b.terms)
+
+
+def test_operands_of_different_parents_raise_naming_both():
+    x = MultiPoly.gen(("x", "y"), "x", 3)
+    e8 = rdp_chart(parse_rdp_key("2:E8:0")).one()
+    cases = (
+        (x, MultiPoly.gen(("x", "z"), "x", 3), "(('x', 'y'), 3)", "(('x', 'z'), 3)"),
+        (x, MultiPoly.gen(("x", "y"), "x", 5), "(('x', 'y'), 3)", "(('x', 'y'), 5)"),
+        (x, MultiPoly.gen(("x", "y"), "x"), "(('x', 'y'), 3)", "(('x', 'y'), None)"),
+        (e8, rdp_chart(parse_rdp_key("2:E8:1")).one(), "ChartRing(2:E8:0)", "ChartRing(2:E8:1)"),
+        (e8, x, "ChartRing(2:E8:0)", "(('x', 'y'), 3)"),
+    )
+    for a, b, named_a, named_b in cases:
+        for op in (operator.add, operator.sub, operator.mul):
+            for u, v, first, second in ((a, b, named_a, named_b), (b, a, named_b, named_a)):
+                with pytest.raises(ValueError) as err:
+                    op(u, v)
+                assert str(err.value) == f"incompatible parents: {first} vs {second}"
+        assert a != b and b != a
+
+
+def test_equal_but_distinct_chart_rings_still_add():
+    def build():
+        rel = parse_poly("x^3 + y^5", ("x", "y"), 2)
+        return ChartRing(2, 2, rel, None, ("x", "y", "z"), "E8 copy")
+
+    first, second = build(), build()
+    assert first is not second and first == second
+    u, v = first.monomial(1, -1, 2, 1), second.monomial(1, 3, 0, 1)
+    for result, terms in ((u + v, {(-1, 2, 1): 1, (3, 0, 1): 1}), (u - v, {(-1, 2, 1): 1, (3, 0, 1): 1})):
+        assert result == ChartElem(first, terms) == ChartElem(second, terms)
+        assert hash(result) == hash(ChartElem(second, terms))
+    assert u * v == v * u
+    assert first.monomial(1, 2, 2) == second.monomial(1, 2, 2)
+
+
+def test_multipoly_ring_operations_build_no_validated_polynomial(monkeypatch):
+    rng = random.Random(22)
+    groups = [_kernel_elements(parent, rng, 3) for parent in ("Z", "F_2", "F_3", "F_5", "F_7")]
+    built = 0
+    init = MultiPoly.__init__
+
+    def counted(self, *args, **kwargs):
+        nonlocal built
+        built += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(MultiPoly, "__init__", counted)
+    for elems in groups:
+        for a, b in itertools.product(elems, repeat=2):
+            for k in (-2, 0, 3):
+                a + k, k + a, a - k, k - a, a * k, k * a
+            a + b, a - b, -a, a * b, a**0, a**2, a**5, a.ring_zero(), a.ring_one()
+            assert (a == b) == (a.terms == b.terms) and hash(a) == hash(a + 0)
+    assert built == 0

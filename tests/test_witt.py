@@ -718,3 +718,18 @@ def test_witt_vec_refuses_components_outside_an_f_p_algebra(components, named):
     # ring_zero and the operations would otherwise fail later, with an AttributeError
     with pytest.raises(ValueError, match=re.escape(named)):
         WittVec(2, components)
+
+
+@pytest.mark.parametrize("op", [witt_add, witt_mul, witt_sub])
+@pytest.mark.parametrize("scalars_first", [True, False])
+def test_a_vector_of_scalars_and_one_of_ring_elements_do_not_combine(op, scalars_first):
+    """Each vector passes its own construction check; the mix is refused by the operation, naming both kinds."""
+    scalars = fpvec(2, 1, 0)
+    a = MultiPoly.gen(("a",), "a", 2)
+    ring = chart_from_key("2:E8:0")
+    for elems, kind in (((a, a), "MultiPoly"), ((ring.one(), ring.zero()), "ChartElem")):
+        ring_vec = WittVec(2, elems)
+        u, v = (scalars, ring_vec) if scalars_first else (ring_vec, scalars)
+        kinds = ("F_2 scalars", f"{kind} elements") if scalars_first else (f"{kind} elements", "F_2 scalars")
+        with pytest.raises(ValueError, match=f"^cannot combine a Witt vector of {kinds[0]} with one of {kinds[1]}$"):
+            op(u, v)
