@@ -239,11 +239,13 @@ class ChartElem(SparseTerms):
         p = ring.p
         wmax = max(ring.wdeg, 1)
         for key, c in terms.items():
+            i, j, cc = key
+            if not (type(i) is int and type(j) is int and type(cc) is int):
+                raise ValueError(f"monomial key {key} has an exponent that is not an int")
+            if not (0 <= cc < wmax):
+                raise ValueError(f"w-exponent {cc} out of range")
             c %= p
             if c:
-                i, j, cc = key
-                if not (0 <= cc < wmax):
-                    raise ValueError(f"w-exponent {cc} out of range")
                 clean[key] = c
         self.ring = ring
         self.terms = clean

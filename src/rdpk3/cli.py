@@ -18,7 +18,7 @@ import operator
 import re
 import sys
 
-from .ffpoly import json_document, parse_poly
+from .ffpoly import _parse_terms, json_document, parse_poly
 from .witt import WittVec, build_witt_table, witt_add, witt_mul, witt_neg, witt_sub
 from .chartring import (
     catalog_coindexes,
@@ -383,6 +383,14 @@ def cmd_height_count(args) -> int:
 def cmd_height_ordinary(args) -> int:
     weights = tuple(_ints(args.weights, "--weights"))
     variables = tuple(v.strip() for v in args.vars.split(",")) if args.vars else None
+    # the parse gives every term a key as long as the list of variables,
+    # so the variables are counted against the weights first
+    n = len(variables if variables is not None else _parse_terms(args.f)[1])
+    if n != len(weights):
+        raise CliError(
+            f"the polynomial has {n} variables and --weights has {len(weights)} entries; "
+            "need one weight per variable"
+        )
     poly = parse_poly(args.f, variables, modulus=args.p)
     model = WeightedHypersurface(args.p, weights, poly)
     ordinary = ordinary_test(model)

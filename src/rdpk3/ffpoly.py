@@ -25,7 +25,7 @@ import functools
 import itertools
 import json
 import re
-from typing import Optional
+from typing import Optional, Tuple
 
 MAX_PRIME = 1 << 16
 
@@ -228,6 +228,8 @@ class MultiPoly(SparseTerms):
             exps = tuple(exps)
             if len(exps) != len(variables):
                 raise ValueError(f"exponent tuple {exps} does not match {variables}")
+            if any(type(e) is not int for e in exps):
+                raise ValueError(f"exponent tuple {exps} has an entry that is not an int")
             if any(e < 0 for e in exps):
                 raise ValueError(f"negative exponent in {exps}")
             clean[exps] = clean.get(exps, 0) + c
@@ -387,13 +389,10 @@ def _format_term(variables, exps, c) -> str:
     return f"{c}*{body}"
 
 
-def parse_poly(text: str, variables=None, modulus: Optional[int] = None) -> MultiPoly:
-    """Parse the CLI polynomial literal syntax.
+def _parse_terms(text: str) -> Tuple[list, set]:
+    """(terms as (coefficient, {name: exponent}), the set of names) of a polynomial literal.
 
-    Terms are joined by + or -, each term a product of an optional
-    integer coefficient and factors x^e.  Exponents must be nonnegative
-    (Laurent monomials live in chartring, not here).  If variables is
-    None the variable set is inferred and sorted by name.
+    Its work is linear in the text, whatever the number of names.
     """
     # a "-" right after "^" stays, so "x^-1" reaches the negative-exponent check
     raw = re.split(r"\+|(?<!\^)(?=-)", text)
@@ -433,6 +432,18 @@ def parse_poly(text: str, variables=None, modulus: Optional[int] = None) -> Mult
             exps[name] = exps.get(name, 0) + e
             seen.add(name)
         parsed.append((coeff, exps))
+    return parsed, seen
+
+
+def parse_poly(text: str, variables=None, modulus: Optional[int] = None) -> MultiPoly:
+    """Parse the CLI polynomial literal syntax.
+
+    Terms are joined by + or -, each term a product of an optional
+    integer coefficient and factors x^e.  Exponents must be nonnegative
+    (Laurent monomials live in chartring, not here).  If variables is
+    None the variable set is inferred and sorted by name.
+    """
+    parsed, seen = _parse_terms(text)
     if variables is None:
         variables = tuple(sorted(seen))
     else:

@@ -12,7 +12,8 @@ form, recorded by its Gram matrix.  This module computes:
     of the prime-to-p parts of their discriminant groups, every
     condition checked on the given glue vectors (`glue`);
   * existence of integral unimodular overlattices of finite index, from
-    one greedy maximal isotropic subgroup in each p-part of L*/L
+    the Jordan splitting of each odd p-part of L*/L and one greedy
+    maximal isotropic subgroup of its 2-part
     (`unimodular_overlattice_exists`);
   * negative-definite root lattices of types A, D, E (`dynkin_gram`).
 
@@ -28,13 +29,14 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import isqrt, lcm, prod
+from math import gcd, isqrt, lcm, prod
 from operator import mul
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .chartring import parse_symbol
-from .ffpoly import _check_modulus, json_echo, json_field
+from .ffpoly import MAX_PRIME, _check_modulus, json_echo, json_field
 
+# The overlattice search walks the 2-part of L*/L; one of more elements is refused.
 SEARCH_GUARD = 100_000
 # Lattice input above this rank is refused before any row is built.  The
 # lattices of K3 surfaces have rank <= 22; the exact arithmetic here is
@@ -571,18 +573,20 @@ def _extend_subgroup(disc: DiscForm, sub: frozenset, e) -> frozenset:
     return frozenset(new)
 
 
-def _maximal_isotropic(part: DiscForm, even_only: bool) -> frozenset:
-    """A maximal isotropic subgroup H of a p-part, in one pass over it.
+def _maximal_isotropic(part: DiscForm, even_only: bool) -> Tuple[int, List[Tuple[int, ...]]]:
+    """(|H|, generators of H) for a maximal isotropic subgroup H of a p-part, in one pass over it.
 
-    Isotropic means b(H, H) = 0 in Q/Z and, with even_only, also
-    q(H) = 0 in Q/2Z.  The pass walks the elements once and adds e to H
-    (closing up with `_extend_subgroup`) when e is not in H, b(e, e) = 0
-    (and q(e) = 0 when even_only), and b(e, g) = 0 for the generators g
-    added so far; by bilinearity and q(x + y) = q(x) + q(y) + 2 b(x, y),
-    H stays isotropic.  Each rejection only gets stronger as H grows,
-    so no element can extend the final H: it is maximal.  An isotropic
-    H lies in H^perp, of order |D|/|H|, so |H|^2 <= |D| and the pass
-    stops once that is an equality.
+    The search runs it on the 2-part only; odd parts are decided from
+    their Jordan splitting (`_odd_lagrangian`).  Isotropic means
+    b(H, H) = 0 in Q/Z and, with even_only, also q(H) = 0 in Q/2Z.  The
+    pass walks the elements once and adds e to H (closing up with
+    `_extend_subgroup`) when e is not in H, b(e, e) = 0 (and q(e) = 0
+    when even_only), and b(e, g) = 0 for the generators g added so far;
+    by bilinearity and q(x + y) = q(x) + q(y) + 2 b(x, y), H stays
+    isotropic.  Each rejection only gets stronger as H grows, so no
+    element can extend the final H: it is maximal.  An isotropic H lies
+    in H^perp, of order |D|/|H|, so |H|^2 <= |D| and the pass stops once
+    that is an equality.
 
     All maximal isotropic subgroups of a nondegenerate finite form have
     the same order (H^perp/H is its anisotropic kernel; Nikulin 1979,
@@ -611,35 +615,176 @@ def _maximal_isotropic(part: DiscForm, even_only: bool) -> frozenset:
             continue
         sub = _extend_subgroup(part, sub, e)
         gens.append(e)
-    return sub
+    return len(sub), gens
+
+
+def _jordan_split(part: DiscForm, p: int) -> List[Tuple[int, int, List[int]]]:
+    """An orthogonal splitting of an odd p-part into cyclic summands.
+
+    Returns (k, u, f) for each summand: f, in the part's generator
+    coordinates, has order p^k and b(f, f) = u / p^k with u a unit mod p,
+    and distinct f are orthogonal.  The work is on the pairing table
+    e b(g_i, g_j) mod e, for the exponent e = p^K.  Each step pivots on
+    an entry of least p-adic valuation v.  When no diagonal entry has it,
+    g_i += g_j for an off-diagonal one puts it there, as p is odd:
+    b(g_i + g_j, g_i + g_j) = b(g_i, g_i) + 2 b(g_i, g_j) + b(g_j, g_j).
+    The pivot f pairs into p^v / e with every element, so, the form
+    being nondegenerate, it has order e / p^v; then c f is projected out
+    of each other generator g, with c = b(g, f) / b(f, f) mod e / p^v.
+    The generators left span the orthogonal complement of f.  Once all
+    their pairings are 0 they are 0 in the group, and the split is done.
+    """
+    e = part._exponent
+    n = len(part.orders)
+    gram = [[x % e for x in row] for row in part._gen_pairings]
+    vecs = [[int(i == j) for j in range(n)] for i in range(n)]
+
+    def add(i, j, c):
+        # g_i += c g_j, on its coordinates and on row and column i of the table
+        vecs[i] = [(a + c * b) % e for a, b in zip(vecs[i], vecs[j])]
+        gram[i] = [(a + c * b) % e for a, b in zip(gram[i], gram[j])]
+        for row in gram:
+            row[i] = (row[i] + c * row[j]) % e
+
+    live = list(range(n))
+    out = []
+    while live:
+        pv = gcd(e, *(gram[i][j] for i in live for j in live))
+        if pv == e:
+            break
+        # an entry has valuation v exactly iff it is not 0 mod p^(v+1)
+        i = next((i for i in live if gram[i][i] % (pv * p)), None)
+        if i is None:
+            i, j = next((i, j) for i in live for j in live if gram[i][j] % (pv * p))
+            add(i, j, 1)
+        live.remove(i)
+        order = e // pv
+        u = gram[i][i] // pv
+        inv = pow(u, -1, order)
+        for j in live:
+            c = gram[j][i] // pv * inv % order
+            if c:
+                add(j, i, -c)
+        k = 0
+        while order > 1:
+            order //= p
+            k += 1
+        out.append((k, u % p, vecs[i]))
+    return out
+
+
+def _is_square(a: int, p: int) -> bool:
+    """Whether a is a square mod an odd prime p, 0 included (Euler's criterion)."""
+    return pow(a, (p - 1) // 2, p) != p - 1
+
+
+def _sqrt_mod(a: int, p: int) -> int:
+    """A square root of a square a mod an odd prime p (Tonelli-Shanks)."""
+    a %= p
+    if not a:
+        return 0
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    z = next(z for z in range(2, p) if not _is_square(z, p))
+    c, t, r = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    # r^2 = t a, and t has order 2^i < 2^s: multiply the order of t down to 1
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return r
+
+
+def _odd_lagrangian(part: DiscForm, p: int) -> Optional[List[List[int]]]:
+    """Generators of an H with b(H, H) = 0 and |H|^2 = |D| in an odd p-part, or None.
+
+    From the Jordan splitting (k_i, u_i, f_i) (`_jordan_split`): the
+    summand <f> with b(f, f) = u / p^k holds p^ceil(k/2) f, isotropic of
+    order p^floor(k/2).  For odd k it leaves x = p^((k-1)/2) f, of order
+    p, with b(x, x) = u / p, and the x of distinct summands are
+    orthogonal.  So H exists iff the residual form diag(u_i) over F_p,
+    one u_i for each odd k_i, is metabolic: iff its class in the Witt
+    group W(F_p) is 0 (Nikulin 1979, Sec. 1), which is to say its
+    dimension R is even and (-1)^(R/2) prod u_i is a square mod p.  Then
+    H is spanned by the p^ceil(k/2) f and the lifts to D of a maximal
+    isotropic subspace of the residual form, R/2 vectors: in all
+    p^(sum k_i / 2) elements.  For odd p, q is isotropic wherever b is:
+    an x with x.x in Z and odd order N has N^2 x.x in 2Z, as L is even,
+    so x.x is in 2Z; even_only changes nothing here.
+    """
+    e = part._exponent
+    gens = []
+    residual = []
+    for k, u, f in _jordan_split(part, p):
+        if k > 1:
+            gens.append([p ** ((k + 1) // 2) * a for a in f])
+        if k % 2:
+            residual.append((u, [p ** (k // 2) * a for a in f]))
+    r = len(residual)
+    if r % 2 or not _is_square((-1) ** (r // 2) * prod(u for u, _ in residual), p):
+        return None
+
+    def combine(*terms):
+        return [sum(c * x[t] for c, x in terms) % e for t in range(len(part.orders))]
+
+    # Split a hyperbolic plane off the residual form at each step, keeping
+    # the rest diagonal.  Of three entries a, b, c: a s^2 + b t^2 takes
+    # every value, so v = s x + t y + z is isotropic for a s^2 + b t^2 = -c,
+    # and <v, z> is a hyperbolic plane, as b(v, z) = c.  Its complement
+    # in <x, y, z> is spanned by b t x - a s y, of norm -abc; the Witt
+    # class, and so the test above, is unchanged.  Two entries a, b with
+    # -ab a square leave v = s x + y, s^2 = -b/a.
+    while residual:
+        if len(residual) == 2:
+            (a, x), (b, y) = residual
+            gens.append(combine((_sqrt_mod(-b * pow(a, -1, p), p), x), (1, y)))
+            break
+        (a, x), (b, y), (c, z) = residual[:3]
+        binv = pow(b, -1, p)
+        s = next(s for s in range(p) if _is_square((-c - a * s * s) * binv, p))
+        t = _sqrt_mod((-c - a * s * s) * binv, p)
+        gens.append(combine((s, x), (t, y), (1, z)))
+        residual = [(-a * b * c % p, combine((b * t, x), (-a * s, y)))] + residual[3:]
+    return gens
 
 
 def _searched_parts(m: int) -> List[Tuple[int, int]]:
     """(p, m_p) for each prime p of m, m_p the p-power in m, ascending.
 
-    In an L*/L of order m^2 the p-part has order m_p^2; one over
-    SEARCH_GUARD raises.  A prime above isqrt(SEARCH_GUARD) is over it
-    already, so trial division stops there and the cofactor it leaves is
-    refused whole (it is a prime when below the square of the bound).
+    In an L*/L of order m^2 the p-part has order m_p^2.  Trial division
+    runs to min(isqrt(m), 2^16) on the shrinking cofactor, so what it
+    leaves is 1 or a prime below 2^16, or else it has no prime below
+    2^16 and is refused, as p-parts are taken for primes below 2^16.
+    The 2-part, which the search walks, is refused when its order is
+    over SEARCH_GUARD.
     """
-    bound = isqrt(SEARCH_GUARD) + 1
     parts = []
-    for p in range(2, bound):
+    p = 2
+    while p * p <= m and p < MAX_PRIME:
         mp = 1
         while m % p == 0:
             m //= p
             mp *= p
         if mp > 1:
             parts.append((p, mp))
+        p += 1 + (p > 2)
+    if m >= MAX_PRIME:
+        raise ValueError(
+            f"the part for the primes of {m} in the discriminant group is not searched: "
+            f"{m} has no prime factor below 2^16"
+        )
     if m > 1:
         parts.append((m, m))
-    for p, mp in parts:
-        if mp * mp > SEARCH_GUARD:
-            name = f"{p}-part of" if p < bound * bound else f"part for the primes of {p} in"
-            raise ValueError(
-                f"the {name} the discriminant group has order {mp * mp}, "
-                f"over the search guard {SEARCH_GUARD}"
-            )
+    if parts and parts[0][0] == 2 and parts[0][1] ** 2 > SEARCH_GUARD:
+        raise ValueError(
+            f"the 2-part of the discriminant group has order {parts[0][1] ** 2}, "
+            f"over the search guard {SEARCH_GUARD}"
+        )
     return parts
 
 
@@ -655,10 +800,11 @@ def unimodular_overlattice_exists(
     overlattice even.  The discriminant form is the orthogonal sum of
     its p-parts and q is additive across them (Nikulin 1979), so H
     exists iff every p-part has such a subgroup of order m_p, the
-    p-power in m = |H|.  All maximal isotropic subgroups of a p-part
-    have one order, so one greedy pass per p-part decides it
-    (`_maximal_isotropic`), and the witness is spanned by the subgroups
-    found.  Returns (found, witness Gram or None).
+    p-power in m = |H|.  An odd p-part is decided from its Jordan
+    splitting (`_odd_lagrangian`).  All maximal isotropic subgroups of
+    the 2-part have one order, so one greedy pass over it decides it
+    (`_maximal_isotropic`).  The witness is spanned by the generators of
+    the subgroups found.  Returns (found, witness Gram or None).
     """
     if even_only and not L.is_even:
         raise ValueError("even_only search needs an even lattice")
@@ -673,10 +819,15 @@ def unimodular_overlattice_exists(
     vectors = []
     for p, mp in parts:
         part = disc.p_part(p)
-        sub = _maximal_isotropic(part, even_only)
-        if len(sub) != mp:
-            return False, None
-        vectors += [part.vector(e) for e in sub]
+        if p == 2:
+            order, gens = _maximal_isotropic(part, even_only)
+            if order != mp:
+                return False, None
+        else:
+            gens = _odd_lagrangian(part, p)
+            if gens is None:
+                return False, None
+        vectors += [part.vector(g) for g in gens]
     witness = _overlattice(L, _span_basis(L.rank, vectors))
     if abs(witness.det) != 1:
         raise RuntimeError("witness is not unimodular; search bug")

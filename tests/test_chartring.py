@@ -144,9 +144,19 @@ def test_ring_operation_results_pass_the_public_constructor():
                 assert r.ring is ring
                 assert ChartElem(r.ring, r.terms).terms == r.terms, ring
                 assert all(1 <= c < p for c in r.terms.values()), ring
+        # the range is checked on every key, also where the coefficient is 0 mod p
         for c in (-1, max(ring.wdeg, 1)):
-            with pytest.raises(ValueError, match=f"w-exponent {c} out of range"):
-                ChartElem(ring, {(0, 0, c): 1})
+            for coeff in (1, 0, p):
+                with pytest.raises(ValueError, match=f"w-exponent {c} out of range"):
+                    ChartElem(ring, {(0, 0, c): coeff})
+
+
+@pytest.mark.parametrize("key", [(0.5, 1, 0), (1, 2.0, 0), (0, 0, 0.0), (True, 0, 0)])
+@pytest.mark.parametrize("coeff", [1, 0])
+def test_chart_elem_refuses_exponents_that_are_not_ints(key, coeff):
+    ring = chart_from_key("2:D12:3")
+    with pytest.raises(ValueError, match="has an exponent that is not an int"):
+        ChartElem(ring, {key: coeff})
 
 
 def test_frobenius_on_elements():

@@ -483,6 +483,21 @@ def test_height_ordinary(capsys):
     assert doc["ordinary"] is True
 
 
+def test_height_ordinary_counts_the_variables_before_the_parse(capsys):
+    many = "+".join(f"a{i}" for i in range(4000))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "height", "ordinary", "--p", "5", "--weights", "1,1,1,1", "--f", many)
+    assert time.perf_counter() - start < 0.5
+    assert code == 2 and out == ""
+    assert "the polynomial has 4000 variables and --weights has 4 entries" in err
+    code, out, err = run(
+        capsys, "height", "ordinary", "--p", "5", "--weights", "1,1,1",
+        "--vars", "x0,x1,x2,x3", "--f", "x0^4 + x1^4 + x2^4 + x3^4",
+    )
+    assert code == 2
+    assert "the polynomial has 4 variables and --weights has 3 entries" in err
+
+
 def test_height_quotient(capsys):
     code, doc = run_json(
         capsys, "height", "quotient", "--G", "alpha", "--p", "2", "--sing", "E8:0"
@@ -795,6 +810,13 @@ def test_lattice_overlattice(capsys):
     assert code == 0
     assert doc["found"] is False
     assert doc["even_only"] is True
+
+
+def test_lattice_overlattice_refuses_a_prime_over_2_to_the_16(capsys):
+    code, out, err = run(capsys, "lattice", "overlattice", "--diagonal=65537,-65537")
+    assert code == 2 and out == ""
+    assert "Traceback" not in err
+    assert "the part for the primes of 65537" in err
 
 
 def test_reproduce_filtered(capsys):

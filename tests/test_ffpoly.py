@@ -165,6 +165,13 @@ def test_parse_poly_names_negative_exponent():
         parse_poly("y - 2*x^-3*y", ("x", "y"))
 
 
+@pytest.mark.parametrize("exps", [(0.5, 1, 0), (1, 2.0, 0), (0, 0, True)])
+@pytest.mark.parametrize("modulus", [None, 5])
+def test_multipoly_refuses_exponents_that_are_not_ints(exps, modulus):
+    with pytest.raises(ValueError, match="has an entry that is not an int"):
+        MultiPoly(("x", "y", "z"), {exps: 1}, modulus)
+
+
 def test_finite_field_prime():
     f = FiniteField(7)
     assert f.add(5, 4) == 2

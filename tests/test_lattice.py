@@ -799,16 +799,134 @@ def test_overlattice_mixing_the_primes_two_and_three():
 
 
 def test_overlattice_guard_bounds_the_largest_p_part():
-    # |D| = 30030^2 is about 9e8, but its largest p-part (p = 13) has order 169
+    # |D| = 30030^2 is about 9e8; its odd parts are split, and its 2-part has order 4
     found, witness = unimodular_overlattice_exists(diagonal_gram([30030, -30030]))
     assert found and abs(witness.det) == 1
     # a 2-part of order 2^16 is under the guard; the pass stops at (1, 1), of order 256
     found, witness = unimodular_overlattice_exists(diagonal_gram([256, -256]))
     assert found and abs(witness.det) == 1
-    with pytest.raises(ValueError, match="317-part of the discriminant group has order 100489"):
-        unimodular_overlattice_exists(diagonal_gram([317, -317]))
+    # the guard bounds the walked 2-part only: an odd part of order 100489 is answered
+    found, witness = unimodular_overlattice_exists(diagonal_gram([317, -317]))
+    assert found and abs(witness.det) == 1
     with pytest.raises(ValueError, match="2-part of the discriminant group has order 262144"):
         unimodular_overlattice_exists(diagonal_gram([512, -512]))
+
+
+def greedy_maximal_isotropic(part, even_only):
+    """The oracle for odd parts: the one-pass greedy search the package once ran on every p-part."""
+    size = math.prod(part.orders)
+    exponent = part._exponent
+    self_modulus = 2 * exponent if even_only else exponent
+    sub = frozenset([(0,) * len(part.orders)])
+    gens = []
+    for e in part.elements():
+        if len(sub) ** 2 == size:
+            break
+        if e in sub or part._raw_dot(e, e) % self_modulus:
+            continue
+        if any(part._raw_dot(e, g) % exponent for g in gens):
+            continue
+        sub = _extend_subgroup(part, sub, e)
+        gens.append(e)
+    return sub
+
+
+def odd_part_lattices():
+    """260 seeded lattices with |det| a square and an odd p-part of order up to 10^5.
+
+    Each is a diagonal lattice under a unimodular change of basis, so the
+    Smith generators mix its summands.  The entries +-u p^k, k in 1..3
+    and u in 1..12 prime to p, make a p-part of exponent p, p^2 or p^3
+    with units u; one more entry, the squarefree part of the product of
+    the u, makes |det| a square and adds small parts at the primes of u.
+    The order cap is most often small, as the oracle walks every element
+    of a part with no unimodular overlattice.
+    """
+    rng = random.Random(23)
+    out = []
+    while len(out) < 260:
+        cap = rng.choices((10**2, 10**3, 10**4, 10**5), (8, 6, 3, 1))[0]
+        p = rng.choice([q for q in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 97, 101, 307) if q * q <= cap])
+        r = rng.randrange(2, 5)
+        ks = [rng.choice((1, 1, 2, 3)) for _ in range(r)]
+        if sum(ks) % 2:
+            ks[-1] += 1 if ks[-1] < 3 else -1
+        if p ** sum(ks) > cap:
+            continue
+        us = [rng.choice([u for u in range(1, 13) if u % p]) for _ in range(r)]
+        diag = [rng.choice((-1, 1)) * u * p**k for u, k in zip(us, ks)]
+        free = math.prod(us)
+        for q in (2, 3, 5, 7, 11):
+            while free % (q * q) == 0:
+                free //= q * q
+        if free > 1:
+            diag.append(rng.choice((-1, 1)) * free)
+        n = len(diag)
+        rows = [[x if i == j else 0 for j, x in enumerate(diag)] for i in range(n)]
+        out.append((p, GramLattice(congruent(rows, rng, 2 * n))))
+    return out
+
+
+def test_jordan_split_agrees_with_the_greedy_pass_on_odd_parts():
+    verdicts = {False: 0, True: 0}
+    for p, L in odd_part_lattices():
+        disc = disc_group(L)
+        want = True
+        # the primes of |det| are p and those of the units
+        for q in sorted({2, 3, 5, 7, 11, p}):
+            part = disc.p_part(q)
+            if not part.orders:
+                continue
+            ok = len(greedy_maximal_isotropic(part, False)) ** 2 == math.prod(part.orders)
+            if q == p:
+                assert (lattice_module._odd_lagrangian(part, p) is not None) == ok, (p, L)
+                verdicts[ok] += 1
+            want = want and ok
+        found, witness = unimodular_overlattice_exists(L)
+        assert found == want, L
+        if found:
+            assert abs(witness.det) == 1, L
+    assert min(verdicts.values()) >= 100, verdicts
+
+
+def test_the_greedy_pass_runs_on_the_2_part_only(monkeypatch):
+    seen = []
+    greedy = lattice_module._maximal_isotropic
+
+    def recording(part, even_only):
+        seen.append(min(q for q in range(2, part.orders[0] + 1) if part.orders[0] % q == 0))
+        return greedy(part, even_only)
+
+    monkeypatch.setattr(lattice_module, "_maximal_isotropic", recording)
+    for _p, L in odd_part_lattices()[:100]:
+        unimodular_overlattice_exists(L)
+    for L in sweep_lattices():
+        unimodular_overlattice_exists(L)
+    assert seen and set(seen) == {2}
+
+
+@pytest.mark.parametrize("p", [3, 5, 13, 17, 97, 257, 10007, 65521])
+def test_square_roots_mod_p(p):
+    # 2^s exactly divides p - 1 for s = 1, 2, 2, 4, 5, 8, 1, 4
+    rng = random.Random(p)
+    squares = {x * x % p for x in [0, 1, p - 1] + [rng.randrange(p) for _ in range(50)]}
+    for a in squares:
+        assert lattice_module._is_square(a, p)
+        r = lattice_module._sqrt_mod(a, p)
+        assert r * r % p == a, (a, p)
+    if p < 300:
+        assert {a for a in range(p) if lattice_module._is_square(a, p)} == {x * x % p for x in range(p)}
+
+
+@pytest.mark.parametrize(
+    "entries,want", [([311, 311], False), ([317, -317], True), ([-10007, 10007], True)]
+)
+def test_large_odd_parts_are_decided_at_once(entries, want):
+    start = time.perf_counter()
+    found, witness = unimodular_overlattice_exists(diagonal_gram(entries))
+    assert time.perf_counter() - start < 0.1
+    assert found == want
+    assert abs(witness.det) == 1 if want else witness is None
 
 
 def test_p_part_scales_the_smith_generators():
