@@ -24,6 +24,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import operator
 import re
 from typing import Optional, Tuple
 
@@ -451,9 +452,10 @@ def parse_poly(text: str, variables=None, modulus: Optional[int] = None) -> Mult
         for i, v in enumerate(variables):
             if v in variables[:i]:
                 raise ValueError(f"variable {v!r} is listed twice in {list(variables)}")
-        missing = seen - set(variables)
+        missing = sorted(seen - set(variables))
         if missing:
-            raise ValueError(f"unknown variables {sorted(missing)} in {text!r}")
+            more = f" and {len(missing) - 3} more" if len(missing) > 3 else ""
+            raise ValueError(f"unknown variables {_cut(repr(missing[:3]))}{more} in {_cut(repr(text))}")
     terms: dict = {}
     for coeff, exps in parsed:
         key = tuple(exps.get(v, 0) for v in variables)
@@ -489,12 +491,14 @@ def json_document(text: str, what: str):
 _ECHO_LIMIT = 80
 
 
+def _cut(text: str) -> str:
+    """text for an error message: a longer one than _ECHO_LIMIT is cut, with its length."""
+    return text if len(text) <= _ECHO_LIMIT else f"{text[:_ECHO_LIMIT]}… ({len(text)} characters)"
+
+
 def json_echo(value) -> str:
-    """value as JSON for an error message: a longer text than _ECHO_LIMIT is cut, with its length."""
-    text = json.dumps(value)
-    if len(text) <= _ECHO_LIMIT:
-        return text
-    return f"{text[:_ECHO_LIMIT]}… ({len(text)} characters)"
+    """value as JSON for an error message, cut as _cut cuts it."""
+    return _cut(json.dumps(value))
 
 
 def json_field(doc, name: str, kind: str, what: str):
@@ -657,60 +661,73 @@ class FiniteField:
             acc = self.add(acc, t)
         return acc
 
-    def evaluator(self, polys):
-        """A function point -> [value of each poly at point], for polys in the same variables.
+    def grid(self, polys) -> list:
+        """Each polynomial's values at every point of GF(q)^m, in itertools.product order.
 
-        Each term is split once into its coefficient and its (variable
-        index, exponent) factors, and terms whose coefficient is 0 mod p
-        are dropped.  For k > 1 a term is exp[(log c + sum e_i log x_i)
-        mod (q - 1)], from one log per coordinate, and 0 when a factor
-        has coordinate 0; for prime q it is an int product reduced mod p
-        per factor.  Agrees with evaluate_poly at every point.
+        The polynomials share their m variables; the values are their
+        slabs one after another.  Agrees with evaluate_poly everywhere.
         """
-        p, q = self.p, self.q
-        plans = []
+        return self._grid(*self._term_dicts(polys))
+
+    def slabs(self, polys):
+        """For each a in GF(q) in order, each polynomial's values at (a, rest), rest as in grid.
+
+        Horner on the first variable x: P = sum_e x^e P_e(rest), so a slab
+        is sum_e a^e grid(P_e), one scaled list sum per e: map(xor) for
+        p = 2, one log-table lookup per value for k > 1 (an int product
+        mod p for prime q).  a^e is one pow, so exponents cost nothing.
+        """
+        return self._slabs(*self._term_dicts(polys))
+
+    def _term_dicts(self, polys):
+        polys = list(polys)
         for poly in polys:
-            if poly.modulus != p:
-                raise ValueError(f"polynomial modulus {poly.modulus} is not {p}")
-            plans.append([
-                (c % p, tuple((i, e) for i, e in enumerate(exps) if e))
-                for exps, c in poly.terms.items()
-                if c % p
-            ])
-        if self.k == 1:
-            def at(point):
-                out = []
-                for terms in plans:
-                    acc = 0
-                    for t, factors in terms:
-                        for i, e in factors:
-                            t = t * pow(point[i], e, p) % p
-                        acc += t
-                    out.append(acc % p)
-                return out
-            return at
+            if poly.modulus != self.p:
+                raise ValueError(f"polynomial modulus {poly.modulus} is not {self.p}")
+        return [poly.terms for poly in polys], len(polys[0].variables) if polys else 1
 
-        log, exp, order = self._log, self._exp, q - 1
-        plans = [[(log[c], factors) for c, factors in terms] for terms in plans]
-        add = self.add
+    def _grid(self, term_dicts, m: int) -> list:
+        if m == 0:
+            return [[terms.get((), 0)] for terms in term_dicts]
+        return [list(itertools.chain.from_iterable(col)) for col in zip(*self._slabs(term_dicts, m))]
 
-        def at(point):
-            logs = [log[x] if x else -1 for x in point]
-            out = []
-            for terms in plans:
-                acc = 0
-                for s, factors in terms:
-                    for i, e in factors:
-                        lx = logs[i]
-                        if lx < 0:
-                            break
-                        s += e * lx
-                    else:
-                        # base-2 digits add without carries
-                        acc = acc ^ exp[s % order] if p == 2 else add(acc, exp[s % order])
-                out.append(acc)
-            return out
-        return at
+    def _slabs(self, term_dicts, m: int):
+        p, q = self.p, self.q
+        parts, plans = [], []
+        for terms in term_dicts:
+            split: dict = {}
+            for exps, c in terms.items():
+                split.setdefault(exps[0], {})[exps[1:]] = c
+            plans.append([(e, len(parts) + j) for j, e in enumerate(split)])
+            parts += split.values()
+        grids = self._grid(parts, m - 1)
+        if self.k > 1:
+            # exp twice, then zeros for the log of 0: a product is one lookup
+            order = q - 1
+            table = self._exp * 2 + [0] * order
+            logs = [[self._log[g] if g else 2 * order for g in col] for col in grids]
+
+        def scaled(a, e, j):  # a^e times the grid of part j, None when a^e = 0
+            s = self.pow(a, e)
+            if s == 0:
+                return None
+            if self.k == 1:
+                return [s * g % p for g in grids[j]]
+            ls = self._log[s]
+            return [table[l + ls] for l in logs[j]]
+
+        add = operator.xor if p == 2 else self.add
+        zero = [0] * q ** (m - 1)
+        for a in range(q):
+            slab = []
+            for plan in plans:
+                acc = zero
+                for e, j in plan:
+                    term = scaled(a, e, j)
+                    if term is not None:
+                        acc = term if acc is zero else list(map(add, acc, term))
+                slab.append(acc)
+            yield slab
 
 
 def _prime_power(q: int):

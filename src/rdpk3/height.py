@@ -22,6 +22,7 @@ module collects the finite, exactly checkable pieces of that story:
 Everything is exact: integer and Fraction arithmetic only.
 """
 
+import functools
 import itertools
 import re
 from dataclasses import dataclass
@@ -454,41 +455,50 @@ def _count_work(poly: MultiPoly, q: int) -> int:
     return q ** (len(poly.variables) - 1) * len(poly.terms) * (q if d >= 3 else 1)
 
 
-def _roots(field: FiniteField, cs: Dict[int, int]) -> int:
-    """Number of roots in GF(q) of the sum of c_k y^k over cs = {k: c_k}."""
-    cs = {k: c for k, c in cs.items() if c}
-    d = max(cs, default=-1)
-    if d < 0:
-        return field.q
-    if d <= 1:
-        return d  # a nonzero constant has no root, a linear fibre one
-    if d == 2:
-        c, b, a = cs.get(0, 0), cs.get(1, 0), cs[2]
-        if field.p != 2:
-            four_ac = field.mul(field.from_int(4), field.mul(a, c))
-            return 1 + field.quadratic_character(field.add(field.mul(b, b), field.neg(four_ac)))
-        if b == 0:
-            return 1  # squaring is a bijection of GF(2^k)
-        if c == 0:
-            return 2  # y (a y + b) = 0
-        if field.k == 1:
-            return 0  # y^2 + y + 1 has no root in F_2
-        # y = (b/a) z turns the fibre into z^2 + z = ac/b^2 (Artin-Schreier)
-        log = field._log
-        z = field._exp[(log[a] + log[c] - 2 * log[b]) % (field.q - 1)]
-        return 2 if field.trace(z) == 0 else 0
-    # one pow per nonzero coefficient, so the cost does not grow with d
-    count = 0
-    for y in field.elements():
-        acc = 0
-        for k, c in cs.items():
-            acc = field.add(acc, field.mul(c, field.pow(y, k)))
-        count += acc == 0
+def _root_counter(field: FiniteField, ks: Sequence[int]):
+    """A function of coefficient columns, one per k in ks, to the roots in GF(q) of their fibres.
+
+    The fibre at position j is sum_k cols[k][j] y^k, and the function
+    sums its root counts over the positions.  A leading coefficient that
+    vanishes at a position lowers the degree there.
+    """
+    q = field.q
+    if max(ks) >= 3:
+        # y by y, from one table of the powers y^k per y: the degree costs nothing
+        at_y = [[field.pow(y, k) for k in ks] for y in field.elements()]
+        return lambda cols: sum(
+            functools.reduce(field.add, map(field.mul, cs, ys), 0) == 0
+            for cs in zip(*cols) for ys in at_y
+        )
+    if field.p == 2:
+        log, order = field._log or [0, 0], q - 1
+        # y = (b/a) z turns the fibre into z^2 + z = ac/b^2 (Artin-Schreier):
+        # two roots or none as its trace is 0 or 1; over F_2, ac/b^2 = 1
+        art = [2 - 2 * field.trace(z) for z in (field._exp or [1])]
+
+        def quadratic(a, b, c):
+            # b = 0: squaring is a bijection of GF(2^k); c = 0: y (a y + b) = 0
+            return 1 if not b else 2 if not c else art[(log[a] + log[c] - 2 * log[b]) % order]
+    else:
+        chi = [field.quadratic_character(x) for x in field.elements()]
+        four = field.from_int(4)
+
+        def quadratic(a, b, c):
+            return 1 + chi[field.add(field.mul(b, b), field.neg(field.mul(four, field.mul(a, c))))]
+
+    slots = [ks.index(k) if k in ks else -1 for k in (2, 1, 0)]
+
+    def count(cols):
+        a_col, b_col, c_col = (cols[s] if s >= 0 else itertools.repeat(0) for s in slots)
+        return sum(
+            quadratic(a, b, c) if a else 1 if b else 0 if c else q
+            for a, b, c in zip(a_col, b_col, c_col)
+        )
     return count
 
 
 def _affine_count(field: FiniteField, poly: MultiPoly) -> int:
-    """Zeros of poly in GF(q)^n, counted one fibre of the least-degree variable at a time."""
+    """Zeros of poly in GF(q)^n, from the columns of its coefficients in the least-degree variable."""
     n = len(poly.variables)
     i, _d = _fibre_variable(poly)
     if i < 0:
@@ -498,11 +508,10 @@ def _affine_count(field: FiniteField, poly: MultiPoly) -> int:
     for exps, c in poly.terms.items():
         split.setdefault(exps[i], {})[exps[:i] + exps[i + 1:]] = c
     ks = tuple(split)
-    at = field.evaluator([MultiPoly(rest, split[k], poly.modulus) for k in ks])
-    return sum(
-        _roots(field, dict(zip(ks, at(point))))
-        for point in itertools.product(field.elements(), repeat=n - 1)
-    )
+    coefficients = [MultiPoly(rest, split[k], poly.modulus) for k in ks]
+    # one slab of the first other variable at a time: no column holds more than q^(n-2) values
+    slabs = field.slabs(coefficients) if n >= 3 else [field.grid(coefficients)]
+    return sum(map(_root_counter(field, ks), slabs))
 
 
 def _counted_polys(model: SurfaceModel, q: int) -> Tuple[MultiPoly, ...]:

@@ -137,10 +137,12 @@ def reduce(components, order=("xi", "eta")) -> CohClass:
     replaces the tail by (x_i, ..., x_{n-1}) - [t] in W_{n-i}, solved
     level by level from x = y + [t].  That changes position i by exactly
     -t and touches only positions >= i, so each pass leaves the residual
-    part rho at position i; at the last one rho is put in with no tail
-    op.  The result is independent of the subtraction order within a
-    position; order is exposed for the cross-check tests.  The input is
-    checked up front, so the class is built without CohClass()'s checks.
+    part rho at position i.  No tail op is made at the last position,
+    where rho is put in, nor for a part that is all of x_i, as x = [x_i]
+    + V(x_{i+1}, ...) makes x - V^i[x_i] just x with x_i zero.  The
+    result is independent of the subtraction order within a position;
+    order is exposed for the cross-check tests.  The input is checked up
+    front, so the class is built without CohClass()'s checks.
     """
     comps = list(components.components if isinstance(components, WittVec) else components)
     if not isinstance(order, (tuple, list)) or tuple(order) not in _ORDERS:
@@ -159,7 +161,9 @@ def reduce(components, order=("xi", "eta")) -> CohClass:
     for i in range(n - 1):
         xi, eta, _rho = comps[i].split()
         for part in (xi, eta) if xi_first else (eta, xi):
-            if part.terms:
+            if part == comps[i]:
+                comps[i] = ring.zero()  # x - V^i[x_i] = (..., x_{i-1}, 0, x_{i+1}, ...)
+            elif part.terms:
                 comps[i:] = _teich_sub(p, n - i)(*comps[i:], part)
     comps[-1] = comps[-1].split()[2]
     return _wrap(ring, tuple(comps))

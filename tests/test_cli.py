@@ -498,6 +498,24 @@ def test_height_ordinary_counts_the_variables_before_the_parse(capsys):
     assert "the polynomial has 4 variables and --weights has 3 entries" in err
 
 
+def test_height_ordinary_bounds_the_unknown_variables_message(capsys):
+    many = "+".join(f"a{i}" for i in range(4000))
+    code, out, err = run(
+        capsys, "height", "ordinary", "--p", "2", "--weights", "1,1,1,1",
+        "--vars", "x0,x1,x2,x3", "--f", many,
+    )
+    assert code == 2 and out == ""
+    assert len(err.encode()) < 300
+    assert "unknown variables ['a0', 'a1', 'a10'] and 3997 more in 'a0+a1+" in err
+    assert f"({len(repr(many))} characters)" in err
+    code, out, err = run(
+        capsys, "height", "ordinary", "--p", "2", "--weights", "1,1,1,1",
+        "--vars", "x0,x1,x2,x3", "--f", "x0^4+q",
+    )
+    assert code == 2
+    assert err == "error: unknown variables ['q'] in 'x0^4+q'\n"
+
+
 def test_height_quotient(capsys):
     code, doc = run_json(
         capsys, "height", "quotient", "--G", "alpha", "--p", "2", "--sing", "E8:0"

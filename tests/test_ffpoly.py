@@ -288,22 +288,28 @@ def random_polys(rng, p, q, m, count):
 
 @pytest.mark.parametrize("q", EVALUATOR_FIELDS)
 def test_evaluator_agrees_with_evaluate_poly_at_every_point(q):
+    """The grid evaluator, and each of its slabs, against evaluate_poly."""
     f = FiniteField(q)
     rng = random.Random(q)
-    for m in (1, 2, 3):
+    for m in (0, 1, 2, 3):
         polys = random_polys(rng, f.p, q, m, 4)
-        at = f.evaluator(polys)
-        for point in itertools.product(f.elements(), repeat=m):
-            assert at(point) == [f.evaluate_poly(poly, point) for poly in polys], (q, point)
+        points = list(itertools.product(f.elements(), repeat=m))
+        want = [[f.evaluate_poly(poly, point) for point in points] for poly in polys]
+        assert f.grid(polys) == want, (q, m)
+        if m:
+            slabs = list(f.slabs(polys))
+            assert len(slabs) == q
+            assert [sum((slab[i] for slab in slabs), []) for i in range(len(polys))] == want
 
 
 def test_evaluator_of_no_polynomials_and_of_zero():
     f = FiniteField(8)
-    assert f.evaluator([])((3,)) == []
-    zero = MultiPoly(("x",), {(2,): 2, (0,): 4}, 2)
-    assert f.evaluator([zero])((5,)) == [0]
+    assert f.grid([]) == []
+    zero = MultiPoly(("x", "y"), {(2, 1): 2, (0, 0): 4}, 2)
+    assert f.grid([zero]) == [[0] * 64]
+    assert [slab for slab in f.slabs([zero])] == [[[0] * 8]] * 8
     with pytest.raises(ValueError, match="modulus 3 is not 2"):
-        f.evaluator([MultiPoly(("x",), {(1,): 1}, 3)])
+        f.grid([MultiPoly(("x",), {(1,): 1}, 3)])
 
 
 @pytest.mark.parametrize("q", EVALUATOR_FIELDS)

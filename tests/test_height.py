@@ -356,6 +356,67 @@ def test_fibre_count_matches_brute_force_on_random_polynomials(q):
         assert _affine_count(field, poly) == brute_zeros(field, poly), (q, str(poly))
 
 
+# For characteristic 2, in the same form; the comments name the column
+# branches each polynomial reaches, and the test checks that they are all met.
+CHAR2_POLYS = [
+    ("x^2 + x + 1", ("x",)),  # no root over F_2 (k = 1), trace 1 or 0 above
+    ("x^2 + x + y^2", ("x", "y")),  # a = b = 1: trace 0 and trace 1
+    ("x^2 + x*y + y^3 + 1", ("x", "y")),  # b = 0 at y = 0, c = 0 at y^3 = 1
+    ("x^2 + y^3", ("x", "y")),  # no b column: b = 0 everywhere
+    ("x^2*y^2 + x + y^2", ("x", "y")),  # a = 0 with b != 0 at y = 0
+    ("x^2*y^2 + x*y^2 + y^3", ("x", "y")),  # every coefficient zero at y = 0
+    ("x*y + y^2", ("x", "y")),  # degree 1; every coefficient zero at y = 0
+    ("x^3 + x*y + y^4 + 1", ("x", "y")),  # degree 3
+    ("x^3*y + x*y + y^5", ("x", "y")),  # degree 3; every coefficient zero at y = 0
+    ("x^2*t + x*y + y^3 + t^3", ("x", "y", "t")),  # three variables: slabs of y, a = 0 at t = 0
+]
+
+
+def fibre_kinds(field, poly):
+    """The column branches the fibres of poly reach, computed point by point."""
+    i = min((max(e[v] for e in poly.terms), v) for v in range(len(poly.variables))
+            if any(e[v] for e in poly.terms))[1]
+    kinds = set()
+    for point in itertools.product(field.elements(), repeat=len(poly.variables) - 1):
+        cs = {}
+        for exps, c in poly.terms.items():
+            term = field.from_int(c)
+            for j, x in zip([v for v in range(len(exps)) if v != i], point):
+                term = field.mul(term, field.pow(x, exps[j]))
+            cs[exps[i]] = field.add(cs.get(exps[i], 0), term)
+        a, b, c = (cs.get(k, 0) for k in (2, 1, 0))
+        if any(cs.get(k, 0) for k in cs if k >= 3):
+            kinds.add("degree >= 3")
+        elif not (a or b or c):
+            kinds.add("all zero")
+        elif not a:
+            kinds.add("a = 0, b != 0" if b else "constant")
+        elif not b:
+            kinds.add("b = 0")
+        elif not c:
+            kinds.add("c = 0")
+        elif field.k == 1:
+            kinds.add("no root over F_2")
+        else:
+            z = field.mul(field.mul(a, c), field.pow(field.pow(b, 2), field.q - 2))
+            kinds.add(f"trace {field.trace(z)}")
+    return kinds
+
+
+def test_fibre_count_matches_brute_force_in_characteristic_2():
+    kinds = set()
+    for q in (2, 4, 8, 16, 32):
+        field = FiniteField(q)
+        for text, names in CHAR2_POLYS:
+            poly = parse_poly(text, names, modulus=2)
+            assert _affine_count(field, poly) == brute_zeros(field, poly), (q, text)
+            kinds |= fibre_kinds(field, poly)
+    assert kinds >= {
+        "all zero", "a = 0, b != 0", "b = 0", "c = 0", "no root over F_2",
+        "trace 0", "trace 1", "degree >= 3",
+    }
+
+
 def test_fibre_count_over_no_variables():
     field = FiniteField(5)
     assert _affine_count(field, MultiPoly((), {(): 0}, 5)) == 1

@@ -10,6 +10,7 @@ from rdpk3.chartring import (
     rdp_chart,
     rmax,
 )
+from rdpk3 import localcoh
 from rdpk3.ffpoly import FpScalar
 from rdpk3.localcoh import (
     CohClass,
@@ -166,6 +167,26 @@ def test_reduce_agrees_with_the_tail_op_at_every_position(key):
                     got = reduce(vec, order)
                     assert got == tail_op_reduce(plain, order), (n, order)
                     assert got.ring is ring and type(got.components) is tuple
+
+
+def test_reduce_makes_no_tail_op_for_a_part_that_is_a_whole_component(monkeypatch):
+    """x = [x_0] + V(x_1, ...), so x - [x_0] is x with x_0 zero: no W_n op is needed."""
+    rng = random.Random("reduce-whole-part")
+    ring = rdp_chart(parse_rdp_key(CANONICITY_CHART_KEYS[0]))
+    n = min(3, SUPPORTED_RANGES[ring.p])
+    lengths = []
+
+    def recorded(p, m):
+        lengths.append(m)
+        return _teich_sub(p, m)
+
+    monkeypatch.setattr(localcoh, "_teich_sub", recorded)
+    for region in ("xi", "eta"):
+        for order in (("xi", "eta"), ("eta", "xi")):
+            comps = [_random_elem(ring, rng, region)] + [_random_elem(ring, rng) for _ in range(n - 1)]
+            lengths.clear()
+            assert reduce(comps, order) == tail_op_reduce(comps, order), (region, order)
+            assert n not in lengths, (region, order)
 
 
 @pytest.mark.parametrize("order", [("foo",), ("xi",), (), ("xi", "xi"), ("xi", "eta", "xi"),

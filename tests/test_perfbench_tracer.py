@@ -38,10 +38,12 @@ def test_every_target_is_defined_on_its_owner():
 
 
 # Chart products of one reproduce at seed 0, as measured with Frobenius
-# as a linear map (ChartElem.frobenius makes no products) and the powers
-# of scalar_mul_class taken only up to the last nonzero component; the
-# p-th powers by ** made 11,509 and the flat monomial sums 19,116.
-REPRODUCE_CHART_PRODUCTS = 8_303
+# as a linear map (ChartElem.frobenius makes no products), the powers
+# of scalar_mul_class taken only up to the last nonzero component, and
+# no tail op in reduce for a part that is a whole component; the tail op
+# on every part made 8,299, the p-th powers by ** 11,509 and the flat
+# monomial sums 19,116.
+REPRODUCE_CHART_PRODUCTS = 4_927
 
 
 def test_traced_reproduce_counts_chart_products(capsys):
@@ -113,7 +115,7 @@ def test_traced_overlattice_search_builds_one_smith_form():
 
 
 def test_traced_count_evaluates_each_fibre_without_evaluate_poly():
-    """count_points reads every fibre off one evaluator per polynomial.
+    """count_points reads every fibre off the coefficient columns of each polynomial.
 
     Evaluating each fibre coefficient with FiniteField.evaluate_poly made
     one call per coefficient per point, thousands at q = 32.

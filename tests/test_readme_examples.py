@@ -14,6 +14,7 @@ The ``python`` block under "Library quick start" is run as a script; the
 """
 
 import contextlib
+import importlib
 import io
 import pathlib
 import re
@@ -108,3 +109,27 @@ def test_readme_quick_start_prints_its_results():
     with contextlib.redirect_stdout(out):
         exec(compile(source, "README.md quick start", "exec"), {})
     assert out.getvalue().splitlines() == expected
+
+
+GUARDS = {
+    "MAX_PRIME", "_ECHO_LIMIT", "_COINDEX_GUARD", "_WITT_EVAL_GUARD",
+    "COUNT_WORK_GUARD", "_MAX_SING_POINTS", "_RANK_GUARD", "SEARCH_GUARD",
+}
+
+
+def guard_table():
+    """{guard name: (module name, value)} from the README's guard table."""
+    section = (ROOT / "README.md").read_text(encoding="utf-8").split("## Guards", 1)[1]
+    rows = {}
+    for line in section.split("\n## ", 1)[0].splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if len(cells) == 5 and cells[0].startswith("`"):
+            rows[cells[0].strip("`")] = (cells[1].strip("`"), int(cells[2]))
+    return rows
+
+
+def test_readme_guard_table_matches_the_modules():
+    rows = guard_table()
+    assert set(rows) == GUARDS
+    for name, (module, value) in rows.items():
+        assert getattr(importlib.import_module(module), name) == value, name
