@@ -539,6 +539,10 @@ def _counted_polys(model: SurfaceModel, q: int) -> Tuple[MultiPoly, ...]:
     return polys
 
 
+# GF(q) is not changed once built; its log tables grow with q, so only a few are kept.
+_field = functools.lru_cache(maxsize=8)(FiniteField)
+
+
 def count_points(model: SurfaceModel, q: int) -> int:
     """Number of F_q-rational points of the surface model.
 
@@ -551,7 +555,7 @@ def count_points(model: SurfaceModel, q: int) -> int:
     would take more than COUNT_WORK_GUARD field operations is refused.
     """
     polys = _counted_polys(model, q)
-    field = FiniteField(q)
+    field = _field(q)
     total = sum(_affine_count(field, poly) for poly in polys)
     if isinstance(model, TwoChart):
         return total + q + 1

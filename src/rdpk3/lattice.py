@@ -17,7 +17,9 @@ form, recorded by its Gram matrix.  This module computes:
     (`unimodular_overlattice_exists`);
   * negative-definite root lattices of types A, D, E (`dynkin_gram`).
 
-All arithmetic is over Z, every pairing by one kernel x^T M y (`_pair`).
+All arithmetic is over Z.  A single pairing is one kernel x^T M y
+(`_pair`); a Gram R M R^T of many rows takes each row to x^T M once
+(`_quotient_gram`).
 Fractions appear only at the edges: rational vectors come in and are
 brought over their least common denominator (`_integral`), and `dot`,
 `DiscForm.gens` and `q_value` hand Fractions out.  Pairings on L*/L are
@@ -73,12 +75,18 @@ def _quotient_gram(
 ) -> Optional[Tuple[Tuple[int, ...], ...]]:
     """num R m R^T / den for integer rows R, or None when it is not integral.
 
-    m is symmetric, so each unordered pair of rows is paired once and mirrored.
+    Each row x is taken once to x^T m, the sum of a * m[k] over its
+    nonzero entries a = x[k] (m is symmetric); each unordered pair of rows
+    is then one dot product over the other row's nonzero entries, mirrored.
     """
+    supports = [[(k, a) for k, a in enumerate(x) if a] for x in rows]
     out = [[0] * len(rows) for _ in rows]
-    for i, x in enumerate(rows):
+    for i, support in enumerate(supports):
+        image = [0] * len(m)
+        for k, a in support:
+            image = [u + a * c for u, c in zip(image, m[k])]
         for j in range(i + 1):
-            val, rem = divmod(num * _pair(m, x, rows[j]), den)
+            val, rem = divmod(num * sum(image[k] * b for k, b in supports[j]), den)
             if rem:
                 return None
             out[i][j] = out[j][i] = val

@@ -28,11 +28,10 @@ from .ffpoly import MultiPoly, parse_poly
 from .witt import (
     SUPPORTED_RANGES,
     WittVec,
-    _residues,
+    _cayley,
     ghost_compatibility_ok,
     restriction,
     subtraction_components,
-    teichmuller,
     verschiebung,
     witt_add,
     witt_frobenius,
@@ -930,18 +929,32 @@ def canonicity_trials(ring: ChartRing, trials: int, rng: random.Random) -> int:
     return failures
 
 
+def _draw(rng: random.Random, p: int, elems) -> WittVec:
+    """elems[d_0 + d_1 p + ...] for digits d_k = rng.randrange(p), drawn in order.
+
+    elems are the Cayley table elements of some W_n(F_p), so this is
+    WittVec(p, (d_0, ..., d_{n-1})) in F_p labels, taken instead of built.
+    Each digit is drawn by the getrandbits loop Random.randrange(p) runs.
+    """
+    getrandbits, bits = rng.getrandbits, p.bit_length()
+    ix, weight, size = 0, 1, len(elems)
+    while weight < size:
+        d = getrandbits(bits)
+        while d >= p:
+            d = getrandbits(bits)
+        ix += d * weight
+        weight *= p
+    return elems[ix]
+
+
 def witt_axiom_trials(p: int, n: int, trials: int, rng: random.Random) -> int:
-    """Random commutative-ring and shift axioms in one truncation, on interned residue labels."""
-    box = _residues(p)
-
-    def rv(length=n):
-        return WittVec(p, tuple(box[rng.randrange(p)] for _ in range(length)))
-
-    zero = WittVec(p, (box[0],) * n)
-    one = teichmuller(box[1], n)
+    """Random commutative-ring and shift axioms in one truncation, on Cayley table elements ([a] has index a)."""
+    elems = _cayley(p, n)[0]
+    shorter = _cayley(p, n - 1)[0] if n >= 2 else None
+    zero, one = elems[0], elems[1]
     failures = 0
     for _ in range(trials):
-        x, y, z = rv(), rv(), rv()
+        x, y, z = _draw(rng, p, elems), _draw(rng, p, elems), _draw(rng, p, elems)
         checks = [
             witt_add(x, y) == witt_add(y, x),
             witt_add(witt_add(x, y), z) == witt_add(x, witt_add(y, z)),
@@ -955,12 +968,9 @@ def witt_axiom_trials(p: int, n: int, trials: int, rng: random.Random) -> int:
         ]
         a = rng.randrange(p)
         b = rng.randrange(p)
-        checks.append(
-            witt_mul(teichmuller(box[a], n), teichmuller(box[b], n))
-            == teichmuller(box[a * b % p], n)
-        )
+        checks.append(witt_mul(elems[a], elems[b]) == elems[a * b % p])
         if n >= 2:
-            u, v = rv(n - 1), rv(n - 1)
+            u, v = _draw(rng, p, shorter), _draw(rng, p, shorter)
             checks.append(
                 verschiebung(witt_add(u, v))
                 == witt_add(verschiebung(u), verschiebung(v))
@@ -985,9 +995,8 @@ def projection_trials(trials: int, rng: random.Random) -> int:
         total = rng.randint(2, SUPPORTED_RANGES[p])
         m = rng.randint(1, total - 1)
         n = total - m
-        box = _residues(p)
-        x = WittVec(p, tuple(box[rng.randrange(p)] for _ in range(n)))
-        y = WittVec(p, tuple(box[rng.randrange(p)] for _ in range(total)))
+        x = _draw(rng, p, _cayley(p, n)[0])
+        y = _draw(rng, p, _cayley(p, total)[0])
         lhs, rhs = _projection_sides(x, y, m)
         if lhs != rhs:
             failures += 1

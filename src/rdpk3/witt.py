@@ -25,10 +25,12 @@ implement +, -, *, ** and ring_zero/ring_one:
 
 Over A = F_p itself, W_n(F_p) = Z/p^n has p^n <= 25 elements in every
 supported truncation.  Its components are FpScalar residue labels, which
-have no arithmetic: a vector of them carries its index sum v_k p^k, and
-every operation on such vectors is a lookup: add, mul and neg in Cayley
-tables filled once per (p, n) by the compiled functions on ints, [a],
-V, R and F as index arithmetic.
+have no arithmetic: a vector of them carries the Cayley table of its
+(p, n) and its index sum v_k p^k.  The tables are filled once per (p, n)
+by the compiled functions on ints, and their elements are the vectors
+every operation returns: add, mul and neg of two vectors of one table
+are one list index each, and [a], V, R and F index the table of the
+result's length.
 """
 
 from __future__ import annotations
@@ -289,12 +291,13 @@ class WittVec:
     The components are all FpScalars of the vector's prime, or all ring
     elements of characteristic p (MultiPoly, ChartElem); anything else is
     refused here, once, not inside an operation or by a wrong answer.
-    Immutable.  A vector of FpScalars holds its index sum v_k p^k in
-    W_n(F_p) in _ix, looked up in the Cayley tables of (p, n); otherwise
-    _ix is None.
+    Immutable.  A vector of FpScalars is an element of W_n(F_p): it holds
+    the Cayley table of (p, n) in _tab and its index sum v_k p^k in _ix,
+    and an operation on two vectors of one table is one lookup in it.
+    Otherwise _tab and _ix are None.
     """
 
-    __slots__ = ("p", "components", "_ix")
+    __slots__ = ("p", "components", "_tab", "_ix")
 
     def __init__(self, p: int, components):
         components = tuple(components)
@@ -310,6 +313,7 @@ class WittVec:
             ix += c.value * p**k
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "components", components)
+        object.__setattr__(self, "_tab", None if ix is None else _cayley(p, len(components)))
         object.__setattr__(self, "_ix", ix)
 
     def __setattr__(self, name, value):
@@ -320,11 +324,11 @@ class WittVec:
         return len(self.components)
 
     def __eq__(self, other):
-        if not isinstance(other, WittVec) or self.p != other.p:
+        if not isinstance(other, WittVec):
             return False
-        if self._ix is None or other._ix is None:
-            return self.components == other.components
-        return self._ix == other._ix and len(self.components) == len(other.components)
+        if self._tab is not None and self._tab is other._tab:
+            return self._ix == other._ix
+        return self.p == other.p and self.components == other.components
 
     def __hash__(self):
         return hash((self.p, self.components))
@@ -374,7 +378,7 @@ def _check_pair(x: WittVec, y: WittVec) -> None:
 
 def _mixed(x: WittVec, y: WittVec) -> ValueError:
     """The error for a vector of F_p scalars met with one of ring elements, naming both kinds."""
-    kinds = [f"F_{v.p} scalars" if v._ix is not None else f"{type(v.components[0]).__name__} elements" for v in (x, y)]
+    kinds = [f"F_{v.p} scalars" if v._tab is not None else f"{type(v.components[0]).__name__} elements" for v in (x, y)]
     return ValueError(f"cannot combine a Witt vector of {kinds[0]} with one of {kinds[1]}")
 
 
@@ -382,81 +386,77 @@ def _mixed(x: WittVec, y: WittVec) -> ValueError:
 def _residues(p: int) -> tuple:
     """FpScalar(p, 0), ..., FpScalar(p, p - 1), the interned residue labels of F_p.
 
-    They are the components of every Cayley table element and of the
-    inputs the Witt trials draw.  Only supported primes ask for them, so
-    there is one tuple per supported prime at most.
+    They are the components of every Cayley table element, and so of
+    every input the Witt trials draw.  Only supported primes ask for them,
+    so there is one tuple per supported prime at most.
     """
     return tuple(FpScalar(p, v) for v in range(p))
 
 
 @functools.lru_cache(maxsize=None)
 def _cayley(p: int, n: int) -> tuple:
-    """(elems, add, mul, neg): W_n(F_p) as lookups by index.
+    """(elems, add, mul, neg): W_n(F_p) as lookups by index, the _tab of its vectors.
 
     elems[i] is the vector of index i, with components from _residues(p);
-    add[i * p^n + j] and mul[i * p^n + j] are elems[i] + elems[j] and
-    elems[i] * elems[j], and neg[i] is -elems[i].  Every entry is the
-    table's compiled function evaluated on the digits as ints and reduced
-    mod p, never Z/p^n, so checks against Z/p^n still test the polynomials.
+    add[i][j] and mul[i][j] are elems[i] + elems[j] and elems[i] * elems[j],
+    and neg[i] is -elems[i].  Every entry is the table's compiled function
+    evaluated on the digits as ints and reduced mod p, never Z/p^n, so
+    checks against Z/p^n still test the polynomials.
     """
     table = build_witt_table(p, n)
     box = _residues(p)
     digits = [tuple(i // p**k % p for k in range(n)) for i in range(p**n)]
-    elems = tuple(WittVec(p, tuple(box[d] for d in ds)) for ds in digits)
+    elems, add, mul, neg = tab = ([], [], [], [])
+    elems += (_wrap(p, tuple(box[d] for d in ds), tab, i) for i, ds in enumerate(digits))
 
     def lookup(values):
         return elems[sum(v % p * p**k for k, v in enumerate(values))]
 
-    add = [lookup(table.add(*x, *y)) for x in digits for y in digits]
-    mul = [lookup(table.mul(*x, *y)) for x in digits for y in digits]
-    neg = [lookup(table.neg(*x)) for x in digits]
-    return elems, add, mul, neg
+    add += [[lookup(table.add(*x, *y)) for y in digits] for x in digits]
+    mul += [[lookup(table.mul(*x, *y)) for y in digits] for x in digits]
+    neg += [lookup(table.neg(*x)) for x in digits]
+    return tab
 
 
-def _wrap(p: int, components: tuple) -> WittVec:
-    """The Witt vector of a generic ring operation's result, not checked again.
+def _wrap(p: int, components: tuple, tab=None, ix=None) -> WittVec:
+    """A Witt vector not checked again: a generic op's result, or a Cayley table element.
 
     The table of (p, n) exists only for a supported truncation, and an
     operation on ring elements of characteristic p yields such elements,
-    so what WittVec() would check holds by construction.  It carries no
-    index.
+    so what WittVec() would check holds by construction.
     """
     x = object.__new__(WittVec)
     object.__setattr__(x, "p", p)
     object.__setattr__(x, "components", components)
-    object.__setattr__(x, "_ix", None)
+    object.__setattr__(x, "_tab", tab)
+    object.__setattr__(x, "_ix", ix)
     return x
 
 
+def _polys(x: WittVec, y: WittVec) -> WittPolyTable:
+    """The compiled table for a generic op on x and y, after the checks the lookup skips."""
+    _check_pair(x, y)
+    if x._tab is not None or y._tab is not None:
+        raise _mixed(x, y)
+    return build_witt_table(x.p, x.n)
+
+
 def witt_add(x: WittVec, y: WittVec) -> WittVec:
-    p, xs, ys = x.p, x.components, y.components
-    n = len(xs)
-    if p != y.p or n != len(ys):
-        _check_pair(x, y)
-    if x._ix is None or y._ix is None:
-        if x._ix is not None or y._ix is not None:
-            raise _mixed(x, y)
-        return _wrap(p, build_witt_table(p, n).add(*xs, *ys))
-    elems, add, _, _ = _cayley(p, n)
-    return add[x._ix * len(elems) + y._ix]
+    tab = x._tab
+    if tab is not None and tab is y._tab:
+        return tab[1][x._ix][y._ix]
+    return _wrap(x.p, _polys(x, y).add(*x.components, *y.components))
 
 def witt_mul(x: WittVec, y: WittVec) -> WittVec:
-    p, xs, ys = x.p, x.components, y.components
-    n = len(xs)
-    if p != y.p or n != len(ys):
-        _check_pair(x, y)
-    if x._ix is None or y._ix is None:
-        if x._ix is not None or y._ix is not None:
-            raise _mixed(x, y)
-        return _wrap(p, build_witt_table(p, n).mul(*xs, *ys))
-    elems, _, mul, _ = _cayley(p, n)
-    return mul[x._ix * len(elems) + y._ix]
+    tab = x._tab
+    if tab is not None and tab is y._tab:
+        return tab[2][x._ix][y._ix]
+    return _wrap(x.p, _polys(x, y).mul(*x.components, *y.components))
 
 def witt_neg(x: WittVec) -> WittVec:
-    p, xs = x.p, x.components
-    if x._ix is None:
-        return _wrap(p, build_witt_table(p, len(xs)).neg(*xs))
-    return _cayley(p, len(xs))[3][x._ix]
+    if x._tab is not None:
+        return x._tab[3][x._ix]
+    return _wrap(x.p, build_witt_table(x.p, len(x.components)).neg(*x.components))
 
 def witt_sub(x: WittVec, y: WittVec) -> WittVec:
     return witt_add(x, witt_neg(y))
@@ -466,7 +466,7 @@ def verschiebung(x: WittVec, times: int = 1) -> WittVec:
     """V^times: prepend zero components (lands in W_{n+times})."""
     if times < 0:
         raise ValueError("V only shifts forward")
-    if x._ix is not None:
+    if x._tab is not None:
         return _cayley(x.p, len(x.components) + times)[0][x._ix * x.p**times]
     z = x.components[0].ring_zero()
     return WittVec(x.p, (z,) * times + x.components)
@@ -478,7 +478,7 @@ def restriction(x: WittVec, times: int = 1) -> WittVec:
         raise ValueError(f"cannot restrict W_{x.n} {times} times")
     if not times:
         return x
-    if x._ix is not None:
+    if x._tab is not None:
         return _cayley(x.p, x.n - times)[0][x._ix % x.p ** (x.n - times)]
     return WittVec(x.p, x.components[: x.n - times])
 
@@ -488,7 +488,7 @@ def witt_frobenius(x: WittVec) -> WittVec:
 
     On W_n(F_p) it is the identity, since c^p = c in F_p.
     """
-    if x._ix is not None:
+    if x._tab is not None:
         return x
     return WittVec(x.p, tuple(c ** x.p for c in x.components))
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from rdpk3.chartring import RdpSpec, parse_rdp_key
+from rdpk3 import height as height_module
 from rdpk3.ffpoly import FiniteField, MultiPoly, parse_poly
 from rdpk3.height import (
     ALPHA_QUOTIENT_TABLE,
@@ -490,3 +491,26 @@ def test_ordinarity_weighted_model():
         parse_poly("y^2 + y*x*t*s + x^3 + t^7*s^5", ("y", "x", "t", "s"), modulus=2),
     )
     assert ordinary_test(wp)
+
+
+def test_counts_at_one_q_share_one_field(monkeypatch):
+    """count_points takes GF(q) from a small cache: built once per q, the counts unchanged."""
+    built = []
+    init = FiniteField.__init__
+
+    def counted(self, q):
+        built.append(q)
+        init(self, q)
+
+    monkeypatch.setattr(FiniteField, "__init__", counted)
+    height_module._field.cache_clear()
+    model = load_model(MODEL_PATH)
+    assert [count_points(model, q) for q in (8, 8, 2, 8, 2)] == [45, 45, 9, 45, 9]
+    assert built == [8, 2]
+    assert height_module._field.cache_info().maxsize <= 16
+    for _ in range(2):
+        with pytest.raises(ValueError, match="q=6 is not a power of the characteristic 2"):
+            count_points(model, 6)
+        with pytest.raises(ValueError, match="not a prime power: 6"):
+            height_module._field(6)
+    assert built == [8, 2, 6, 6]  # a field that failed to build is not cached

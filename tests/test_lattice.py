@@ -255,6 +255,49 @@ def test_quotient_gram_mirrors_one_triangle_as_the_full_product_does():
     assert _quotient_gram([[2, 1], [1, 2]], [[1, 0], [0, 1]], 1, 2) is None
 
 
+def pairwise_quotient_gram(m, rows, num, den):
+    """The quotient Gram as it was formed pair by pair, each pair by a dense x^T m y: the oracle."""
+    out = [[0] * len(rows) for _ in rows]
+    for i, x in enumerate(rows):
+        for j in range(i + 1):
+            pairing = sum(a * b * m[r][c] for r, a in enumerate(x) for c, b in enumerate(rows[j]))
+            val, rem = divmod(num * pairing, den)
+            if rem:
+                return None
+            out[i][j] = out[j][i] = val
+    return tuple(map(tuple, out))
+
+
+def test_quotient_gram_pairs_row_images_as_the_pairwise_form_does():
+    """Rows taken once to x^T m, then one dot product per pair: dense, sparse and zero rows."""
+    rng = random.Random(25)
+    kinds = {"integral": 0, "none": 0}
+    for k, (_kind, m) in enumerate(seeded_symmetric_matrices()):
+        if k % 3:
+            continue
+        n = len(m)
+        density = rng.choice((0.2, 0.5, 1.0))
+        rows = [
+            [rng.randrange(-5, 6) if rng.random() < density else 0 for _ in range(n)]
+            for _ in range(rng.randrange(1, n + 3))
+        ]
+        num, den = rng.choice(((1, 1), (1, 2), (3, 4), (1, 9), (2, 3), (5, 25)))
+        got = _quotient_gram(m, rows, num, den)
+        assert got == pairwise_quotient_gram(m, rows, num, den), (m, rows, num, den)
+        kinds["none" if got is None else "integral"] += 1
+    assert min(kinds.values()) > 100, kinds
+    # the first non-integral entry may be the last pair formed, or an off-diagonal one
+    assert _quotient_gram([[2, 0], [0, 3]], [[1, 0], [0, 1]], 1, 2) is None
+    assert _quotient_gram([[4, 1], [1, 4]], [[1, 0], [0, 1]], 1, 2) is None
+    assert _quotient_gram([[4, 2], [2, 4]], [[1, 0], [0, 1]], 1, 2) == ((2, 1), (1, 2))
+    assert _quotient_gram([[4, 2], [2, 4]], [], 1, 2) == ()
+    # a rank-40 diagonal span of unit rows, as the overlattice search of diagonal_gram([3] * n) forms
+    m = [[3 * (i == j) for j in range(40)] for i in range(40)]
+    rows = [[(i == j) + 2 * (j == (i + 7) % 40) for j in range(40)] for i in range(40)]
+    for num, den in ((1, 1), (1, 3), (2, 9)):
+        assert _quotient_gram(m, rows, num, den) == pairwise_quotient_gram(m, rows, num, den)
+
+
 def test_direct_sum_takes_det_as_the_product_of_the_blocks():
     rng = random.Random(21)
     lattices = [GramLattice(rows) for _kind, rows in seeded_symmetric_matrices() if _inertia(rows)[0]]

@@ -144,19 +144,22 @@ def test_property_trials_zero_failures():
 def _parent_axiom_draws(p, n, trials, rng):
     """The inputs the axiom trials drew when they built fresh FpScalars, in order.
 
-    ("vec", p, residues) is a Witt vector built, ("lift", p, a) the
-    Teichmuller lift of a.
+    ("vec", p, residues) is a Witt vector; the Teichmuller lift of a is
+    the vector (a, 0, ..., 0).
     """
 
     def rv(length=n):
         return ("vec", p, tuple(FpScalar(p, rng.randrange(p)).value for _ in range(length)))
 
-    drawn = [("vec", p, (FpScalar(p, 0).value,) * n), ("lift", p, 1)]
+    def lift(a):
+        return ("vec", p, (a.value,) + (0,) * (n - 1))
+
+    drawn = [("vec", p, (FpScalar(p, 0).value,) * n), lift(FpScalar(p, 1))]
     for _ in range(trials):
         drawn += [rv(), rv(), rv()]
         a = FpScalar(p, rng.randrange(p))
         b = FpScalar(p, rng.randrange(p))
-        drawn += [("lift", p, a.value), ("lift", p, b.value), ("lift", p, a.value * b.value % p)]
+        drawn += [lift(a), lift(b), lift(FpScalar(p, a.value * b.value % p))]
         if n >= 2:
             drawn += [rv(n - 1), rv(n - 1)]
     return drawn
@@ -176,22 +179,36 @@ def _parent_projection_draws(trials, rng):
     return drawn
 
 
+class _RecordedElements:
+    """A Cayley table's elements that log each element taken from them, in order."""
+
+    def __init__(self, elems, log):
+        self.elems, self.log = elems, log
+
+    def __len__(self):
+        return len(self.elems)
+
+    def __getitem__(self, i):
+        x = self.elems[i]
+        self.log.append(("vec", x.p, tuple(c.value for c in x.components)))
+        return x
+
+
 @pytest.mark.parametrize("seed", [0, 7, 2026])
 def test_witt_trials_draw_the_vectors_they_drew_from_fresh_scalars(seed, monkeypatch):
-    """Taking interned residue labels changed no input of the Witt trials."""
+    """Taking Cayley table elements changed no input of the Witt trials.
+
+    The trials take every input, the Teichmuller lifts included, from the
+    element lists of reproduce._cayley, which log here what is taken.
+    """
     drawn = []
-    build, lift = reproduce.WittVec, reproduce.teichmuller
+    cayley = reproduce._cayley
 
-    def recorded_build(p, components):
-        drawn.append(("vec", p, tuple(c.value for c in components)))
-        return build(p, components)
+    def recorded_cayley(p, n):
+        elems, *ops = cayley(p, n)
+        return (_RecordedElements(elems, drawn), *ops)
 
-    def recorded_lift(a, n):
-        drawn.append(("lift", a.p, a.value))
-        return lift(a, n)
-
-    monkeypatch.setattr(reproduce, "WittVec", recorded_build)
-    monkeypatch.setattr(reproduce, "teichmuller", recorded_lift)
+    monkeypatch.setattr(reproduce, "_cayley", recorded_cayley)
     for p, nmax in SUPPORTED_RANGES.items():
         for n in range(1, nmax + 1):
             drawn.clear()
@@ -201,6 +218,25 @@ def test_witt_trials_draw_the_vectors_they_drew_from_fresh_scalars(seed, monkeyp
     drawn.clear()
     assert projection_trials(50, random.Random(f"{seed}:projection")) == 0
     assert drawn == _parent_projection_draws(50, random.Random(f"{seed}:projection"))
+
+
+def test_witt_trials_build_no_vector_per_draw(monkeypatch):
+    """The trials take table elements: WittVec() runs as often for 50 trials as for 5, that is never."""
+    built = []
+    init = reproduce.WittVec.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(reproduce.WittVec, "__init__", counted)
+    counts = []
+    for trials in (5, 50):
+        built.clear()
+        assert witt_axiom_trials(2, 4, trials, random.Random(trials)) == 0
+        assert projection_trials(trials, random.Random(trials)) == 0
+        counts.append(len(built))
+    assert counts == [0, 0]
 
 
 def test_property_suite_records_and_determinism():

@@ -511,13 +511,15 @@ def test_every_cayley_entry_is_the_compiled_function_and_z_mod_p_to_the_n():
         field = FiniteField(p)
         for n in range(1, nmax + 1):
             table = build_witt_table(p, n)
-            elems, add, mul, neg = witt._cayley(p, n)
+            tab = elems, add, mul, neg = witt._cayley(p, n)
             size = p**n
-            assert len(elems) == len(neg) == size and len(add) == len(mul) == size * size
+            assert len(elems) == len(neg) == len(add) == len(mul) == size
+            assert all(len(row) == size for row in add + mul)
             box = witt._residues(p)
             for i, x in enumerate(elems):
                 assert all(c is box[c.value] for c in x.components)
                 assert x._ix == sum(c.value * p**k for k, c in enumerate(x.components)) == i
+                assert x._tab is tab
             digits = [tuple(c.value for c in x.components) for x in elems]
 
             def values(r):
@@ -534,10 +536,61 @@ def test_every_cayley_entry_is_the_compiled_function_and_z_mod_p_to_the_n():
                         (add, table.add, table.sum_polys, int.__add__),
                         (mul, table.mul, table.prod_polys, int.__mul__),
                     ):
-                        r = got[i * size + j]
+                        r = got[i][j]
                         want = [field.evaluate_poly(q, args) for q in polys]
                         assert values(r) == _mod(p, fn(*args)) == want, (p, n, i, j)
                         assert _to_int(p, r) == op(_to_int(p, x), _to_int(p, y)) % size
+
+
+def test_every_fp_result_is_an_element_of_its_cayley_table():
+    """Ring ops, F and [a] land in the table of (p, n); V and R in the table of their length."""
+    for p, nmax in SUPPORTED_RANGES.items():
+        for n in range(1, nmax + 1):
+            tab = witt._cayley(p, n)
+            elems = tab[0]
+            for x in elems:
+                results = [witt_neg(x), witt_frobenius(x), teichmuller(x.components[0], n)]
+                results += [op(x, y) for y in elems for op in (witt_add, witt_mul, witt_sub)]
+                for r in results:
+                    assert r._tab is tab and r is elems[r._ix]
+                shifted = [verschiebung(x, k) for k in range(1, nmax - n + 1)]
+                shifted += [restriction(x, k) for k in range(1, n)]
+                for r in shifted:
+                    other = witt._cayley(p, r.n)
+                    assert r._tab is other and r is other[0][r._ix]
+
+
+def test_a_user_built_vector_carries_its_table_and_combines_with_table_elements():
+    rng = random.Random(25)
+    for p, nmax in SUPPORTED_RANGES.items():
+        for n in range(1, nmax + 1):
+            tab = elems, add, mul, neg = witt._cayley(p, n)
+            for i, x in enumerate(elems):
+                digits = [c.value for c in x.components]
+                for u in (WittVec(p, x.components), fpvec(p, *digits)):
+                    assert u is not x and u._tab is tab and u._ix == i
+                    assert u == x and x == u and hash(u) == hash(x)
+                    assert all(u != y and y != u for y in elems if y is not x)
+                    j = rng.randrange(len(elems))
+                    assert witt_add(u, elems[j]) is add[i][j] and witt_add(elems[j], u) is add[j][i]
+                    assert witt_mul(u, elems[j]) is mul[i][j] and witt_mul(elems[j], u) is mul[j][i]
+                    assert witt_neg(u) is neg[i] and witt_sub(u, u) is elems[0]
+
+
+def test_fp_lookups_keep_the_mismatch_and_mixed_messages():
+    a = MultiPoly.gen(("a",), "a", 2)
+    for x in (witt._cayley(2, 2)[0][3], fpvec(2, 1, 1)):
+        for y, message in (
+            (fpvec(3, 1, 1), "prime mismatch: 2 vs 3"),
+            (witt._cayley(3, 2)[0][4], "prime mismatch: 2 vs 3"),
+            (fpvec(2, 1, 1, 0), "length mismatch: 2 vs 3"),
+            (witt._cayley(2, 1)[0][1], "length mismatch: 2 vs 1"),
+            (WittVec(2, (a, a)), "cannot combine a Witt vector of F_2 scalars with one of MultiPoly elements"),
+        ):
+            assert x != y and y != x
+            for op in (witt_add, witt_mul, witt_sub):
+                with pytest.raises(ValueError, match=f"^{message}$"):
+                    op(x, y)
 
 
 def test_interned_and_fresh_vectors_are_equal_and_hash_equal():
@@ -557,7 +610,7 @@ def test_interned_and_fresh_vectors_are_equal_and_hash_equal():
 
 def test_witt_vectors_are_immutable():
     x = fpvec(2, 1, 0)
-    for name, value in (("components", (FpScalar(2, 0), FpScalar(2, 0))), ("p", 3), ("_ix", 0)):
+    for name, value in (("components", (FpScalar(2, 0), FpScalar(2, 0))), ("p", 3), ("_ix", 0), ("_tab", None)):
         with pytest.raises(AttributeError, match="WittVec is immutable"):
             setattr(x, name, value)
     assert x == fpvec(2, 1, 0) and x._ix == 1
@@ -632,7 +685,7 @@ def test_a_component_of_another_modulus_still_raises():
     # V, R and F start from a checked vector, so none of them can carry one in
     x = fpvec(2, 1, 1)
     for r in (verschiebung(x), restriction(fpvec(2, 1, 1, 0)), witt_frobenius(x)):
-        assert r._ix is not None and all(c.p == 2 for c in r.components)
+        assert r._tab is not None and all(c.p == 2 for c in r.components)
 
 
 @pytest.mark.parametrize(
