@@ -3,7 +3,7 @@
 A lattice is a free Z-module with an integer-valued symmetric bilinear
 form, recorded by its Gram matrix.  This module computes:
 
-  * discriminant groups L*/L with their generator lifts, read off the
+  * discriminant groups L*/L with their generators, read off the
     right transform of one Smith form, and the induced quadratic form
     q(v) = v^2 mod 2Z and bilinear form b(v, w) = v.w mod Z on them
     (`disc_group`);
@@ -19,11 +19,12 @@ form, recorded by its Gram matrix.  This module computes:
 
 All arithmetic is over Z.  A single pairing is one kernel x^T M y
 (`_pair`); a Gram R M R^T of many rows takes each row to x^T M once
-(`_quotient_gram`).
-Fractions appear only at the edges: rational vectors come in and are
-brought over their least common denominator (`_integral`), and `dot`,
-`DiscForm.gens` and `q_value` hand Fractions out.  Pairings on L*/L are
-integers: e times v.w, for e the exponent of the group.
+(`_quotient_gram`).  A generator of L*/L is an integer column over its
+order, a class an integer vector over the exponent e of the group, and
+a pairing on L*/L the integer e v.w.  Fractions appear only at the
+edges: the "a/b" entries of a glue spec (`_glue_entry`) and `glue`'s
+rational vectors come in, checked by `in_dual` and brought over their
+least common denominator (`_integral`); `dot` and `q_value` hand them out.
 """
 
 import itertools
@@ -31,12 +32,12 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, isqrt, lcm, prod
+from math import isqrt, lcm, prod
 from operator import mul
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .chartring import parse_symbol
-from .ffpoly import MAX_PRIME, _check_modulus, json_echo, json_field
+from .ffpoly import MAX_PRIME, is_prime, json_echo, json_field
 
 # The overlattice search walks the 2-part of L*/L; one of more elements is refused.
 SEARCH_GUARD = 100_000
@@ -311,6 +312,11 @@ class GramLattice:
         return f"GramLattice({self})"
 
 
+def _check_prime(p: int, what: str) -> None:
+    if not (2 <= p < MAX_PRIME and is_prime(p)):
+        raise ValueError(f"{what} needs a prime p, got {json_echo(p)}, not a prime below 2^16")
+
+
 def _check_rank(n: int, what: str) -> None:
     if n > _RANK_GUARD:
         raise ValueError(f"{what} has rank {n}, over the rank guard {_RANK_GUARD}")
@@ -363,16 +369,16 @@ class DiscForm:
     """The finite group L*/L with its torsion form data.
 
     The group is the direct product of the cyclic factors Z/orders[i],
-    all of order > 1; gens[i] is a rational vector in the basis of L
-    representing a generator of factor i.  Elements of the group are
-    integer tuples, one residue per listed order.  disc_group lists the
-    invariant factors (each dividing the next); a p-part or a product of
-    two groups need not.
+    all of order > 1; cols[i] / orders[i], for an integer vector cols[i]
+    in the basis of L, represents a generator of factor i.  Elements of
+    the group are integer tuples, one residue per listed order.
+    disc_group lists the invariant factors (each dividing the next); a
+    p-part or a product of two groups need not.
     """
 
     lattice: GramLattice
     orders: Tuple[int, ...]
-    gens: Tuple[Tuple[Fraction, ...], ...]
+    cols: Tuple[Tuple[int, ...], ...]
 
     def elements(self):
         return itertools.product(*(range(d) for d in self.orders))
@@ -380,12 +386,14 @@ class DiscForm:
     def add(self, x: Sequence[int], y: Sequence[int]) -> Tuple[int, ...]:
         return tuple((a + b) % d for a, b, d in zip(x, y, self.orders))
 
-    def vector(self, elem: Sequence[int]) -> Tuple[Fraction, ...]:
-        """A coset representative in L tensor Q (lattice basis coords)."""
-        vec = [Fraction(0)] * self.lattice.rank
-        for a, g in zip(elem, self.gens):
+    def vector(self, elem: Sequence[int]) -> Tuple[int, ...]:
+        """e times a coset representative in L tensor Q, e the exponent (lattice basis coords)."""
+        e = self._exponent
+        vec = [0] * self.lattice.rank
+        for a, d, col in zip(elem, self.orders, self.cols):
             if a:
-                vec = [v + a * c for v, c in zip(vec, g)]
+                a *= e // d
+                vec = [v + a * c for v, c in zip(vec, col)]
         return tuple(vec)
 
     @cached_property
@@ -395,10 +403,10 @@ class DiscForm:
     @cached_property
     def _gen_pairings(self) -> Tuple[Tuple[int, ...], ...]:
         """e * (g_i . g_j) for e = lcm(orders): integers, as e * g_i is in L and g_j in L*."""
-        s, rows = _integral(self.gens, self.lattice.rank)
-        table = _quotient_gram(self.lattice.gram, rows, self._exponent, s * s)
+        rows = [[self._exponent // d * c for c in col] for d, col in zip(self.orders, self.cols)]
+        table = _quotient_gram(self.lattice.gram, rows, 1, self._exponent)
         if table is None:
-            raise ValueError("gens are not classes of the listed orders in L*/L")
+            raise ValueError("cols are not classes of the listed orders in L*/L")
         return table
 
     def _raw_dot(self, x: Sequence[int], y: Sequence[int]) -> int:
@@ -419,28 +427,25 @@ class DiscForm:
         """The p-primary part, read off the same Smith form.
 
         Factor Z/d of the group contributes Z/p^v (v = v_p(d)), generated
-        by (d / p^v) times its generator; factors prime to p drop out.
-        p must be a prime below 2^16, as every part the overlattice
+        by (d / p^v) times its generator, which is its column over p^v, as
+        (d / p^v) V[:, i] / d = V[:, i] / p^v; factors prime to p drop
+        out.  p must be a prime below 2^16, as every part the overlattice
         search admits is.
         """
-        try:
-            _check_modulus(p)
-        except ValueError:
-            raise ValueError(f"p-part needs a prime p, got {p}, not a prime below 2^16") from None
-        orders = []
-        gens = []
-        for d, g in zip(self.orders, self.gens):
+        _check_prime(p, "p-part")
+        orders, cols = [], []
+        for d, col in zip(self.orders, self.cols):
             pv = 1
             while d % (pv * p) == 0:
                 pv *= p
             if pv > 1:
                 orders.append(pv)
-                gens.append(tuple((d // pv) * c for c in g))
-        return DiscForm(self.lattice, tuple(orders), tuple(gens))
+                cols.append(col)
+        return DiscForm(self.lattice, tuple(orders), tuple(cols))
 
 
 def disc_group(L: GramLattice) -> DiscForm:
-    """Discriminant group L*/L with generator lifts.
+    """Discriminant group L*/L with its generators.
 
     The Smith form U G V = diag(d) of the Gram matrix gives the cyclic
     structure, and G^{-1} = V diag(d)^{-1} U gives the generators: in
@@ -448,24 +453,22 @@ def disc_group(L: GramLattice) -> DiscForm:
     i of the right transform V divided by d_i.
     """
     diag, v = smith_diagonal(L.gram)
-    orders = []
-    gens = []
+    orders, cols = [], []
     for i, d in enumerate(diag):
         if d > 1:
             orders.append(d)
-            gens.append(tuple(Fraction(row[i], d) for row in v))
-    return DiscForm(L, tuple(orders), tuple(gens))
+            cols.append(tuple(row[i] for row in v))
+    return DiscForm(L, tuple(orders), tuple(cols))
 
 
 # ---------------------------------------------------------------------------
 # overlattices and gluing
 
 
-def _span_basis(n: int, vectors: Sequence[Sequence[Fraction]]) -> Tuple[int, List[List[int]]]:
-    """Z^n plus rational vectors: (scale, Hermite rows of scale times a basis)."""
-    scale, scaled = _integral(vectors, n)
-    rows = [[scale if i == j else 0 for j in range(n)] for i in range(n)]
-    return scale, hermite_row_basis(rows + scaled)
+def _span_basis(n: int, scale: int, rows: Sequence[Sequence[int]]) -> Tuple[int, List[List[int]]]:
+    """Z^n plus the vectors rows / scale: (scale, Hermite rows of scale times a basis)."""
+    unit = [[scale if i == j else 0 for j in range(n)] for i in range(n)]
+    return scale, hermite_row_basis(unit + list(rows))
 
 
 def _index(span: Tuple[int, List[List[int]]]) -> int:
@@ -475,7 +478,7 @@ def _index(span: Tuple[int, List[List[int]]]) -> int:
 
 
 def _overlattice(ambient: GramLattice, span: Tuple[int, List[List[int]]]) -> GramLattice:
-    """The lattice spanned by ambient and rational vectors, on a Hermite basis.
+    """The lattice spanned by ambient and the vectors of a span, on a Hermite basis.
 
     span is the _span_basis of the vectors, in ambient-basis coordinates;
     the span must be an integral lattice of full rank.  Its Gram is
@@ -520,23 +523,17 @@ def glue(
     p must be a prime below 2^16.  Returns the glued lattice on a
     Hermite basis.
     """
-    try:
-        _check_modulus(p)
-    except ValueError:
-        msg = f"glue needs a prime p, got {json_echo(p)}, not a prime below 2^16"
-        raise ValueError(msg) from None
+    _check_prime(p, "glue")
     if not (L.is_even and T.is_even):
         raise ValueError("gluing is defined for even lattices")
     ambient = L.direct_sum(T)
-    lefts, rights = [], []
+    glue_vectors = []
     for vec_l, vec_t in pairs:
         vl = [Fraction(x) for x in vec_l]
         vt = [Fraction(x) for x in vec_t]
         if not L.in_dual(vl) or not T.in_dual(vt):
             raise ValueError("glue vectors must pair integrally with the lattices")
-        lefts.append(vl)
-        rights.append(vt)
-    glue_vectors = [vl + vt for vl, vt in zip(lefts, rights)]
+        glue_vectors.append(vl + vt)
     # s is the lcm of the orders of the glue classes
     s, rows = _integral(glue_vectors, ambient.rank)
     if s % p == 0:
@@ -544,10 +541,10 @@ def glue(
     pairings = _quotient_gram(ambient.gram, rows, 1, s * s)
     if pairings is None or any(pairings[i][i] % 2 for i in range(len(rows))):
         raise ValueError("glue map is not an anti-isometry of discriminant forms")
-    span = _span_basis(ambient.rank, glue_vectors)
+    span = _span_basis(ambient.rank, s, rows)
     index = _index(span)
-    left = _index(_span_basis(L.rank, lefts))
-    right = _index(_span_basis(T.rank, rights))
+    left = _index(_span_basis(L.rank, s, [row[:L.rank] for row in rows]))
+    right = _index(_span_basis(T.rank, s, [row[L.rank:] for row in rows]))
     if left != index or right != index:
         raise ValueError("glue classes do not form the graph of a bijection")
     for lat, order, name in ((L, left, "L*/L"), (T, right, "T*/T")):
@@ -656,14 +653,16 @@ def _jordan_split(part: DiscForm, p: int) -> List[Tuple[int, int, List[int]]]:
 
     live = list(range(n))
     out = []
-    while live:
-        pv = gcd(e, *(gram[i][j] for i in live for j in live))
-        if pv == e:
-            break
+    pv = 1  # p^v divides every live entry; projecting a pivot out keeps that
+    while live and pv < e:
         # an entry has valuation v exactly iff it is not 0 mod p^(v+1)
         i = next((i for i in live if gram[i][i] % (pv * p)), None)
         if i is None:
-            i, j = next((i, j) for i in live for j in live if gram[i][j] % (pv * p))
+            pair = next(((i, j) for i in live for j in live if gram[i][j] % (pv * p)), None)
+            if pair is None:
+                pv *= p
+                continue
+            i, j = pair
             add(i, j, 1)
         live.remove(i)
         order = e // pv
@@ -822,9 +821,10 @@ def unimodular_overlattice_exists(
         return False, None
     parts = _searched_parts(m)
     if m == 1:
-        return True, GramLattice(L.gram)
+        return True, L
     disc = disc_group(L)
-    vectors = []
+    # the witness vectors, each over the exponent e of L*/L
+    e, rows = disc._exponent, []
     for p, mp in parts:
         part = disc.p_part(p)
         if p == 2:
@@ -835,8 +835,8 @@ def unimodular_overlattice_exists(
             gens = _odd_lagrangian(part, p)
             if gens is None:
                 return False, None
-        vectors += [part.vector(g) for g in gens]
-    witness = _overlattice(L, _span_basis(L.rank, vectors))
+        rows += [[e // part._exponent * x for x in part.vector(g)] for g in gens]
+    witness = _overlattice(L, _span_basis(L.rank, e, rows))
     if abs(witness.det) != 1:
         raise RuntimeError("witness is not unimodular; search bug")
     return True, witness

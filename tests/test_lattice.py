@@ -1,3 +1,4 @@
+import ast
 import itertools
 import json
 import math
@@ -43,6 +44,11 @@ def b_value(disc, x, y):
     """The bilinear pairing of a discriminant form in Q/Z, represented in [0, 1)."""
     e = disc._exponent
     return Fraction(disc._raw_dot(x, y) % e, e)
+
+
+def generators(disc):
+    """The generators cols[i] / orders[i] of a discriminant form, as Fraction vectors."""
+    return tuple(tuple(Fraction(c, d) for c in col) for d, col in zip(disc.orders, disc.cols))
 
 
 def cofactor_det(m):
@@ -338,24 +344,38 @@ def test_the_integer_paths_construct_no_fraction(monkeypatch):
     L, T, l_vec, t_vec = a20_glue_data()
     ambient = L.direct_sum(T)
     rows = [list(row) for row in ambient.gram]
-    disc = disc_group(dynkin_gram("D4").direct_sum(diagonal_gram([6])))
-    disc._gen_pairings  # the table is built once, outside the count
+    scale, glue_rows = lattice_module._integral([l_vec + t_vec], ambient.rank)
+    # odd parts at 3 (exponent 9) and a 2-part, with |det| = (2 * 3^6)^2
+    mixed = diagonal_gram([3] * 8 + [9, -9, 2, -2])
+    want = Fraction(-60, 7)
     made = []
+    new = Fraction.__new__
 
-    def counted(*args):
+    def counted(cls, *args, **kwargs):
         made.append(args)
-        return Fraction(*args)
+        return new(cls, *args, **kwargs)
 
-    monkeypatch.setattr(lattice_module, "Fraction", counted)
+    # every Fraction built anywhere, not only through the module's name
+    monkeypatch.setattr(Fraction, "__new__", counted)
     GramLattice(rows)
     assert signature(ambient) == (1, 21)
-    _overlattice(ambient, _span_basis(ambient.rank, [l_vec + t_vec]))
-    for x in disc.elements():
-        for y in disc.elements():
-            disc._raw_dot(x, y)
+    _overlattice(ambient, _span_basis(ambient.rank, scale, glue_rows))
+    for lat in (dynkin_gram("D4").direct_sum(diagonal_gram([6])), mixed):
+        disc = disc_group(lat)
+        disc._gen_pairings  # the pairing table, built inside the count
+        for x in itertools.islice(disc.elements(), 64):
+            disc.vector(x)
+            for y in itertools.islice(disc.elements(), 64):
+                disc._raw_dot(x, y)
+        for p in (2, 3, 5):
+            part = disc.p_part(p)
+            part._gen_pairings
+            part.vector((1,) * len(part.orders))
+    found, witness = unimodular_overlattice_exists(mixed)
+    assert found and abs(witness.det) == 1
     assert made == []
     # the count sees a construction at an edge: dot hands a Fraction out
-    assert L.dot(l_vec, l_vec) == Fraction(-60, 7) and len(made) == 1
+    assert L.dot(l_vec, l_vec) == want and len(made) == 1
 
 
 def test_in_dual_is_integral_pairing_with_every_row():
@@ -435,15 +455,15 @@ def test_disc_group_pinned_generators(name):
     lat, orders, gens, q_values = PINNED_DISC_FORMS[name]
     D = disc_group(lat)
     assert D.orders == orders
-    assert D.gens == tuple(fracs(g) for g in gens)
+    assert generators(D) == tuple(fracs(g) for g in gens)
     units = [tuple(int(i == j) for j in range(len(orders))) for i in range(len(orders))]
     assert [D.q_value(u) for u in units] == [Fraction(q) for q in q_values]
 
 
 def test_disc_form_refuses_generators_off_their_orders():
-    # 1/4 has order 4 in L*/L for L = (4), not the listed 2
-    D = DiscForm(diagonal_gram([4]), (2,), ((Fraction(1, 4),),))
-    with pytest.raises(ValueError, match="gens are not classes of the listed orders"):
+    # the column 1 over 8 is 1/8, not in L* = Z/4 for L = (4)
+    D = DiscForm(diagonal_gram([4]), (8,), ((1,),))
+    with pytest.raises(ValueError, match="cols are not classes of the listed orders"):
         b_value(D, (1,), (1,))
 
 
@@ -459,7 +479,7 @@ def test_disc_form_polarization():
     ):
         D = disc_group(lat)
         assert math.prod(D.orders) == abs(lat.det)
-        for g in D.gens:
+        for g in generators(D):
             assert lat.in_dual(g)
         elems = list(D.elements())
         sample = elems if len(elems) <= 30 else rng.sample(elems, 30)
@@ -473,7 +493,8 @@ def test_disc_q_value_representative_independent():
     lat = dynkin_gram("A5")
     D = disc_group(lat)
     for x in list(D.elements())[:5]:
-        v = list(D.vector(x))
+        # vector(x) is e times a representative, e the exponent
+        v = [Fraction(c, D._exponent) for c in D.vector(x)]
         v[0] += 1
         assert lat.dot(v, v) % 2 == D.q_value(x)
 
@@ -594,13 +615,7 @@ def random_glue_cases():
         if any(d % 97 == 0 for d in D.orders):
             continue
         Lneg = GramLattice([[-x for x in row] for row in L.gram])
-        pairs = [
-            (D.vector(e), D.vector(e))
-            for e in [
-                tuple(1 if i == k else 0 for i in range(len(D.orders)))
-                for k in range(len(D.orders))
-            ]
-        ]
+        pairs = [(g, g) for g in generators(D)]
         yield L, Lneg, pairs, D
         done += 1
 
@@ -675,8 +690,10 @@ def test_unimodular_overlattice_positive_controls():
     assert ok and witness is not None and abs(witness.det) == 1
     ok_even, w_even = unimodular_overlattice_exists(diagonal_gram([-2, 2]), even_only=True)
     assert ok_even and w_even.is_even and abs(w_even.det) == 1
-    ok, w = unimodular_overlattice_exists(dynkin_gram("E8"))
-    assert ok and w == dynkin_gram("E8")
+    e8 = dynkin_gram("E8")
+    ok, w = unimodular_overlattice_exists(e8)
+    # a unimodular lattice is its own witness, not checked again
+    assert ok and w is e8
 
 
 def test_unimodular_overlattice_parity_split():
@@ -972,13 +989,84 @@ def test_large_odd_parts_are_decided_at_once(entries, want):
     assert abs(witness.det) == 1 if want else witness is None
 
 
+def prime_powers(n):
+    """{p: p^k} over the primes p of n, by trial division."""
+    out = {}
+    p = 2
+    while n > 1:
+        while n % p == 0:
+            n //= p
+            out[p] = out.get(p, 1) * p
+        p += 1
+    return out
+
+
+def test_smith_columns_are_generators_of_their_orders():
+    """The oracle, over Fractions: cols[i] / orders[i] lies in L* and has order orders[i]
+    in L*/L, and the p-part takes (d / p^v) g for each generator g of order d."""
+    parts = 0
+    for L in seeded_random_lattices():
+        D = disc_group(L)
+        assert math.prod(D.orders) == abs(L.det)
+        gens = generators(D)
+        for d, g in zip(D.orders, gens):
+            assert L.in_dual(g)
+            # k g is in L iff every k x is an integer: iff the lcm of the denominators divides k
+            assert math.lcm(*(x.denominator for x in g)) == d
+        for p, pk in prime_powers(abs(L.det)).items():
+            part = D.p_part(p)
+            want = []
+            for d, g in zip(D.orders, gens):
+                pv = math.gcd(d, pk)
+                if pv > 1:
+                    want.append((pv, tuple(d // pv * x for x in g)))
+            assert list(zip(part.orders, generators(part))) == want
+            parts += 1
+    assert parts > 300
+
+
+# The functions of lattice.py where rational values come in or go out.
+FRACTION_EDGES = {
+    "_integral",
+    "GramLattice.dot",
+    "GramLattice.in_dual",
+    "glue",
+    "DiscForm.q_value",
+    "_glue_entry",
+}
+
+
+def test_fraction_appears_in_lattice_only_at_the_edges():
+    """A ratchet: a function (or class body) of lattice.py that names Fraction must be an edge."""
+    tree = ast.parse(pathlib.Path(lattice_module.__file__).read_text())
+    users = set()
+
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                walk(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Name) and child.id == "Fraction" or (
+                isinstance(child, ast.Attribute) and child.attr == "Fraction"
+            ):
+                users.add(".".join(scope) or "<module>")
+            walk(child, scope)
+
+    walk(tree, ())
+    assert users <= FRACTION_EDGES, sorted(users - FRACTION_EDGES)
+    assert "_glue_entry" in users
+
+
 def test_p_part_scales_the_smith_generators():
-    # Z/6 (from diag(6)) splits into Z/2 generated by 3g and Z/3 generated by 2g
+    # Z/6 (from diag(6)) splits into Z/2 generated by 3g and Z/3 generated by 2g:
+    # the same column over the orders 2 and 3
     disc = disc_group(diagonal_gram([6]))
-    assert disc.orders == (6,) and disc.gens == ((Fraction(1, 6),),)
+    assert disc.orders == (6,) and disc.cols == ((1,),)
+    assert generators(disc) == ((Fraction(1, 6),),)
     two, three = disc.p_part(2), disc.p_part(3)
-    assert (two.orders, two.gens) == ((2,), ((Fraction(1, 2),),))
-    assert (three.orders, three.gens) == ((3,), ((Fraction(1, 3),),))
+    assert (two.orders, two.cols) == ((2,), ((1,),))
+    assert (three.orders, three.cols) == ((3,), ((1,),))
+    assert generators(two) == ((Fraction(1, 2),),) and generators(three) == ((Fraction(1, 3),),)
     assert disc.p_part(5).orders == ()
     a3 = disc_group(dynkin_gram("A3"))
     assert a3.p_part(2) == a3
@@ -1133,6 +1221,7 @@ def test_integer_gram_agrees_with_the_fraction_gram_on_every_witness(checked_ove
 def test_a_span_that_is_not_integral_is_refused():
     # Z + Z/2 under the form 2x^2 has the basis 1/2, of square 1/2
     with pytest.raises(RuntimeError, match="overlattice is not integral"):
-        _overlattice(diagonal_gram([2]), _span_basis(1, [[Fraction(1, 2)]]))
+        _overlattice(diagonal_gram([2]), _span_basis(1, 2, [[1]]))
+    # (1/3, 1/3)
     with pytest.raises(RuntimeError, match="overlattice is not integral"):
-        _overlattice(dynkin_gram("A2"), _span_basis(2, [[Fraction(1, 3), Fraction(1, 3)]]))
+        _overlattice(dynkin_gram("A2"), _span_basis(2, 3, [[1, 1]]))
