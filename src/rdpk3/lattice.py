@@ -12,9 +12,8 @@ form, recorded by its Gram matrix.  This module computes:
     of the prime-to-p parts of their discriminant groups, every
     condition checked on the given glue vectors (`glue`);
   * existence of integral unimodular overlattices of finite index, from
-    the Jordan splitting of each odd p-part of L*/L and one greedy
-    maximal isotropic subgroup of its 2-part
-    (`unimodular_overlattice_exists`);
+    the Jordan splitting of each p-part of L*/L, with no walk over its
+    elements (`unimodular_overlattice_exists`);
   * negative-definite root lattices of types A, D, E (`dynkin_gram`).
 
 All arithmetic is over Z.  A single pairing is one kernel x^T M y
@@ -39,8 +38,6 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 from .chartring import parse_symbol
 from .ffpoly import MAX_PRIME, is_prime, json_echo, json_field
 
-# The overlattice search walks the 2-part of L*/L; one of more elements is refused.
-SEARCH_GUARD = 100_000
 # Lattice input above this rank is refused before any row is built.  The
 # lattices of K3 surfaces have rank <= 22; the exact arithmetic here is
 # cubic or worse in the rank (the discriminant of A400 takes seconds).
@@ -380,12 +377,6 @@ class DiscForm:
     orders: Tuple[int, ...]
     cols: Tuple[Tuple[int, ...], ...]
 
-    def elements(self):
-        return itertools.product(*(range(d) for d in self.orders))
-
-    def add(self, x: Sequence[int], y: Sequence[int]) -> Tuple[int, ...]:
-        return tuple((a + b) % d for a, b, d in zip(x, y, self.orders))
-
     def vector(self, elem: Sequence[int]) -> Tuple[int, ...]:
         """e times a coset representative in L tensor Q, e the exponent (lattice basis coords)."""
         e = self._exponent
@@ -564,80 +555,24 @@ def glue(
 # unimodular overlattices
 
 
-def _extend_subgroup(disc: DiscForm, sub: frozenset, e) -> frozenset:
-    """The subgroup generated by a subgroup and one more element.
+def _jordan_split(part: DiscForm, p: int) -> List[Tuple[int, int, List[List[int]]]]:
+    """An orthogonal splitting of a p-part into blocks of one generator, or two at p = 2.
 
-    Builds the coset union sub + 0*e, sub + 1*e, ... until a multiple
-    of e falls back into sub.
-    """
-    new = set(sub)
-    cur = e
-    while cur not in sub:
-        new.update(disc.add(cur, s) for s in sub)
-        cur = disc.add(cur, e)
-    return frozenset(new)
-
-
-def _maximal_isotropic(part: DiscForm, even_only: bool) -> Tuple[int, List[Tuple[int, ...]]]:
-    """(|H|, generators of H) for a maximal isotropic subgroup H of a p-part, in one pass over it.
-
-    The search runs it on the 2-part only; odd parts are decided from
-    their Jordan splitting (`_odd_lagrangian`).  Isotropic means
-    b(H, H) = 0 in Q/Z and, with even_only, also q(H) = 0 in Q/2Z.  The
-    pass walks the elements once and adds e to H (closing up with
-    `_extend_subgroup`) when e is not in H, b(e, e) = 0 (and q(e) = 0
-    when even_only), and b(e, g) = 0 for the generators g added so far;
-    by bilinearity and q(x + y) = q(x) + q(y) + 2 b(x, y), H stays
-    isotropic.  Each rejection only gets stronger as H grows, so no
-    element can extend the final H: it is maximal.  An isotropic H lies
-    in H^perp, of order |D|/|H|, so |H|^2 <= |D| and the pass stops once
-    that is an equality.
-
-    All maximal isotropic subgroups of a nondegenerate finite form have
-    the same order (H^perp/H is its anisotropic kernel; Nikulin 1979,
-    Sec. 1; Miranda-Morrison, Embeddings of integral quadratic forms),
-    for q and for b alone, the odd-lattice case at p = 2 included.
-    Proof: let H, H' be maximal, and I = H cap H'.  An x in H' with
-    b(x, H) = 0 extends H to the isotropic H + <x>, as
-    q(h + kx) = q(h) + k^2 q(x) + 2k b(h, x), so x is in H.  Hence the
-    map H' -> Hom(H, Q/Z), x -> b(x, -), has kernel I; its image
-    vanishes on I, as H' is isotropic, so lies in Hom(H/I, Q/Z), of
-    order |H|/|I|.  Thus |H'| <= |H|, and |H| <= |H'| by symmetry.
-    """
-    size = prod(part.orders)
-    exponent = part._exponent
-    # b(e, e) = 0 iff e.e is in Z; q(e) = 0, which implies it, iff e.e is in 2Z
-    self_modulus = 2 * exponent if even_only else exponent
-    sub = frozenset([(0,) * len(part.orders)])
-    gens = []
-    for e in part.elements():
-        if len(sub) ** 2 == size:
-            break
-        if e in sub or part._raw_dot(e, e) % self_modulus:
-            continue
-        # b(e, g) = 0 in Q/Z, tested on the integer residue
-        if any(part._raw_dot(e, g) % exponent for g in gens):
-            continue
-        sub = _extend_subgroup(part, sub, e)
-        gens.append(e)
-    return len(sub), gens
-
-
-def _jordan_split(part: DiscForm, p: int) -> List[Tuple[int, int, List[int]]]:
-    """An orthogonal splitting of an odd p-part into cyclic summands.
-
-    Returns (k, u, f) for each summand: f, in the part's generator
-    coordinates, has order p^k and b(f, f) = u / p^k with u a unit mod p,
-    and distinct f are orthogonal.  The work is on the pairing table
-    e b(g_i, g_j) mod e, for the exponent e = p^K.  Each step pivots on
-    an entry of least p-adic valuation v.  When no diagonal entry has it,
-    g_i += g_j for an off-diagonal one puts it there, as p is odd:
-    b(g_i + g_j, g_i + g_j) = b(g_i, g_i) + 2 b(g_i, g_j) + b(g_j, g_j).
-    The pivot f pairs into p^v / e with every element, so, the form
-    being nondegenerate, it has order e / p^v; then c f is projected out
-    of each other generator g, with c = b(g, f) / b(f, f) mod e / p^v.
-    The generators left span the orthogonal complement of f.  Once all
-    their pairings are 0 they are 0 in the group, and the split is done.
+    Returns (k, u, fs) for each block: each f in fs, in the part's
+    generator coordinates, has order p^k; u = p^k b(f, f) mod p for the
+    first f; distinct blocks are orthogonal.  The work is on the pairing
+    table e b(g_i, g_j) mod e, for the exponent e = p^K.  Each step
+    pivots on an entry of least p-adic valuation v.  A diagonal one gives
+    the block <g_i>, u a unit.  Else, for odd p, g_i += g_j for an
+    off-diagonal one puts it on the diagonal, as b(g_i + g_j, g_i + g_j)
+    = b(g_i, g_i) + 2 b(g_i, g_j) + b(g_j, g_j); at p = 2 the block is
+    <g_i, g_j>, with table [[a, b], [b, c]] over 2^v, a and c even and b
+    odd, so u = 0 and the determinant is odd.  The block pairs into
+    p^v / e with every element, so, the form being nondegenerate, its
+    generators have order e / p^v.  Each other generator is projected
+    off it through the inverse of its table over p^v, mod e / p^v, and
+    those left span its orthogonal complement.  Once all their pairings
+    are 0 they are 0 in the group, and the split is done.
     """
     e = part._exponent
     n = len(part.orders)
@@ -653,30 +588,37 @@ def _jordan_split(part: DiscForm, p: int) -> List[Tuple[int, int, List[int]]]:
 
     live = list(range(n))
     out = []
-    pv = 1  # p^v divides every live entry; projecting a pivot out keeps that
+    pv = 1  # p^v divides every live entry; projecting a block out keeps that
     while live and pv < e:
         # an entry has valuation v exactly iff it is not 0 mod p^(v+1)
         i = next((i for i in live if gram[i][i] % (pv * p)), None)
+        block = [i]
         if i is None:
             pair = next(((i, j) for i in live for j in live if gram[i][j] % (pv * p)), None)
             if pair is None:
                 pv *= p
                 continue
-            i, j = pair
-            add(i, j, 1)
-        live.remove(i)
+            if p > 2:
+                add(*pair, 1)
+            block = list(pair) if p == 2 else [pair[0]]
+        live = [i for i in live if i not in block]
         order = e // pv
-        u = gram[i][i] // pv
-        inv = pow(u, -1, order)
-        for j in live:
-            c = gram[j][i] // pv * inv % order
-            if c:
-                add(j, i, -c)
+        # the block's table over p^v, inverted as adj / det mod e / p^v; a block
+        # of one, [[a]], is read as [[a, 0], [0, 1]], of which zip keeps row 0
+        table = [[gram[i][j] // pv for j in block] for i in block]
+        (a, b), (_, c) = table if len(block) == 2 else ((table[0][0], 0), (0, 1))
+        adj, inv = [[c, -b], [-b, a]], pow(a * c - b * b, -1, order)
+        for j in {j for i in block for j in live if gram[i][j]}:
+            pairings = [gram[j][i] // pv for i in block]
+            for i, row in zip(block, adj):
+                x = sum(map(mul, row, pairings)) * inv % order
+                if x:
+                    add(j, i, -x)
         k = 0
         while order > 1:
             order //= p
             k += 1
-        out.append((k, u % p, vecs[i]))
+        out.append((k, table[0][0] % p, [vecs[i] for i in block]))
     return out
 
 
@@ -727,7 +669,7 @@ def _odd_lagrangian(part: DiscForm, p: int) -> Optional[List[List[int]]]:
     e = part._exponent
     gens = []
     residual = []
-    for k, u, f in _jordan_split(part, p):
+    for k, u, (f,) in _jordan_split(part, p):
         if k > 1:
             gens.append([p ** ((k + 1) // 2) * a for a in f])
         if k % 2:
@@ -760,25 +702,93 @@ def _odd_lagrangian(part: DiscForm, p: int) -> Optional[List[List[int]]]:
     return gens
 
 
-def _searched_parts(m: int) -> List[Tuple[int, int]]:
-    """(p, m_p) for each prime p of m, m_p the p-power in m, ascending.
+def _two_lagrangian(part: DiscForm, even_only: bool) -> Optional[List[List[int]]]:
+    """Generators of an isotropic H with |H|^2 = |D| in the 2-part, or None.
 
-    In an L*/L of order m^2 the p-part has order m_p^2.  Trial division
-    runs to min(isqrt(m), 2^16) on the shrinking cofactor, so what it
-    leaves is 1 or a prime below 2^16, or else it has no prime below
-    2^16 and is refused, as p-parts are taken for primes below 2^16.
-    The 2-part, which the search walks, is refused when its order is
-    over SEARCH_GUARD.
+    Isotropic means b(H, H) = 0 in Q/Z and, with even_only, q(H) = 0 in
+    Q/2Z; as q(x + y) = q(x) + q(y) + 2 b(x, y), orthogonal isotropic
+    generators span an isotropic H.  In the 2-adic Jordan splitting
+    (`_jordan_split`), a block <f> of order 2^k has 2^k b(f, f) and
+    2^k q(f) odd; a block <f, g> has 2^k b(f, g) odd, and 2^k b and 2^k q
+    even on f and on g.  So H takes the multiples 2^j f, for the least j
+    with 2j >= k, or 2j > k for a block of one under even_only, and the
+    block leaves the pieces 2^(k-j) f, of order 2^(2j-k) in its
+    H^perp / H.  The pieces are taken into an anisotropic kernel A one
+    block at a time, by a greedy walk over the small group A + pieces,
+    its form read from the Gram of its few generators.  The walk adds x
+    to its subgroup H' when x is not in H', is isotropic and is
+    orthogonal to the x added before; a rejection only gets stronger as
+    H' grows, so H' is maximal.  H' joins H, and A becomes H'^perp / H',
+    kept as generators, each with its order modulo H'.  The map onto A
+    from the product of their cyclic groups need not be injective, but
+    its kernel lies in H, so is isotropic and in the radical, and every
+    maximal H' contains it.  At the end H is maximal, as H^perp / H is A.
+
+    All maximal isotropic subgroups of a nondegenerate finite form have
+    the same order (H^perp/H is its anisotropic kernel; Nikulin 1979,
+    Sec. 1; Miranda-Morrison, Embeddings of integral quadratic forms),
+    for q and for b alone, the odd-lattice case at p = 2 included.
+    Proof: let H, H' be maximal, and I = H cap H'.  An x in H' with
+    b(x, H) = 0 extends H to the isotropic H + <x>, as
+    q(h + kx) = q(h) + k^2 q(x) + 2k b(h, x), so x is in H.  Hence the
+    map H' -> Hom(H, Q/Z), x -> b(x, -), has kernel I; its image
+    vanishes on I, as H' is isotropic, so lies in Hom(H/I, Q/Z), of
+    order |H|/|I|.  Thus |H'| <= |H|, and |H| <= |H'| by symmetry.  So
+    the H sought exists iff A ends trivial.
     """
-    parts = []
+    e = part._exponent
+    # x is isotropic iff e x.x is 0 mod e (b), or mod 2e (q) with even_only
+    self_modulus = 2 * e if even_only else e
+    gens, vecs, orders = [], [], []  # H, and A: vecs[i] of order orders[i] (2 or 4) modulo H
+
+    def plus(s, m, x):  # s + m x in the group of the walk
+        return tuple((a + m * b) % o for a, b, o in zip(s, x, orders))
+
+    def orthogonal(x, ys):
+        return not any(_pair(gram, x, y) % e for y in ys)
+
+    def lift(x):
+        return [sum(map(mul, x, col)) for col in zip(*vecs)]
+
+    for k, _u, fs in _jordan_split(part, 2):
+        j = (k + 1 + (even_only and len(fs) == 1)) // 2
+        gens += [[2**j * a for a in f] for f in fs if j < k]
+        if 2 * j == k:
+            continue
+        vecs += [[2 ** (k - j) * a for a in f] for f in fs]
+        orders += [2 ** (2 * j - k)] * len(fs)
+        if len(vecs) == 1:
+            continue  # one block's lone piece is anisotropic: 2^(2j-k) b or q on it is odd
+        gram = [[_pair(part._gen_pairings, x, y) for y in vecs] for x in vecs]
+        elems = list(itertools.product(*(range(o) for o in orders)))
+        sub, found, rest = {elems[0]}, [], []
+        for x in elems:
+            if x not in sub and not _pair(gram, x, x) % self_modulus and orthogonal(x, found):
+                found.append(x)
+                sub = {plus(s, m, x) for s in sub for m in range(max(orders))}
+        h = sub
+        for x in elems:
+            if x not in sub and orthogonal(x, found):
+                rest.append((x, 2 if plus(elems[0], 2, x) in h else 4))
+                sub = {plus(s, m, x) for s in sub for m in range(max(orders))}
+        gens += map(lift, found)
+        vecs, orders = [lift(x) for x, _ in rest], [order for _, order in rest]
+    return None if vecs else gens
+
+
+def _searched_parts(m: int) -> List[int]:
+    """The primes of m, ascending, each below 2^16, as p-parts are taken for those only.
+
+    Trial division runs to min(isqrt(m), 2^16) on the shrinking
+    cofactor, so what it leaves is 1, a prime below 2^16, or refused.
+    """
+    primes = []
     p = 2
     while p * p <= m and p < MAX_PRIME:
-        mp = 1
-        while m % p == 0:
-            m //= p
-            mp *= p
-        if mp > 1:
-            parts.append((p, mp))
+        if m % p == 0:
+            primes.append(p)
+            while m % p == 0:
+                m //= p
         p += 1 + (p > 2)
     if m >= MAX_PRIME:
         raise ValueError(
@@ -786,13 +796,8 @@ def _searched_parts(m: int) -> List[Tuple[int, int]]:
             f"{m} has no prime factor below 2^16"
         )
     if m > 1:
-        parts.append((m, m))
-    if parts and parts[0][0] == 2 and parts[0][1] ** 2 > SEARCH_GUARD:
-        raise ValueError(
-            f"the 2-part of the discriminant group has order {parts[0][1] ** 2}, "
-            f"over the search guard {SEARCH_GUARD}"
-        )
-    return parts
+        primes.append(m)
+    return primes
 
 
 def unimodular_overlattice_exists(
@@ -806,11 +811,11 @@ def unimodular_overlattice_exists(
     subgroup must also satisfy q(H) = 0 in Q/2Z, making the
     overlattice even.  The discriminant form is the orthogonal sum of
     its p-parts and q is additive across them (Nikulin 1979), so H
-    exists iff every p-part has such a subgroup of order m_p, the
-    p-power in m = |H|.  An odd p-part is decided from its Jordan
-    splitting (`_odd_lagrangian`).  All maximal isotropic subgroups of
-    the 2-part have one order, so one greedy pass over it decides it
-    (`_maximal_isotropic`).  The witness is spanned by the generators of
+    exists iff every p-part has such a subgroup H_p with |H_p|^2 = |D_p|.
+    Each p-part is decided from its Jordan splitting: an odd one by the
+    Witt class of its residual form over F_p (`_odd_lagrangian`), the
+    2-part by isotropic reduction of its blocks to an anisotropic kernel
+    (`_two_lagrangian`).  The witness is spanned by the generators of
     the subgroups found.  Returns (found, witness Gram or None).
     """
     if even_only and not L.is_even:
@@ -819,22 +824,17 @@ def unimodular_overlattice_exists(
     m = isqrt(disc_order)
     if m * m != disc_order:
         return False, None
-    parts = _searched_parts(m)
+    primes = _searched_parts(m)
     if m == 1:
         return True, L
     disc = disc_group(L)
     # the witness vectors, each over the exponent e of L*/L
     e, rows = disc._exponent, []
-    for p, mp in parts:
+    for p in primes:
         part = disc.p_part(p)
-        if p == 2:
-            order, gens = _maximal_isotropic(part, even_only)
-            if order != mp:
-                return False, None
-        else:
-            gens = _odd_lagrangian(part, p)
-            if gens is None:
-                return False, None
+        gens = _two_lagrangian(part, even_only) if p == 2 else _odd_lagrangian(part, p)
+        if gens is None:
+            return False, None
         rows += [[e // part._exponent * x for x in part.vector(g)] for g in gens]
     witness = _overlattice(L, _span_basis(L.rank, e, rows))
     if abs(witness.det) != 1:

@@ -9,7 +9,7 @@ from rdpk3 import cli
 from rdpk3.cli import _evaluation_work, main
 from rdpk3.ffpoly import MultiPoly, parse_poly
 from rdpk3.witt import SUPPORTED_RANGES, build_witt_table
-from rdpk3.lattice import glue_from_json
+from rdpk3.lattice import GramLattice, glue_from_json, signature
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 EX71 = str(ROOT / "models" / "ex71.json")
@@ -828,6 +828,19 @@ def test_lattice_overlattice(capsys):
     assert code == 0
     assert doc["found"] is False
     assert doc["even_only"] is True
+
+
+def test_lattice_overlattice_answers_large_2_parts(capsys):
+    # nine (2, -2): a 2-part of order 2^18, once refused by a guard on walking it
+    code, doc = run_json(capsys, "lattice", "overlattice", "--diagonal=" + ",".join(["2,-2"] * 9))
+    assert code == 0 and doc["found"] is True
+    witness = GramLattice(doc["witness"])
+    assert abs(witness.det) == 1 and witness.rank == 18
+    # an even unimodular positive definite lattice of rank 8 is E8
+    code, doc = run_json(capsys, "lattice", "overlattice", "--diagonal=2,2,2,2,2,2,2,2", "--even-only")
+    assert code == 0 and doc["found"] is True
+    witness = GramLattice(doc["witness"])
+    assert witness.det == 1 and witness.is_even and signature(witness) == (8, 0)
 
 
 def test_lattice_overlattice_refuses_a_prime_over_2_to_the_16(capsys):

@@ -27,7 +27,6 @@ from rdpk3.lattice import (
 import rdpk3.lattice as lattice_module
 from rdpk3.lattice import (
     _RANK_GUARD,
-    _extend_subgroup,
     _inertia,
     _overlattice,
     _pair,
@@ -49,6 +48,29 @@ def b_value(disc, x, y):
 def generators(disc):
     """The generators cols[i] / orders[i] of a discriminant form, as Fraction vectors."""
     return tuple(tuple(Fraction(c, d) for c in col) for d, col in zip(disc.orders, disc.cols))
+
+
+def elements(disc):
+    """Every element of a discriminant form, as a tuple of residues, one per listed order."""
+    return itertools.product(*(range(d) for d in disc.orders))
+
+
+def add(disc, x, y):
+    return tuple((a + b) % d for a, b, d in zip(x, y, disc.orders))
+
+
+def extend_subgroup(disc, sub, e):
+    """The subgroup generated by a subgroup and one more element.
+
+    Builds the coset union sub + 0*e, sub + 1*e, ... until a multiple
+    of e falls back into sub.
+    """
+    new = set(sub)
+    cur = e
+    while cur not in sub:
+        new.update(add(disc, cur, s) for s in sub)
+        cur = add(disc, cur, e)
+    return frozenset(new)
 
 
 def cofactor_det(m):
@@ -363,9 +385,9 @@ def test_the_integer_paths_construct_no_fraction(monkeypatch):
     for lat in (dynkin_gram("D4").direct_sum(diagonal_gram([6])), mixed):
         disc = disc_group(lat)
         disc._gen_pairings  # the pairing table, built inside the count
-        for x in itertools.islice(disc.elements(), 64):
+        for x in itertools.islice(elements(disc), 64):
             disc.vector(x)
-            for y in itertools.islice(disc.elements(), 64):
+            for y in itertools.islice(elements(disc), 64):
                 disc._raw_dot(x, y)
         for p in (2, 3, 5):
             part = disc.p_part(p)
@@ -481,18 +503,18 @@ def test_disc_form_polarization():
         assert math.prod(D.orders) == abs(lat.det)
         for g in generators(D):
             assert lat.in_dual(g)
-        elems = list(D.elements())
+        elems = list(elements(D))
         sample = elems if len(elems) <= 30 else rng.sample(elems, 30)
         for x in sample:
             for y in sample[:8]:
-                lhs = (D.q_value(D.add(x, y)) - D.q_value(x) - D.q_value(y)) % 2
+                lhs = (D.q_value(add(D, x, y)) - D.q_value(x) - D.q_value(y)) % 2
                 assert lhs == (2 * b_value(D, x, y)) % 2
 
 
 def test_disc_q_value_representative_independent():
     lat = dynkin_gram("A5")
     D = disc_group(lat)
-    for x in list(D.elements())[:5]:
+    for x in list(elements(D))[:5]:
         # vector(x) is e times a representative, e the exponent
         v = [Fraction(c, D._exponent) for c in D.vector(x)]
         v[0] += 1
@@ -778,9 +800,9 @@ def isotropic_subgroups_of_order(disc, m, even_only):
     trivial = frozenset([(0,) * len(disc.orders)])
     seen = {trivial}
     frontier = [trivial]
-    elements = [
+    candidates = [
         e
-        for e in disc.elements()
+        for e in elements(disc)
         if order_of(disc, e) > 1
         and m % order_of(disc, e) == 0
         and b_value(disc, e, e) == 0
@@ -791,10 +813,10 @@ def isotropic_subgroups_of_order(disc, m, even_only):
         if len(sub) == m:
             yield sub
             continue
-        for e in elements:
+        for e in candidates:
             if e in sub or any(b_value(disc, e, s) for s in sub):
                 continue
-            new = _extend_subgroup(disc, sub, e)
+            new = extend_subgroup(disc, sub, e)
             if m % len(new) == 0 and new not in seen:
                 seen.add(new)
                 frontier.append(new)
@@ -858,35 +880,37 @@ def test_overlattice_mixing_the_primes_two_and_three():
         assert found and abs(witness.det) == 1 and witness.rank == 6
 
 
-def test_overlattice_guard_bounds_the_largest_p_part():
-    # |D| = 30030^2 is about 9e8; its odd parts are split, and its 2-part has order 4
-    found, witness = unimodular_overlattice_exists(diagonal_gram([30030, -30030]))
-    assert found and abs(witness.det) == 1
-    # a 2-part of order 2^16 is under the guard; the pass stops at (1, 1), of order 256
-    found, witness = unimodular_overlattice_exists(diagonal_gram([256, -256]))
-    assert found and abs(witness.det) == 1
-    # the guard bounds the walked 2-part only: an odd part of order 100489 is answered
-    found, witness = unimodular_overlattice_exists(diagonal_gram([317, -317]))
-    assert found and abs(witness.det) == 1
-    with pytest.raises(ValueError, match="2-part of the discriminant group has order 262144"):
-        unimodular_overlattice_exists(diagonal_gram([512, -512]))
+def test_overlattice_answers_the_largest_p_parts():
+    # |D| = 30030^2 is about 9e8, with odd parts split and a 2-part of order 4; the
+    # 2-parts of diag(512, -512), diag(2^20, -2^20) and nine (2, -2) have orders
+    # 2^18, 2^40 and 2^18, and the 317-part has 100489 elements
+    for entries in ([30030, -30030], [256, -256], [317, -317], [512, -512], [2**20, -(2**20)]):
+        found, witness = unimodular_overlattice_exists(diagonal_gram(entries))
+        assert found and abs(witness.det) == 1, entries
+    found, witness = unimodular_overlattice_exists(diagonal_gram([2, -2] * 9))
+    assert found and abs(witness.det) == 1 and witness.rank == 18
 
 
 def greedy_maximal_isotropic(part, even_only):
-    """The oracle for odd parts: the one-pass greedy search the package once ran on every p-part."""
+    """The oracle: the one-pass greedy search the package once ran on every p-part.
+
+    It walks the part once and adds e to H when e is not in H, is
+    isotropic (b, or q with even_only) and is orthogonal to the e added
+    before; the H it ends with is maximal isotropic.
+    """
     size = math.prod(part.orders)
     exponent = part._exponent
     self_modulus = 2 * exponent if even_only else exponent
     sub = frozenset([(0,) * len(part.orders)])
     gens = []
-    for e in part.elements():
+    for e in elements(part):
         if len(sub) ** 2 == size:
             break
         if e in sub or part._raw_dot(e, e) % self_modulus:
             continue
         if any(part._raw_dot(e, g) % exponent for g in gens):
             continue
-        sub = _extend_subgroup(part, sub, e)
+        sub = extend_subgroup(part, sub, e)
         gens.append(e)
     return sub
 
@@ -949,20 +973,111 @@ def test_jordan_split_agrees_with_the_greedy_pass_on_odd_parts():
     assert min(verdicts.values()) >= 100, verdicts
 
 
-def test_the_greedy_pass_runs_on_the_2_part_only(monkeypatch):
-    seen = []
-    greedy = lattice_module._maximal_isotropic
+def two_adic_lattices():
+    """200 seeded lattices whose 2-parts have one- and two-generator 2-adic blocks.
 
-    def recording(part, even_only):
-        seen.append(min(q for q in range(2, part.orders[0] + 1) if part.orders[0] % q == 0))
-        return greedy(part, even_only)
+    Each is a sum of blocks +-u 2^k (u in 1, 3, 5, 7) and 2^k [[2a, 1], [1, 2c]]
+    (a, c in -1..1), k <= 4, under a unimodular change of basis, so the Smith
+    generators mix the blocks.  Every third one has a unit entry more, which
+    makes it odd.  The 2-part has at most 2^12 elements, as the oracle walks it.
+    """
+    rng = random.Random(27)
+    out = []
+    while len(out) < 200:
+        blocks, size = [], 0
+        for _ in range(rng.randrange(1, 4)):
+            k = rng.randrange(5)
+            if rng.random() < 0.5:
+                blocks.append([[rng.choice((-1, 1)) * rng.choice((1, 3, 5, 7)) * 2**k]])
+                size += k
+            else:
+                a, c = rng.randrange(-1, 2), rng.randrange(-1, 2)
+                blocks.append([[2 * a * 2**k, 2**k], [2**k, 2 * c * 2**k]])
+                size += 2 * k
+        if size > 12:
+            continue
+        if len(out) % 3 == 2:
+            blocks.append([[rng.choice((-1, 1))]])
+        n = sum(len(b) for b in blocks)
+        rows = [[0] * n for _ in range(n)]
+        at = 0
+        for b in blocks:
+            for i, row in enumerate(b):
+                rows[at + i][at:at + len(row)] = row
+            at += len(b)
+        out.append(GramLattice(congruent(rows, rng, 2 * n)))
+    return out
 
-    monkeypatch.setattr(lattice_module, "_maximal_isotropic", recording)
-    for _p, L in odd_part_lattices()[:100]:
-        unimodular_overlattice_exists(L)
-    for L in sweep_lattices():
-        unimodular_overlattice_exists(L)
-    assert seen and set(seen) == {2}
+
+def test_jordan_split_at_2_is_orthogonal_blocks_of_their_orders():
+    pairs = 0
+    for L in two_adic_lattices():
+        part = disc_group(L).p_part(2)
+        e = part._exponent
+        blocks = lattice_module._jordan_split(part, 2)
+        for k, _u, fs in blocks:
+            for f in fs:
+                assert order_of(part, [a % d for a, d in zip(f, part.orders)]) == 2**k, L
+        for (_, _, fs), (_, _, gs) in itertools.combinations(blocks, 2):
+            assert all(part._raw_dot(f, g) % e == 0 for f in fs for g in gs), L
+        assert math.prod(2 ** (k * len(fs)) for k, _u, fs in blocks) == math.prod(part.orders)
+        pairs += any(len(fs) == 2 for _k, _u, fs in blocks)
+    assert pairs >= 50, pairs
+    # 4 [[2, 1], [1, 2]] is one block of two generators of order 4
+    ((k, u, fs),) = lattice_module._jordan_split(disc_group(GramLattice([[8, 4], [4, 8]])).p_part(2), 2)
+    assert (k, u, len(fs)) == (2, 0, 2)
+
+
+# diag(-12, 56, -20, -6) + [[16, 4], [4, -8]] under a unimodular change of basis: with
+# even_only, the kernel keeps a class of order 4 modulo H that a later walk needs whole
+ORDER_4_KERNEL = GramLattice([
+    [1496, -216, 40, 276, 276, -512],
+    [-216, 242, 36, -36, -148, 72],
+    [40, 36, -164, 0, 0, 0],
+    [276, -36, 0, 48, 48, -96],
+    [276, -148, 0, 48, 104, -96],
+    [-512, 72, 0, -96, -96, 172],
+])
+
+
+def test_two_lagrangian_agrees_with_the_greedy_pass():
+    verdicts = {False: 0, True: 0}
+    for L in two_adic_lattices() + [ORDER_4_KERNEL]:
+        part = disc_group(L).p_part(2)
+        size, e = math.prod(part.orders), part._exponent
+        for even_only in (False, True) if L.is_even else (False,):
+            gens = lattice_module._two_lagrangian(part, even_only)
+            ok = len(greedy_maximal_isotropic(part, even_only)) ** 2 == size
+            assert (gens is not None) == ok, (L, even_only)
+            verdicts[ok] += 1
+            if gens is None:
+                continue
+            for x, y in itertools.combinations_with_replacement(gens, 2):
+                assert part._raw_dot(x, y) % e == 0, (L, even_only)
+            if even_only:
+                assert all(part._raw_dot(x, x) % (2 * e) == 0 for x in gens), L
+            sub = frozenset([(0,) * len(part.orders)])
+            for x in gens:
+                sub = extend_subgroup(part, sub, tuple(a % d for a, d in zip(x, part.orders)))
+            assert len(sub) ** 2 == size, (L, even_only)
+    assert min(verdicts.values()) >= 50, verdicts
+
+
+def test_large_2_parts_are_answered_in_under_a_second():
+    # 2-parts of order 2^128: the 2-adic blocks each have order 2, and every
+    # walk is over the small group of the kernel and one block's pieces
+    for entries in ([2] * 128, [2, -2] * 64):
+        for even_only in (False, True):
+            start = time.perf_counter()
+            found, witness = unimodular_overlattice_exists(diagonal_gram(entries), even_only)
+            assert time.perf_counter() - start < 1.0, (entries[:2], even_only)
+            assert found and abs(witness.det) == 1 and witness.rank == 128
+            assert witness.is_even or not even_only
+    # diag(2^20, -2^20): two blocks of order 2^20, each holding its 2^10 multiple
+    start = time.perf_counter()
+    found, witness = unimodular_overlattice_exists(diagonal_gram([2**20, -(2**20)]))
+    assert time.perf_counter() - start < 0.1
+    assert found and abs(witness.det) == 1
 
 
 @pytest.mark.parametrize("p", [3, 5, 13, 17, 97, 257, 10007, 65521])

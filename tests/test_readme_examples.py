@@ -113,7 +113,7 @@ def test_readme_quick_start_prints_its_results():
 
 GUARDS = {
     "MAX_PRIME", "_ECHO_LIMIT", "_COINDEX_GUARD", "_WITT_EVAL_GUARD",
-    "COUNT_WORK_GUARD", "_MAX_SING_POINTS", "_RANK_GUARD", "SEARCH_GUARD",
+    "COUNT_WORK_GUARD", "_MAX_SING_POINTS", "_RANK_GUARD",
 }
 
 
