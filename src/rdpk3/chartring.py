@@ -35,7 +35,7 @@ import functools
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .ffpoly import MultiPoly, SparseTerms, _check_modulus, parse_poly
+from .ffpoly import MultiPoly, SparseTerms, _check_modulus, _cut, parse_poly
 
 
 def rmax(p: int, family: str, N: int) -> int:
@@ -78,7 +78,7 @@ def parse_symbol(text: str) -> tuple:
     try:
         N = int(text[1:])
     except ValueError:
-        raise ValueError(f"bad singularity symbol {text!r}") from None
+        raise ValueError(f"bad singularity symbol {_cut(repr(text))}") from None
     _validate_symbol(family, N)
     return family, N
 
@@ -115,7 +115,7 @@ def parse_rdp_key(key: str) -> RdpSpec:
     if len(parts) == 2:
         parts.append("0")
     if len(parts) != 3:
-        raise ValueError(f"bad catalog key {key!r}; expected p:SN:r")
+        raise ValueError(f"bad catalog key {_cut(repr(key))}; expected p:SN:r")
     p = _key_int(key, "prime", parts[0])
     family, N = parse_symbol(parts[1])
     return RdpSpec(p, family, N, _key_int(key, "coindex", parts[2]))
@@ -125,7 +125,7 @@ def _key_int(key: str, name: str, text: str) -> int:
     try:
         return int(text)
     except ValueError:
-        raise ValueError(f"bad catalog key {key!r}: {name} {text!r} is not an integer") from None
+        raise ValueError(f"bad catalog key {_cut(repr(key))}: {name} {_cut(repr(text))} is not an integer") from None
 
 
 class ChartRing:
@@ -543,7 +543,7 @@ def quotient_case(p: int, group: str, symbol: str) -> QuotientCase:
         return QuotientCase(1, p, group, symbol, source, target, rmap, 1, eps, predicted)
 
     if group != "alpha":
-        raise ValueError(f"unknown group {group!r}; use mu or alpha")
+        raise ValueError(f"unknown group {_cut(repr(group))}; use mu or alpha")
 
     if p == 2 and family == "D":
         n = N.bit_length() - 1
@@ -612,7 +612,7 @@ ALL_QUOTIENT_KEYS = (
 def quotient_case_from_key(key: str) -> QuotientCase:
     parts = key.split(":")
     if len(parts) != 4 or parts[0] != "quot":
-        raise ValueError(f"bad quotient key {key!r}; expected quot:p:group:SN")
+        raise ValueError(f"bad quotient key {_cut(repr(key))}; expected quot:p:group:SN")
     return quotient_case(_key_int(key, "prime", parts[1]), parts[2], parts[3])
 
 

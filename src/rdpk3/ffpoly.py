@@ -6,9 +6,8 @@ coefficients are either arbitrary-precision integers or elements of a
 prime field F_p.  Coefficients are stored as plain Python ints together
 with an optional modulus; there is no floating point anywhere.
 
-Supported moduli are the primes 2, 3, 5, 7 (anything below 2^16 works,
-the small bound only matters for the GF(p^k) tables used in point
-counting).
+Moduli are the primes below MAX_PRIME = 2^16, and a field GF(q) has
+q below it too: every field carries exp and log tables of q entries.
 
 ``FpScalar`` is a residue label with no arithmetic: it names an element
 of F_p inside a Witt vector over F_p.  F_p and GF(q) arithmetic runs on
@@ -42,11 +41,16 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def is_supported_prime(p: int) -> bool:
+    """Whether p is a prime the package takes: one below MAX_PRIME."""
+    return 2 <= p < MAX_PRIME and is_prime(p)
+
+
 # every FpScalar and MultiPoly mod p checks its modulus; only valid primes are cached
 @functools.lru_cache(maxsize=None)
 def _check_modulus(p: int) -> None:
-    if not (2 <= p < MAX_PRIME and is_prime(p)):
-        raise ValueError(f"modulus must be a prime below 2^16, got {p}")
+    if not is_supported_prime(p):
+        raise ValueError(f"modulus must be a prime below 2^16, got {_cut(str(p))}")
 
 
 class FpScalar:
@@ -519,12 +523,14 @@ def json_field(doc, name: str, kind: str, what: str):
 
 
 class FiniteField:
-    """GF(q) for a prime power q, with log-table multiplication.
+    """GF(q) for a prime power q = p^k, with log-table multiplication.
 
     Elements are encoded as ints in [0, q): the base-p digits of the
-    code are the coefficients of the polynomial representative.  For
-    prime q this is ordinary modular arithmetic.  Intended for small q
-    (point counting); tables are built eagerly.
+    code are the coefficients of the polynomial representative modulo
+    a primitive monic f of degree k, so sums are digit sums (xor for
+    p = 2) and the codes below p are the prime field.  exp and log
+    tables of the powers of x, built eagerly for every q, prime q
+    included, make each product and power one lookup.
     """
 
     def __init__(self, q: int):
@@ -532,55 +538,11 @@ class FiniteField:
         self.q = q
         self.p = p
         self.k = k
-        if k == 1:
-            self._log = None
-            self._exp = None
-        else:
-            modpoly = _find_irreducible(p, k)
-            self._build_tables(modpoly)
+        self._exp, self._log = _primitive_tables(p, k)
         # Tr is F_p-linear, so its values on the basis p^i give it all
         traces = [self._frobenius_sum(p**i) for i in range(k)]
         self._trace_basis = traces
         self._trace_mask = sum(t << i for i, t in enumerate(traces)) if p == 2 else 0
-
-    def _build_tables(self, modpoly: tuple) -> None:
-        p, k, q = self.p, self.k, self.q
-
-        def mul_raw(a: int, b: int) -> int:
-            da = _digits(a, p, k)
-            db = _digits(b, p, k)
-            prod = [0] * (2 * k - 1)
-            for i, ai in enumerate(da):
-                if ai:
-                    for j, bj in enumerate(db):
-                        prod[i + j] = (prod[i + j] + ai * bj) % p
-            # reduce by the monic modulus
-            for i in range(len(prod) - 1, k - 1, -1):
-                c = prod[i]
-                if c:
-                    prod[i] = 0
-                    for j, mj in enumerate(modpoly[:k]):
-                        prod[i - k + j] = (prod[i - k + j] - c * mj) % p
-            return _undigits(prod[:k], p)
-
-        # find a multiplicative generator by trial
-        factors = _prime_factors(q - 1)
-        g = None
-        for cand in range(2, q):
-            if all(_pow_raw(cand, (q - 1) // f, mul_raw) != 1 for f in factors):
-                g = cand
-                break
-        if g is None:
-            raise RuntimeError("no generator found")
-        exp = [1] * (q - 1)
-        log = [0] * q
-        acc = 1
-        for i in range(q - 1):
-            exp[i] = acc
-            log[acc] = i
-            acc = mul_raw(acc, g)
-        self._exp = exp
-        self._log = log
 
     def elements(self) -> range:
         return range(self.q)
@@ -603,21 +565,13 @@ class FiniteField:
         return _undigits([(-x) % self.p for x in _digits(a, self.p, self.k)], self.p)
 
     def mul(self, a: int, b: int) -> int:
-        if self.k == 1:
-            return (a * b) % self.p
         if a == 0 or b == 0:
             return 0
         return self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
 
     def pow(self, a: int, e: int) -> int:
-        if self.k == 1:
-            if a == 0:
-                return 0 if e else 1
-            return pow(a, e, self.p)
         if a == 0:
             return 0 if e else 1
-        if e == 0:
-            return 1
         return self._exp[(self._log[a] * e) % (self.q - 1)]
 
     def _frobenius_sum(self, a: int) -> int:
@@ -674,8 +628,8 @@ class FiniteField:
 
         Horner on the first variable x: P = sum_e x^e P_e(rest), so a slab
         is sum_e a^e grid(P_e), one scaled list sum per e: map(xor) for
-        p = 2, one log-table lookup per value for k > 1 (an int product
-        mod p for prime q).  a^e is one pow, so exponents cost nothing.
+        p = 2, one log-table lookup per value otherwise.  a^e is one pow,
+        so exponents cost nothing.
         """
         return self._slabs(*self._term_dicts(polys))
 
@@ -701,18 +655,15 @@ class FiniteField:
             plans.append([(e, len(parts) + j) for j, e in enumerate(split)])
             parts += split.values()
         grids = self._grid(parts, m - 1)
-        if self.k > 1:
-            # exp twice, then zeros for the log of 0: a product is one lookup
-            order = q - 1
-            table = self._exp * 2 + [0] * order
-            logs = [[self._log[g] if g else 2 * order for g in col] for col in grids]
+        # exp twice, then zeros for the log of 0: a product is one lookup
+        order = q - 1
+        table = self._exp * 2 + [0] * order
+        logs = [[self._log[g] if g else 2 * order for g in col] for col in grids]
 
         def scaled(a, e, j):  # a^e times the grid of part j, None when a^e = 0
             s = self.pow(a, e)
             if s == 0:
                 return None
-            if self.k == 1:
-                return [s * g % p for g in grids[j]]
             ls = self._log[s]
             return [table[l + ls] for l in logs[j]]
 
@@ -731,8 +682,9 @@ class FiniteField:
 
 
 def _prime_power(q: int):
-    if q < 2:
-        raise ValueError(f"not a prime power: {q}")
+    # the size bound first: the search below takes up to q steps
+    if q >= MAX_PRIME:
+        raise ValueError(f"field too large: {_cut(str(q))}")
     for p in range(2, q + 1):
         if q % p == 0:
             k = 0
@@ -742,8 +694,6 @@ def _prime_power(q: int):
                 k += 1
             if m != 1:
                 raise ValueError(f"not a prime power: {q}")
-            if q >= MAX_PRIME:
-                raise ValueError(f"field too large: {q}")
             return p, k
     raise ValueError(f"not a prime power: {q}")
 
@@ -763,65 +713,37 @@ def _undigits(ds, p: int) -> int:
     return out
 
 
-def _pow_raw(a: int, e: int, mul) -> int:
-    r = 1
-    while e:
-        if e & 1:
-            r = mul(r, a)
-        a = mul(a, a)
-        e >>= 1
-    return r
+def _primitive_tables(p: int, k: int) -> Tuple[list, list]:
+    """(exp, log) of the powers of x in F_p[x]/(f), on base-p codes, for the first primitive f.
 
-
-def _prime_factors(n: int) -> list:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def _poly_is_irreducible(coeffs: tuple, p: int) -> bool:
-    # coeffs = (c0, ..., c_{k-1}, 1) monic of degree k; brute trial division
-    k = len(coeffs) - 1
-    # no roots
-    for a in range(p):
-        acc = 0
-        for c in reversed(coeffs):
-            acc = (acc * a + c) % p
-        if acc == 0:
-            return False
-    if k <= 3:
-        return True
-    # trial division by monic polynomials of degree 2..k//2
-    for d in range(2, k // 2 + 1):
-        for tail in itertools.product(range(p), repeat=d):
-            divisor = list(tail) + [1]
-            if _poly_divides(divisor, list(coeffs), p):
-                return False
-    return True
-
-
-def _poly_divides(d: list, f: list, p: int) -> bool:
-    f = list(f)
-    dd = len(d) - 1
-    for i in range(len(f) - 1, dd - 1, -1):
-        c = f[i] % p
-        if c:
-            for j in range(dd + 1):
-                f[i - dd + j] = (f[i - dd + j] - c * d[j]) % p
-    return all(c % p == 0 for c in f)
-
-
-def _find_irreducible(p: int, k: int) -> tuple:
-    for tail in itertools.product(range(p), repeat=k):
-        coeffs = tuple(tail) + (1,)
-        if _poly_is_irreducible(coeffs, p):
-            return coeffs
-    raise RuntimeError(f"no irreducible polynomial of degree {k} over F_{p}")
+    f = x^k - r(x), r = sum r_j x^j, is primitive iff x has order
+    q - 1 = p^k - 1 mod f, and then its norm (-1)^(k+1) r_0 is a
+    primitive root mod p (Lidl-Niederreiter, Finite Fields, Thms 3.16
+    and 3.18): each r_0 that fails is skipped unwalked.  The walk steps
+    acc -> acc x mod f, writing exp and log, until acc is 1 again; the
+    first f it takes q - 1 steps on is the modulus.  For k = 1, f = x - g
+    and the walk is the powers of g.
+    """
+    q = p**k
+    for r0 in range(1, p):
+        norm = (-1) ** (k + 1) * r0 % p
+        if any(pow(norm, e, p) == 1 for e in range(1, p - 1)):
+            continue
+        for rest in itertools.product(range(p), repeat=k - 1):
+            r = (r0,) + rest
+            # step[acc] = acc x mod f: the digits move up one place, and the
+            # top one, lead, comes back as lead * r
+            step = []
+            for lead in range(p):
+                col = [lead * r0 % p]
+                for j in range(1, k):
+                    d, place = lead * r[j] % p, p**j
+                    col = [c + (y + d) % p * place for y in range(p) for c in col]
+                step += col
+            exp, log, acc = [1], [0] * q, step[1]
+            while acc != 1:
+                log[acc] = len(exp)
+                exp.append(acc)
+                acc = step[acc]
+            if len(exp) == q - 1:
+                return exp, log

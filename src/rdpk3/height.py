@@ -30,7 +30,7 @@ from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple, Union
 
 from .chartring import RdpSpec, parse_symbol, rmax
-from .ffpoly import FiniteField, MultiPoly, is_prime, json_document, json_field, parse_poly
+from .ffpoly import FiniteField, MultiPoly, _cut, is_prime, json_document, json_field, parse_poly
 
 
 # ---------------------------------------------------------------------------
@@ -229,11 +229,11 @@ def parse_sing_config(text: str) -> Tuple[Tuple[str, int, int], ...]:
             continue
         m = SING_TOKEN.match(token)
         if m is None:
-            raise ValueError(f"bad singularity token {token!r}")
+            raise ValueError(f"bad singularity token {_cut(repr(token))}")
         count = int(m.group(1)) if m.group(1) else 1
         if len(items) + count > _MAX_SING_POINTS:
             raise ValueError(
-                f"singularity token {token!r} takes the configuration over "
+                f"singularity token {_cut(repr(token))} takes the configuration over "
                 f"{_MAX_SING_POINTS} points, more than a K3 surface can have"
             )
         family = m.group(2).upper()
@@ -471,10 +471,10 @@ def _root_counter(field: FiniteField, ks: Sequence[int]):
             for cs in zip(*cols) for ys in at_y
         )
     if field.p == 2:
-        log, order = field._log or [0, 0], q - 1
+        log, order = field._log, q - 1
         # y = (b/a) z turns the fibre into z^2 + z = ac/b^2 (Artin-Schreier):
-        # two roots or none as its trace is 0 or 1; over F_2, ac/b^2 = 1
-        art = [2 - 2 * field.trace(z) for z in (field._exp or [1])]
+        # two roots or none as its trace is 0 or 1
+        art = [2 - 2 * field.trace(z) for z in field._exp]
 
         def quadratic(a, b, c):
             # b = 0: squaring is a bijection of GF(2^k); c = 0: y (a y + b) = 0

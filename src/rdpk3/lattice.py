@@ -36,7 +36,7 @@ from operator import mul
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .chartring import parse_symbol
-from .ffpoly import MAX_PRIME, is_prime, json_echo, json_field
+from .ffpoly import MAX_PRIME, is_supported_prime, json_echo, json_field
 
 # Lattice input above this rank is refused before any row is built.  The
 # lattices of K3 surfaces have rank <= 22; the exact arithmetic here is
@@ -310,7 +310,7 @@ class GramLattice:
 
 
 def _check_prime(p: int, what: str) -> None:
-    if not (2 <= p < MAX_PRIME and is_prime(p)):
+    if not is_supported_prime(p):
         raise ValueError(f"{what} needs a prime p, got {json_echo(p)}, not a prime below 2^16")
 
 

@@ -747,6 +747,30 @@ def test_a_huge_json_value_is_echoed_cut_short(capsys, tmp_path, argv, make, fie
     assert out == ""
 
 
+@pytest.mark.parametrize(
+    "argv,named",
+    [
+        (("chart", "show", "x" * 50_000), "bad catalog key 'xxx"),
+        (("chart", "show", "7" * 5_000 + ":E8:0"), "prime '777"),
+        (("height", "from-rdp", "2:D" + "7" * 5_000 + ":0"), "bad singularity symbol 'D777"),
+        (("localcoh", "frob", "--chart", "7" * 5_000 + ":E8", "--n", "1"), "prime '777"),
+        (("height", "quotient", "--G", "mu", "--p", "2", "--sing", "x" * 50_000),
+         "bad singularity token 'xxx"),
+        (("height", "ordinary", "--p", "9" * 4_000, "--weights", "1,1,1,1",
+          "--vars", "x0,x1,x2,x3", "--f", "x0^4+x1^4+x2^4+x3^4"),
+         "modulus must be a prime below 2^16, got 999"),
+    ],
+    ids=["catalog-key", "key-prime", "symbol", "frob-chart", "sing-token", "modulus"],
+)
+def test_a_huge_argument_is_echoed_cut_short(capsys, argv, named):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert named in err
+    assert "characters)" in err
+    assert len(err.encode("utf-8")) < 300
+    assert out == ""
+
+
 def test_lattice_diagonal_flag_rejects_non_integers(capsys):
     code, out, err = run(capsys, "lattice", "disc", "--diagonal", "2.5")
     assert code == 2

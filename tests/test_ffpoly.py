@@ -261,11 +261,33 @@ def test_finite_field_evaluate_poly():
     assert 0 in roots
 
 
+def test_every_field_up_to_1024_is_built_from_a_primitive_modulus():
+    """exp and log of every GF(q), q <= 1024, the largest field the count guard admits for a
+    non-constant model (chart1 has three variables, so q^2 <= 2^20)."""
+    rng = random.Random(1024)
+    for q in range(2, 1025):
+        if len([p for p in range(2, q + 1) if q % p == 0 and is_prime(p)]) != 1:
+            continue
+        f = FiniteField(q)
+        assert sorted(f._exp) == list(range(1, q)), q
+        assert [f._log[a] for a in f._exp] == list(range(q - 1)), q
+        if f.k > 1:
+            assert f._exp[1] == f.p, q
+        for _ in range(30):
+            a, b, c = (rng.randrange(q) for _ in range(3))
+            assert f.mul(f.mul(a, b), c) == f.mul(a, f.mul(b, c)), (q, a, b, c)
+            assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c)), (q, a, b, c)
+        assert all(f.pow(a, q) == a for a in f.elements()), q
+
+
 def test_finite_field_rejects_non_prime_power():
     with pytest.raises(ValueError):
         FiniteField(6)
     with pytest.raises(ValueError):
         FiniteField(1)
+    # refused before any search for its prime, which would take 2^61 steps
+    with pytest.raises(ValueError, match="field too large"):
+        FiniteField(2**61 - 1)
 
 
 EVALUATOR_FIELDS = [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 32]

@@ -36,7 +36,7 @@ from rdpk3.reproduce import (
     quotient_pullback_check,
     reproduce_all,
 )
-from rdpk3.witt import SUPPORTED_RANGES, WittVec, _teich_sub, witt_add, witt_sub
+from rdpk3.witt import SUPPORTED_RANGES, WittVec, _teich_sub, verschiebung, witt_add, witt_sub
 
 
 def test_class_construction():
@@ -335,6 +335,30 @@ def test_shift_and_truncate_commute():
     assert r_class(shift(c)) == CohClass(ring, (ring.zero(),))
     w2 = CohClass(ring, (epsj, ring.monomial(1, -2, -1, 0)))
     assert r_class(shift(w2)) == shift(r_class(w2))
+
+
+def test_reduce_is_additive_and_commutes_with_f_r_and_v():
+    """The W_n-module maps on seeded vectors over every canonicity chart, n <= 3:
+    reduce(x + y) = reduce(reduce(x) + reduce(y)), F(reduce(x)) = reduce(F x),
+    R(reduce(x)) = reduce(R x) and reduce(V x) = reduce(V reduce(x))."""
+    rng = random.Random(9)
+    for t in range(200):
+        ring = chart_from_key(CANONICITY_CHART_KEYS[t % len(CANONICITY_CHART_KEYS)])
+        p, top = ring.p, SUPPORTED_RANGES[ring.p]
+        n = rng.randint(1, min(3, top))
+        x = tuple(_random_elem(ring, rng) for _ in range(n))
+        y = tuple(_random_elem(ring, rng) for _ in range(n))
+        rx, ry = reduce(x), reduce(y)
+        assert reduce(witt_add(WittVec(p, x), WittVec(p, y))) == reduce(
+            witt_add(WittVec(p, rx.components), WittVec(p, ry.components))
+        ), (t, x, y)
+        assert frobenius_class(rx) == reduce([c.frobenius() for c in x]), (t, x)
+        if n >= 2:
+            assert r_class(rx) == reduce(x[:-1]), (t, x)
+        if n < top:
+            assert reduce(verschiebung(WittVec(p, x))) == reduce(
+                verschiebung(WittVec(p, rx.components))
+            ), (t, x)
 
 
 def test_class_record_matches_up_to_a_unit():
