@@ -32,10 +32,10 @@ computations are stated.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Optional
 
-from .ffpoly import MultiPoly, SparseTerms, _check_modulus, _cut, parse_poly
+from .ffpoly import FrozenRecord, MultiPoly, SparseTerms, _check_modulus, _cut, parse_poly
 
 
 def rmax(p: int, family: str, N: int) -> int:
@@ -60,16 +60,15 @@ def rmax(p: int, family: str, N: int) -> int:
 
 def _validate_symbol(family: str, N: int) -> None:
     if family == "A":
-        if N < 1:
-            raise ValueError(f"A_{N} is not a rational double point")
+        ok = N >= 1
     elif family == "D":
-        if N < 4:
-            raise ValueError(f"D_{N} is not a rational double point")
+        ok = N >= 4
     elif family == "E":
-        if N not in (6, 7, 8):
-            raise ValueError(f"E_{N} is not a rational double point")
+        ok = N in (6, 7, 8)
     else:
-        raise ValueError(f"unknown family {family!r}")
+        raise ValueError(f"unknown family {_cut(repr(family))}")
+    if not ok:
+        raise ValueError(f"{family}_{_cut(str(N))} is not a rational double point")
 
 
 def parse_symbol(text: str) -> tuple:
@@ -83,23 +82,21 @@ def parse_symbol(text: str) -> tuple:
     return family, N
 
 
-@dataclass(frozen=True)
-class RdpSpec:
+class RdpSpec(FrozenRecord):
     """A rational double point with coindex: S_N^r in characteristic p."""
 
-    p: int
-    family: str
-    N: int
-    r: int = 0
+    __slots__ = ("p", "family", "N", "r")
+    _key = attrgetter(*__slots__)
 
-    def __post_init__(self):
-        _check_modulus(self.p)
-        bound = rmax(self.p, self.family, self.N)
-        if not (0 <= self.r <= bound):
+    def __init__(self, p: int, family: str, N: int, r: int = 0):
+        _check_modulus(p)
+        bound = rmax(p, family, N)
+        if not (0 <= r <= bound):
             raise ValueError(
-                f"coindex {self.r} out of range 0..{bound} for "
-                f"{self.family}_{self.N} in characteristic {self.p}"
+                f"coindex {_cut(str(r))} out of range 0..{_cut(str(bound))} for "
+                f"{family}_{_cut(str(N))} in characteristic {p}"
             )
+        self._fill(p, family, N, r)
 
     @property
     def symbol(self) -> str:
@@ -431,14 +428,12 @@ def _rdp_chart(spec: RdpSpec, unified: bool) -> ChartRing:
 
     if family == "A":
         if N != p - 1:
-            raise ValueError(
-                f"A_{N} in characteristic {p}: only A_{{p-1}} is needed here"
-            )
+            raise ValueError(f"A_{_cut(str(N))} in characteristic {p}: only A_{{p-1}} is needed here")
         return ChartRing(p, p if p > 2 else 2, _poly(p, uv, "x*y"), None,
                          ("x", "y", "z"), key)
 
     if rmax(p, family, N) == 0:
-        raise ValueError(f"{family}_{N} is taut in characteristic {p}; no chart here")
+        raise ValueError(f"{family}_{_cut(str(N))} is taut in characteristic {p}; no chart here")
 
     if family == "D":
         m = N // 2
@@ -497,26 +492,25 @@ def catalog_coindexes(p: int, family: str, N: int) -> list:
     return list(range(rmax(p, family, N) + 1))
 
 
-@dataclass(frozen=True)
-class QuotientCase:
+class QuotientCase(FrozenRecord):
     """Chart data of one quotient map pi: Spec A -> Spec A^(ideal).
 
     source carries the singularity downstairs, target the (smooth or
     smaller) cover chart; rmap sends source coordinates into the target.
     n_expected is the Witt length at which the pullback of the torsion
-    generator becomes V^(n-1) of a generator.
+    generator becomes V^(n-1) of a generator.  Two cases are equal when
+    their case_id, p, group, symbol and n_expected are.
     """
 
-    case_id: int
-    p: int
-    group: str
-    symbol: str
-    source: ChartRing = field(compare=False)
-    target: ChartRing = field(compare=False)
-    rmap: RingMap = field(compare=False)
-    n_expected: int
-    eps: ChartElem = field(compare=False)
-    predicted_gen: ChartElem = field(compare=False)
+    __slots__ = ("case_id", "p", "group", "symbol", "source", "target", "rmap",
+                 "n_expected", "eps", "predicted_gen")
+    _key = attrgetter("case_id", "p", "group", "symbol", "n_expected")
+
+    def __init__(self, case_id: int, p: int, group: str, symbol: str, source: ChartRing,
+                 target: ChartRing, rmap: RingMap, n_expected: int, eps: ChartElem,
+                 predicted_gen: ChartElem):
+        self._fill(case_id, p, group, symbol, source, target, rmap, n_expected, eps,
+                   predicted_gen)
 
 
 def quotient_case(p: int, group: str, symbol: str) -> QuotientCase:
@@ -533,7 +527,7 @@ def quotient_case(p: int, group: str, symbol: str) -> QuotientCase:
 
     if group == "mu":
         if family != "A" or N != p - 1:
-            raise ValueError(f"mu_{p} quotient chart needs A_{p-1}, got {symbol}")
+            raise ValueError(_cut(f"mu_{p} quotient chart needs A_{p-1}, got {symbol}"))
         source = rdp_chart(RdpSpec(p, "A", p - 1, 0))
         target = ChartRing(p, 1, labels=("X", "Y"), key=key + ":cover")
         iw = target.monomial(1, 1, 1)
@@ -548,7 +542,7 @@ def quotient_case(p: int, group: str, symbol: str) -> QuotientCase:
     if p == 2 and family == "D":
         n = N.bit_length() - 1
         if N != 1 << n or n < 2:
-            raise ValueError(f"alpha_2 quotient chart needs D_(2^n), got {symbol}")
+            raise ValueError(f"alpha_2 quotient chart needs D_(2^n), got {_cut(symbol)}")
         source = rdp_chart(RdpSpec(2, "D", N, 0))
         target = ChartRing(2, 1, labels=("X", "Y"), key=key + ":cover")
         iw = ChartElem(target, {(2, 1, 0): 1, (1, 1 << (n - 1), 0): 1})
@@ -592,7 +586,7 @@ def quotient_case(p: int, group: str, symbol: str) -> QuotientCase:
         predicted = target.monomial(-1, -1, -1, 1)
         return QuotientCase(5, p, group, symbol, source, target, rmap, 2, eps, predicted)
 
-    raise ValueError(f"no quotient chart for (p={p}, {group}, {symbol})")
+    raise ValueError(_cut(f"no quotient chart for (p={p}, {group}, {symbol})"))
 
 
 ALL_QUOTIENT_KEYS = (

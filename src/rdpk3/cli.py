@@ -18,7 +18,7 @@ import operator
 import re
 import sys
 
-from .ffpoly import _parse_terms, json_document, parse_poly
+from .ffpoly import _cut, _parse_terms, json_document, parse_poly
 from .witt import WittVec, build_witt_table, witt_add, witt_mul, witt_neg, witt_sub
 from .chartring import (
     catalog_coindexes,
@@ -264,7 +264,7 @@ def cmd_chart_show(args) -> int:
     bound = rmax(spec.p, spec.family, spec.N)
     if bound > _COINDEX_GUARD:
         raise CliError(
-            f"catalog key {key!r} has maximal coindex {bound}, "
+            f"catalog key {_cut(repr(key))} has maximal coindex {_cut(str(bound))}, "
             f"over the coindex guard {_COINDEX_GUARD}"
         )
     ring = rdp_chart(spec, unified=args.unified)
@@ -316,7 +316,7 @@ def cmd_localcoh_frob(args) -> int:
             spec.p, spec.N, args.n, spec.r
         )
     else:
-        raise CliError(f"no torsion-class Frobenius data for the {spec.symbol} chart")
+        raise CliError(f"no torsion-class Frobenius data for the {_cut(spec.symbol)} chart")
     _emit(args, {"schema": CHECK_SCHEMA, **rec.as_json()}, rec.line())
     return 0 if rec.status == "pass" else 1
 

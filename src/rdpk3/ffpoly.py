@@ -16,6 +16,9 @@ plain ints in ``FiniteField``.
 ``json_document`` is the one parser of JSON input documents, and
 ``json_field`` the one checked reader of their fields (surface models
 and glue specs).
+
+``Record`` and ``FrozenRecord`` give the package's small value classes
+== and repr over their fields, and the frozen ones a hash.
 """
 
 from __future__ import annotations
@@ -51,6 +54,44 @@ def is_supported_prime(p: int) -> bool:
 def _check_modulus(p: int) -> None:
     if not is_supported_prime(p):
         raise ValueError(f"modulus must be a prime below 2^16, got {_cut(str(p))}")
+
+
+class Record:
+    """A small class of named fields, compared and printed by them.
+
+    A subclass lists its fields in ``__slots__`` (and ``__dict__`` after
+    them when it caches properties), fills them in its own ``__init__``,
+    and names the fields == compares in ``_key``, an attrgetter.  The
+    repr, Name(field=value, ...), names every field in slot order.  A
+    Record is not hashable.
+    """
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == other._key(other)
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__ if n != "__dict__")
+        return f"{type(self).__qualname__}({fields})"
+
+
+class FrozenRecord(Record):
+    """An immutable Record, hashed on its _key: __init__ sets the fields once, with _fill."""
+
+    __slots__ = ()
+
+    def _fill(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __hash__(self):
+        return hash(self._key(self))
 
 
 class FpScalar:
@@ -530,7 +571,8 @@ class FiniteField:
     a primitive monic f of degree k, so sums are digit sums (xor for
     p = 2) and the codes below p are the prime field.  exp and log
     tables of the powers of x, built eagerly for every q, prime q
-    included, make each product and power one lookup.
+    included, make each product and power one lookup, and each sum or
+    negation in odd characteristic with k > 1 too.
     """
 
     def __init__(self, q: int):
@@ -553,16 +595,21 @@ class FiniteField:
         if self.p == 2:
             # base-2 digits add without carries
             return a ^ b
-        da = _digits(a, self.p, self.k)
-        db = _digits(b, self.p, self.k)
-        return _undigits([(x + y) % self.p for x, y in zip(da, db)], self.p)
+        if a == 0 or b == 0:
+            return a or b
+        # a + b = a (1 + c) for c = b/a, and 1 + c changes only the lowest digit of c
+        p, log, order = self.p, self._log, self.q - 1
+        c = self._exp[(log[b] - log[a]) % order]
+        c = c - p + 1 if c % p == p - 1 else c + 1
+        return c and self._exp[(log[a] + log[c]) % order]
 
     def neg(self, a: int) -> int:
         if self.k == 1:
             return (-a) % self.p
-        if self.p == 2:
+        if self.p == 2 or a == 0:
             return a
-        return _undigits([(-x) % self.p for x in _digits(a, self.p, self.k)], self.p)
+        # -1 = x^((q-1)/2) for odd q
+        return self._exp[(self._log[a] + (self.q - 1) // 2) % (self.q - 1)]
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
@@ -703,13 +750,6 @@ def _digits(a: int, p: int, k: int) -> list:
     for _ in range(k):
         out.append(a % p)
         a //= p
-    return out
-
-
-def _undigits(ds, p: int) -> int:
-    out = 0
-    for d in reversed(list(ds)):
-        out = out * p + d
     return out
 
 

@@ -25,38 +25,38 @@ Everything is exact: integer and Fraction arithmetic only.
 import functools
 import itertools
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import Dict, List, Sequence, Tuple, Union
 
 from .chartring import RdpSpec, parse_symbol, rmax
-from .ffpoly import FiniteField, MultiPoly, _cut, is_prime, json_document, json_field, parse_poly
+from .ffpoly import FiniteField, FrozenRecord, MultiPoly, _cut, is_prime, json_document, json_field, parse_poly
 
 
 # ---------------------------------------------------------------------------
 # height values
 
 
-@dataclass(frozen=True)
-class HeightValue:
+class HeightValue(FrozenRecord):
     """A height: finite n, infinite, or only bounded below ("> n").
 
     The third kind records a strict lower bound when the data at hand
     determines no more than that.
     """
 
-    kind: str  # "finite" | "greater-than" | "infinite"
-    bound: int = 0
+    __slots__ = ("kind", "bound")  # kind: "finite" | "greater-than" | "infinite"
+    _key = attrgetter(*__slots__)
 
-    def __post_init__(self):
-        if self.kind not in ("finite", "greater-than", "infinite"):
-            raise ValueError(f"bad height kind {self.kind!r}")
-        if self.kind == "finite" and not (1 <= self.bound <= 10):
-            raise ValueError(f"finite K3 height must be in 1..10, got {self.bound}")
-        if self.kind == "greater-than" and self.bound < 0:
+    def __init__(self, kind: str, bound: int = 0):
+        if kind not in ("finite", "greater-than", "infinite"):
+            raise ValueError(f"bad height kind {kind!r}")
+        if kind == "finite" and not (1 <= bound <= 10):
+            raise ValueError(f"finite K3 height must be in 1..10, got {bound}")
+        if kind == "greater-than" and bound < 0:
             raise ValueError("lower bound must be >= 0")
-        if self.kind == "infinite" and self.bound:
+        if kind == "infinite" and bound:
             raise ValueError("infinite height carries no bound")
+        self._fill(kind, bound)
 
     def __str__(self):
         if self.kind == "finite":
@@ -135,12 +135,14 @@ def height_from_rdp(spec: RdpSpec) -> HeightValue:
 # realizability of a single rational double point on a K3 surface
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(FrozenRecord):
     """A boolean answer together with the reason for it."""
 
-    ok: bool
-    reason: str
+    __slots__ = ("ok", "reason")
+    _key = attrgetter(*__slots__)
+
+    def __init__(self, ok: bool, reason: str):
+        self._fill(ok, reason)
 
     def __bool__(self):
         return self.ok
@@ -307,20 +309,20 @@ def quotient_height(group: str, p: int, config) -> HeightValue:
     name = group.lower().lstrip("_ ")
     if name.startswith("mu"):
         if p not in MU_PRIMES:
-            raise ValueError(f"no mu_p quotient table entry for p={p}")
+            raise ValueError(f"no mu_p quotient table entry for p={_cut(str(p))}")
         expected = tuple([("A", p - 1, 0)] * (24 // (p + 1)))
         if cfg != expected:
             raise ValueError(
                 f"mu_{p} maximal quotient must have singular locus "
-                f"{sing_config_str(expected)}, got {sing_config_str(cfg)}"
+                f"{sing_config_str(expected)}, got {_cut(sing_config_str(cfg))}"
             )
         return finite(1)
     if name.startswith("alpha"):
         h = ALPHA_QUOTIENT_TABLE.get((p, cfg))
         if h is None:
             raise ValueError(
-                f"no alpha_{p} maximal quotient with singular locus "
-                f"{sing_config_str(cfg)}"
+                f"no alpha_{_cut(str(p))} maximal quotient with singular locus "
+                f"{_cut(sing_config_str(cfg))}"
             )
         return finite(h)
     raise ValueError(f"unknown group scheme {group!r}; expected mu or alpha")
@@ -336,8 +338,8 @@ def etale_quotient_height(p: int, config) -> HeightValue:
     h = ETALE_QUOTIENT_TABLE.get((p, cfg))
     if h is None:
         raise ValueError(
-            f"no etale quotient table entry for p={p}, "
-            f"singular locus {sing_config_str(cfg)}"
+            f"no etale quotient table entry for p={_cut(str(p))}, "
+            f"singular locus {_cut(sing_config_str(cfg))}"
         )
     for family, N, r in cfg:
         if r > 0:
@@ -357,8 +359,7 @@ def etale_quotient_height(p: int, config) -> HeightValue:
 MODEL_SCHEMA = "rdpk3/surface-model/1"
 
 
-@dataclass(frozen=True)
-class TwoChart:
+class TwoChart(FrozenRecord):
     """An elliptic surface glued from two affine Weierstrass charts.
 
     chart1 lives in three variables (fiber coordinates and the base
@@ -369,36 +370,35 @@ class TwoChart:
     the q+1 fibers (the zero section).
     """
 
-    characteristic: int
-    chart1: MultiPoly
-    chart2_at_infinity: MultiPoly
+    __slots__ = ("characteristic", "chart1", "chart2_at_infinity")
+    _key = attrgetter(*__slots__)
 
-    def __post_init__(self):
-        if self.chart1.modulus != self.characteristic:
+    def __init__(self, characteristic: int, chart1: MultiPoly, chart2_at_infinity: MultiPoly):
+        if chart1.modulus != characteristic:
             raise ValueError("chart1 modulus disagrees with the characteristic")
-        if self.chart2_at_infinity.modulus != self.characteristic:
+        if chart2_at_infinity.modulus != characteristic:
             raise ValueError("chart2 modulus disagrees with the characteristic")
-        if len(self.chart1.variables) != 3:
+        if len(chart1.variables) != 3:
             raise ValueError("chart1 must have exactly three variables")
-        if len(self.chart2_at_infinity.variables) != 2:
+        if len(chart2_at_infinity.variables) != 2:
             raise ValueError("chart2_at_infinity must have exactly two variables")
+        self._fill(characteristic, chart1, chart2_at_infinity)
 
 
-@dataclass(frozen=True)
-class WeightedHypersurface:
+class WeightedHypersurface(FrozenRecord):
     """A hypersurface in a weighted projective space over F_p."""
 
-    characteristic: int
-    weights: Tuple[int, ...]
-    polynomial: MultiPoly
+    __slots__ = ("characteristic", "weights", "polynomial")
+    _key = attrgetter(*__slots__)
 
-    def __post_init__(self):
-        if self.polynomial.modulus != self.characteristic:
+    def __init__(self, characteristic: int, weights: Tuple[int, ...], polynomial: MultiPoly):
+        if polynomial.modulus != characteristic:
             raise ValueError("polynomial modulus disagrees with the characteristic")
-        if len(self.weights) != len(self.polynomial.variables):
+        if len(weights) != len(polynomial.variables):
             raise ValueError("need one weight per variable")
-        if any(w < 1 for w in self.weights):
+        if any(w < 1 for w in weights):
             raise ValueError("weights must be positive")
+        self._fill(characteristic, weights, polynomial)
 
 
 SurfaceModel = Union[TwoChart, WeightedHypersurface]
@@ -525,7 +525,7 @@ def _counted_polys(model: SurfaceModel, q: int) -> Tuple[MultiPoly, ...]:
     while power < q:
         power *= p
     if power != q:
-        raise ValueError(f"q={q} is not a power of the characteristic {p}")
+        raise ValueError(f"q={_cut(str(q))} is not a power of the characteristic {p}")
     if isinstance(model, TwoChart):
         polys = (model.chart1, model.chart2_at_infinity)
     else:

@@ -28,15 +28,14 @@ least common denominator (`_integral`); `dot` and `q_value` hand them out.
 
 import itertools
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import isqrt, lcm, prod
-from operator import mul
+from operator import attrgetter, mul
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .chartring import parse_symbol
-from .ffpoly import MAX_PRIME, is_supported_prime, json_echo, json_field
+from .ffpoly import MAX_PRIME, FrozenRecord, is_supported_prime, json_echo, json_field
 
 # Lattice input above this rank is refused before any row is built.  The
 # lattices of K3 surfaces have rank <= 22; the exact arithmetic here is
@@ -361,8 +360,7 @@ def signature(L: GramLattice) -> Tuple[int, int]:
 # discriminant groups
 
 
-@dataclass(frozen=True)
-class DiscForm:
+class DiscForm(FrozenRecord):
     """The finite group L*/L with its torsion form data.
 
     The group is the direct product of the cyclic factors Z/orders[i],
@@ -373,9 +371,11 @@ class DiscForm:
     p-part or a product of two groups need not.
     """
 
-    lattice: GramLattice
-    orders: Tuple[int, ...]
-    cols: Tuple[Tuple[int, ...], ...]
+    __slots__ = ("lattice", "orders", "cols", "__dict__")
+    _key = attrgetter(*__slots__[:3])
+
+    def __init__(self, lattice: GramLattice, orders: Tuple[int, ...], cols: Tuple[Tuple[int, ...], ...]):
+        self._fill(lattice, orders, cols)
 
     def vector(self, elem: Sequence[int]) -> Tuple[int, ...]:
         """e times a coset representative in L tensor Q, e the exponent (lattice basis coords)."""

@@ -20,11 +20,11 @@ exercise infrastructure.
 
 import random
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import attrgetter
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from .ffpoly import MultiPoly, parse_poly
+from .ffpoly import MultiPoly, Record, parse_poly
 from .witt import (
     SUPPORTED_RANGES,
     WittVec,
@@ -125,22 +125,20 @@ ANCHOR_GLUE_INDEX = (
 ANCHOR_OVERLATTICE = "does not admit a unimodular overlattice of finite index"
 
 
-@dataclass
-class CheckRecord:
+class CheckRecord(Record):
     """One reproduced computation: id, outcome, and its source anchor."""
 
-    check_id: str
-    status: str  # "pass" | "fail" | "skip"
-    computed: str
-    expected: str
-    anchor: str
-    note: str = ""
+    __slots__ = ("check_id", "status", "computed", "expected", "anchor", "note")
+    _key = attrgetter(*__slots__)
 
-    def __post_init__(self):
-        if self.status not in ("pass", "fail", "skip"):
-            raise ValueError(f"bad status {self.status!r}")
-        if not self.anchor:
+    def __init__(self, check_id: str, status: str, computed: str, expected: str, anchor: str,
+                 note: str = ""):
+        if status not in ("pass", "fail", "skip"):
+            raise ValueError(f"bad status {status!r}")
+        if not anchor:
             raise ValueError("every record needs an anchor (or 'plumbing')")
+        self.check_id, self.status, self.computed = check_id, status, computed
+        self.expected, self.anchor, self.note = expected, anchor, note
 
     def line(self) -> str:
         mark = {"pass": "ok  ", "fail": "FAIL", "skip": "skip"}[self.status]
@@ -162,14 +160,16 @@ class CheckRecord:
         }
 
 
-@dataclass
-class RunReport:
-    """The assembled outcome of a reproduction run."""
+class RunReport(Record):
+    """The assembled outcome of a reproduction run; records defaults to a new empty list."""
 
-    command: str
-    seed: int
-    records: List[CheckRecord] = field(default_factory=list)
-    wall_time: float = 0.0
+    __slots__ = ("command", "seed", "records", "wall_time")
+    _key = attrgetter(*__slots__)
+
+    def __init__(self, command: str, seed: int, records: Optional[List[CheckRecord]] = None,
+                 wall_time: float = 0.0):
+        self.command, self.seed, self.wall_time = command, seed, wall_time
+        self.records = [] if records is None else records
 
     @property
     def n_pass(self) -> int:

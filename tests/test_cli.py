@@ -759,8 +759,16 @@ def test_a_huge_json_value_is_echoed_cut_short(capsys, tmp_path, argv, make, fie
         (("height", "ordinary", "--p", "9" * 4_000, "--weights", "1,1,1,1",
           "--vars", "x0,x1,x2,x3", "--f", "x0^4+x1^4+x2^4+x3^4"),
          "modulus must be a prime below 2^16, got 999"),
+        (("chart", "show", "2:E" + "9" * 4_000 + ":0"), "E_999"),
+        (("chart", "show", "2:D12:" + "9" * 4_000), "coindex 999"),
+        (("witt", "table", "--p", "9" * 4_000, "--n", "1"), "unsupported prime 999"),
+        (("height", "count", "--model", EX71, "--q", "9" * 4_000), "q=999"),
+        (("height", "quotient", "--G", "mu", "--p", "2", "--sing", "D" + "9" * 4_000),
+         "mu_2 maximal quotient must have singular locus A1:0"),
+        (("chart", "show", "quot:2:alpha:D" + "9" * 4_000), "needs D_(2^n), got D999"),
     ],
-    ids=["catalog-key", "key-prime", "symbol", "frob-chart", "sing-token", "modulus"],
+    ids=["catalog-key", "key-prime", "symbol", "frob-chart", "sing-token", "modulus",
+         "symbol-number", "coindex", "witt-prime", "field-size", "sing-locus", "quotient-symbol"],
 )
 def test_a_huge_argument_is_echoed_cut_short(capsys, argv, named):
     code, out, err = run(capsys, *argv)

@@ -228,6 +228,27 @@ def test_characteristic_two_addition_is_the_digit_sum(q):
             assert f.add(a, b) == digit_sum(a, b)
 
 
+ODD_EXTENSION_FIELDS = [
+    p**k for p in (3, 5, 7, 11, 13, 17, 19, 23) for k in range(2, 7) if p**k <= 729
+]
+
+
+@pytest.mark.parametrize("q", ODD_EXTENSION_FIELDS)
+def test_odd_addition_and_negation_are_the_digit_rule(q):
+    """add and neg on log tables agree with digit-wise arithmetic mod p on every pair."""
+    f = FiniteField(q)
+    p, k = f.p, f.k
+
+    def digit_row(a):  # a + b for every b in order, digit by digit; the lowest digit varies fastest
+        places = [[(a // p**i + x) % p * p**i for x in range(p)] for i in reversed(range(k))]
+        return list(map(sum, itertools.product(*places)))
+
+    for a in f.elements():
+        row = digit_row(a)
+        assert list(map(f.add, itertools.repeat(a, q), f.elements())) == row, (q, a)
+        assert f.neg(a) == row.index(0), (q, a)
+
+
 @pytest.mark.parametrize("q", [2, 4, 8, 16, 3, 7, 9, 25, 27])
 def test_trace_is_an_onto_f_p_linear_map_fixed_by_frobenius(q):
     f = FiniteField(q)

@@ -361,6 +361,39 @@ def test_reduce_is_additive_and_commutes_with_f_r_and_v():
             ), (t, x)
 
 
+def test_fv_and_vf_are_p_and_scalars_are_frobenius_semilinear():
+    """On classes over every canonicity chart, n <= 3: FV = VF = p, where V of a class is
+    verschiebung of its components, reduced, and p.e the p-fold Witt sum, reduced; and
+    F(g.e) = g^p.F(e) for a scalar g with nonnegative exponents."""
+    rng = random.Random(29)
+    nonzero = {"p.e": 0, "F(g.e)": 0}
+
+    def v_class(e):
+        return reduce(verschiebung(WittVec(e.ring.p, e.components)))
+
+    for t in range(200):
+        ring = chart_from_key(CANONICITY_CHART_KEYS[t % len(CANONICITY_CHART_KEYS)])
+        p = ring.p
+        n = rng.randint(2, min(3, SUPPORTED_RANGES[p]))
+        e = reduce([_random_elem(ring, rng) for _ in range(n)])
+        x = total = WittVec(p, e.components)
+        for _ in range(p - 1):
+            total = witt_add(total, x)
+        times_p = reduce(total)
+        nonzero["p.e"] += not times_p.is_zero()
+        # V lengthens by one, so both composites start from the restriction R e
+        assert v_class(frobenius_class(r_class(e))) == times_p, (t, e)
+        assert frobenius_class(v_class(r_class(e))) == times_p, (t, e)
+        g = ring.zero()
+        for _ in range(rng.randint(1, 3)):
+            g += ring.monomial(rng.randrange(1, p), rng.randint(0, 2), rng.randint(0, 2), rng.randrange(ring.wdeg))
+        lhs = frobenius_class(scalar_mul_class(g, e))
+        assert lhs == scalar_mul_class(g**p, frobenius_class(e)), (t, g, e)
+        nonzero["F(g.e)"] += not lhs.is_zero()
+    # the identities are not only met by zero classes
+    assert min(nonzero.values()) >= 20, nonzero
+
+
 def test_class_record_matches_up_to_a_unit():
     ring = chart_from_key("5:E8:1")
     eps = ring.monomial(1, -1, -1, 1)
