@@ -514,11 +514,22 @@ def _affine_count(field: FiniteField, poly: MultiPoly) -> int:
     return sum(map(_root_counter(field, ks), slabs))
 
 
+def _weight_map(model: WeightedHypersurface) -> Dict[str, int]:
+    """The weight of each variable, refusing a polynomial not homogeneous for the weights."""
+    poly = model.polynomial
+    wmap = dict(zip(poly.variables, model.weights))
+    if not poly.is_homogeneous(wmap):
+        raise ValueError(f"polynomial is not homogeneous for the given weights {model.weights}")
+    return wmap
+
+
 def _counted_polys(model: SurfaceModel, q: int) -> Tuple[MultiPoly, ...]:
     """The affine polynomials count_points(model, q) counts the zeros of.
 
-    Refuses a q that is not a power of the characteristic, and one
-    whose count would take more than COUNT_WORK_GUARD field operations.
+    Refuses a q that is not a power of the characteristic, a weighted
+    polynomial that is not weighted-homogeneous, whose zeros are no
+    union of orbits, and a count that would take more than
+    COUNT_WORK_GUARD field operations.
     """
     p = model.characteristic
     power = p
@@ -529,6 +540,7 @@ def _counted_polys(model: SurfaceModel, q: int) -> Tuple[MultiPoly, ...]:
     if isinstance(model, TwoChart):
         polys = (model.chart1, model.chart2_at_infinity)
     else:
+        _weight_map(model)
         polys = (model.polynomial,)
     work = sum(_count_work(poly, q) for poly in polys)
     if work > COUNT_WORK_GUARD:
@@ -638,9 +650,7 @@ def ordinary_test(model: WeightedHypersurface) -> bool:
     if len(model.weights) != 4:
         raise ValueError("ordinarity test expects four homogeneous coordinates")
     poly = model.polynomial
-    wmap = dict(zip(poly.variables, model.weights))
-    if not poly.is_homogeneous(wmap):
-        raise ValueError("polynomial is not homogeneous for the given weights")
+    wmap = _weight_map(model)
     degree = poly.weighted_degree(wmap)
     if degree != sum(model.weights):
         raise ValueError(

@@ -16,6 +16,10 @@ form, recorded by its Gram matrix.  This module computes:
     elements (`unimodular_overlattice_exists`);
   * negative-definite root lattices of types A, D, E (`dynkin_gram`).
 
+An overlattice, glued or a witness, is returned on the Hermite normal
+form of its basis, computed modulo the scale it contains (`_span_basis`),
+so its Gram is a function of the overlattice, not of the vectors given.
+
 All arithmetic is over Z.  A single pairing is one kernel x^T M y
 (`_pair`); a Gram R M R^T of many rows takes each row to x^T M once
 (`_quotient_gram`).  A generator of L*/L is an integer column over its
@@ -203,48 +207,15 @@ def smith_diagonal(rows: Sequence[Sequence[int]]) -> Tuple[List[int], List[List[
     return [m[i][i] for i in range(n)], v
 
 
-def hermite_row_basis(rows: Sequence[Sequence[int]]) -> List[List[int]]:
-    """Row-style Hermite basis of the lattice spanned by integer rows.
-
-    Returns the nonzero rows of an upper-echelon basis; for full
-    column rank input this is a square triangular matrix.
-    """
-    work = [list(map(int, row)) for row in rows if any(row)]
-    ncols = len(rows[0])
-    basis: List[List[int]] = []
-    col = 0
-    while col < ncols and work:
-        live = [r for r in work if r[col] != 0]
-        rest = [r for r in work if r[col] == 0]
-        if not live:
-            col += 1
-            continue
-        while len(live) > 1:
-            live.sort(key=lambda r: abs(r[col]))
-            head = live[0]
-            reduced = []
-            for r in live[1:]:
-                c = r[col] // head[col]
-                new = [a - c * b for a, b in zip(r, head)]
-                (reduced if new[col] != 0 else rest).append(new)
-            live = [head] + reduced
-        pivot = live[0]
-        if pivot[col] < 0:
-            pivot = [-a for a in pivot]
-        basis.append(pivot)
-        work = [r for r in rest if any(r)]
-        col += 1
-    return basis
-
-
 # ---------------------------------------------------------------------------
 # lattices
 
 
-class GramLattice:
-    """A non-degenerate integer lattice given by its Gram matrix."""
+class GramLattice(FrozenRecord):
+    """A non-degenerate integer lattice given by its Gram matrix, equal to another on it."""
 
-    __slots__ = ("gram", "rank", "det")
+    __slots__ = ("gram", "rank", "det", "_signature")
+    _key = attrgetter("gram")
 
     def __init__(self, gram: Iterable[Iterable[int]]):
         rows = tuple(tuple(row) for row in gram)
@@ -259,15 +230,10 @@ class GramLattice:
             for j in range(i):
                 if rows[i][j] != rows[j][i]:
                     raise ValueError("Gram matrix must be symmetric")
-        d = _inertia(rows)[0]
+        d, pos, neg = _inertia(rows)
         if d == 0:
             raise ValueError("degenerate lattice (zero determinant)")
-        object.__setattr__(self, "gram", rows)
-        object.__setattr__(self, "rank", n)
-        object.__setattr__(self, "det", d)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GramLattice is immutable")
+        self._fill(rows, n, d, (pos, neg))
 
     @property
     def is_even(self) -> bool:
@@ -284,21 +250,14 @@ class GramLattice:
         return all(sum(map(mul, row, xs)) % d == 0 for row in self.gram)
 
     def direct_sum(self, other: "GramLattice") -> "GramLattice":
-        """The orthogonal sum, not checked again: its det is the product of the dets."""
+        """The orthogonal sum, not checked again: det and signature are the product and sum."""
         n, m = self.rank, other.rank
         rows = tuple(row + (0,) * m for row in self.gram)
         rows += tuple((0,) * n + row for row in other.gram)
+        sig = tuple(map(sum, zip(self._signature, other._signature)))
         out = object.__new__(GramLattice)
-        object.__setattr__(out, "gram", rows)
-        object.__setattr__(out, "rank", n + m)
-        object.__setattr__(out, "det", self.det * other.det)
+        out._fill(rows, n + m, self.det * other.det, sig)
         return out
-
-    def __eq__(self, other):
-        return isinstance(other, GramLattice) and self.gram == other.gram
-
-    def __hash__(self):
-        return hash(self.gram)
 
     def __str__(self):
         body = ", ".join("[" + ", ".join(map(str, row)) + "]" for row in self.gram)
@@ -352,8 +311,8 @@ def dynkin_gram(symbol) -> GramLattice:
 
 
 def signature(L: GramLattice) -> Tuple[int, int]:
-    """(positive, negative) inertia indices, by fraction-free elimination."""
-    return _inertia(L.gram)[1:]
+    """(positive, negative) inertia indices, from the elimination that found det."""
+    return L._signature
 
 
 # ---------------------------------------------------------------------------
@@ -457,9 +416,30 @@ def disc_group(L: GramLattice) -> DiscForm:
 
 
 def _span_basis(n: int, scale: int, rows: Sequence[Sequence[int]]) -> Tuple[int, List[List[int]]]:
-    """Z^n plus the vectors rows / scale: (scale, Hermite rows of scale times a basis)."""
-    unit = [[scale if i == j else 0 for j in range(n)] for i in range(n)]
-    return scale, hermite_row_basis(unit + list(rows))
+    """Z^n plus the vectors rows / scale: (scale, the Hermite normal form of scale times it).
+
+    The lattice holds scale Z^n, so the work is modulo scale (Cohen, GTM
+    138, Sec. 2.4).  From scale I_n, each row, reduced mod scale, goes in
+    column by column: Euclid between the basis row and it keeps the gcd
+    row, entries right of the pivot go mod scale (the rows below span
+    scale e_j for those j), and the row left, 0 there, goes on.  Each
+    entry above a pivot is then reduced into [0, pivot), left to right.
+    Every pivot divides scale, and the basis is a function of the lattice.
+    """
+    basis = [[scale * (i == j) for j in range(n)] for i in range(n)]
+    for row in rows:
+        row = [a % scale for a in row]
+        for i, top in enumerate(basis):
+            while row[i]:
+                q = top[i] // row[i]
+                top, row = row, [(a - q * b) % scale for a, b in zip(top, row)]
+            basis[i] = top
+    for i, piv in enumerate(basis):
+        for k in range(i):
+            q = basis[k][i] // piv[i]
+            if q:
+                basis[k] = [a - q * b for a, b in zip(basis[k], piv)]
+    return scale, basis
 
 
 def _index(span: Tuple[int, List[List[int]]]) -> int:
@@ -469,7 +449,7 @@ def _index(span: Tuple[int, List[List[int]]]) -> int:
 
 
 def _overlattice(ambient: GramLattice, span: Tuple[int, List[List[int]]]) -> GramLattice:
-    """The lattice spanned by ambient and the vectors of a span, on a Hermite basis.
+    """The lattice spanned by ambient and the vectors of a span, on its Hermite normal form.
 
     span is the _span_basis of the vectors, in ambient-basis coordinates;
     the span must be an integral lattice of full rank.  Its Gram is
@@ -511,8 +491,8 @@ def glue(
         part iff its order is |det| with its factors p removed, as
         |L*/L| = |det L|.
 
-    p must be a prime below 2^16.  Returns the glued lattice on a
-    Hermite basis.
+    p must be a prime below 2^16.  Returns the glued lattice on its
+    Hermite normal form, the same for every set of pairs that spans H.
     """
     _check_prime(p, "glue")
     if not (L.is_even and T.is_even):

@@ -384,6 +384,16 @@ def test_height_count_counts_each_distinct_field_once(capsys, monkeypatch):
     assert doc["height"] is None
 
 
+@pytest.mark.parametrize("text", ["a + b^2 + 1", "a + b^2"])
+def test_height_count_refuses_a_polynomial_that_is_not_weighted_homogeneous(capsys, tmp_path, text):
+    doc = weighted_doc(characteristic=3, weights=[1, 1, 1, 1], variables=list("abcd"), polynomial=text)
+    code, out, err = run(capsys, "height", "count", "--model", write_json(tmp_path, doc), "--q", "3,9")
+    assert code == 2
+    assert "not homogeneous for the given weights (1, 1, 1, 1)" in err
+    assert "Traceback" not in err
+    assert out == ""
+
+
 def test_height_count_missing_model(capsys):
     code, out, err = run(
         capsys, "height", "count", "--model", "/nonexistent.json", "--q", "2"

@@ -465,6 +465,23 @@ def test_fibre_degree_does_not_enter_the_work():
         assert _affine_count(field, poly) == brute_zeros(field, poly), q
 
 
+@pytest.mark.parametrize("text", ["a + b^2 + 1", "a + b^2"])
+def test_count_refuses_a_polynomial_that_is_not_weighted_homogeneous(monkeypatch, text):
+    """Its zeros are no union of orbits of the scaling action, so there is nothing to count."""
+    model = WeightedHypersurface(3, (1, 1, 1, 1), parse_poly(text, ("a", "b", "c", "d"), modulus=3))
+
+    def no_field(q):
+        raise AssertionError("a field was built for a model that is refused")
+
+    monkeypatch.setattr(height_module, "_field", no_field)
+    for q in (3, 9):
+        with pytest.raises(ValueError, match=r"not homogeneous for the given weights \(1, 1, 1, 1\)"):
+            count_points(model, q)
+    # the ordinarity test refuses it with the same message
+    with pytest.raises(ValueError, match=r"^polynomial is not homogeneous for the given weights"):
+        ordinary_test(model)
+
+
 @pytest.mark.parametrize("q", [0, 1, 6, 9, -4])
 def test_count_refuses_a_q_outside_the_characteristic(q):
     with pytest.raises(ValueError, match=f"q={q} is not a power of the characteristic 2"):

@@ -27,6 +27,7 @@ from rdpk3.lattice import (
 import rdpk3.lattice as lattice_module
 from rdpk3.lattice import (
     _RANK_GUARD,
+    _index,
     _inertia,
     _overlattice,
     _pair,
@@ -334,9 +335,23 @@ def test_direct_sum_takes_det_as_the_product_of_the_blocks():
         a, b = rng.choice(lattices), rng.choice(lattices)
         got, want = a.direct_sum(b), rebuilt_direct_sum(a, b)
         assert (got.gram, got.rank, got.det) == (want.gram, want.rank, want.det)
+        assert signature(got) == signature(want) == _inertia(want.gram)[1:]
         assert got == want and hash(got) == hash(want)
     with pytest.raises(AttributeError):
         got.det = 1
+
+
+def test_signature_is_kept_from_the_elimination_that_found_det(monkeypatch):
+    lattices = [GramLattice(rows) for _kind, rows in seeded_symmetric_matrices() if _inertia(rows)[0]]
+    lattices += [dynkin_gram("E8"), HYPERBOLIC_PLANE, diagonal_gram([-4, 7]), a20_glue_data()[0]]
+    for L in lattices:
+        assert signature(L) == _inertia(L.gram)[1:], L.gram
+    calls = []
+    monkeypatch.setattr(lattice_module, "_inertia", lambda rows: calls.append(rows))
+    for L in lattices[:50]:
+        signature(L)
+        signature(L.direct_sum(L))
+    assert calls == []
 
 
 def test_inertia_of_the_empty_and_the_zero_matrix():
@@ -649,29 +664,29 @@ def test_glue_determinant_bookkeeping():
         assert abs(lam.det) * math.prod(D.orders) ** 2 == abs(L.det) * abs(Lneg.det)
 
 
-# The overlattice builder's output on a Hermite basis, entry for entry:
-# L + T + Z(l + t), on the basis spanned by the one glue vector.
+# The glued Gram, entry for entry: L + T + Z(l + t), on
+# the Hermite normal form of its basis, whatever vectors span it.
 A20_GLUED_GRAM = [
-    [-4, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, -3, 4, 4],
+    [2, 0, 0, 0, 0, -1, 1, 0, 0, 0, 0, 0, -1, 1, 0, 0, 0, 0, 0, -1, 4, 4],
     [0, -2, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
     [0, 1, -2, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
     [0, 0, 1, -2, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
     [0, 0, 0, 1, -2, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
-    [0, 0, 0, 0, 1, -2, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
-    [0, 0, 0, 0, 0, 1, -2, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+    [-1, 0, 0, 0, 1, -2, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+    [1, 0, 0, 0, 0, 1, -2, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
     [0, 0, 0, 0, 0, 0, 1, -2, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
     [0, 0, 0, 0, 0, 0, 0, 1, -2, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
     [0, 0, 0, 0, 0, 0, 0, 0, 1, -2, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
     [0, 0, 0, 0, 0, 0, 0, 0, 0, 1, -2, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
     [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, -2, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0],
-    [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, -2, 1, 0, 0, 0, 0, 0, 0, 0, 0],
-    [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, -2, 1, 0, 0, 0, 0, 0, 0, 0],
+    [-1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, -2, 1, 0, 0, 0, 0, 0, 0, 0, 0],
+    [1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, -2, 1, 0, 0, 0, 0, 0, 0, 0],
     [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, -2, 1, 0, 0, 0, 0, 0, 0],
     [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, -2, 1, 0, 0, 0, 0, 0],
     [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, -2, 1, 0, 0, 0, 0],
     [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, -2, 1, 0, 0, 0],
     [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, -2, 1, 0, 0],
-    [-3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, -2, 0, 0],
+    [-1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, -2, 0, 0],
     [4, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 5],
     [4, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 5, 2],
 ]
@@ -684,6 +699,135 @@ def test_glue_a20_gram_rows():
     assert glued.det == -9 and glued.is_even
     assert signature(glued) == (1, 21)
     assert disc_group(glued).orders == (3, 3)
+
+
+def parent_hermite_row_basis(rows):
+    """The echelon basis the package once built, by Euclid on all live rows at once: the index oracle.
+
+    It never reduced mod the scale nor above its pivots, so its rows
+    depend on the spanning vectors, but it spans the same lattice.
+    """
+    work = [list(map(int, row)) for row in rows if any(row)]
+    ncols = len(rows[0])
+    basis = []
+    col = 0
+    while col < ncols and work:
+        live = [r for r in work if r[col] != 0]
+        rest = [r for r in work if r[col] == 0]
+        if not live:
+            col += 1
+            continue
+        while len(live) > 1:
+            live.sort(key=lambda r: abs(r[col]))
+            head = live[0]
+            reduced = []
+            for r in live[1:]:
+                c = r[col] // head[col]
+                new = [a - c * b for a, b in zip(r, head)]
+                (reduced if new[col] != 0 else rest).append(new)
+            live = [head] + reduced
+        pivot = live[0]
+        if pivot[col] < 0:
+            pivot = [-a for a in pivot]
+        basis.append(pivot)
+        work = [r for r in rest if any(r)]
+        col += 1
+    return basis
+
+
+def in_triangular_span(basis, vec):
+    """Whether vec is an integer combination of upper-triangular rows, by back-substitution."""
+    vec = list(vec)
+    for i, row in enumerate(basis):
+        c, rem = divmod(vec[i], row[i])
+        if rem:
+            return False
+        if c:
+            vec[i:] = [a - c * b for a, b in zip(vec[i:], row[i:])]
+    return not any(vec)
+
+
+def seeded_spans():
+    """(n, scale, rows): 400 seeded spans of rank 1..8, then a few of rank 16 to 128.
+
+    Entries run over -3 scale..3 scale, so a row is rarely reduced mod
+    scale already; a row may be 0, and a span may be scale Z^n alone.
+    """
+    rng = random.Random(41)
+    shapes = [(1 + k % 8, rng.choice((2, 3, 4, 6, 8, 9, 12, 30, 64, 97, 2**20)), rng.randrange(5))
+              for k in range(400)]
+    shapes += [(16, 2**20, 8), (32, 360, 8), (64, 2**20, 6), (128, 2**20, 4), (128, 3, 64)]
+    for n, scale, m in shapes:
+        yield n, scale, [[rng.randrange(-3 * scale, 3 * scale) for _ in range(n)] for _ in range(m)]
+
+
+def redundant(rng, n, scale, rows):
+    """rows with integer combinations of them and multiples of scale e_j added, shuffled."""
+    out = [list(row) for row in rows]
+    for _ in range(rng.randrange(1, 4)):
+        cs = [rng.randrange(-3, 4) for _ in rows]
+        out.append([sum(c * row[j] for c, row in zip(cs, rows)) for j in range(n)])
+        j = rng.randrange(n)
+        out.append([scale * rng.randrange(-3, 4) * (i == j) for i in range(n)])
+    out = [[a + scale * rng.randrange(-2, 3) for a in row] for row in out]
+    rng.shuffle(out)
+    return out
+
+
+def test_span_basis_is_the_hermite_normal_form_of_the_same_lattice():
+    start = time.perf_counter()
+    for n, scale, rows in seeded_spans():
+        got_scale, basis = _span_basis(n, scale, rows)
+        assert got_scale == scale and len(basis) == n
+        for i, row in enumerate(basis):
+            # zeros below the pivot, a positive pivot dividing scale, reduced entries above it
+            assert not any(row[:i]) and 0 < row[i] <= scale and scale % row[i] == 0, (n, scale, rows)
+            assert all(0 <= upper[i] < row[i] for upper in basis[:i]), (n, scale, rows)
+            assert all(0 <= a < scale for a in row[i + 1:]), (n, scale, rows)
+        unit = [[scale * (i == j) for j in range(n)] for i in range(n)]
+        oracle = parent_hermite_row_basis(unit + rows)
+        assert _index((scale, basis)) == _index((scale, oracle)), (n, scale, rows)
+        assert all(in_triangular_span(basis, vec) for vec in rows + unit), (n, scale, rows)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_span_basis_is_the_same_for_every_generating_set():
+    rng = random.Random(43)
+    for k, (n, scale, rows) in enumerate(seeded_spans()):
+        if n <= 8 or k % 2:
+            assert _span_basis(n, scale, redundant(rng, n, scale, rows)) == _span_basis(n, scale, rows)
+    for L, Lneg, pairs, _D in random_glue_cases():
+        # each pair is (g, g), so 2 g - h pairs with itself too
+        combos = [[2 * x - y for x, y in zip(g, h)] for (g, _), (h, _) in zip(pairs, pairs[1:])]
+        more = pairs[::-1] + [(c, c) for c in combos] + pairs
+        assert glue(L, Lneg, 97, more) == glue(L, Lneg, 97, pairs)
+
+
+def test_a_witness_gram_is_the_same_for_every_generating_set(monkeypatch):
+    """The search's spanning vectors, respanned redundantly, give the witness Gram it printed."""
+    rng = random.Random(47)
+    spans = []
+    span_basis = lattice_module._span_basis
+
+    def recorded(n, scale, rows):
+        spans.append((n, scale, rows))
+        return span_basis(n, scale, rows)
+
+    monkeypatch.setattr(lattice_module, "_span_basis", recorded)
+    lattices = [lat for _id, lat, _want in overlattice_instances()] + list(itertools.islice(seeded_random_lattices(), 120))
+    lattices += [diagonal_gram([317, -317]), diagonal_gram([2] * 8), dynkin_gram("A3")]
+    checked = 0
+    for L in lattices:
+        for even_only in (False, True) if L.is_even else (False,):
+            spans.clear()
+            found, witness = unimodular_overlattice_exists(L, even_only)
+            if not spans:
+                continue
+            ((n, scale, rows),) = spans
+            respanned = _overlattice(L, span_basis(n, scale, redundant(rng, n, scale, rows)))
+            assert respanned.gram == witness.gram, (L, even_only)
+            checked += 1
+    assert checked >= 100, checked
 
 
 def test_glue_of_a_large_cyclic_group_works_on_its_generator():
@@ -699,7 +843,7 @@ def test_glue_of_a_large_cyclic_group_works_on_its_generator():
     [
         (diagonal_gram([-2, 2]), False, [[0, 1], [1, 2]]),
         (diagonal_gram([-2, 2]), True, [[0, 1], [1, 2]]),
-        (dynkin_gram("A3"), False, [[-3, 0, -2], [0, -2, 1], [-2, 1, -2]]),
+        (dynkin_gram("A3"), False, [[-1, 1, -1], [1, -2, 1], [-1, 1, -2]]),
     ],
 )
 def test_overlattice_witness_grams(lattice, even_only, witness):

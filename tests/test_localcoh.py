@@ -3,6 +3,7 @@ import random
 import pytest
 
 from rdpk3.chartring import (
+    ALL_QUOTIENT_KEYS,
     RdpSpec,
     chart_from_key,
     parse_rdp_key,
@@ -488,6 +489,26 @@ def test_quotient_pullback_single_case():
     assert pe.n == case.n_expected
     # everything below the top component vanishes
     assert all(c.is_zero() for c in pe.components[: case.n_expected - 1])
+
+
+def test_pullback_commutes_with_reduce_and_frobenius():
+    """On seeded vectors x over the source chart of every quotient case, n <= 3: the pullback
+    of reduce(x) is the reduced pullback of x, and F(pullback(e)) = pullback(F(e))."""
+    rng = random.Random(31)
+    cases = [quotient_case_from_key(key) for key in ALL_QUOTIENT_KEYS]
+    nonzero = 0
+    for t in range(200):
+        case = cases[t % len(cases)]
+        ring, rmap = case.source, case.rmap
+        n = rng.randint(1, min(3, SUPPORTED_RANGES[ring.p]))
+        x = [_random_elem(ring, rng) for _ in range(n)]
+        e = reduce(x)
+        pe = pullback_class(rmap, e)
+        assert pe == reduce([rmap.apply(c) for c in x]), (t, x)
+        assert frobenius_class(pe) == pullback_class(rmap, frobenius_class(e)), (t, x)
+        nonzero += not pe.is_zero()
+    # the identities are not only met by zero classes
+    assert nonzero >= 50, nonzero
 
 
 def test_verify_family_tokens():
