@@ -69,8 +69,9 @@ LATTICE_SCHEMA = "rdpk3/lattice/1"
 # characteristic 2 has rmax = N/2 - 1; a key with a larger rmax is refused.
 _COINDEX_GUARD = 1024
 
-# `witt eval` runs the compiled structure polynomials on the user's
-# polynomials; an operation whose work estimate is above this is refused.
+# `witt eval` runs the structure polynomials' straight-line programs on
+# the user's polynomials; an operation whose work estimate is above
+# this is refused.
 _WITT_EVAL_GUARD = 2 * 10**7
 
 
@@ -141,39 +142,34 @@ def cmd_witt_table(args) -> int:
 
 
 def _evaluation_work(fn, counts) -> tuple:
-    """(work, term bounds of the results) of a compiled Witt function on polynomials.
+    """(work, term bounds of the results) of a Witt straight-line program on polynomials.
 
-    Argument v of fn stands for a polynomial of counts[v] terms, and fn
-    runs once on the monomial sets of its arguments.  A value P has at
-    most S(P) terms, the sum over the monomials of P of the product of
-    C(t_v + e_v - 1, e_v) (a power e of a t-term sum has at most
-    C(t + e - 1, e) terms).  Work is the total over the program of
-    S(P) * S(Q) for each product and S(P) + S(Q) for each sum.
+    Argument v of fn stands for a polynomial of counts[v] terms.  The
+    walk over fn.program gives each slot its set of monomials: {e_v} for
+    argument v, {0} for a constant, the union for a sum or difference and
+    the sumset for a product.  A value P has at most S(P) terms, the sum
+    over the monomials of P of the product of C(t_v + e_v - 1, e_v) (a
+    power e of a t-term sum has at most C(t + e - 1, e) terms).  Work is
+    the total over the program of S(P) * S(Q) for each product and
+    S(P) + S(Q) for each sum.
     """
-    work = 0
+    nargs, start, prog, outs = fn.program
 
     def bound(monos):
         return sum(math.prod(math.comb(t + e - 1, e) for t, e in zip(counts, m) if e) for m in monos)
 
-    class Monos(frozenset):
-        def __add__(self, other):
-            nonlocal work
-            other = other if type(other) is Monos else one
-            work += bound(self) + bound(other)
-            return Monos(self | other)
-
-        def __mul__(self, other):
-            nonlocal work
-            other = other if type(other) is Monos else one
-            work += bound(self) * bound(other)
-            return Monos(tuple(map(operator.add, a, b)) for a in self for b in other)
-
-        __radd__ = __sub__ = __rsub__ = __add__
-        __rmul__ = __mul__
-
-    one = Monos({(0,) * len(counts)})
-    results = fn(*(Monos({tuple(int(i == v) for i in range(len(counts)))}) for v in range(len(counts))))
-    return work, [bound(r) for r in results]
+    vals = [{(0,) * nargs}] * len(start)
+    vals[:nargs] = ({tuple(int(i == v) for i in range(nargs))} for v in range(nargs))
+    work = 0
+    for i, op, a, b in prog:
+        x, y = vals[a], vals[b]
+        if op is operator.mul:
+            work += bound(x) * bound(y)
+            vals[i] = {tuple(map(operator.add, m, k)) for m in x for k in y}
+        else:
+            work += bound(x) + bound(y)
+            vals[i] = x | y
+    return work, [bound(vals[i]) for i in outs]
 
 
 def cmd_witt_eval(args) -> int:

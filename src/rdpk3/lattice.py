@@ -451,13 +451,12 @@ def _index(span: Tuple[int, List[List[int]]]) -> int:
 def _overlattice(ambient: GramLattice, span: Tuple[int, List[List[int]]]) -> GramLattice:
     """The lattice spanned by ambient and the vectors of a span, on its Hermite normal form.
 
-    span is the _span_basis of the vectors, in ambient-basis coordinates;
-    the span must be an integral lattice of full rank.  Its Gram is
-    B G B^T / scale^2 for the integer rows B of the span, computed over Z.
+    span is the _span_basis of the vectors, in ambient-basis coordinates,
+    which holds scale Z^n and so has rank rows; it must be integral.  Its
+    Gram is B G B^T / scale^2 for the integer rows B of the span, computed
+    over Z.
     """
     scale, basis = span
-    if len(basis) != ambient.rank:
-        raise RuntimeError("overlattice lost rank; basis extraction bug")
     gram = _quotient_gram(ambient.gram, basis, 1, scale * scale)
     if gram is None:
         raise RuntimeError("overlattice is not integral; glue or isotropy bug")

@@ -14,10 +14,11 @@ Witt sum determines the summands' 0-th components additively) shows a
 residual vector lying in the denominator subgroup must vanish.  reduce
 computes that representative by tail subtraction of a Teichmuller lift:
 x - V^i[t] changes only positions >= i, as (x_i, ..., x_{n-1}) - [t] in
-W_{n-i}.  That difference y is compiled once per (p, m) as a triangular
-solve of x = y + [t] (witt._teich_sub): y_0 = x_0 - t, and each y_k is
-x_k minus a carry polynomial in y_0, ..., y_{k-1}, t in Horner form; at
-the last position (m = 1) it is plain x - t, so no call is made there.
+W_{n-i}.  That difference y is one straight-line program per (p, m), a
+triangular solve of x = y + [t] (witt._teich_sub): y_0 = x_0 - t, and
+each y_k is x_k minus a carry polynomial in y_0, ..., y_{k-1}, t in
+Horner form; at the last position (m = 1) it is plain x - t, so no call
+is made there.
 The class operations (Frobenius, pullback along suitable ring maps,
 scalar multiplication, V and R) act on representatives and re-reduce;
 Frobenius goes through the linear map ChartElem.frobenius.

@@ -24,11 +24,12 @@ from fractions import Fraction
 from operator import attrgetter
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from .ffpoly import MultiPoly, Record, parse_poly
+from .ffpoly import MultiPoly, Record, _cut, parse_poly
 from .witt import (
     SUPPORTED_RANGES,
     WittVec,
     _cayley,
+    check_supported,
     ghost_compatibility_ok,
     restriction,
     subtraction_components,
@@ -415,17 +416,18 @@ def d_frobenius_check(N: int, r: int, n: int, j: int,
     """
     spec = RdpSpec(2, "D", N, r)
     if n < 1:
-        raise HypothesisError(f"length {n} out of range; need n >= 1")
+        raise HypothesisError(f"length {_cut(str(n))} out of range; need n >= 1")
     if j < 1:
-        raise HypothesisError(f"ideal exponent j = {j} out of range; need j >= 1")
+        raise HypothesisError(f"ideal exponent j = {_cut(str(j))} out of range; need j >= 1")
+    check_supported(2, n)
     m = N // 2
     if m < c_one(n, j):
         raise HypothesisError(
-            f"floor(N/2) = {m} < C1({n},{j}) = {c_one(n, j)}"
+            f"floor(N/2) = {m} < C1({n},{_cut(str(j))}) = {_cut(str(c_one(n, j)))}"
         )
     if n >= 2 and m - r < c_one(n - 1, j):
         raise HypothesisError(
-            f"floor(N/2) - r = {m - r} < C1({n - 1},{j}) = {c_one(n - 1, j)}"
+            f"floor(N/2) - r = {m - r} < C1({n - 1},{_cut(str(j))}) = {_cut(str(c_one(n - 1, j)))}"
         )
     ring = rdp_chart(spec, unified=unified)
     eps = ring.monomial(1, -1, -j, 1)

@@ -259,6 +259,26 @@ def test_localcoh_frob_zero_length(capsys):
     assert "length 0" in err
 
 
+@pytest.mark.parametrize(
+    "n,j,named",
+    [
+        ("20000", "1", "W_20000 at p=2 out of supported range 1..4"),
+        (str(10**11), "1", f"W_{10**11} at p=2 out of supported range 1..4"),
+        ("2", "9" * 300, "C1(2,99999"),
+    ],
+    ids=["n-20000", "n-1e11", "j-300-digits"],
+)
+def test_localcoh_frob_refuses_a_huge_length_or_exponent_quickly(capsys, n, j, named):
+    # the threshold 2^(n-1) (2j - 1) + 1 was built before n was checked:
+    # n = 20000 hit the int-to-string digit limit, n = 10^11 a MemoryError
+    start = time.perf_counter()
+    code, out, err = run(capsys, "localcoh", "frob", "--chart", "2:D12:3", "--n", n, "--j", j)
+    assert time.perf_counter() - start < 0.5
+    assert code == 2 and out == ""
+    assert named in err and len(err) < 300
+    assert "Traceback" not in err and "Exceeds the limit" not in err
+
+
 def test_localcoh_frob_zero_ideal_exponent(capsys):
     code, out, err = run(
         capsys, "localcoh", "frob", "--chart", "2:D12:3", "--n", "2", "--j", "0"

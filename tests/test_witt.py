@@ -1,5 +1,7 @@
 import ast
 import itertools
+import operator
+import pathlib
 import random
 import re
 from fractions import Fraction
@@ -376,77 +378,63 @@ PRODUCTS = {
 }
 
 
-def _compiled_sources(monkeypatch):
-    """(p, n, op) -> the source of every compiled table and tail op."""
-    sources = []
-
-    def capture(source, *args):
-        sources.append(source)
-        return compile(source, *args)
-
-    monkeypatch.setattr(witt, "compile", capture, raising=False)
+def _programs():
+    """(p, n, op) -> the program of every table function and tail op."""
     out = {}
     for p, nmax in SUPPORTED_RANGES.items():
         for n in range(1, nmax + 1):
             table = build_witt_table(p, n)
-            for op, polys in (("add", table.sum_polys), ("mul", table.prod_polys), ("neg", table.neg_polys)):
-                witt._compile_polys(polys, "f")
-                out[p, n, op] = sources.pop()
-            _teich_sub.__wrapped__(p, n)
-            out[p, n, "tail"] = sources.pop()
+            for op in ("add", "mul", "neg"):
+                out[p, n, op] = getattr(table, op).program
+            out[p, n, "tail"] = _teich_sub(p, n).program
     return out
 
 
-def test_compiled_functions_are_shared_straight_line_binary_ops(monkeypatch):
-    """Each line is +, - and * on arguments, earlier locals and int constants.
+def test_compiled_functions_are_shared_straight_line_binary_ops():
+    """Each node is +, - or * of earlier slots, arguments or int constants.
 
-    There is no **, no product by 1, every local is used at least twice
-    (one used once is written inline), no subexpression is written out
-    twice, and the products of each function are pinned at or below the
+    Constants are units mod p, no product takes the constant 1, no
+    (op, left, right) occurs twice, every node is reachable from the
+    results, and the products of each program are pinned at or below the
     flat monomial sums.
     """
-    sources = _compiled_sources(monkeypatch)
-    assert set(sources) == set(PRODUCTS)
-    for key, source in sources.items():
-        assert "**" not in source, key
-        [fn] = ast.parse(source).body
-        *assigns, ret = fn.body
-        args = {a.arg for a in fn.args.args}
-        known, uses = set(args), {}
-        seen, products = set(), 0
-
-        def check(expr):
-            nonlocal products
-            if isinstance(expr, ast.Name):
-                assert expr.id in known, (key, expr.id)
-                uses[expr.id] = uses.get(expr.id, 0) + 1
-            elif isinstance(expr, ast.Constant):
-                assert type(expr.value) is int and 1 <= expr.value < key[0], (key, expr.value)
-            else:
-                assert isinstance(expr, ast.BinOp), (key, ast.dump(expr))
-                assert isinstance(expr.op, (ast.Add, ast.Sub, ast.Mult)), (key, ast.dump(expr))
-                dump = ast.dump(expr)
-                assert dump not in seen, (key, "written twice", ast.unparse(expr))
-                seen.add(dump)
-                if isinstance(expr.op, ast.Mult):
-                    products += 1
-                    assert not any(isinstance(e, ast.Constant) and e.value == 1
-                                   for e in (expr.left, expr.right)), key
-                check(expr.left)
-                check(expr.right)
-
-        for line in assigns:
-            assert isinstance(line, ast.Assign) and isinstance(line.value, ast.BinOp), key
-            [target] = line.targets
-            check(line.value)
-            assert target.id not in known, key
-            known.add(target.id)
-        assert isinstance(ret.value, ast.Tuple), key
-        for expr in ret.value.elts:
-            check(expr)
-        assert all(uses.get(name, 0) >= 2 for name in known - args), (key, uses)
+    programs = _programs()
+    assert set(programs) == set(PRODUCTS)
+    for key, (nargs, start, prog, outs) in programs.items():
+        assert all(v is None for v in start[:nargs]), key
+        consts = {i for i, v in enumerate(start) if v is not None}
+        assert all(type(start[i]) is int and 1 <= start[i] < key[0] for i in consts), key
+        ones = {i for i in consts if start[i] == 1}
+        done = set(range(nargs)) | consts
+        for i, op, a, b in prog:
+            assert op in (operator.add, operator.sub, operator.mul), key
+            assert i not in done and a in done and b in done, key
+            assert not (op is operator.mul and {a, b} & ones), key
+            done.add(i)
+        assert done == set(range(len(start))), key
+        assert len({(op, a, b) for _, op, a, b in prog}) == len(prog), (key, "written twice")
+        children = {i: (a, b) for i, _, a, b in prog}
+        reached, todo = set(), list(outs)
+        while todo:
+            i = todo.pop()
+            if i not in reached:
+                reached.add(i)
+                todo.extend(children.get(i, ()))
+        assert reached == done, (key, sorted(done - reached))
         horner, flat = PRODUCTS[key]
+        products = sum(op is operator.mul for _, op, _, _ in prog)
         assert products == horner <= flat, (key, products)
+
+
+def test_no_module_runs_generated_source():
+    """A ratchet: no module of rdpk3 calls the builtins exec or compile (re.compile is an attribute)."""
+    calls = []
+    for path in sorted(pathlib.Path(witt.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            func = node.func if isinstance(node, ast.Call) else None
+            if isinstance(func, ast.Name) and func.id in ("exec", "compile"):
+                calls.append(f"{path.name}:{node.lineno} {func.id}")
+    assert calls == []
 
 
 def test_tail_subtraction_of_a_teichmuller_lift_matches_witt_sub():
