@@ -418,7 +418,7 @@ def rdp_chart(spec: RdpSpec, unified: bool = False) -> ChartRing:
     return _rdp_chart(spec, unified and spec.r == 0)
 
 
-# A reproduce asks for 677 charts, 150 distinct; keeping the last 32
+# A reproduce asks for 429 charts, 150 distinct; keeping the last 32
 # builds 156 of them and holds about 50 KB, keeping all 150 builds 150.
 @functools.lru_cache(maxsize=32)
 def _rdp_chart(spec: RdpSpec, unified: bool) -> ChartRing:

@@ -87,17 +87,20 @@ def _emit(args, doc: dict, text: str) -> None:
 
 
 def _ints(text: str, flag: str) -> list:
-    """The integers of a comma-separated flag value; [] when every entry is blank."""
+    """The integers of a comma-separated flag value; [] when every entry is blank.
+
+    The value is echoed cut by _cut, as _int_option cuts its token.
+    """
     entries = text.split(",")
     if not any(x.strip() for x in entries):
         return []
     for i, x in enumerate(entries):
         if not x.strip():
-            raise CliError(f"{flag} {text!r}: entry {i + 1} is empty")
+            raise CliError(f"{flag} {_cut(repr(text))}: entry {i + 1} is empty")
     try:
         return [int(x) for x in entries]
     except ValueError:
-        raise CliError(f"expected a comma-separated integer list, got {text!r}")
+        raise CliError(f"expected a comma-separated integer list, got {_cut(repr(text))}") from None
 
 
 def _int_option(text: str) -> int:

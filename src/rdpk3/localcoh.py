@@ -21,7 +21,9 @@ Horner form; at the last position (m = 1) it is plain x - t, so no call
 is made there.
 The class operations (Frobenius, pullback along suitable ring maps,
 scalar multiplication, V and R) act on representatives and re-reduce;
-Frobenius goes through the linear map ChartElem.frobenius.
+Frobenius goes through the linear map ChartElem.frobenius.  R keeps the
+first components and commutes with the others, so torsion_length reads
+the torsion test at every shorter length off one class.
 """
 
 from __future__ import annotations
@@ -229,11 +231,16 @@ def scalar_mul_class(g: ChartElem, e: CohClass) -> CohClass:
     return reduce(out)
 
 
-def r_class(e: CohClass) -> CohClass:
-    """Restrict to length n-1 by dropping the last component."""
-    if e.n < 2:
-        raise ValueError("restriction needs length >= 2")
-    return _wrap(e.ring, e.components[:-1])
+def r_class(e: CohClass, n: int | None = None) -> CohClass:
+    """Restrict to length n, by default e.n - 1, by keeping the first n components.
+
+    R is a ring map that commutes with reduce, F and the products by Witt
+    lifts, so the restriction of any of those is read off, not recomputed.
+    """
+    n = e.n - 1 if n is None else n
+    if not 1 <= n <= e.n:
+        raise ValueError(f"cannot restrict a class of length {e.n} to length {n}")
+    return _wrap(e.ring, e.components[:n])
 
 
 def is_torsion(e: CohClass, ideal: IdealSpec) -> bool:
@@ -252,3 +259,20 @@ def is_torsion(e: CohClass, ideal: IdealSpec) -> bool:
     if e.n >= 2 and not frobenius_class(r_class(e)).is_zero():
         return False
     return True
+
+
+def torsion_length(e: CohClass, ideal: IdealSpec, fe: CohClass) -> int:
+    """The largest k <= e.n for which is_torsion(R^(e.n - k) e, ideal) holds.
+
+    fe is frobenius_class(e), which every caller also reads records off.
+    Torsion is read off the full length by R: a generator's lift kills
+    R^(n-k) e when its product with e has k leading zero components, and
+    F(R^(n-k+1) e) vanishes when F(e) has k - 1.
+    """
+    if ideal.ring != e.ring:
+        raise ValueError("ideal lives in the wrong ring")
+
+    def zeros(c: CohClass) -> int:
+        return next((i for i, x in enumerate(c.components) if x.terms), c.n)
+
+    return min([zeros(scalar_mul_class(g, e)) for g in ideal.generators] + [zeros(fe) + 1])

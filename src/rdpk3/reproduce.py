@@ -11,7 +11,9 @@ computations on the singularity catalog: the D_N family in
 characteristic 2 on the ideals (x, y^j, z), the E_8 coindex-1 class in
 characteristic 2 on (x, y^2, z), the E_6/E_7/E_8 classes at the
 threshold coindex, and the quotient-map pullbacks.  Each instance is
-one record; ``rdpk3 localcoh frob`` prints a single one.
+one record; ``rdpk3 localcoh frob`` prints a single one.  The D and E
+sweeps compute each class once, at its longest admissible length, and
+read the shorter lengths off it by R.
 
 Records carry an ``anchor``: a TeX fragment of the formula or phrase
 the check pins down, or the literal tag "plumbing" for rows that only
@@ -57,6 +59,7 @@ from .localcoh import (
     is_torsion,
     pullback_class,
     r_class,
+    torsion_length,
 )
 from .localcoh import reduce as reduce_class
 from .height import (
@@ -405,77 +408,75 @@ def c_one(n: int, j: int) -> int:
     return (1 << (n - 1)) * (2 * j - 1) + 1
 
 
-def d_frobenius_check(N: int, r: int, n: int, j: int,
-                      unified: bool = False) -> CheckRecord:
-    """Frobenius of the (x, y^j, z)-torsion class on a D_N^r chart, char 2.
-
-    Hypotheses: n >= 1, j >= 1, floor(N/2) >= C1(n, j), and for n >= 2 also
-    floor(N/2) - r >= C1(n-1, j).  Prediction with
-    a = floor(N/2) - r - C1(n, j): F(e) = 0 when a >= 0, and
-    V^(n-1)([x^(-1) y^a z]) (up to a unit) when a < 0.
-    """
-    spec = RdpSpec(2, "D", N, r)
+def _d_refusal(N: int, r: int, n: int, j: int) -> str:
+    """Why (N, r, n, j) is outside the D-family hypotheses, or "" (C1 grows with n, so n - 1 is in if n is)."""
     if n < 1:
-        raise HypothesisError(f"length {_cut(str(n))} out of range; need n >= 1")
+        return f"length {_cut(str(n))} out of range; need n >= 1"
     if j < 1:
-        raise HypothesisError(f"ideal exponent j = {_cut(str(j))} out of range; need j >= 1")
+        return f"ideal exponent j = {_cut(str(j))} out of range; need j >= 1"
     check_supported(2, n)
     m = N // 2
     if m < c_one(n, j):
-        raise HypothesisError(
-            f"floor(N/2) = {m} < C1({n},{_cut(str(j))}) = {_cut(str(c_one(n, j)))}"
-        )
+        return f"floor(N/2) = {m} < C1({n},{_cut(str(j))}) = {_cut(str(c_one(n, j)))}"
     if n >= 2 and m - r < c_one(n - 1, j):
-        raise HypothesisError(
-            f"floor(N/2) - r = {m - r} < C1({n - 1},{_cut(str(j))}) = {_cut(str(c_one(n - 1, j)))}"
-        )
+        return f"floor(N/2) - r = {m - r} < C1({n - 1},{_cut(str(j))}) = {_cut(str(c_one(n - 1, j)))}"
+    return ""
+
+
+def d_frobenius_check(N: int, r: int, n: int, j: int, unified: bool = False) -> CheckRecord:
+    """Frobenius of the (x, y^j, z)-torsion class on a D_N^r chart, char 2.
+
+    Hypotheses: n >= 1, j >= 1, floor(N/2) >= C1(n, j), and for n >= 2 also
+    floor(N/2) - r >= C1(n-1, j).  Prediction with a = floor(N/2) - r - C1(n, j):
+    F(e) = 0 when a >= 0, and V^(n-1)([x^(-1) y^a z]) (up to a unit) when a < 0.
+    This is the sweep's chain at n_max = n; the sweep reads shorter lengths by R.
+    """
+    spec = RdpSpec(2, "D", N, r)
+    if refusal := _d_refusal(N, r, n, j):
+        raise HypothesisError(refusal)
+    return _d_chain(spec, n, j, unified)[-1]
+
+
+def _d_chain(spec: RdpSpec, n_max: int, j: int, unified: bool) -> List[CheckRecord]:
+    """The records of lengths 1..n_max, read by R off one class of length n_max."""
     ring = rdp_chart(spec, unified=unified)
     eps = ring.monomial(1, -1, -j, 1)
-    e = class_of(eps, n)
-    a = m - r - c_one(n, j)
-
-    rid = f"frobenius:2:D:N{N:02d}:r{r:02d}:n{n:02d}:j{j:02d}"
-    if unified:
-        rid += ":variant=unified"
-    problems = []
-    if e.components[0] != eps or not all(
-        c.is_zero() for c in e.components[1:]
-    ):
-        problems.append("base class is not (eps, 0, ..)")
-    if not is_torsion(e, IdealSpec.coordinate_power(ring, j)):
-        problems.append("e not torsion for (x, y^j, z)")
-    rest = e
-    while rest.n > 1:
-        rest = r_class(rest)
-    if rest.is_zero():
-        problems.append("restriction of e vanishes")
-    gen = ring.monomial(1, -1, a, 1) if a < 0 else None
-    return _class_record(
-        rid, frobenius_class(e), ring, n, gen, ANCHOR_D_FAMILY, problems, (f"a={a}",)
-    )
-
-
-def _admissible(check: Callable, grid) -> List[CheckRecord]:
-    """check(*args) for every args in grid that meets the check's hypotheses."""
+    e = class_of(eps, n_max)
+    fe = frobenius_class(e)
+    torsion = torsion_length(e, IdealSpec.coordinate_power(ring, j), fe)
     recs = []
-    for args in grid:
-        try:
-            recs.append(check(*args))
-        except HypothesisError:
-            continue
+    for n in range(1, n_max + 1):
+        a = spec.N // 2 - spec.r - c_one(n, j)
+        rid = f"frobenius:2:D:N{spec.N:02d}:r{spec.r:02d}:n{n:02d}:j{j:02d}"
+        problems = []
+        if e.components[0] != eps or any(c.terms for c in e.components[1:n]):
+            problems.append("base class is not (eps, 0, ..)")
+        if n > torsion:
+            problems.append("e not torsion for (x, y^j, z)")
+        if e.components[0].is_zero():  # R^(n-1) e
+            problems.append("restriction of e vanishes")
+        gen = ring.monomial(1, -1, a, 1) if a < 0 else None
+        recs.append(_class_record(rid + (":variant=unified" if unified else ""), r_class(fe, n),
+                                  ring, n, gen, ANCHOR_D_FAMILY, problems, (f"a={a}",)))
     return recs
 
 
 def d_frobenius_sweep() -> List[CheckRecord]:
-    """All admissible (N, r, n, j) with N <= 21, n <= 3, j <= 4; both equations at r = 0."""
-    return _admissible(d_frobenius_check, (
-        (N, r, n, j, unified)
-        for N in range(4, 22)
-        for n in range(1, 4)
-        for j in range(1, 5)
-        for r in range(rmax(2, "D", N) + 1)
-        for unified in ((False, True) if r == 0 else (False,))
-    ))
+    """All admissible (N, r, n, j) with N <= 21, n <= 3, j <= 4; both equations at r = 0.
+
+    One chain per (N, r, j, equation); each N's records in the grid order n, j, r, equation.
+    """
+    recs = []
+    for N in range(4, 22):
+        chains = []
+        for j in range(1, 5):
+            for r in range(rmax(2, "D", N) + 1):
+                n_max = next((n for n in (3, 2, 1) if not _d_refusal(N, r, n, j)), 0)
+                if n_max:
+                    chains += [_d_chain(RdpSpec(2, "D", N, r), n_max, j, unified)
+                               for unified in ((False, True) if r == 0 else (False,))]
+        recs += [rec for n in range(3) for chain in chains for rec in chain[n:n + 1]]
+    return recs
 
 
 def e8_pair_check(r: int) -> CheckRecord:
@@ -523,37 +524,46 @@ def e_frobenius_check(p: int, N: int, n: int, r: int) -> CheckRecord:
     Admissible lengths per (p, N) as in E_FAMILY_LENGTHS, coindex
     0 <= r <= rmax + 1 - n.  Prediction: F(e) = 0 strictly below the
     threshold coindex rmax + 1 - n, and V^(n-1) of a generator exactly
-    at it.
+    at it.  This is the sweep's chain at n_max = n; the sweep reads
+    shorter lengths by R.
     """
     max_n = E_FAMILY_LENGTHS.get((p, N))
     if max_n is None:
         raise HypothesisError(f"(p, N) = ({p}, {N}) is not in the family")
     if not (1 <= n <= max_n):
         raise HypothesisError(f"length {n} out of range 1..{max_n}")
-    bound = rmax(p, "E", N)
-    threshold = bound + 1 - n
+    threshold = rmax(p, "E", N) + 1 - n
     if not (0 <= r <= threshold):
         raise HypothesisError(f"coindex {r} out of range 0..{threshold}")
+    return _e_chain(p, N, r, n)[-1]
+
+
+def _e_chain(p: int, N: int, r: int, n_max: int) -> List[CheckRecord]:
+    """The records of lengths 1..n_max, read by R off one class of length n_max."""
     ring = rdp_chart(RdpSpec(p, "E", N, r))
     eps = ring.monomial(1, -1, -1, 1)
-    e = class_of(eps, n)
-    problems = []
-    if not is_torsion(e, IdealSpec.maximal(ring)):
-        problems.append("e not coordinate-ideal torsion")
-    return _class_record(
-        f"frobenius:E:p{p:02d}:N{N:02d}:n{n:02d}:r{r:02d}", frobenius_class(e),
-        ring, n, eps if r == threshold else None, ANCHOR_E_FAMILY, problems,
-    )
+    e = class_of(eps, n_max)
+    fe = frobenius_class(e)
+    torsion = torsion_length(e, IdealSpec.maximal(ring), fe)
+    return [_class_record(
+        f"frobenius:E:p{p:02d}:N{N:02d}:n{n:02d}:r{r:02d}", r_class(fe, n), ring, n,
+        eps if r == rmax(p, "E", N) + 1 - n else None, ANCHOR_E_FAMILY,
+        [] if n <= torsion else ["e not coordinate-ideal torsion"],
+    ) for n in range(1, n_max + 1)]
 
 
 def e_frobenius_sweep() -> List[CheckRecord]:
-    """All admissible (p, N, n, r) instances of the threshold family."""
-    return _admissible(e_frobenius_check, (
-        (p, N, n, r)
-        for (p, N), max_n in sorted(E_FAMILY_LENGTHS.items())
-        for n in range(1, max_n + 1)
-        for r in range(rmax(p, "E", N) + 1)
-    ))
+    """All admissible (p, N, n, r) instances of the threshold family.
+
+    One chain per (p, N, r) at n_max = min(max_n, rmax + 1 - r), the longest
+    admissible length; each (p, N)'s records in the grid order n, r.
+    """
+    recs = []
+    for (p, N), max_n in sorted(E_FAMILY_LENGTHS.items()):
+        bound = rmax(p, "E", N)
+        chains = [_e_chain(p, N, r, min(max_n, bound + 1 - r)) for r in range(bound + 1)]
+        recs += [rec for n in range(max_n) for chain in chains for rec in chain[n:n + 1]]
+    return recs
 
 
 def quotient_pullback_check(key: str) -> CheckRecord:
@@ -1057,8 +1067,6 @@ def check_property_suites(
 # Driver
 
 
-CheckRunner = Callable[[], List[CheckRecord]]
-
 # (group id, runner, needs-seed, aliases accepted by --only)
 CHECK_GROUPS: Tuple[Tuple[str, Callable, bool, Tuple[str, ...]], ...] = (
     ("witt:ghost", check_ghost_grid, False, ("ghost",)),
@@ -1068,12 +1076,7 @@ CHECK_GROUPS: Tuple[Tuple[str, Callable, bool, Tuple[str, ...]], ...] = (
     ("frobenius:2:E8:j2", e8_pair_sweep, False, ("4.3",)),
     ("frobenius:E", e_frobenius_sweep, False, ("4.4",)),
     ("quotient-pullback", quotient_pullback_sweep, False, ("4.6", "quotient")),
-    (
-        "height:consistency",
-        check_height_consistency,
-        False,
-        ("consistency", "heights", "main"),
-    ),
+    ("height:consistency", check_height_consistency, False, ("consistency", "heights", "main")),
     ("count:elliptic", check_point_counts, False, ("counts", "7.1")),
     ("ordinary", check_ordinarity, False, ("ordinarity",)),
     ("glue:a20", check_glue, False, ("glue", "6.4")),
@@ -1083,11 +1086,7 @@ CHECK_GROUPS: Tuple[Tuple[str, Callable, bool, Tuple[str, ...]], ...] = (
 
 
 def known_only_tokens() -> List[str]:
-    toks = []
-    for gid, _fn, _seeded, aliases in CHECK_GROUPS:
-        toks.append(gid)
-        toks.extend(aliases)
-    return sorted(toks)
+    return sorted(tok for gid, _fn, _seeded, aliases in CHECK_GROUPS for tok in (gid,) + aliases)
 
 
 def _normalize_token(token: str) -> str:

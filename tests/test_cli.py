@@ -797,9 +797,18 @@ def test_a_huge_json_value_is_echoed_cut_short(capsys, tmp_path, argv, make, fie
         (("height", "quotient", "--G", "mu", "--p", "2", "--sing", "D" + "9" * 4_000),
          "mu_2 maximal quotient must have singular locus A1:0"),
         (("chart", "show", "quot:2:alpha:D" + "9" * 4_000), "needs D_(2^n), got D999"),
+        # Python refuses int() past 4,300 digits, so these fail in the comma-separated parse
+        (("lattice", "disc", "--diagonal", "2," + "9" * 5_000),
+         "expected a comma-separated integer list, got '2,999"),
+        (("height", "count", "--model", EX71, "--q", "2," + "9" * 5_000),
+         "expected a comma-separated integer list, got '2,999"),
+        (("height", "ordinary", "--p", "2", "--weights", "1,1,1," + "9" * 5_000,
+          "--vars", "x0,x1,x2,x3", "--f", "x0^4+x1^4+x2^4+x3^4"),
+         "expected a comma-separated integer list, got '1,1,1,999"),
     ],
     ids=["catalog-key", "key-prime", "symbol", "frob-chart", "sing-token", "modulus",
-         "symbol-number", "coindex", "witt-prime", "field-size", "sing-locus", "quotient-symbol"],
+         "symbol-number", "coindex", "witt-prime", "field-size", "sing-locus", "quotient-symbol",
+         "diagonal-list", "q-list", "weights-list"],
 )
 def test_a_huge_argument_is_echoed_cut_short(capsys, argv, named):
     code, out, err = run(capsys, *argv)

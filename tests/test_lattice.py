@@ -1,5 +1,6 @@
 import ast
 import cmath
+import functools
 import itertools
 import json
 import math
@@ -1052,11 +1053,14 @@ def random_square_det_lattice(rng, n, even, max_det):
             return GramLattice(rows)
 
 
+@functools.cache
 def seeded_random_lattices():
-    """400 seeded lattices of rank 1..4, even and odd, with |det| a square up to 2000."""
+    """400 seeded lattices of rank 1..4, even and odd, with |det| a square up to 2000.
+
+    The rejection sampling runs once; the tests that walk them share the tuple.
+    """
     rng = random.Random(11)
-    for k in range(400):
-        yield random_square_det_lattice(rng, 1 + k % 4, k // 4 % 2 == 0, 2000)
+    return tuple(random_square_det_lattice(rng, 1 + k % 4, k // 4 % 2 == 0, 2000) for k in range(400))
 
 
 def test_one_pass_search_agrees_with_the_exhaustive_search_on_random_lattices():

@@ -23,6 +23,7 @@ from rdpk3.localcoh import (
     r_class,
     reduce,
     scalar_mul_class,
+    torsion_length,
 )
 from rdpk3.reproduce import (
     CANONICITY_CHART_KEYS,
@@ -31,9 +32,12 @@ from rdpk3.reproduce import (
     _class_record,
     _random_elem,
     c_one,
+    E_FAMILY_LENGTHS,
     d_frobenius_check,
+    d_frobenius_sweep,
     e8_pair_check,
     e_frobenius_check,
+    e_frobenius_sweep,
     quotient_pullback_check,
     reproduce_all,
 )
@@ -530,3 +534,75 @@ def test_check_result_line_format():
 def test_d_family_rejects_zero_length():
     with pytest.raises(HypothesisError, match="length 0"):
         d_frobenius_check(12, 3, 0, 1)
+
+
+def _admitted(check, grid):
+    """check(*args) for each args of grid that its hypotheses admit, one record at a time."""
+    recs = []
+    for args in grid:
+        try:
+            recs.append(check(*args))
+        except HypothesisError:
+            continue
+    return recs
+
+
+def test_sweeps_read_by_restriction_equal_the_single_record_checks():
+    """Each sweep computes one class per chart and ideal at its longest admissible
+    length and reads the shorter lengths off it by R; every record it yields, in
+    grid order, is the single-record check run at that length, which reads nothing."""
+    d_grid = (
+        (N, r, n, j, unified)
+        for N in range(4, 22)
+        for n in range(1, 4)
+        for j in range(1, 5)
+        for r in range(rmax(2, "D", N) + 1)
+        for unified in ((False, True) if r == 0 else (False,))
+    )
+    e_grid = (
+        (p, N, n, r)
+        for (p, N), max_n in sorted(E_FAMILY_LENGTHS.items())
+        for n in range(1, max_n + 1)
+        for r in range(rmax(p, "E", N) + 1)
+    )
+    for sweep, want in ((d_frobenius_sweep(), _admitted(d_frobenius_check, d_grid)),
+                        (e_frobenius_sweep(), _admitted(e_frobenius_check, e_grid))):
+        assert [rec.check_id for rec in sweep] == [rec.check_id for rec in want]
+        for got, rec in zip(sweep, want):
+            assert got == rec, (got.line(), rec.line())
+    assert (len(d_frobenius_sweep()), len(e_frobenius_sweep())) == (622, 34)
+
+
+def test_torsion_length_reads_is_torsion_off_every_restriction():
+    """torsion_length(e, I) >= k exactly when is_torsion(R^(n-k) e, I), on seeded
+    classes of the canonicity charts and on the D-family classes, for the coordinate
+    ideal and (x, y^j, z), j <= 4, which do not all kill them."""
+    rng = random.Random(33)
+    cases = []
+    for key in CANONICITY_CHART_KEYS:
+        ring = chart_from_key(key)
+        n = min(3, SUPPORTED_RANGES[ring.p])
+        for _ in range(12):
+            e = reduce([
+                ring.zero() if rng.random() < 0.4
+                else ring.monomial(rng.randrange(1, ring.p), -1, -rng.randint(1, 4), rng.randrange(ring.wdeg))
+                for _ in range(n)
+            ])
+            cases += [(e, IdealSpec.maximal(ring))]
+            cases += [(e, IdealSpec.coordinate_power(ring, j)) for j in range(1, 5)]
+    for key, j in (("2:D4:1", 1), ("2:D12:3", 2), ("2:D16:2", 2), ("2:D21:0", 3)):
+        ring = chart_from_key(key)
+        e = class_of(ring.monomial(1, -1, -j, 1), 3)
+        cases += [(e, IdealSpec.coordinate_power(ring, i)) for i in range(max(1, j - 1), j + 1)]
+    seen = set()
+    for e, ideal in cases:
+        fe = frobenius_class(e)
+        t = torsion_length(e, ideal, fe)
+        for k in range(1, e.n + 1):
+            assert (k <= t) == is_torsion(r_class(e, k), ideal), (e, ideal, k)
+        f_bound = next((i for i, c in enumerate(fe.components) if c.terms), e.n) + 1
+        seen.add("none" if t == 0 else "all" if t == e.n else "F" if t == f_bound else "product")
+    # classes killed at no length, at every length, and at some lengths only, by F(R e) or a product
+    assert seen == {"none", "all", "F", "product"}, seen
+    with pytest.raises(ValueError, match="length 4"):
+        r_class(class_of(ring.monomial(1, -1, -1, 1), 3), 4)
