@@ -444,7 +444,7 @@ def _parse_terms(text: str) -> Tuple[list, set]:
     raw = re.split(r"\+|(?<!\^)(?=-)", text)
     pieces = [t.strip() for t in raw if t.strip()]
     if not pieces:
-        raise ValueError(f"empty polynomial literal: {text!r}")
+        raise ValueError(f"empty polynomial literal: {_cut(repr(text))}")
     parsed = []
     seen = set()
     for piece in pieces:
@@ -457,9 +457,9 @@ def _parse_terms(text: str) -> Tuple[list, set]:
         for factor in piece.split("*"):
             factor = factor.strip()
             if not factor:
-                raise ValueError(f"empty factor in term {piece!r}")
-            if factor.lstrip("-").isdigit():
-                coeff *= int(factor)
+                raise ValueError(f"empty factor in term {_cut(repr(piece))}")
+            if factor.lstrip("-").isdecimal():
+                coeff *= int_literal(factor, f"coefficient in term {_cut(repr(piece))}")
                 continue
             if "^" in factor:
                 name, _, etext = factor.partition("^")
@@ -468,13 +468,13 @@ def _parse_terms(text: str) -> Tuple[list, set]:
                 try:
                     e = int(etext)
                 except ValueError:
-                    raise ValueError(f"bad exponent {etext!r} in {piece!r}") from None
+                    raise ValueError(f"bad exponent {_cut(repr(etext))} in {_cut(repr(piece))}") from None
             else:
                 name, e = factor, 1
             if not name.isidentifier():
-                raise ValueError(f"bad variable name {name!r} in {piece!r}")
+                raise ValueError(f"bad variable name {_cut(repr(name))} in {_cut(repr(piece))}")
             if e < 0:
-                raise ValueError(f"negative exponent in {piece!r}")
+                raise ValueError(f"negative exponent in {_cut(repr(piece))}")
             exps[name] = exps.get(name, 0) + e
             seen.add(name)
         parsed.append((coeff, exps))
@@ -524,10 +524,10 @@ def json_document(text: str, what: str):
 
     json.loads recurses once per level of nesting, so a deep enough
     [[[...]]] raises RecursionError; that is refused as a ValueError
-    naming the input.
+    naming the input, as an integer too long for int() is.
     """
     try:
-        return json.loads(text)
+        return json.loads(text, parse_int=lambda digits: int_literal(digits, f"an integer in {what}"))
     except RecursionError:
         raise ValueError(f"{what} is nested too deeply to read") from None
 
@@ -539,6 +539,19 @@ _ECHO_LIMIT = 80
 def _cut(text: str) -> str:
     """text for an error message: a longer one than _ECHO_LIMIT is cut, with its length."""
     return text if len(text) <= _ECHO_LIMIT else f"{text[:_ECHO_LIMIT]}… ({len(text)} characters)"
+
+
+def int_literal(text: str, what: str) -> int:
+    """int(text) for a string of decimal digits, maybe signed, read from an input called what.
+
+    Python refuses int() of more digits than its limit (4,300 by default)
+    with a message that names no input; here that is a ValueError naming
+    what, with text cut as _cut cuts it.
+    """
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{what} has too many digits: {_cut(text)}") from None
 
 
 def json_echo(value) -> str:

@@ -30,7 +30,9 @@ from operator import attrgetter
 from typing import Dict, List, Sequence, Tuple, Union
 
 from .chartring import RdpSpec, parse_symbol, rmax
-from .ffpoly import FiniteField, FrozenRecord, MultiPoly, _cut, is_prime, json_document, json_field, parse_poly
+from .ffpoly import (
+    FiniteField, FrozenRecord, MultiPoly, _cut, int_literal, is_prime, json_document, json_field, parse_poly,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -232,15 +234,16 @@ def parse_sing_config(text: str) -> Tuple[Tuple[str, int, int], ...]:
         m = SING_TOKEN.match(token)
         if m is None:
             raise ValueError(f"bad singularity token {_cut(repr(token))}")
-        count = int(m.group(1)) if m.group(1) else 1
+        what = f"singularity token {_cut(repr(token))}"
+        count = int_literal(m.group(1), what) if m.group(1) else 1
         if len(items) + count > _MAX_SING_POINTS:
             raise ValueError(
                 f"singularity token {_cut(repr(token))} takes the configuration over "
                 f"{_MAX_SING_POINTS} points, more than a K3 surface can have"
             )
         family = m.group(2).upper()
-        N = int(m.group(3))
-        r = int(m.group(4)) if m.group(4) else 0
+        N = int_literal(m.group(3), what)
+        r = int_literal(m.group(4), what) if m.group(4) else 0
         parse_symbol(f"{family}{N}")
         items.extend([(family, N, r)] * count)
     return tuple(sorted(items))

@@ -39,7 +39,7 @@ from operator import attrgetter, mul
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .chartring import parse_symbol
-from .ffpoly import MAX_PRIME, FrozenRecord, is_supported_prime, json_echo, json_field
+from .ffpoly import MAX_PRIME, FrozenRecord, int_literal, is_supported_prime, json_echo, json_field
 
 # Lattice input above this rank is refused before any row is built.  The
 # lattices of K3 surfaces have rank <= 22; the exact arithmetic here is
@@ -855,8 +855,10 @@ _RATIONAL = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")
 
 def _glue_entry(x, where: str) -> Fraction:
     """A glue-vector entry: a JSON integer or an "a/b" string, never a float or bool."""
-    if type(x) is int or isinstance(x, str) and _RATIONAL.fullmatch(x):
+    if type(x) is int:
         return Fraction(x)
+    if isinstance(x, str) and _RATIONAL.fullmatch(x):
+        return Fraction(*(int_literal(part, where) for part in x.split("/")))
     raise ValueError(f'{where} must be an integer or an "a/b" string, got {json_echo(x)}')
 
 

@@ -11,9 +11,9 @@ computations on the singularity catalog: the D_N family in
 characteristic 2 on the ideals (x, y^j, z), the E_8 coindex-1 class in
 characteristic 2 on (x, y^2, z), the E_6/E_7/E_8 classes at the
 threshold coindex, and the quotient-map pullbacks.  Each instance is
-one record; ``rdpk3 localcoh frob`` prints a single one.  The D and E
-sweeps compute each class once, at its longest admissible length, and
-read the shorter lengths off it by R.
+one record; ``rdpk3 localcoh frob`` prints a single one.  The D, E and
+E_8 records share one chain, which computes each class once, at its
+longest admissible length, and reads the shorter lengths off it by R.
 
 Records carry an ``anchor``: a TeX fragment of the formula or phrase
 the check pins down, or the literal tag "plumbing" for rows that only
@@ -52,7 +52,6 @@ from .chartring import (
     rmax,
 )
 from .localcoh import (
-    CohClass,
     IdealSpec,
     class_of,
     frobenius_class,
@@ -225,28 +224,23 @@ def _record(check_id, ok, computed, expected, anchor, note=""):
     )
 
 
-def _class_record(rid, got, ring, n, gen, anchor, problems, tail=()):
-    """A class against V^(n-1)[gen] up to a unit, or the zero class if gen is None.
+def _class_record(rid, got, n, gen, anchor, problems, tail=()):
+    """got against V^(n-1)[gen] up to a unit c in 1..p-1, or the zero class if gen is None.
 
-    Passes when got = c V^(n-1)[gen] for a unit c in 1..p-1 and the
-    driver found no problems.  The note names c when it is not 1, then
-    the problems, then the driver's tail.
+    Compared on components, with no class built: got passes when it has n
+    of them, the first n - 1 zero and the last c gen (c = 1 first, with no
+    product), and the caller found no problems.  The note names c when it
+    is not 1, then the problems, then the caller's tail.
     """
-    zero = ring.zero()
-    predicted = CohClass(ring, (zero,) * (n - 1) + (zero if gen is None else gen,))
-    notes = []
-    unit = 1 if got == predicted else None
-    if unit is None and gen is not None:
-        unit = next((
-            c for c in range(2, ring.p)
-            if got == CohClass(ring, predicted.components[:-1] + (gen * c,))
-        ), None)
-        if unit is not None:
-            notes.append(f"unit {unit}")
-    notes += problems
-    notes += tail
-    ok = unit is not None and not problems
-    return _record(rid, ok, got, predicted, anchor, "; ".join(notes))
+    *head, last = got.components
+    want = got.ring.zero() if gen is None else gen
+    unit = None
+    if got.n == n and not any(c.terms for c in head):
+        unit = next((c for c in range(1, 2 if gen is None else got.ring.p)
+                     if last == (want if c == 1 else want * c)), None)
+    notes = ([f"unit {unit}"] if unit not in (None, 1) else []) + problems + list(tail)
+    expected = "(" + "0, " * (n - 1) + f"{want})"
+    return _record(rid, unit is not None and not problems, got, expected, anchor, "; ".join(notes))
 
 
 # ---------------------------------------------------------------------------
@@ -423,6 +417,29 @@ def _d_refusal(N: int, r: int, n: int, j: int) -> str:
     return ""
 
 
+def _chain(eps, ideal: IdealSpec, n_max: int, anchor: str, each, extra=None) -> List[CheckRecord]:
+    """The records of lengths 1..n_max, read by R off one class e = [(eps, 0, ..., 0)] of length n_max.
+
+    e, F(e) and the torsion of e for ideal are computed once.  each(n)
+    gives the length-n record's id, predicted generator and note tail, as
+    _class_record takes them.  A record notes R^(n_max - n) e not being
+    (eps, 0, ..) or not ideal-torsion, then the problems extra(e) finds.
+    """
+    e = class_of(eps, n_max)
+    fe = frobenius_class(e)
+    torsion = torsion_length(e, ideal, fe)
+    more = extra(e) if extra else []
+    base = (eps,) + (eps.ring.zero(),) * (n_max - 1)
+    recs = []
+    for n in range(1, n_max + 1):
+        problems = [] if e.components[:n] == base[:n] else ["base class is not (eps, 0, ..)"]
+        if n > torsion:
+            problems.append(f"e not torsion for {ideal}")
+        rid, gen, tail = each(n)
+        recs.append(_class_record(rid, r_class(fe, n), n, gen, anchor, problems + more, tail))
+    return recs
+
+
 def d_frobenius_check(N: int, r: int, n: int, j: int, unified: bool = False) -> CheckRecord:
     """Frobenius of the (x, y^j, z)-torsion class on a D_N^r chart, char 2.
 
@@ -438,27 +455,15 @@ def d_frobenius_check(N: int, r: int, n: int, j: int, unified: bool = False) -> 
 
 
 def _d_chain(spec: RdpSpec, n_max: int, j: int, unified: bool) -> List[CheckRecord]:
-    """The records of lengths 1..n_max, read by R off one class of length n_max."""
     ring = rdp_chart(spec, unified=unified)
-    eps = ring.monomial(1, -1, -j, 1)
-    e = class_of(eps, n_max)
-    fe = frobenius_class(e)
-    torsion = torsion_length(e, IdealSpec.coordinate_power(ring, j), fe)
-    recs = []
-    for n in range(1, n_max + 1):
+    variant = ":variant=unified" if unified else ""
+
+    def each(n):
         a = spec.N // 2 - spec.r - c_one(n, j)
-        rid = f"frobenius:2:D:N{spec.N:02d}:r{spec.r:02d}:n{n:02d}:j{j:02d}"
-        problems = []
-        if e.components[0] != eps or any(c.terms for c in e.components[1:n]):
-            problems.append("base class is not (eps, 0, ..)")
-        if n > torsion:
-            problems.append("e not torsion for (x, y^j, z)")
-        if e.components[0].is_zero():  # R^(n-1) e
-            problems.append("restriction of e vanishes")
-        gen = ring.monomial(1, -1, a, 1) if a < 0 else None
-        recs.append(_class_record(rid + (":variant=unified" if unified else ""), r_class(fe, n),
-                                  ring, n, gen, ANCHOR_D_FAMILY, problems, (f"a={a}",)))
-    return recs
+        return (f"frobenius:2:D:N{spec.N:02d}:r{spec.r:02d}:n{n:02d}:j{j:02d}{variant}",
+                ring.monomial(1, -1, a, 1) if a < 0 else None, (f"a={a}",))
+
+    return _chain(ring.monomial(1, -1, -j, 1), IdealSpec.coordinate_power(ring, j), n_max, ANCHOR_D_FAMILY, each)
 
 
 def d_frobenius_sweep() -> List[CheckRecord]:
@@ -489,17 +494,11 @@ def e8_pair_check(r: int) -> CheckRecord:
     if r not in (0, 1):
         raise HypothesisError("only coindexes 0 and 1 are covered here")
     ring = rdp_chart(RdpSpec(2, "E", 8, r))
-    e = class_of(ring.monomial(1, -1, -2, 1), 1)
-    problems = []
-    if not is_torsion(e, IdealSpec.coordinate_power(ring, 2)):
-        problems.append("e not (x, y^2, z)-torsion")
-    if is_torsion(e, IdealSpec.maximal(ring)):
-        problems.append("e unexpectedly torsion for (x, y, z)")
-    gen = ring.monomial(1, -1, -1, 1) if r == 1 else None
-    return _class_record(
-        f"frobenius:2:E8:j2:r{r:02d}", frobenius_class(e), ring, 1, gen,
-        ANCHOR_E8_PAIR, problems,
-    )
+    return _chain(
+        ring.monomial(1, -1, -2, 1), IdealSpec.coordinate_power(ring, 2), 1, ANCHOR_E8_PAIR,
+        lambda n: (f"frobenius:2:E8:j2:r{r:02d}", ring.monomial(1, -1, -1, 1) if r == 1 else None, ()),
+        lambda e: ["e unexpectedly torsion for (x, y, z)"] if is_torsion(e, IdealSpec.maximal(ring)) else [],
+    )[0]
 
 
 def e8_pair_sweep() -> List[CheckRecord]:
@@ -539,17 +538,10 @@ def e_frobenius_check(p: int, N: int, n: int, r: int) -> CheckRecord:
 
 
 def _e_chain(p: int, N: int, r: int, n_max: int) -> List[CheckRecord]:
-    """The records of lengths 1..n_max, read by R off one class of length n_max."""
     ring = rdp_chart(RdpSpec(p, "E", N, r))
     eps = ring.monomial(1, -1, -1, 1)
-    e = class_of(eps, n_max)
-    fe = frobenius_class(e)
-    torsion = torsion_length(e, IdealSpec.maximal(ring), fe)
-    return [_class_record(
-        f"frobenius:E:p{p:02d}:N{N:02d}:n{n:02d}:r{r:02d}", r_class(fe, n), ring, n,
-        eps if r == rmax(p, "E", N) + 1 - n else None, ANCHOR_E_FAMILY,
-        [] if n <= torsion else ["e not coordinate-ideal torsion"],
-    ) for n in range(1, n_max + 1)]
+    return _chain(eps, IdealSpec.maximal(ring), n_max, ANCHOR_E_FAMILY, lambda n: (
+        f"frobenius:E:p{p:02d}:N{N:02d}:n{n:02d}:r{r:02d}", eps if r == rmax(p, "E", N) + 1 - n else None, ()))
 
 
 def e_frobenius_sweep() -> List[CheckRecord]:
@@ -581,11 +573,8 @@ def quotient_pullback_check(key: str) -> CheckRecord:
         problems.append("e not coordinate-ideal torsion downstairs")
     if case.predicted_gen.is_zero():
         problems.append("predicted generator vanished")
-    return _class_record(
-        f"quotient-pullback:case{case.case_id:02d}:key={key}:n{n:02d}",
-        pullback_class(case.rmap, e), case.target, n, case.predicted_gen,
-        ANCHOR_QUOTIENT, problems,
-    )
+    return _class_record(f"quotient-pullback:case{case.case_id:02d}:key={key}:n{n:02d}",
+                         pullback_class(case.rmap, e), n, case.predicted_gen, ANCHOR_QUOTIENT, problems)
 
 
 def quotient_pullback_sweep() -> List[CheckRecord]:

@@ -744,36 +744,70 @@ def test_lattice_glue_rejects_a_spec_that_is_not_an_object(capsys, tmp_path):
 
 
 HUGE_LIST = [0] * 200_000
+HUGE_LIST_CUT = f"… ({len(json.dumps(HUGE_LIST))} characters)"
+# Python's int() refuses more than 4,300 digits
+HUGE_DIGITS = "9" * 5_000
+# stands in a document for the bare JSON integer HUGE_DIGITS, which json.dumps cannot write
+HUGE_INT = "a 5,000-digit integer"
+
+
+def _vector_entry(spec, text):
+    spec["pairs"][0]["right_vector"][0] = text
+    return spec
 
 
 @pytest.mark.parametrize(
-    "argv,make,field",
+    "argv,make,field,cut",
     [
         (
             ("height", "count", "--model", "{path}", "--q", "2"),
             lambda: {**ex71_doc(), "characteristic": HUGE_LIST},
             "model field 'characteristic' must be an integer, got [0, 0, ",
+            HUGE_LIST_CUT,
         ),
         (
             ("lattice", "glue", "--spec", "{path}"),
             lambda: {**a20_spec(), "p": HUGE_LIST},
             "glue spec field 'p' must be an integer, got [0, 0, ",
+            HUGE_LIST_CUT,
         ),
         (
             ("lattice", "glue", "--spec", "{path}"),
             lambda: {**a20_spec(), "right": {"gram": [[HUGE_LIST]]}},
             "Gram entry [0][0] must be an integer, got [0, 0, ",
+            HUGE_LIST_CUT,
+        ),
+        (
+            ("lattice", "glue", "--spec", "{path}"),
+            lambda: {**a20_spec(), "p": HUGE_INT},
+            "an integer in glue spec ",
+            "… (5000 characters)",
+        ),
+        (
+            ("lattice", "glue", "--spec", "{path}"),
+            lambda: _vector_entry(a20_spec(), HUGE_DIGITS + "/7"),
+            "glue spec pairs[0] field 'right_vector' entry 0 has too many digits: 999",
+            "… (5000 characters)",
+        ),
+        (
+            ("height", "count", "--model", "{path}", "--q", "2"),
+            lambda: {**ex71_doc(), "chart1": {"variables": ["x", "y", "t"],
+                                              "polynomial": f"y^2 + {HUGE_DIGITS}*x^3 + t^5"}},
+            "coefficient in term '999",
+            "… (5000 characters)",
         ),
     ],
-    ids=["model-field", "glue-field", "gram-entry"],
+    ids=["model-field", "glue-field", "gram-entry", "glue-p-digits", "glue-entry-digits",
+         "model-coefficient-digits"],
 )
-def test_a_huge_json_value_is_echoed_cut_short(capsys, tmp_path, argv, make, field):
-    path = write_json(tmp_path, make())
+def test_a_huge_json_value_is_echoed_cut_short(capsys, tmp_path, argv, make, field, cut):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(make()).replace(json.dumps(HUGE_INT), HUGE_DIGITS), encoding="utf-8")
     code, out, err = run(capsys, *(a.format(path=path) for a in argv))
     assert code == 2
-    assert "Traceback" not in err
+    assert "Traceback" not in err and "Exceeds the limit" not in err
     assert field in err
-    assert f"… ({len(json.dumps(HUGE_LIST))} characters)" in err
+    assert cut in err
     assert len(err.encode("utf-8")) < 300
     assert out == ""
 
@@ -805,15 +839,32 @@ def test_a_huge_json_value_is_echoed_cut_short(capsys, tmp_path, argv, make, fie
         (("height", "ordinary", "--p", "2", "--weights", "1,1,1," + "9" * 5_000,
           "--vars", "x0,x1,x2,x3", "--f", "x0^4+x1^4+x2^4+x3^4"),
          "expected a comma-separated integer list, got '1,1,1,999"),
+        (("witt", "eval", "--p", "2", "--n", "1", "--op", "add", "--lhs", f"(a^{HUGE_DIGITS})",
+          "--rhs", "(b)"), "bad exponent '999"),
+        # and so these name the integer's term, token or input
+        (("witt", "eval", "--p", "2", "--n", "1", "--op", "add", "--lhs", f"({HUGE_DIGITS}*a)",
+          "--rhs", "(b)"), "coefficient in term '999"),
+        (("height", "ordinary", "--p", "2", "--weights", "1,1,1,1", "--vars", "x0,x1,x2,x3",
+          "--f", f"x0^4+x1^4+x2^4+x3^4+{HUGE_DIGITS}*x0*x1*x2*x3"), "coefficient in term '999"),
+        (("height", "quotient", "--G", "alpha", "--p", "2", "--sing", f"{HUGE_DIGITS}xD4"),
+         "singularity token '999"),
+        (("height", "quotient", "--G", "alpha", "--p", "2", "--sing", f"D4:{HUGE_DIGITS}"),
+         "singularity token 'D4:999"),
+        (("lattice", "disc", "--gram", f"[[{HUGE_DIGITS}]]"),
+         "an integer in --gram has too many digits: 999"),
     ],
     ids=["catalog-key", "key-prime", "symbol", "frob-chart", "sing-token", "modulus",
          "symbol-number", "coindex", "witt-prime", "field-size", "sing-locus", "quotient-symbol",
-         "diagonal-list", "q-list", "weights-list"],
+         "diagonal-list", "q-list", "weights-list", "exponent", "witt-coefficient",
+         "ordinary-coefficient", "sing-multiplicity", "sing-coindex", "gram-digits"],
 )
 def test_a_huge_argument_is_echoed_cut_short(capsys, argv, named):
+    start = time.perf_counter()
     code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 0.5
     assert code == 2
     assert named in err
+    assert "Exceeds the limit" not in err
     assert "characters)" in err
     assert len(err.encode("utf-8")) < 300
     assert out == ""

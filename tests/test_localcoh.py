@@ -405,8 +405,9 @@ def test_class_record_matches_up_to_a_unit():
     zero, pred, pred3 = (class_of(eps * c, 1) for c in (0, 1, 3))
 
     def check(got, gen, problems=(), tail=()):
-        rec = _class_record("id", got, ring, 1, gen, PLUMBING, list(problems), tail)
-        assert rec.expected == str(CohClass(ring, (ring.zero() if gen is None else gen,)))
+        rec = _class_record("id", got, got.n, gen, PLUMBING, list(problems), tail)
+        z = got.ring.zero()
+        assert rec.expected == str(CohClass(got.ring, (z,) * (got.n - 1) + (z if gen is None else gen,)))
         return rec.status, rec.note
 
     assert check(zero, None) == ("pass", "")
@@ -417,6 +418,11 @@ def test_class_record_matches_up_to_a_unit():
     assert check(pred3, eps, ["e not torsion"], ("a=-1",)) == (
         "fail", "unit 3; e not torsion; a=-1"
     )
+    # longer classes: the earlier components must vanish, not only the last match
+    assert check(reduce([eps, eps * 3]), eps) == ("fail", "")
+    assert check(reduce([ring.zero(), eps * 3]), eps) == ("pass", "unit 3")
+    assert check(class_of(chart_from_key("2:E8:0").zero(), 3), None) == ("pass", "")
+    assert _class_record("id", pred, 2, eps, PLUMBING, []).status == "fail"  # a class of the wrong length
 
 
 def test_ideal_spec_validation():
