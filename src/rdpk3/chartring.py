@@ -35,7 +35,7 @@ import functools
 from operator import attrgetter
 from typing import Optional
 
-from .ffpoly import FrozenRecord, MultiPoly, SparseTerms, _check_modulus, _cut, parse_poly
+from .ffpoly import FrozenRecord, MultiPoly, SparseTerms, _check_modulus, _cut
 
 
 def rmax(p: int, family: str, N: int) -> int:
@@ -401,90 +401,94 @@ class RingMap:
 # -- the catalog ----------------------------------------------------------
 
 
-def _poly(p, uv, text):
-    return parse_poly(text, variables=uv, modulus=p)
-
-
 def rdp_chart(spec: RdpSpec, unified: bool = False) -> ChartRing:
     """The catalog chart ring of a non-taut RDP (or Kleinian A_{p-1}).
 
     For D_N^0 two equations are in use: the default drops the z*x*y^m
     (resp. z*y^m-companion) term, unified=True keeps the r = 0
     specialization of the general-coindex equation.  For r >= 1 the two
-    agree and the flag is ignored.  Recent charts are shared, not built
-    again, so their relations are parsed once and ring comparisons are
-    identity tests.
+    agree and the flag is ignored.  The relations are built from their
+    exponents, with no text to parse.  Recent charts are shared, not
+    built again, so ring comparisons are identity tests.
     """
     return _rdp_chart(spec, unified and spec.r == 0)
 
 
 # A reproduce asks for 429 charts, 150 distinct; keeping the last 32
-# builds 156 of them and holds about 50 KB, keeping all 150 builds 150.
+# builds 156 of them and holds about 58 KB (tracemalloc), keeping all
+# 150 builds 150.
 @functools.lru_cache(maxsize=32)
 def _rdp_chart(spec: RdpSpec, unified: bool) -> ChartRing:
     p, family, N, r = spec.p, spec.family, spec.N, spec.r
-    uv = ("x", "y")
     key = str(spec)
+
+    def xy(terms):
+        """The mod-p polynomial in (x, y) with terms {(i, j): coeff} for coeff * x^i y^j."""
+        return MultiPoly(("x", "y"), terms, p)
 
     if family == "A":
         if N != p - 1:
             raise ValueError(f"A_{_cut(str(N))} in characteristic {p}: only A_{{p-1}} is needed here")
-        return ChartRing(p, p if p > 2 else 2, _poly(p, uv, "x*y"), None,
-                         ("x", "y", "z"), key)
+        return ChartRing(p, p if p > 2 else 2, xy({(1, 1): 1}), None, ("x", "y", "z"), key)
 
     if rmax(p, family, N) == 0:
         raise ValueError(f"{family}_{_cut(str(N))} is taut in characteristic {p}; no chart here")
 
     if family == "D":
         m = N // 2
-        Q: MultiPoly
         if N % 2 == 0:
-            P = _poly(p, uv, f"x^2*y + x*y^{m}")
+            P = xy({(2, 1): 1, (1, m): 1})  # x^2*y + x*y^m
             if r >= 1:
-                Q = _poly(p, uv, f"x*y^{m - r}")
+                Q = xy({(1, m - r): 1})  # x*y^(m-r)
             elif unified:
-                Q = _poly(p, uv, f"x*y^{m}")
+                Q = xy({(1, m): 1})  # x*y^m
             else:
-                Q = MultiPoly.zero(uv, p)
+                Q = xy({})
         else:
-            P = _poly(p, uv, "x^2*y")
+            P = xy({(2, 1): 1})  # x^2*y
             if r >= 1:
-                Q = _poly(p, uv, f"y^{m} + x*y^{m - r}")
+                Q = xy({(0, m): 1, (1, m - r): 1})  # y^m + x*y^(m-r)
             elif unified:
-                Q = _poly(p, uv, f"y^{m} + x*y^{m}")
+                Q = xy({(0, m): 1, (1, m): 1})  # y^m + x*y^m
             else:
-                Q = _poly(p, uv, f"y^{m}")
+                Q = xy({(0, m): 1})  # y^m
         return ChartRing(p, 2, P, Q, ("x", "y", "z"), key)
 
     if p == 2:
         if N == 6:
-            P = _poly(p, uv, "x^3")
-            Q = _poly(p, uv, "y^2 + x*y") if r == 1 else _poly(p, uv, "y^2")
+            P = xy({(3, 0): 1})  # x^3
+            Q = xy({(0, 2): 1, (1, 1): 1} if r == 1 else {(0, 2): 1})  # y^2 (+ x*y)
         elif N == 7:
-            P = _poly(p, uv, "x^3 + x*y^3")
-            beta = {3: "x*y", 2: "y^3", 1: "x^2*y"}.get(r)
-            Q = _poly(p, uv, beta) if beta else MultiPoly.zero(uv, p)
+            P = xy({(3, 0): 1, (1, 3): 1})  # x^3 + x*y^3
+            beta = {3: (1, 1), 2: (0, 3), 1: (2, 1)}.get(r)  # x*y, y^3, x^2*y
+            Q = xy({beta: 1} if beta else {})
         else:
-            P = _poly(p, uv, "x^3 + y^5")
-            beta = {4: "x*y", 3: "y^3", 2: "x*y^2", 1: "x*y^3"}.get(r)
-            Q = _poly(p, uv, beta) if beta else MultiPoly.zero(uv, p)
+            P = xy({(3, 0): 1, (0, 5): 1})  # x^3 + y^5
+            beta = {4: (1, 1), 3: (0, 3), 2: (1, 2), 1: (1, 3)}.get(r)  # x*y, y^3, x*y^2, x*y^3
+            Q = xy({beta: 1} if beta else {})
         return ChartRing(p, 2, P, Q, ("x", "y", "z"), key)
 
     if p == 3:
         # sign -1: the stored relation solves -z^2 + f = 0 for z^2
         if N == 6:
-            body = "x^3 + y^4" + (" + x^2*y^2" if r == 1 else "")
+            body = {(3, 0): 1, (0, 4): 1}  # x^3 + y^4 (+ x^2*y^2)
+            lam = (2, 2) if r == 1 else None
         elif N == 7:
-            body = "x^3 + x*y^3" + (" + x^2*y^2" if r == 1 else "")
+            body = {(3, 0): 1, (1, 3): 1}  # x^3 + x*y^3 (+ x^2*y^2)
+            lam = (2, 2) if r == 1 else None
         else:
-            lam = {2: " + x^2*y^2", 1: " + x^2*y^3"}.get(r, "")
-            body = "x^3 + y^5" + lam
-        return ChartRing(p, 2, _poly(p, uv, body), None, ("x", "y", "z"), key)
+            body = {(3, 0): 1, (0, 5): 1}  # x^3 + y^5 (+ x^2*y^2 at r = 2, x^2*y^3 at r = 1)
+            lam = {2: (2, 2), 1: (2, 3)}.get(r)
+        if lam:
+            body[lam] = 1
+        return ChartRing(p, 2, xy(body), None, ("x", "y", "z"), key)
 
     # p == 5, E_8
     # sign -1: z^2 = -(x^3 + y^5 + (b/2) x y^4)
-    body = "4*x^3 + 4*y^5" + (" + 4*x*y^4" if r == 1 else "")
-    return ChartRing(p, 2, _poly(p, uv, body), None, ("x", "y", "z"), key)
+    body = {(3, 0): 4, (0, 5): 4}  # 4*x^3 + 4*y^5 (+ 4*x*y^4)
+    if r == 1:
+        body[1, 4] = 4
+    return ChartRing(p, 2, xy(body), None, ("x", "y", "z"), key)
 
 
 def catalog_coindexes(p: int, family: str, N: int) -> list:
@@ -562,8 +566,8 @@ def quotient_case(p: int, group: str, symbol: str) -> QuotientCase:
 
     if p == 3 and (family, N) == ("E", 6):
         source = rdp_chart(RdpSpec(3, "E", 6, 0))
-        uvt = ("x", "Y")
-        target = ChartRing(3, 2, _poly(3, uvt, "x + Y^4"), None,
+        # Z^2 = x + Y^4
+        target = ChartRing(3, 2, MultiPoly(("x", "Y"), {(1, 0): 1, (0, 4): 1}, 3), None,
                            ("x", "Y", "Z"), key + ":cover")
         iw = ChartElem(target, {(1, 0, 1): 1, (0, 4, 1): 1})  # w*(u + v^4)
         rmap = RingMap(source, target, (1, 0), (0, 3), iw)
@@ -572,12 +576,11 @@ def quotient_case(p: int, group: str, symbol: str) -> QuotientCase:
         return QuotientCase(3, p, group, symbol, source, target, rmap, 2, eps, predicted)
 
     if p == 5 and (family, N) == ("E", 8):
-        # proof coordinates use z^2 = y^5 - x^3, not the catalog sign
-        uvs = ("x", "y")
-        source = ChartRing(5, 2, _poly(5, uvs, "y^5 + 4*x^3"), None,
+        # proof coordinates use z^2 = y^5 - x^3 = y^5 + 4*x^3, not the catalog sign;
+        # the cover is Z^2 = y + 4*X^3
+        source = ChartRing(5, 2, MultiPoly(("x", "y"), {(0, 5): 1, (3, 0): 4}, 5), None,
                            ("x", "y", "z"), key + ":base")
-        uvt = ("X", "y")
-        target = ChartRing(5, 2, _poly(5, uvt, "y + 4*X^3"), None,
+        target = ChartRing(5, 2, MultiPoly(("X", "y"), {(0, 1): 1, (3, 0): 4}, 5), None,
                            ("X", "y", "Z"), key + ":cover")
         # w*(v - u^3)^2 = w*(v^2 - 2 u^3 v + u^6)
         iw = ChartElem(target, {(0, 2, 1): 1, (3, 1, 1): 3, (6, 0, 1): 1})

@@ -44,6 +44,7 @@ from .witt import (
 )
 from .chartring import (
     ALL_QUOTIENT_KEYS,
+    ChartElem,
     ChartRing,
     RdpSpec,
     parse_rdp_key,
@@ -885,20 +886,34 @@ CANONICITY_CHART_KEYS = (
 )
 
 
+def _below(bits, n: int) -> int:
+    """A draw from range(n), n >= 1, by the getrandbits loop Random.randrange(n) runs; bits is rng.getrandbits."""
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return r
+
+
 def _random_elem(ring: ChartRing, rng: random.Random, region: str = "any"):
-    """A small random ring element; region picks the splitting part."""
-    total = ring.zero()
-    for _ in range(rng.randint(1, 3)):
-        coeff = rng.randrange(1, ring.p)
-        k = rng.randrange(ring.wdeg)
+    """A small random ring element; region picks the splitting part.
+
+    One to three terms coeff * u^i v^j w^k, each number drawn by _below
+    as rng.randint or rng.randrange would draw it, summed in one term dict.
+    """
+    bits = rng.getrandbits
+    terms = {}
+    for _ in range(1 + _below(bits, 3)):
+        coeff = 1 + _below(bits, ring.p - 1)
+        k = _below(bits, ring.wdeg)
         if region == "xi":
-            i, j = rng.randint(-2, 2), rng.randint(0, 2)
+            i, j = _below(bits, 5) - 2, _below(bits, 3)
         elif region == "eta":
-            i, j = rng.randint(0, 2), rng.randint(-2, -1)
+            i, j = _below(bits, 3), _below(bits, 2) - 2
         else:
-            i, j = rng.randint(-2, 2), rng.randint(-2, 2)
-        total = total + ring.monomial(coeff, i, j, k)
-    return total
+            i, j = _below(bits, 5) - 2, _below(bits, 5) - 2
+        terms[i, j, k] = terms.get((i, j, k), 0) + coeff
+    return ChartElem(ring, terms)
 
 
 def canonicity_trials(ring: ChartRing, trials: int, rng: random.Random) -> int:
@@ -935,15 +950,12 @@ def _draw(rng: random.Random, p: int, elems) -> WittVec:
 
     elems are the Cayley table elements of some W_n(F_p), so this is
     WittVec(p, (d_0, ..., d_{n-1})) in F_p labels, taken instead of built.
-    Each digit is drawn by the getrandbits loop Random.randrange(p) runs.
+    Each digit is drawn by _below, as Random.randrange(p) draws it.
     """
-    getrandbits, bits = rng.getrandbits, p.bit_length()
+    bits = rng.getrandbits
     ix, weight, size = 0, 1, len(elems)
     while weight < size:
-        d = getrandbits(bits)
-        while d >= p:
-            d = getrandbits(bits)
-        ix += d * weight
+        ix += _below(bits, p) * weight
         weight *= p
     return elems[ix]
 
@@ -953,6 +965,7 @@ def witt_axiom_trials(p: int, n: int, trials: int, rng: random.Random) -> int:
     elems = _cayley(p, n)[0]
     shorter = _cayley(p, n - 1)[0] if n >= 2 else None
     zero, one = elems[0], elems[1]
+    bits = rng.getrandbits
     failures = 0
     for _ in range(trials):
         x, y, z = _draw(rng, p, elems), _draw(rng, p, elems), _draw(rng, p, elems)
@@ -967,8 +980,8 @@ def witt_axiom_trials(p: int, n: int, trials: int, rng: random.Random) -> int:
             witt_mul(x, witt_add(y, z))
             == witt_add(witt_mul(x, y), witt_mul(x, z)),
         ]
-        a = rng.randrange(p)
-        b = rng.randrange(p)
+        a = _below(bits, p)
+        b = _below(bits, p)
         checks.append(witt_mul(elems[a], elems[b]) == elems[a * b % p])
         if n >= 2:
             u, v = _draw(rng, p, shorter), _draw(rng, p, shorter)
@@ -991,10 +1004,12 @@ def projection_trials(trials: int, rng: random.Random) -> int:
     """Random instances of the V-twisted multiplication rule."""
     failures = 0
     eligible = [p for p, nmax in SUPPORTED_RANGES.items() if nmax >= 2]
+    bits = rng.getrandbits
     for _ in range(trials):
-        p = rng.choice(eligible)
-        total = rng.randint(2, SUPPORTED_RANGES[p])
-        m = rng.randint(1, total - 1)
+        # rng.choice(eligible), rng.randint(2, SUPPORTED_RANGES[p]), rng.randint(1, total - 1)
+        p = eligible[_below(bits, len(eligible))]
+        total = 2 + _below(bits, SUPPORTED_RANGES[p] - 1)
+        m = 1 + _below(bits, total - 1)
         n = total - m
         x = _draw(rng, p, _cayley(p, n)[0])
         y = _draw(rng, p, _cayley(p, total)[0])

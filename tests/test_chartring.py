@@ -5,6 +5,7 @@ import pytest
 from rdpk3.chartring import (
     ALL_QUOTIENT_KEYS,
     ChartElem,
+    ChartRing,
     RdpSpec,
     RingMap,
     catalog_coindexes,
@@ -15,7 +16,7 @@ from rdpk3.chartring import (
     rdp_chart,
     rmax,
 )
-from rdpk3.ffpoly import MultiPoly
+from rdpk3.ffpoly import MultiPoly, parse_poly
 from rdpk3.localcoh import frobenius_class, reduce
 from rdpk3.witt import SUPPORTED_RANGES
 
@@ -94,6 +95,76 @@ def test_catalog_charts_are_built_once_and_shared():
     assert rdp_chart(d0, unified=True) is not rdp_chart(d0)
     assert rdp_chart(d0, unified=True) != rdp_chart(d0)
     assert chart_from_key("2:D12:0", unified=True) is rdp_chart(d0, unified=True)
+
+
+def _text_relations(spec, unified):
+    """The oracle: (wdeg, P, Q) of a catalog chart as the text relations the catalog once parsed."""
+    p, family, N, r = spec.p, spec.family, spec.N, spec.r
+    if family == "A":
+        return (p if p > 2 else 2), "x*y", "0"
+    if family == "D":
+        m = N // 2
+        if N % 2 == 0:
+            q = f"x*y^{m - r}" if r >= 1 else f"x*y^{m}" if unified else "0"
+            return 2, f"x^2*y + x*y^{m}", q
+        q = f"y^{m} + x*y^{m - r}" if r >= 1 else f"y^{m} + x*y^{m}" if unified else f"y^{m}"
+        return 2, "x^2*y", q
+    if p == 2:
+        if N == 6:
+            return 2, "x^3", "y^2 + x*y" if r == 1 else "y^2"
+        if N == 7:
+            return 2, "x^3 + x*y^3", {3: "x*y", 2: "y^3", 1: "x^2*y"}.get(r, "0")
+        return 2, "x^3 + y^5", {4: "x*y", 3: "y^3", 2: "x*y^2", 1: "x*y^3"}.get(r, "0")
+    if p == 3:
+        if N == 6:
+            return 2, "x^3 + y^4" + (" + x^2*y^2" if r == 1 else ""), "0"
+        if N == 7:
+            return 2, "x^3 + x*y^3" + (" + x^2*y^2" if r == 1 else ""), "0"
+        return 2, "x^3 + y^5" + {2: " + x^2*y^2", 1: " + x^2*y^3"}.get(r, ""), "0"
+    return 2, "4*x^3 + 4*y^5" + (" + 4*x*y^4" if r == 1 else ""), "0"
+
+
+def _text_catalog():
+    """(spec, unified) of every chart the text oracle covers."""
+    specs = [(RdpSpec(p, "A", p - 1, 0), False) for p in (2, 3, 5, 7)]
+    for p, family, Ns in ((2, "D", range(4, 41)), (2, "E", (6, 7, 8)), (3, "E", (6, 7, 8)),
+                          (5, "E", (8,))):
+        for N in Ns:
+            for r in catalog_coindexes(p, family, N):
+                specs.append((RdpSpec(p, family, N, r), False))
+                if family == "D" and r == 0:
+                    specs.append((RdpSpec(p, family, N, r), True))
+    return specs
+
+
+def test_catalog_relations_built_from_exponents_equal_the_text_relations():
+    """Every catalog chart reads as its text relations would, term order included."""
+    specs = _text_catalog()
+    # A; D_4..D_40 with floor(N/2) coindexes each and a second r = 0 equation; E in char 2, 3, 5
+    assert len(specs) == 4 + (398 + 37) + 11 + 7 + 2
+    for spec, unified in specs:
+        ring = rdp_chart(spec, unified=unified)
+        wdeg, p_text, q_text = _text_relations(spec, unified)
+        want_p = parse_poly(p_text, variables=("x", "y"), modulus=spec.p)
+        want_q = parse_poly(q_text, variables=("x", "y"), modulus=spec.p)
+        want = ChartRing(spec.p, wdeg, want_p, want_q, ("x", "y", "z"), str(spec))
+        got = (ring.rel_p, ring.rel_q, ring.wdeg, ring.labels, ring.key, ring.relation_str())
+        assert got == (want.rel_p, want.rel_q, want.wdeg, want.labels, want.key,
+                       want.relation_str()), (spec, unified)
+        assert list(ring.rel_p.terms.items()) == list(want_p.terms.items()), (spec, unified)
+        assert list(ring.rel_q.terms.items()) == list(want_q.terms.items()), (spec, unified)
+
+
+@pytest.mark.parametrize("key, which, text", [
+    ("quot:3:alpha:E6", "target", "x + Y^4"),
+    ("quot:5:alpha:E8", "source", "y^5 + 4*x^3"),
+    ("quot:5:alpha:E8", "target", "y + 4*X^3"),
+])
+def test_quotient_relations_built_from_exponents_equal_the_text_relations(key, which, text):
+    ring = getattr(quotient_case_from_key(key), which)
+    want = parse_poly(text, variables=ring.labels[:2], modulus=ring.p)
+    assert list(ring.rel_p.terms.items()) == list(want.terms.items())
+    assert ring.rel_q.is_zero()
 
 
 def test_relation_rewriting():

@@ -4,11 +4,13 @@ import random
 import pytest
 
 from rdpk3 import reproduce
-from rdpk3.chartring import chart_from_key
+from rdpk3.chartring import chart_from_key, parse_rdp_key, rdp_chart
 from rdpk3.ffpoly import FpScalar
 from rdpk3.witt import SUPPORTED_RANGES
 from rdpk3.reproduce import (
     CANONICITY_CHART_KEYS,
+    _below,
+    _random_elem,
     CHECK_GROUPS,
     CheckRecord,
     RunReport,
@@ -218,6 +220,44 @@ def test_witt_trials_draw_the_vectors_they_drew_from_fresh_scalars(seed, monkeyp
     drawn.clear()
     assert projection_trials(50, random.Random(f"{seed}:projection")) == 0
     assert drawn == _parent_projection_draws(50, random.Random(f"{seed}:projection"))
+
+
+def test_below_draws_as_randrange():
+    """_below(rng.getrandbits, n) is Random.randrange(n): the same values and the same generator state."""
+    for n in range(1, 71):
+        mine, theirs = random.Random(n), random.Random(n)
+        for _ in range(50):
+            assert _below(mine.getrandbits, n) == theirs.randrange(n), n
+        assert mine.getstate() == theirs.getstate(), n
+
+
+def _parent_random_elem(ring, rng, region="any"):
+    """The oracle: randint/randrange draws, one checked monomial per term, summed by +."""
+    total = ring.zero()
+    for _ in range(rng.randint(1, 3)):
+        coeff = rng.randrange(1, ring.p)
+        k = rng.randrange(ring.wdeg)
+        if region == "xi":
+            i, j = rng.randint(-2, 2), rng.randint(0, 2)
+        elif region == "eta":
+            i, j = rng.randint(0, 2), rng.randint(-2, -1)
+        else:
+            i, j = rng.randint(-2, 2), rng.randint(-2, 2)
+        total = total + ring.monomial(coeff, i, j, k)
+    return total
+
+
+@pytest.mark.parametrize("key", CANONICITY_CHART_KEYS)
+def test_random_elem_draws_as_the_monomial_builder(key):
+    """Each draw equals the oracle's, term order included, and leaves the generator where it left it."""
+    ring = rdp_chart(parse_rdp_key(key))
+    for region in ("any", "xi", "eta"):
+        mine, theirs = random.Random(f"{key}:{region}"), random.Random(f"{key}:{region}")
+        for _ in range(200):
+            got, want = _random_elem(ring, mine, region), _parent_random_elem(ring, theirs, region)
+            assert list(got.terms.items()) == list(want.terms.items()), (key, region)
+            assert got == want
+        assert mine.getstate() == theirs.getstate(), (key, region)
 
 
 def test_witt_trials_build_no_vector_per_draw(monkeypatch):
