@@ -191,7 +191,10 @@ class ChartRing:
     # -- element constructors -----------------------------------------
 
     def zero(self) -> "ChartElem":
-        return ChartElem(self, {})
+        elem = object.__new__(ChartElem)
+        elem.ring = self
+        elem.terms = {}
+        return elem
 
     def one(self) -> "ChartElem":
         return ChartElem(self, {(0, 0, 0): 1})
@@ -271,19 +274,23 @@ class ChartElem(SparseTerms):
         ring = self.ring
         d = ring.wdeg
         terms: dict = {}
+        high: dict = {}  # u^i v^j w^(c-d) -> coefficient of the pairs reaching w^d
         for (i1, j1, c1), k1 in self.terms.items():
             for (i2, j2, c2), k2 in other.terms.items():
-                coeff = k1 * k2
-                i, j, c = i1 + i2, j1 + j2, c1 + c2
-                if c < d or d == 1:
-                    key = (i, j, c)
-                    terms[key] = terms.get(key, 0) + coeff
+                c = c1 + c2
+                if c < d:
+                    key = (i1 + i2, j1 + j2, c)
+                    terms[key] = terms.get(key, 0) + k1 * k2
                 else:
-                    # one rewrite suffices: the relation right side has
-                    # w-degree <= 1 and c - d + 1 < d
-                    for (di, dj, dc), rc in ring._rel_terms:
-                        key = (i + di, j + dj, c - d + dc)
-                        terms[key] = terms.get(key, 0) + coeff * rc
+                    key = (i1 + i2, j1 + j2, c - d)
+                    high[key] = high.get(key, 0) + k1 * k2
+        # w^d is folded through the relation once per collected monomial;
+        # one rewrite suffices: its right side has w-degree <= 1 and
+        # c - d + 1 < d, as c <= 2d - 2
+        for (i, j, c), coeff in high.items():
+            for (di, dj, dc), rc in ring._rel_terms:
+                key = (i + di, j + dj, c + dc)
+                terms[key] = terms.get(key, 0) + coeff * rc
         return self._like(terms)
 
     __rmul__ = __mul__

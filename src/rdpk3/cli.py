@@ -537,10 +537,7 @@ def cmd_lattice_overlattice(args) -> int:
 
 def cmd_reproduce(args) -> int:
     report = reproduce_all(only=args.only, seed=args.seed)
-    if args.format == "json":
-        print(json.dumps(report.as_json(), indent=2, sort_keys=True))
-    else:
-        print(report.render_text())
+    print(report.json_text() if args.format == "json" else report.render_text())
     return 0 if report.ok else 1
 
 

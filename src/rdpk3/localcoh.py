@@ -18,7 +18,8 @@ W_{n-i}.  That difference y is one straight-line program per (p, m), a
 triangular solve of x = y + [t] (witt._teich_sub): y_0 = x_0 - t, and
 each y_k is x_k minus a carry polynomial in y_0, ..., y_{k-1}, t in
 Horner form; at the last position (m = 1) it is plain x - t, so no call
-is made there.
+is made there.  An empty component is skipped, and a part that is the
+whole component (found by counting terms) just zeroes it.
 The class operations (Frobenius, pullback along suitable ring maps,
 scalar multiplication, V and R) act on representatives and re-reduce;
 Frobenius goes through the linear map ChartElem.frobenius.  R keeps the
@@ -142,7 +143,10 @@ def reduce(components, order=("xi", "eta")) -> CohClass:
     -t and touches only positions >= i, so each pass leaves the residual
     part rho at position i.  No tail op is made at the last position,
     where rho is put in, nor for a part that is all of x_i, as x = [x_i]
-    + V(x_{i+1}, ...) makes x - V^i[x_i] just x with x_i zero.  The
+    + V(x_{i+1}, ...) makes x - V^i[x_i] just x with x_i zero.  A part's
+    terms are a subset of x_i's, so it is all of x_i when the two have
+    equally many terms.  An empty component is skipped: it has no part
+    to remove and stays empty, at the last position too.  The
     result is independent of the subtraction order within a position;
     order is exposed for the cross-check tests.  The input is checked up
     front, so the class is built without CohClass()'s checks.
@@ -162,13 +166,16 @@ def reduce(components, order=("xi", "eta")) -> CohClass:
     check_supported(p, n)
     xi_first = order[0] == "xi"
     for i in range(n - 1):
+        if not comps[i].terms:
+            continue
         xi, eta, _rho = comps[i].split()
         for part in (xi, eta) if xi_first else (eta, xi):
-            if part == comps[i]:
+            if len(part.terms) == len(comps[i].terms):
                 comps[i] = ring.zero()  # x - V^i[x_i] = (..., x_{i-1}, 0, x_{i+1}, ...)
             elif part.terms:
                 comps[i:] = _teich_sub(p, n - i)(*comps[i:], part)
-    comps[-1] = comps[-1].split()[2]
+    if comps[-1].terms:
+        comps[-1] = comps[-1].split()[2]
     return _wrap(ring, tuple(comps))
 
 

@@ -230,6 +230,50 @@ def test_chart_elem_refuses_exponents_that_are_not_ints(key, coeff):
         ChartElem(ring, {key: coeff})
 
 
+def per_pair_mul(a, b):
+    """The oracle: every term pair reaching w^d rewritten through the relation on its own."""
+    ring = a.ring
+    d = ring.wdeg
+    terms = {}
+    for (i1, j1, c1), k1 in a.terms.items():
+        for (i2, j2, c2), k2 in b.terms.items():
+            i, j, c = i1 + i2, j1 + j2, c1 + c2
+            if c < d:
+                terms[i, j, c] = terms.get((i, j, c), 0) + k1 * k2
+            else:
+                for (di, dj, dc), rc in ring._rel_terms:
+                    key = (i + di, j + dj, c - d + dc)
+                    terms[key] = terms.get(key, 0) + k1 * k2 * rc
+    return ChartElem(ring, terms)
+
+
+@pytest.mark.parametrize("key", ["2:D9:2", "2:D12:0", "3:E6:1", "2:E8:3", "quot:3:mu:A2:cover", "3:A2", "5:A4"])
+def test_product_folding_the_relation_once_agrees_with_the_per_pair_rewrite(key):
+    """D, E, the rank-1 cover of a mu quotient and A_{p-1} (w^p = xy), with products reaching w^(2d-2)."""
+    rng = random.Random(f"mul-fold-{key}")
+    if key.endswith(":cover"):
+        ring = quotient_case_from_key(key.removesuffix(":cover")).target
+    else:
+        ring = chart_from_key(key)
+    d = ring.wdeg
+
+    def draw(top):
+        # small exponent boxes, so term pairs collide and coefficients cancel
+        terms = {(rng.randrange(-2, 3), rng.randrange(-2, 3), rng.randrange(d)): rng.randrange(1, ring.p)
+                 for _ in range(rng.randrange(1, 7))}
+        if top:
+            terms[rng.randrange(-2, 3), rng.randrange(-2, 3), d - 1] = rng.randrange(1, ring.p)
+        return ChartElem(ring, terms)
+
+    for t in range(150):
+        a, b = draw(t % 2 == 0), draw(t % 3 != 2)
+        got = a * b
+        assert got == per_pair_mul(a, b), (a, b)
+        assert got.ring is ring
+        assert all(0 <= c < d and k % ring.p == k != 0 for (_i, _j, c), k in got.terms.items())
+    assert ring.zero() == ChartElem(ring, {}) and ring.zero().ring is ring
+
+
 def test_frobenius_on_elements():
     ring = chart_from_key("2:D12:3")
     d = ring.designated()

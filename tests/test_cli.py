@@ -1021,6 +1021,22 @@ def test_reproduce_json(capsys):
     assert doc["seed"] == 3
 
 
+def test_reproduce_json_stdout_is_the_json_dumps_layout(capsys):
+    code, out, _err = run(capsys, "--format", "json", "--seed", "7", "reproduce", "--only", "4.3,glue")
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
+def test_reproduce_exits_1_when_an_etale_table_height_disagrees(capsys, monkeypatch):
+    from rdpk3.height import ETALE_QUOTIENT_TABLE
+
+    monkeypatch.setitem(ETALE_QUOTIENT_TABLE, (2, (("E", 8, 2),)), 1)
+    code, out, err = run(capsys, "reproduce", "--only", "consistency")
+    assert code == 1 and "Traceback" not in err
+    assert "[FAIL] height:etale:p2:E8:2: cross-check failed (expected 1) [table height 1" in out
+    assert "CHECKS FAILED: 30 passed, 1 failed, 0 skipped" in out
+
+
 def test_reproduce_unknown_filter(capsys):
     code, out, err = run(capsys, "reproduce", "--only", "bogus")
     assert code == 2

@@ -194,6 +194,53 @@ def test_reduce_makes_no_tail_op_for_a_part_that_is_a_whole_component(monkeypatc
             assert n not in lengths, (region, order)
 
 
+def split_every_position_reduce(components, order):
+    """The oracle: the loop that splits every position, the empty ones too, and compares parts by ==."""
+    comps = list(components)
+    ring = comps[0].ring
+    p, n = ring.p, len(comps)
+    for i in range(n - 1):
+        xi, eta, _rho = comps[i].split()
+        for part in (xi, eta) if order[0] == "xi" else (eta, xi):
+            if part == comps[i]:
+                comps[i] = ring.zero()
+            elif part.terms:
+                comps[i:] = _teich_sub(p, n - i)(*comps[i:], part)
+    comps[-1] = comps[-1].split()[2]
+    return CohClass(ring, comps)
+
+
+def ring_of(key):
+    """A catalog chart, or the rank-1 cover of a quotient case for a key ending in :cover."""
+    if key.endswith(":cover"):
+        return quotient_case_from_key(key.removesuffix(":cover")).target
+    return chart_from_key(key)
+
+
+@pytest.mark.parametrize("key", ["quot:2:mu:A1:cover", "quot:3:mu:A2:cover", "2:D9:2", "2:E8:0",
+                                 "3:E6:1", "5:E8:1", "3:A2", "5:A4"])
+def test_reduce_skipping_empty_components_agrees_with_the_split_every_position_loop(key):
+    """Empty components at random positions, whole-part components, both orders."""
+    rng = random.Random(f"reduce-empty-{key}")
+    ring = ring_of(key)
+    regions = ("empty", "empty", "any", "xi", "eta", "xi+eta")
+    for n in range(1, SUPPORTED_RANGES[ring.p] + 1):
+        for _ in range(25):
+            comps = []
+            for _k in range(n):
+                region = rng.choice(regions)
+                if region == "empty":
+                    comps.append(ring.zero())
+                elif region == "xi+eta":
+                    comps.append(_random_elem(ring, rng, "xi") + _random_elem(ring, rng, "eta"))
+                else:
+                    comps.append(_random_elem(ring, rng, region))
+            for order in (("xi", "eta"), ("eta", "xi")):
+                got = reduce(comps, order)
+                assert got == split_every_position_reduce(comps, order), (n, order, comps)
+                assert got.ring is ring and type(got.components) is tuple
+
+
 @pytest.mark.parametrize("order", [("foo",), ("xi",), (), ("xi", "xi"), ("xi", "eta", "xi"),
                                    "xieta", None])
 def test_reduce_refuses_a_bad_order(order):

@@ -6,6 +6,7 @@ import pytest
 from rdpk3 import reproduce
 from rdpk3.chartring import chart_from_key, parse_rdp_key, rdp_chart
 from rdpk3.ffpoly import FpScalar
+from rdpk3.height import ETALE_QUOTIENT_TABLE
 from rdpk3.witt import SUPPORTED_RANGES
 from rdpk3.reproduce import (
     CANONICITY_CHART_KEYS,
@@ -17,6 +18,7 @@ from rdpk3.reproduce import (
     canonicity_trials,
     check_ghost_grid,
     check_glue,
+    check_height_consistency,
     check_ordinarity,
     check_overlattice,
     check_point_counts,
@@ -67,6 +69,52 @@ def test_run_report_counters():
     good = RunReport(command="reproduce", seed=0, records=recs[:1])
     assert good.ok
     assert "all checks passed" in good.render_text()
+
+
+def as_dumps(report):
+    return json.dumps(report.as_json(), indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_json_text_is_the_json_dumps_text_of_the_full_report(seed):
+    report = reproduce_all(seed=seed)
+    assert report.json_text() == as_dumps(report)
+
+
+def test_json_text_is_the_json_dumps_text_of_a_filtered_and_an_empty_report():
+    report = reproduce_all(only="4.3,glue", seed=2)
+    assert report.command == "reproduce --only 4.3,glue --seed 2" and report.records
+    assert report.json_text() == as_dumps(report)
+    for wall_time in (0.0, 12.3456, 0):
+        empty = RunReport(command="reproduce", seed=0, wall_time=wall_time)
+        assert empty.json_text() == as_dumps(empty) and '"records": []' in empty.json_text()
+
+
+def test_json_text_escapes_strings_as_json_dumps_does():
+    odd = 'é → 𝔽 "quoted" back\\slash\nline\ttab\x01\x7f'
+    recs = [
+        CheckRecord("a:é", "pass", "1", "1", "plumbing"),
+        CheckRecord(f"b:{odd}", "fail", odd, "𝔽_2 → W_2", odd, note=odd),
+    ]
+    report = RunReport(command=f"reproduce --only {odd}", seed=-5, records=recs, wall_time=1e-4)
+    text = report.json_text()
+    assert text == as_dumps(report)
+    assert text.isascii() and "\\ud835\\udd3d" in text and '"ok": false' in text
+    assert json.loads(text)["records"][1]["note"] == odd
+
+
+def test_an_etale_table_height_that_disagrees_fails_its_record_alone(monkeypatch):
+    """The cross-check's RuntimeError becomes a failed record; the group runs on."""
+    before = check_height_consistency()
+    assert all(r.status == "pass" for r in before)
+    monkeypatch.setitem(ETALE_QUOTIENT_TABLE, (2, (("D", 8, 2),)), 5)
+    after = check_height_consistency()
+    assert [r.check_id for r in after] == [r.check_id for r in before]
+    failed = [r for r in after if r.status == "fail"]
+    assert [r.check_id for r in failed] == ["height:etale:p2:D8:2"]
+    assert failed[0].expected == "5"
+    assert failed[0].note == "table height 5 disagrees with forced height 2 for 2:D8:2"
+    assert [r for r in after if r not in failed] == [r for r in before if r.check_id != failed[0].check_id]
 
 
 def test_ghost_grid_records():
