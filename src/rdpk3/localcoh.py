@@ -19,7 +19,13 @@ triangular solve of x = y + [t] (witt._teich_sub): y_0 = x_0 - t, and
 each y_k is x_k minus a carry polynomial in y_0, ..., y_{k-1}, t in
 Horner form; at the last position (m = 1) it is plain x - t, so no call
 is made there.  An empty component is skipped, and a part that is the
-whole component (found by counting terms) just zeroes it.
+whole component (found by counting terms) just zeroes it.  The last
+component is carried only by its residual part: it enters every tail
+op linearly, no carry reads it, and reduce keeps only its residual part,
+which is additive.  So the products that reach it only through + and -
+multiply just the factor terms that can reach a residual monomial; the
+w-relation has nonnegative u and v exponents, so folding w^d never makes
+a non-residual monomial residual.
 The class operations (Frobenius, pullback along suitable ring maps,
 scalar multiplication, V and R) act on representatives and re-reduce;
 Frobenius goes through the linear map ChartElem.frobenius.  R keeps the
@@ -32,6 +38,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .chartring import ChartElem, ChartRing, RingMap
+from .ffpoly import _cut
 from .witt import WittVec, _teich_sub, check_supported
 
 
@@ -126,8 +133,11 @@ _ORDERS = (("xi", "eta"), ("eta", "xi"))
 
 
 def class_of(elem: ChartElem, n: int = 1) -> CohClass:
-    """The class of (elem, 0, ..., 0) in length-n cohomology."""
+    """The class of (elem, 0, ..., 0) in length-n cohomology, for a supported length n."""
     ring = elem.ring
+    if type(n) is not int:
+        raise ValueError(f"length n={_cut(repr(n))} is not an int")
+    check_supported(ring.p, n)
     vec = [elem] + [ring.zero()] * (n - 1)
     return reduce(vec)
 
@@ -146,7 +156,12 @@ def reduce(components, order=("xi", "eta")) -> CohClass:
     + V(x_{i+1}, ...) makes x - V^i[x_i] just x with x_i zero.  A part's
     terms are a subset of x_i's, so it is all of x_i when the two have
     equally many terms.  An empty component is skipped: it has no part
-    to remove and stays empty, at the last position too.  The
+    to remove and stays empty, at the last position too.  Only the
+    residual part of the last component is kept, and each tail op
+    changes it by a signed sum of products that no carry reads, so those
+    products are made by _residual_mul, which keeps only the terms of
+    their factors that can reach a residual monomial; the last component
+    is exact up to non-residual terms until its final split.  The
     result is independent of the subtraction order within a position;
     order is exposed for the cross-check tests.  The input is checked up
     front, so the class is built without CohClass()'s checks.
@@ -173,10 +188,42 @@ def reduce(components, order=("xi", "eta")) -> CohClass:
             if len(part.terms) == len(comps[i].terms):
                 comps[i] = ring.zero()  # x - V^i[x_i] = (..., x_{i-1}, 0, x_{i+1}, ...)
             elif part.terms:
-                comps[i:] = _teich_sub(p, n - i)(*comps[i:], part)
+                comps[i:] = _teich_sub(p, n - i)(*comps[i:], part, _last_mul=_residual_mul)
     if comps[-1].terms:
         comps[-1] = comps[-1].split()[2]
     return _wrap(ring, tuple(comps))
+
+
+def _residual_mul(a, b):
+    """A product with the residual part of a * b, made from the terms that can reach it.
+
+    A factor is a chart element or an int constant.  The w-relation has
+    nonnegative u and v exponents, so a pair of terms whose u (or v)
+    exponents sum to >= 0 gives only non-residual monomials.  Hence a
+    factor's terms with i >= -min_i(other) or j >= -min_j(other) are
+    dropped: a's against b, then b's against what is left of a, whose
+    bounds may be higher.  The rest is multiplied by the ordinary *, and
+    a factor left empty gives zero with no product.
+    """
+    if not isinstance(a, ChartElem):
+        if not isinstance(b, ChartElem):
+            return a * b
+        a = b._coerce(a)
+    elif not isinstance(b, ChartElem):
+        b = a._coerce(b)
+    a = _reaching(a, b)
+    b = _reaching(b, a)
+    return a * b if a.terms and b.terms else a._raw({})
+
+
+def _reaching(x: ChartElem, y: ChartElem) -> ChartElem:
+    """The terms of x whose product with some term of y can be residual; y itself if it is empty."""
+    if not y.terms:
+        return y
+    bound_i = -min([i for i, _j, _c in y.terms])
+    bound_j = -min([j for _i, j, _c in y.terms])
+    kept = {key: c for key, c in x.terms.items() if key[0] < bound_i and key[1] < bound_j}
+    return x if len(kept) == len(x.terms) else x._raw(kept)
 
 
 def _wrap(ring: ChartRing, components: tuple) -> CohClass:

@@ -99,7 +99,7 @@ def derive_integer_polys(p: int, n: int, op: str) -> tuple:
     return tuple(polys)
 
 
-def _straight_line(polys, nargs=None):
+def _straight_line(polys, nargs=None, hook_last=False):
     """Mod-p polynomials in the same variables as one straight-line program.
 
     The returned function takes a ring element for each of the first
@@ -121,6 +121,15 @@ def _straight_line(polys, nargs=None):
     (i, op, left, right) of prog, a +, - or * of earlier slots.  The
     function's attribute program is (nargs, start, prog, outs), with
     outs the slots of the results.
+
+    With hook_last, the hooked nodes are the products whose value reaches
+    the last result only through + and - (_last_linear_products): none
+    of them is an earlier result or an operand of a product.  Then
+    run(*args, _last_mul=f) computes each hooked node as f(left, right)
+    and every other node as before, so a caller that reads only part of
+    the last result, a part that is additive, may pass a product that
+    keeps only that part.  The attribute last_linear is the set of
+    hooked nodes, empty without hook_last.
     """
     names = polys[0].variables
     nargs = len(names) if nargs is None else nargs
@@ -195,18 +204,50 @@ def _straight_line(polys, nargs=None):
     ops = {"+": operator.add, "-": operator.sub, "*": operator.mul}
     start = [key[1] if key[0] == "c" else None for key in nodes]
     prog = tuple((i, ops[key[0]], key[1], key[2]) for i, key in enumerate(nodes) if key[0] in ops)
+    hooked = _last_linear_products(prog, outs) if hook_last else frozenset()
+    # prog with None for the op of each hooked node
+    marked = tuple((i, None if i in hooked else op, a, b) for i, op, a, b in prog) if hooked else prog
 
-    def run(*args):
+    def run(*args, _last_mul=None):
         if len(args) != nargs:
             raise TypeError(f"expected {nargs} arguments, got {len(args)}")
         vals = start.copy()
         vals[:nargs] = args
-        for i, op, a, b in prog:
-            vals[i] = op(vals[a], vals[b])
+        if _last_mul is None:
+            for i, op, a, b in prog:
+                vals[i] = op(vals[a], vals[b])
+        else:
+            for i, op, a, b in marked:
+                vals[i] = (op or _last_mul)(vals[a], vals[b])
         return tuple([vals[i] for i in outs])
 
     run.program = (nargs, start, prog, outs)
+    run.last_linear = hooked
     return run
+
+
+def _last_linear_products(prog, outs) -> frozenset:
+    """The product nodes of prog whose value reaches the last result only through + and -.
+
+    A node is linear in the last result when it is that result (and no
+    earlier one), or when it is no result and every use of it is an
+    operand of a + or - that is linear in the last result.  Uses come
+    after their operands in prog, so one backward pass decides each node
+    after all of its uses.  The last result is then a signed sum of the
+    returned products' values plus terms that read none of them, and
+    no other result reads them.
+    """
+    uses: dict = {}
+    for i, op, a, b in prog:
+        uses.setdefault(a, []).append((i, op))
+        uses.setdefault(b, []).append((i, op))
+    last = outs[-1]
+    linear = set() if last in outs[:-1] else {last}
+    for i, _op, _a, _b in reversed(prog):
+        users = uses.get(i)
+        if users and i not in outs and all(u in linear and op is not operator.mul for u, op in users):
+            linear.add(i)
+    return frozenset(i for i, op, _a, _b in prog if op is operator.mul and i in linear)
 
 
 class WittPolyTable:
@@ -242,7 +283,10 @@ def _teich_sub(p: int, m: int):
     computed once over F_p[y0, ..., t] from the table's mod-p sum
     polynomials.  Since x - V^i[t] is (x_0, ..., x_{i-1},
     (x_i, ..., x_{n-1}) - [t]) in W_n, this is the tail op of
-    localcoh.reduce, at m = n - i.
+    localcoh.reduce, at m = n - i.  No carry reads y_{m-1}, and x_{m-1}
+    enters only y_{m-1} = x_{m-1} - c_{m-1}, so the program is built with
+    hook_last: a caller may make the products that reach y_{m-1} only
+    through + and - by a product of its own (_straight_line).
     """
     table = build_witt_table(p, m)
     names = tuple(f"a{i}" for i in range(m)) + ("t",) + tuple(f"y{i}" for i in range(m))
@@ -251,7 +295,7 @@ def _teich_sub(p: int, m: int):
     zero = MultiPoly.zero(names, p)
     sums = table.add(*ys, t, *[zero] * (m - 1))
     polys = [x - (s - y) for x, s, y in zip(xs, sums, ys)]
-    return _straight_line(polys, m + 1)
+    return _straight_line(polys, m + 1, hook_last=True)
 
 
 def ghost_compatibility_ok(p: int, n: int) -> bool:

@@ -1,9 +1,11 @@
 import random
+import re
 
 import pytest
 
 from rdpk3.chartring import (
     ALL_QUOTIENT_KEYS,
+    ChartElem,
     RdpSpec,
     chart_from_key,
     parse_rdp_key,
@@ -239,6 +241,89 @@ def test_reduce_skipping_empty_components_agrees_with_the_split_every_position_l
                 got = reduce(comps, order)
                 assert got == split_every_position_reduce(comps, order), (n, order, comps)
                 assert got.ring is ring and type(got.components) is tuple
+
+
+# D and E charts at p = 2 (up to n = 4), E8 at p = 3 and 5, A_{p-1} with
+# w^p = xy, and the rank-1 covers of two quotient cases
+RESIDUAL_CARRY_KEYS = ("2:D4:1", "2:D9:2", "2:D12:0", "2:E6:1", "2:E7:3", "2:E8:0", "2:E8:4",
+                       "3:E8:2", "5:E8:1", "2:A1", "3:A2", "5:A4",
+                       "quot:2:mu:A1:cover", "quot:3:mu:A2:cover")
+
+
+def mixed_elem(ring, rng):
+    """A random element with terms in A[1/u], in A[1/v] and anywhere."""
+    return _random_elem(ring, rng, "xi") + _random_elem(ring, rng, "eta") + _random_elem(ring, rng)
+
+
+@pytest.mark.parametrize("key", RESIDUAL_CARRY_KEYS)
+def test_reduce_carrying_the_last_component_by_its_residual_part_agrees_with_the_whole_carry(key, monkeypatch):
+    """The oracles call _teich_sub with no hook, so they carry the whole last component.
+
+    The last component of every vector has non-residual terms, and the
+    others are drawn from every region.  Some residual products must
+    drop terms, or the comparison shows nothing.
+    """
+    rng = random.Random(f"residual-carry-{key}")
+    ring = ring_of(key)
+    trimmed, made = [], localcoh._residual_mul
+
+    def residual_mul(a, b):
+        got = made(a, b)
+        trimmed.append(got != a * b)
+        return got
+
+    monkeypatch.setattr(localcoh, "_residual_mul", residual_mul)
+    regions = ("any", "xi", "eta", "mixed")
+    for n in range(2, SUPPORTED_RANGES[ring.p] + 1):
+        for _ in range(20):
+            comps = [mixed_elem(ring, rng) if region == "mixed" else _random_elem(ring, rng, region)
+                     for region in (rng.choice(regions) for _ in range(n - 1))]
+            comps.append(mixed_elem(ring, rng))
+            for order in (("xi", "eta"), ("eta", "xi")):
+                got = reduce(comps, order)
+                assert got == split_every_position_reduce(comps, order), (n, order, comps)
+                assert got == tail_op_reduce(comps, order), (n, order, comps)
+    assert any(trimmed)
+
+
+@pytest.mark.parametrize("key", RESIDUAL_CARRY_KEYS)
+def test_the_residual_product_has_the_residual_part_of_the_full_product(key):
+    """Chart elements of every region, int constants and the empty element, in both orders."""
+    rng = random.Random(f"residual-mul-{key}")
+    ring = ring_of(key)
+    factors = [ring.zero(), 1, ring.p - 1, ring.one(), ring.monomial(1, 1, 1)]
+    factors += [_random_elem(ring, rng, region) for region in ("any", "any", "xi", "eta") * 3]
+    factors += [mixed_elem(ring, rng) for _ in range(6)]
+    fewer = 0
+    for a in factors:
+        for b in factors:
+            full = a * b
+            got = localcoh._residual_mul(a, b)
+            if isinstance(full, int):
+                assert got == full
+                continue
+            assert isinstance(got, ChartElem) and got.ring is ring, (a, b)
+            assert got.split()[2] == full.split()[2], (str(a), str(b))
+            fewer += len(got.terms) < len(full.terms)
+    assert fewer
+
+
+@pytest.mark.parametrize("n", [0, -2, 5, 1.0, 2.5, "2", True, None])
+def test_class_of_refuses_a_length_outside_the_supported_range(n):
+    ring = chart_from_key("2:E8:0")
+    eps = ring.monomial(1, -1, -1, 1)
+    named = f"W_{n} at p=2" if type(n) is int else f"n={n!r}"
+    with pytest.raises(ValueError, match=re.escape(named)):
+        class_of(eps, n)
+    assert class_of(eps, 4).n == 4
+
+
+def test_class_of_checks_the_length_against_the_prime():
+    ring = chart_from_key("3:E8:2")
+    eps = ring.monomial(1, -1, -1, 1)
+    assert class_of(eps, 2).n == 2
+    with pytest.raises(ValueError, match=re.escape("W_3 at p=3 out of supported range 1..2")):
+        class_of(eps, 3)
 
 
 @pytest.mark.parametrize("order", [("foo",), ("xi",), (), ("xi", "xi"), ("xi", "eta", "xi"),

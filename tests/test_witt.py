@@ -426,6 +426,67 @@ def test_compiled_functions_are_shared_straight_line_binary_ops():
         assert products == horner <= flat, (key, products)
 
 
+def _reaching_only_the_last_result(program):
+    """The products from which every path of uses ends at the last result, through + and - only.
+
+    A path that meets an earlier result, or a product after its start,
+    disqualifies the start; so does a node with no use that is not the
+    last result.
+    """
+    _nargs, _start, prog, outs = program
+    kinds = {i: op for i, op, _a, _b in prog}
+    users: dict = {}
+    for i, _op, a, b in prog:
+        users.setdefault(a, set()).add(i)
+        users.setdefault(b, set()).add(i)
+
+    def only_last(i):
+        if i in outs[:-1]:
+            return False
+        if i == outs[-1]:
+            return True
+        return bool(users.get(i)) and all(kinds[u] is not operator.mul and only_last(u) for u in users[i])
+
+    return {i for i, op, _a, _b in prog if op is operator.mul and only_last(i)}
+
+
+def test_hooked_nodes_are_the_products_that_reach_only_the_last_result_through_plus_and_minus():
+    """On every tail op and table program, found by a forward walk over the uses.
+
+    Only the tail ops hook them (build_witt_table finds none); a hook is
+    called once per hooked node, the ordinary product as the hook changes
+    no result, and any value at those nodes leaves the earlier results
+    as they are.
+    """
+    rng = random.Random(3701)
+    for p, nmax in SUPPORTED_RANGES.items():
+        for n in range(1, nmax + 1):
+            table = build_witt_table(p, n)
+            runs = {"add": table.add, "mul": table.mul, "neg": table.neg, "tail": _teich_sub(p, n)}
+            for name, run in runs.items():
+                key = (p, n, name)
+                nargs, _start, prog, outs = run.program
+                want = _reaching_only_the_last_result(run.program)
+                assert witt._last_linear_products(prog, outs) == want, key
+                assert run.last_linear == (want if name == "tail" else frozenset()), key
+                if name == "tail" and n >= 2:
+                    assert want, key
+                for _ in range(3):
+                    args = [rng.randrange(p) for _ in range(nargs)]
+                    calls = []
+
+                    def counted(a, b):
+                        calls.append(1)
+                        return a * b
+
+                    plain = run(*args)
+                    assert run(*args, _last_mul=counted) == plain, key
+                    assert len(calls) == len(run.last_linear), key
+                    moved = run(*args, _last_mul=lambda a, b: a * b + 1000)
+                    assert moved[:-1] == plain[:-1], key
+                    assert (moved[-1] != plain[-1]) == bool(run.last_linear), key
+
+
 def test_no_module_runs_generated_source():
     """A ratchet: no module of rdpk3 calls the builtins exec or compile (re.compile is an attribute)."""
     calls = []
