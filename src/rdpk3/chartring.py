@@ -10,9 +10,10 @@ equations z^2 + ... = 0 from the classification of non-taut rational
 double points in small characteristic all fit with d = 2 (solve for
 z^2); the cyclic quotient singularity z^p = x*y needs d = p and a
 monomial right side.  Elements are finite sums of monomials
-u^i * v^j * w^c with i, j in Z and 0 <= c < d.  In characteristic p the
-p-th power is additive, so ChartElem.frobenius computes it term by term
-from the powers (w^c)^p each ring keeps.
+u^i * v^j * w^c with i, j in Z and 0 <= c < d.  Every ring map of
+charts is its images: exponent pairs for u and v and the image of each
+w^c, c < d.  One term loop applies them: the Frobenius (the p-th power)
+in ChartElem.frobenius and the quotient maps in RingMap.apply.
 
 The catalog covers:
 
@@ -167,11 +168,8 @@ class ChartRing:
         self._rel_terms = tuple(rel_terms)
         self.labels = labels
         self.key = key
-        # the terms of (w^c)^p for 0 <= c < wdeg, read by ChartElem.frobenius
-        self._frob_w = ((((0, 0, 0), 1),),) + tuple(
-            tuple((self.monomial(1, 0, 0, c) ** p).terms.items())
-            for c in range(1, wdeg)
-        )
+        # the images of the w-powers under w -> w^p, read by ChartElem.frobenius
+        self._frob_w = _w_powers(self.monomial(1, 0, 0, 1) ** p if wdeg >= 2 else None, wdeg)
 
     def __eq__(self, other):
         if self is other:
@@ -200,8 +198,6 @@ class ChartRing:
         return ChartElem(self, {(0, 0, 0): 1})
 
     def monomial(self, coeff: int, i: int, j: int, c: int = 0) -> "ChartElem":
-        if not (0 <= c < max(self.wdeg, 1)):
-            raise ValueError(f"w-exponent {c} out of range for wdeg {self.wdeg}")
         return ChartElem(self, {(i, j, c): coeff})
 
     def designated(self) -> dict:
@@ -243,7 +239,9 @@ class ChartElem(SparseTerms):
             if not (type(i) is int and type(j) is int and type(cc) is int):
                 raise ValueError(f"monomial key {key} has an exponent that is not an int")
             if not (0 <= cc < wmax):
-                raise ValueError(f"w-exponent {cc} out of range")
+                raise ValueError(f"w-exponent {cc} out of range for wdeg {ring.wdeg}")
+            if type(c) is not int:
+                raise ValueError(f"coefficient {_cut(repr(c))} of monomial {key} is not an int")
             c %= p
             if c:
                 clean[key] = c
@@ -296,20 +294,14 @@ class ChartElem(SparseTerms):
     __rmul__ = __mul__
 
     def frobenius(self) -> "ChartElem":
-        """self ** p as the linear map it is in characteristic p, with no product.
+        """self ** p as the ring map it is in characteristic p, with no product.
 
-        (sum k u^i v^j w^c)^p = sum k u^(pi) v^(pj) (w^c)^p, since k^p = k
-        in F_p; each (w^c)^p is taken once per ring (ChartRing._frob_w).
+        (sum k u^i v^j w^c)^p = sum k u^(pi) v^(pj) (w^p)^c, since k^p = k
+        in F_p: the one substitution loop at u -> u^p, v -> v^p, with the
+        powers (w^p)^c each ring keeps (ChartRing._frob_w).
         """
-        ring = self.ring
-        p, frob_w = ring.p, ring._frob_w
-        terms: dict = {}
-        for (i, j, c), k in self.terms.items():
-            i, j = p * i, p * j
-            for (di, dj, dc), rc in frob_w[c]:
-                key = (i + di, j + dj, dc)
-                terms[key] = terms.get(key, 0) + k * rc
-        return self._like(terms)
+        p = self.ring.p
+        return _substitute(self, self.ring, (p, 0), (0, p), self.ring._frob_w)
 
     def split(self) -> tuple:
         """Cech decomposition (xi, eta, rho) of this element.
@@ -341,16 +333,46 @@ class ChartElem(SparseTerms):
 ChartElem._parent = ChartElem.ring
 
 
+def _w_powers(image_w: Optional[ChartElem], wdeg: int) -> tuple:
+    """The terms of image_w^c for 0 <= c < wdeg: the images of the w-powers under w -> image_w."""
+    powers, power = [(((0, 0, 0), 1),)], image_w
+    for c in range(1, wdeg):
+        if c > 1:
+            power = power * image_w
+        powers.append(tuple(power.terms.items()))
+    return tuple(powers)
+
+
+def _substitute(elem: ChartElem, target: ChartRing, image_u: tuple, image_v: tuple,
+                w_powers: tuple) -> ChartElem:
+    """The image in target of elem under u -> U^a_u V^b_u, v -> U^a_v V^b_v, w^c -> w_powers[c].
+
+    The one loop of every chart-ring map: k u^i v^j w^c goes to
+    k U^(a_u i + a_v j) V^(b_u i + b_v j) times the terms of w_powers[c],
+    collected in one dict and reduced once.
+    """
+    (au, bu), (av, bv) = image_u, image_v
+    terms: dict = {}
+    for (i, j, c), k in elem.terms.items():
+        i, j = au * i + av * j, bu * i + bv * j
+        for (di, dj, dc), rc in w_powers[c]:
+            key = (i + di, j + dj, dc)
+            terms[key] = terms.get(key, 0) + k * rc
+    return target.zero()._like(terms)
+
+
 class RingMap:
-    """A ring homomorphism between chart rings.
+    """A ring homomorphism between chart rings, given by its images.
 
     u and v must map to unit monomials of the target (single term,
-    coefficient 1, nonnegative exponents, not both zero) so that Laurent
-    monomials stay Laurent.  w maps to an arbitrary element; the image
-    must satisfy the source relation, checked at construction.
+    coefficient 1, nonnegative int exponents, not both zero) so that
+    Laurent monomials stay Laurent.  w maps to an arbitrary element,
+    whose powers below the source's w-degree are taken once, here.  The
+    map checks the source relation on itself: it must send P + Q*w to
+    image_w^d.  apply runs the loop of ChartElem.frobenius.
     """
 
-    __slots__ = ("source", "target", "image_u", "image_v", "image_w")
+    __slots__ = ("source", "target", "image_u", "image_v", "image_w", "_w_images")
 
     def __init__(self, source: ChartRing, target: ChartRing,
                  image_u: tuple, image_v: tuple,
@@ -358,10 +380,10 @@ class RingMap:
         if source.p != target.p:
             raise ValueError("characteristic mismatch")
         for name, (a, b) in (("u", image_u), ("v", image_v)):
-            if a < 0 or b < 0 or (a == 0 and b == 0):
+            if type(a) is not int or type(b) is not int or a < 0 or b < 0 or (a == 0 and b == 0):
                 raise ValueError(
-                    f"image of {name} must be a unit monomial with nonnegative "
-                    f"exponents, not both zero; got exponents {(a, b)}"
+                    f"image of {name} must be a unit monomial with nonnegative int "
+                    f"exponents, not both zero; got exponents {_cut(repr((a, b)))}"
                 )
         if source.wdeg >= 2:
             if image_w is None:
@@ -370,36 +392,19 @@ class RingMap:
                 raise ValueError("image of w lives in the wrong ring")
         elif image_w is not None:
             raise ValueError("rank-1 source has no w")
-        self.source = source
-        self.target = target
-        self.image_u = tuple(image_u)
-        self.image_v = tuple(image_v)
-        self.image_w = image_w
+        self.source, self.target, self.image_w = source, target, image_w
+        self.image_u, self.image_v = tuple(image_u), tuple(image_v)
+        self._w_images = _w_powers(image_w, source.wdeg)
         if source.wdeg >= 2:
-            uv = (target.monomial(1, *image_u), target.monomial(1, *image_v))
-            env, zero = dict(zip(source.labels, uv)), target.zero()
-            rhs = source.rel_p.evaluate(env, zero) + source.rel_q.evaluate(env, zero) * image_w
-            if image_w ** source.wdeg != rhs:
-                raise ValueError(
-                    "not a ring map: the image of w violates the source relation"
-                )
+            rhs = ChartElem(source, dict(source._rel_terms))
+            if self.apply(rhs) != image_w ** source.wdeg:
+                raise ValueError("not a ring map: the image of w violates the source relation")
 
     def apply(self, elem: ChartElem) -> ChartElem:
+        """The image of elem, by the substitution loop of ChartElem.frobenius."""
         if elem.ring != self.source:
             raise ValueError("element lives in the wrong ring")
-        au, bu = self.image_u
-        av, bv = self.image_v
-        target = self.target
-        wpow_cache: dict = {}
-        out = target.zero()
-        for (i, j, c), k in elem.terms.items():
-            mono = target.monomial(k, au * i + av * j, bu * i + bv * j)
-            if c:
-                if c not in wpow_cache:
-                    wpow_cache[c] = self.image_w**c
-                mono = mono * wpow_cache[c]
-            out = out + mono
-        return out
+        return _substitute(elem, self.target, self.image_u, self.image_v, self._w_images)
 
     def __repr__(self):
         return f"RingMap({self.source!r} -> {self.target!r})"
@@ -532,57 +537,46 @@ def quotient_case(p: int, group: str, symbol: str) -> QuotientCase:
     (3, alpha, E6)         x -> u, y -> v^3, z -> w (u + v^4)
     (2, alpha, E8)         x -> U^2, y -> V^2, z -> U^3 + V^5
     (5, alpha, E8)         x -> u^5, y -> v, z -> w (v - u^3)^2
+
+    Each case states its charts, the images of x, y, z, n and the coefficient
+    of its generator; the map, eps = [x^-1 y^-1 z^(d-1)] and the predicted
+    generator c * U^-1 V^-1 W^(e-1) upstairs are built from them.
     """
     family, N = parse_symbol(symbol)
     key = f"quot:{p}:{group}:{symbol}"
 
+    def cover():  # the rank-1 cover F_p[X^(+-1), Y^(+-1)]
+        return ChartRing(p, 1, labels=("X", "Y"), key=key + ":cover")
+
+    coeff = 1
     if group == "mu":
         if family != "A" or N != p - 1:
             raise ValueError(_cut(f"mu_{p} quotient chart needs A_{p-1}, got {symbol}"))
-        source = rdp_chart(RdpSpec(p, "A", p - 1, 0))
-        target = ChartRing(p, 1, labels=("X", "Y"), key=key + ":cover")
-        iw = target.monomial(1, 1, 1)
-        rmap = RingMap(source, target, (p, 0), (0, p), iw)
-        eps = source.monomial(1, -1, -1, p - 1)
-        predicted = target.monomial(1, -1, -1)
-        return QuotientCase(1, p, group, symbol, source, target, rmap, 1, eps, predicted)
-
-    if group != "alpha":
+        case_id, n = 1, 1
+        source, target = rdp_chart(RdpSpec(p, "A", p - 1, 0)), cover()
+        images = (p, 0), (0, p), {(1, 1, 0): 1}
+    elif group != "alpha":
         raise ValueError(f"unknown group {_cut(repr(group))}; use mu or alpha")
-
-    if p == 2 and family == "D":
+    elif p == 2 and family == "D":
         n = N.bit_length() - 1
         if N != 1 << n or n < 2:
             raise ValueError(f"alpha_2 quotient chart needs D_(2^n), got {_cut(symbol)}")
-        source = rdp_chart(RdpSpec(2, "D", N, 0))
-        target = ChartRing(2, 1, labels=("X", "Y"), key=key + ":cover")
-        iw = ChartElem(target, {(2, 1, 0): 1, (1, 1 << (n - 1), 0): 1})
-        rmap = RingMap(source, target, (2, 0), (0, 2), iw)
-        eps = source.monomial(1, -1, -1, 1)
-        predicted = target.monomial(1, -1, -1)
-        return QuotientCase(2, p, group, symbol, source, target, rmap, n, eps, predicted)
-
-    if p == 2 and (family, N) == ("E", 8):
-        source = rdp_chart(RdpSpec(2, "E", 8, 0))
-        target = ChartRing(2, 1, labels=("X", "Y"), key=key + ":cover")
-        iw = ChartElem(target, {(3, 0, 0): 1, (0, 5, 0): 1})
-        rmap = RingMap(source, target, (2, 0), (0, 2), iw)
-        eps = source.monomial(1, -1, -1, 1)
-        predicted = target.monomial(1, -1, -1)
-        return QuotientCase(4, p, group, symbol, source, target, rmap, 4, eps, predicted)
-
-    if p == 3 and (family, N) == ("E", 6):
+        case_id = 2
+        source, target = rdp_chart(RdpSpec(2, "D", N, 0)), cover()
+        images = (2, 0), (0, 2), {(2, 1, 0): 1, (1, 1 << (n - 1), 0): 1}
+    elif p == 2 and (family, N) == ("E", 8):
+        case_id, n = 4, 4
+        source, target = rdp_chart(RdpSpec(2, "E", 8, 0)), cover()
+        images = (2, 0), (0, 2), {(3, 0, 0): 1, (0, 5, 0): 1}
+    elif p == 3 and (family, N) == ("E", 6):
+        case_id, n, coeff = 3, 2, -1
         source = rdp_chart(RdpSpec(3, "E", 6, 0))
         # Z^2 = x + Y^4
         target = ChartRing(3, 2, MultiPoly(("x", "Y"), {(1, 0): 1, (0, 4): 1}, 3), None,
                            ("x", "Y", "Z"), key + ":cover")
-        iw = ChartElem(target, {(1, 0, 1): 1, (0, 4, 1): 1})  # w*(u + v^4)
-        rmap = RingMap(source, target, (1, 0), (0, 3), iw)
-        eps = source.monomial(1, -1, -1, 1)
-        predicted = target.monomial(-1, -1, -1, 1)
-        return QuotientCase(3, p, group, symbol, source, target, rmap, 2, eps, predicted)
-
-    if p == 5 and (family, N) == ("E", 8):
+        images = (1, 0), (0, 3), {(1, 0, 1): 1, (0, 4, 1): 1}  # w*(u + v^4)
+    elif p == 5 and (family, N) == ("E", 8):
+        case_id, n, coeff = 5, 2, -1
         # proof coordinates use z^2 = y^5 - x^3 = y^5 + 4*x^3, not the catalog sign;
         # the cover is Z^2 = y + 4*X^3
         source = ChartRing(5, 2, MultiPoly(("x", "y"), {(0, 5): 1, (3, 0): 4}, 5), None,
@@ -590,13 +584,15 @@ def quotient_case(p: int, group: str, symbol: str) -> QuotientCase:
         target = ChartRing(5, 2, MultiPoly(("X", "y"), {(0, 1): 1, (3, 0): 4}, 5), None,
                            ("X", "y", "Z"), key + ":cover")
         # w*(v - u^3)^2 = w*(v^2 - 2 u^3 v + u^6)
-        iw = ChartElem(target, {(0, 2, 1): 1, (3, 1, 1): 3, (6, 0, 1): 1})
-        rmap = RingMap(source, target, (5, 0), (0, 1), iw)
-        eps = source.monomial(1, -1, -1, 1)
-        predicted = target.monomial(-1, -1, -1, 1)
-        return QuotientCase(5, p, group, symbol, source, target, rmap, 2, eps, predicted)
+        images = (5, 0), (0, 1), {(0, 2, 1): 1, (3, 1, 1): 3, (6, 0, 1): 1}
+    else:
+        raise ValueError(_cut(f"no quotient chart for (p={p}, {group}, {symbol})"))
 
-    raise ValueError(_cut(f"no quotient chart for (p={p}, {group}, {symbol})"))
+    image_x, image_y, image_z = images
+    rmap = RingMap(source, target, image_x, image_y, ChartElem(target, image_z))
+    eps = source.monomial(1, -1, -1, source.wdeg - 1)
+    predicted = target.monomial(coeff, -1, -1, target.wdeg - 1)
+    return QuotientCase(case_id, p, group, symbol, source, target, rmap, n, eps, predicted)
 
 
 ALL_QUOTIENT_KEYS = (

@@ -105,6 +105,8 @@ class FpScalar:
 
     def __init__(self, p: int, value: int):
         _check_modulus(p)
+        if type(value) is not int:
+            raise ValueError(f"residue {_cut(repr(value))} of F_{p} is not an int")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "value", value % p)
 
@@ -278,6 +280,8 @@ class MultiPoly(SparseTerms):
                 raise ValueError(f"exponent tuple {exps} has an entry that is not an int")
             if any(e < 0 for e in exps):
                 raise ValueError(f"negative exponent in {exps}")
+            if type(c) is not int:
+                raise ValueError(f"coefficient {_cut(repr(c))} of term {exps} is not an int")
             clean[exps] = clean.get(exps, 0) + c
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "modulus", modulus)

@@ -31,7 +31,7 @@ from typing import Dict, List, Sequence, Tuple, Union
 
 from .chartring import RdpSpec, parse_symbol, rmax
 from .ffpoly import (
-    FiniteField, FrozenRecord, MultiPoly, _cut, int_literal, is_prime, json_document, json_field, parse_poly,
+    FiniteField, FrozenRecord, MultiPoly, _check_modulus, _cut, int_literal, json_document, json_field, parse_poly,
 )
 
 
@@ -153,16 +153,15 @@ class Verdict(FrozenRecord):
 def taut_realizable(p: int, family: str, N: int) -> bool:
     """Whether some K3 surface in characteristic p has this taut RDP.
 
-    Requires the type to be taut in characteristic p (use
-    rdp_realizable_on_k3 otherwise).  Types of rank at most 19 always
-    occur.  At rank 20 and 21 only A_20 and A_21 can occur, the former
-    exactly when p divides 21 or 21 is a quadratic non-residue mod p
-    (equivalently p is +-2, +-8, +-10 mod 21), the latter only for
-    p = 11 (a supersingular surface with a full rank-22 Picard
-    lattice).  Rank 22 and beyond exceeds the Picard rank.
+    Requires a prime p below 2^16, checked first, and a type taut in
+    characteristic p (use rdp_realizable_on_k3 otherwise).  Types of rank
+    at most 19 always occur.  At rank 20 and 21 only A_20 and A_21 can
+    occur, the former exactly when p divides 21 or 21 is a quadratic
+    non-residue mod p (equivalently p is +-2, +-8, +-10 mod 21), the
+    latter only for p = 11 (a supersingular surface with a full rank-22
+    Picard lattice).  Rank 22 and beyond exceeds the Picard rank.
     """
-    if not is_prime(p):
-        raise ValueError(f"characteristic must be prime, got {p}")
+    _check_modulus(p)
     if rmax(p, family, N) != 0:
         raise ValueError(
             f"{family}_{N} is not taut in characteristic {p}; "
@@ -505,7 +504,7 @@ def _affine_count(field: FiniteField, poly: MultiPoly) -> int:
     n = len(poly.variables)
     i, _d = _fibre_variable(poly)
     if i < 0:
-        return field.q**n if field.evaluate_poly(poly, (0,) * n) == 0 else 0
+        return field.q**n if poly.coefficient_of((0,) * n) == 0 else 0
     rest = poly.variables[:i] + poly.variables[i + 1:]
     split: Dict[int, dict] = {}
     for exps, c in poly.terms.items():
@@ -575,8 +574,8 @@ def count_points(model: SurfaceModel, q: int) -> int:
     if isinstance(model, TwoChart):
         return total + q + 1
     poly = model.polynomial
-    if field.evaluate_poly(poly, (0,) * len(model.weights)) == 0:
-        total -= 1  # the cone point itself
+    if poly.coefficient_of((0,) * len(model.weights)) == 0:
+        total -= 1  # the cone point itself: the constant term is its value
     if total % (q - 1) != 0:
         raise RuntimeError("cone count is not a multiple of q - 1; enumeration bug")
     return total // (q - 1)

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -230,6 +231,24 @@ def test_chart_elem_refuses_exponents_that_are_not_ints(key, coeff):
         ChartElem(ring, {key: coeff})
 
 
+@pytest.mark.parametrize("coeff", [1.5, 2.0, 0.0, True, False, "1", None])
+def test_chart_elem_refuses_coefficients_that_are_not_ints(coeff):
+    ring = chart_from_key("2:D12:3")
+    message = f"coefficient {coeff!r} of monomial (0, 1, 1) is not an int"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ChartElem(ring, {(0, 1, 1): coeff})
+    message = f"coefficient {coeff!r} of monomial (1, 1, 0) is not an int"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ring.monomial(coeff, 1, 1)
+
+
+def test_monomial_checks_its_w_exponent_in_the_constructor():
+    ring = chart_from_key("3:A2")
+    for c in (-1, 3):
+        with pytest.raises(ValueError, match=f"^w-exponent {c} out of range for wdeg 3$"):
+            ring.monomial(1, 0, 0, c)
+
+
 def per_pair_mul(a, b):
     """The oracle: every term pair reaching w^d rewritten through the relation on its own."""
     ring = a.ring
@@ -407,6 +426,169 @@ def test_quotient_pullback_pinned_values():
     )
     c = quotient_case_from_key("quot:3:mu:A2")
     assert c.rmap.apply(c.eps) == ChartElem(c.target, {(-1, -1, 0): 1})
+
+
+def per_monomial_apply(rmap, elem):
+    """The oracle: one checked target monomial per term, times image_w^c, summed by +."""
+    au, bu = rmap.image_u
+    av, bv = rmap.image_v
+    target = rmap.target
+    out = target.zero()
+    for (i, j, c), k in elem.terms.items():
+        mono = target.monomial(k, au * i + av * j, bu * i + bv * j)
+        if c:
+            mono = mono * rmap.image_w ** c
+        out = out + mono
+    return out
+
+
+def non_diagonal_maps():
+    """Maps whose image matrix is not diagonal, so a transposed one sends some monomial elsewhere.
+
+    u -> UV, v -> V and a full matrix on rank-1 charts, a rank-1 chart
+    into 2:D12:3, and z^d = xy (d = 2, 3) onto a rank-1 cover by
+    x -> X^d Y^d, y -> Y^d, z -> X Y^2, which keeps the relation.
+    """
+    maps = []
+    for p in (2, 3, 5):
+        cover = ChartRing(p, 1, labels=("X", "Y"))
+        maps += [RingMap(cover, cover, (1, 1), (0, 1)), RingMap(cover, cover, (2, 1), (3, 5))]
+    d12 = chart_from_key("2:D12:3")
+    maps.append(RingMap(ChartRing(2, 1, labels=("s", "t")), d12, (1, 1), (0, 1)))
+    for key in ("2:A1", "3:A2"):
+        source = chart_from_key(key)
+        d = source.wdeg
+        cover = ChartRing(source.p, 1, labels=("X", "Y"))
+        maps.append(RingMap(source, cover, (d, d), (0, d), cover.monomial(1, 1, 2)))
+    return maps
+
+
+def test_apply_and_frobenius_equal_the_per_monomial_apply():
+    """Every quotient map, the Frobenius of every catalog chart and non-diagonal maps."""
+    rng = random.Random(3801)
+    maps = [quotient_case_from_key(key).rmap for key in ALL_QUOTIENT_KEYS]
+    maps += [frobenius_map(ring) for ring in catalog_charts()]
+    maps += non_diagonal_maps()
+    for rmap in maps:
+        for _ in range(12):
+            e = random_elem(rmap.source, rng)
+            got = rmap.apply(e)
+            assert got == per_monomial_apply(rmap, e), (rmap, str(e))
+            assert got.ring is rmap.target
+            assert ChartElem(got.ring, got.terms).terms == got.terms
+    for ring in catalog_charts():
+        fr = frobenius_map(ring)
+        for _ in range(12):
+            e = random_elem(ring, rng)
+            assert e.frobenius() == per_monomial_apply(fr, e), (ring, str(e))
+
+
+def test_a_non_diagonal_map_sends_each_exponent_by_its_column():
+    cover = ChartRing(2, 1, labels=("X", "Y"))
+    rmap = RingMap(cover, cover, (1, 1), (0, 1))  # u -> UV, v -> V
+    assert rmap.apply(cover.monomial(1, 2, -3)) == cover.monomial(1, 2, -1)
+    a1 = chart_from_key("2:A1")
+    rmap = RingMap(a1, cover, (2, 2), (0, 2), cover.monomial(1, 1, 2))
+    assert rmap.apply(a1.monomial(1, -1, -1, 1)) == cover.monomial(1, -1, -2)
+
+
+def test_ring_map_refusals():
+    d12 = chart_from_key("2:D12:3")
+    cover2, cover3 = ChartRing(2, 1, labels=("X", "Y")), ChartRing(3, 1, labels=("X", "Y"))
+    w2 = d12.monomial(1, 0, 0, 1) ** 2
+    RingMap(d12, d12, (2, 0), (0, 2), w2)  # the Frobenius is a ring map
+    with pytest.raises(ValueError, match="^characteristic mismatch$"):
+        RingMap(cover2, cover3, (1, 0), (0, 1))
+    bad_images = [(-1, 0), (0, 0), (0, -2), (2.0, 0), (0, 1.0), (True, 0), (1, False), ("2", 0), (None, 1)]
+    for bad in bad_images:
+        for name, images in (("u", (bad, (0, 1))), ("v", ((1, 0), bad))):
+            message = (f"image of {name} must be a unit monomial with nonnegative int exponents, "
+                       f"not both zero; got exponents {bad!r}")
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                RingMap(cover2, cover2, *images)
+    # a float exponent is refused also where no relation is checked, on a w-free source
+    with pytest.raises(ValueError, match="int exponents"):
+        RingMap(cover2, d12, (2.0, 0), (0, 1))
+    with pytest.raises(ValueError, match="^w needs an image$"):
+        RingMap(d12, d12, (2, 0), (0, 2))
+    with pytest.raises(ValueError, match="^rank-1 source has no w$"):
+        RingMap(cover2, cover2, (1, 0), (0, 1), cover2.one())
+    with pytest.raises(ValueError, match="^image of w lives in the wrong ring$"):
+        RingMap(d12, d12, (2, 0), (0, 2), chart_from_key("2:D12:2").monomial(1, 0, 0, 1) ** 2)
+    violated = [
+        d12.monomial(1, 0, 0, 1),  # w -> w under u, v -> u^2, v^2
+        w2 + d12.one(),  # (w^2 + 1)^2 = w^4 + 1
+        d12.zero(),
+    ]
+    for image_w in violated:
+        with pytest.raises(ValueError, match="^not a ring map: the image of w violates the source relation$"):
+            RingMap(d12, d12, (2, 0), (0, 2), image_w)
+    # z^3 = xy: the mu_3 quotient map, and the same with z -> XY^2
+    a2 = chart_from_key("3:A2")
+    RingMap(a2, cover3, (3, 0), (0, 3), cover3.monomial(1, 1, 1))
+    with pytest.raises(ValueError, match="^not a ring map"):
+        RingMap(a2, cover3, (3, 0), (0, 3), cover3.monomial(1, 1, 2))
+    with pytest.raises(ValueError, match="^element lives in the wrong ring$"):
+        frobenius_map(d12).apply(cover2.one())
+    with pytest.raises(ValueError, match="^element lives in the wrong ring$"):
+        frobenius_map(d12).apply(chart_from_key("2:D12:2").one())
+
+
+@pytest.mark.parametrize("key, case_id, n, image_u, image_v, image_w, eps, gen", [
+    ("quot:2:mu:A1", 1, 1, (2, 0), (0, 2), "X*Y", "x^-1*y^-1*z", "X^-1*Y^-1"),
+    ("quot:3:mu:A2", 1, 1, (3, 0), (0, 3), "X*Y", "x^-1*y^-1*z^2", "X^-1*Y^-1"),
+    ("quot:5:mu:A4", 1, 1, (5, 0), (0, 5), "X*Y", "x^-1*y^-1*z^4", "X^-1*Y^-1"),
+    ("quot:7:mu:A6", 1, 1, (7, 0), (0, 7), "X*Y", "x^-1*y^-1*z^6", "X^-1*Y^-1"),
+    ("quot:2:alpha:D4", 2, 2, (2, 0), (0, 2), "X^2*Y + X*Y^2", "x^-1*y^-1*z", "X^-1*Y^-1"),
+    ("quot:2:alpha:D8", 2, 3, (2, 0), (0, 2), "X*Y^4 + X^2*Y", "x^-1*y^-1*z", "X^-1*Y^-1"),
+    ("quot:2:alpha:D16", 2, 4, (2, 0), (0, 2), "X*Y^8 + X^2*Y", "x^-1*y^-1*z", "X^-1*Y^-1"),
+    ("quot:3:alpha:E6", 3, 2, (1, 0), (0, 3), "Y^4*Z + x*Z", "x^-1*y^-1*z", "2*x^-1*Y^-1*Z"),
+    ("quot:2:alpha:E8", 4, 4, (2, 0), (0, 2), "Y^5 + X^3", "x^-1*y^-1*z", "X^-1*Y^-1"),
+    ("quot:5:alpha:E8", 5, 2, (5, 0), (0, 1), "X^6*Z + 3*X^3*y*Z + y^2*Z", "x^-1*y^-1*z",
+     "4*X^-1*y^-1*Z"),
+])
+def test_quotient_cases_are_built_from_their_images(key, case_id, n, image_u, image_v, image_w, eps,
+                                                    gen):
+    case = quotient_case_from_key(key)
+    rmap = case.rmap
+    assert (case.case_id, case.n_expected, rmap.image_u, rmap.image_v) == (case_id, n, image_u, image_v)
+    assert (str(rmap.image_w), str(case.eps), str(case.predicted_gen)) == (image_w, eps, gen)
+    assert (rmap.source, rmap.target) == (case.source, case.target)
+    assert case.eps.ring is case.source and case.predicted_gen.ring is case.target
+
+
+@pytest.mark.parametrize("args, message", [
+    ((4, "beta", "A3"), "unknown group 'beta'; use mu or alpha"),
+    ((2, "gamma", "A1"), "unknown group 'gamma'; use mu or alpha"),
+    ((65537, "mu", "A1"), "mu_65537 quotient chart needs A_65536, got A1"),
+    ((3, "mu", "A1"), "mu_3 quotient chart needs A_2, got A1"),
+    ((3, "mu", "D4"), "mu_3 quotient chart needs A_2, got D4"),
+    ((4, "mu", "A3"), "modulus must be a prime below 2^16, got 4"),
+    ((2, "alpha", "D9"), "alpha_2 quotient chart needs D_(2^n), got D9"),
+    ((2, "alpha", "D2"), "D_2 is not a rational double point"),
+    ((2, "gamma", "Z1"), "unknown family 'Z'"),
+    ((7, "alpha", "E8"), "no quotient chart for (p=7, alpha, E8)"),
+    ((3, "alpha", "E7"), "no quotient chart for (p=3, alpha, E7)"),
+    ((2, "alpha", "E6"), "no quotient chart for (p=2, alpha, E6)"),
+    ((5, "alpha", "E6"), "no quotient chart for (p=5, alpha, E6)"),
+])
+def test_quotient_case_refusals_name_the_first_bad_field(args, message):
+    with pytest.raises(ValueError) as info:
+        quotient_case(*args)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("key, message", [
+    ("quot:2:mu", "bad quotient key 'quot:2:mu'; expected quot:p:group:SN"),
+    ("quot:2:alpha:D4:0", "bad quotient key 'quot:2:alpha:D4:0'; expected quot:p:group:SN"),
+    ("foo:2:mu:A1", "bad quotient key 'foo:2:mu:A1'; expected quot:p:group:SN"),
+    ("quot:x:mu:A1", "bad catalog key 'quot:x:mu:A1': prime 'x' is not an integer"),
+    ("quot:4:beta:A3", "unknown group 'beta'; use mu or alpha"),
+])
+def test_bad_quotient_keys_are_refused(key, message):
+    with pytest.raises(ValueError) as info:
+        quotient_case_from_key(key)
+    assert str(info.value) == message
 
 
 def test_quotient_case_lookup():

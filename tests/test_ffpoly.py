@@ -1,6 +1,8 @@
 import itertools
 import operator
 import random
+import re
+from fractions import Fraction
 
 import pytest
 
@@ -61,6 +63,13 @@ def test_fp_scalar_mismatched_primes():
 def test_fp_scalar_rejects_composite_modulus():
     with pytest.raises(ValueError):
         FpScalar(6, 1)
+
+
+@pytest.mark.parametrize("value", [1.5, 2.0, True, False, "1", None, Fraction(1, 1)])
+def test_fp_scalar_refuses_a_residue_that_is_not_an_int(value):
+    message = f"residue {value!r} of F_3 is not an int"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        FpScalar(3, value)
 
 
 def test_modulus_check_remembers_only_primes():
@@ -170,6 +179,18 @@ def test_parse_poly_names_negative_exponent():
 def test_multipoly_refuses_exponents_that_are_not_ints(exps, modulus):
     with pytest.raises(ValueError, match="has an entry that is not an int"):
         MultiPoly(("x", "y", "z"), {exps: 1}, modulus)
+
+
+@pytest.mark.parametrize("coeff", [1.5, 2.0, 0.0, True, False, "1", None, Fraction(1, 2)])
+@pytest.mark.parametrize("modulus", [None, 3])
+def test_multipoly_refuses_coefficients_that_are_not_ints(coeff, modulus):
+    message = f"coefficient {coeff!r} of term (1,) is not an int"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        MultiPoly(("x",), {(1,): coeff}, modulus)
+    # the check names the term of each coefficient, also one that sums to an int
+    message = f"coefficient {coeff!r} of term (0, 2) is not an int"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        MultiPoly(("x", "y"), {(1, 0): 1, (0, 2): coeff}, modulus)
 
 
 def test_finite_field_prime():

@@ -127,6 +127,14 @@ def test_taut_list():
         taut_realizable(2, "D", 20)
 
 
+@pytest.mark.parametrize("p", [65537, 4, 1])
+def test_taut_realizable_takes_only_primes_below_the_bound(p):
+    """The prime is checked as every other prime of the package is: below 2^16, with no trial division past it."""
+    with pytest.raises(ValueError, match=rf"^modulus must be a prime below 2\^16, got {p}$"):
+        taut_realizable(p, "A", 20)
+    assert taut_realizable(65521, "A", 20) is False  # the largest prime taken; 65521 = 1 mod 21
+
+
 def test_parse_sing_config():
     assert parse_sing_config("2D4:0 + A2") == (("A", 2, 0), ("D", 4, 0), ("D", 4, 0))
     assert parse_sing_config("8A1") == (("A", 1, 0),) * 8
@@ -422,6 +430,27 @@ def test_fibre_count_over_no_variables():
     field = FiniteField(5)
     assert _affine_count(field, MultiPoly((), {(): 0}, 5)) == 1
     assert _affine_count(field, MultiPoly((), {(): 3}, 5)) == 0
+
+
+def test_counts_read_the_value_at_the_origin_off_the_constant_term(monkeypatch):
+    """A constant chart and the cone point are counted with no evaluation of the polynomial."""
+    q, field = 3, FiniteField(3)
+    texts = ("0", "1", "2*x + y")
+    charts = [(parse_poly(text, ("x", "y", "t"), modulus=3), parse_poly(text, ("x", "y"), modulus=3))
+              for text in texts]
+    cones = [parse_poly(text, ("a", "b", "c", "d"), modulus=3) for text in ("a^2 + b^2 + c^2 + d^2", "1", "0")]
+    want_charts = [brute_zeros(field, c1) + brute_zeros(field, c2) + q + 1 for c1, c2 in charts]
+    # the cone point is a zero of every polynomial here but the constant 1
+    want_cones = [(brute_zeros(field, poly) - (field.evaluate_poly(poly, (0,) * 4) == 0)) // (q - 1)
+                  for poly in cones]
+
+    def no_evaluation(self, poly, point):
+        raise AssertionError("evaluate_poly in a point count")
+
+    monkeypatch.setattr(FiniteField, "evaluate_poly", no_evaluation)
+    assert [count_points(TwoChart(3, c1, c2), q) for c1, c2 in charts] == want_charts == [40, 4, 16]
+    models = [WeightedHypersurface(3, (1, 1, 1, 1), poly) for poly in cones]
+    assert [count_points(model, q) for model in models] == want_cones == [16, 0, 40]
 
 
 def test_ex71_counts_up_to_q128():

@@ -43,10 +43,13 @@ def test_every_target_is_defined_on_its_owner():
 # no tail op in reduce for a part that is a whole component, the
 # Frobenius sweeps reading shorter lengths off the longest by R, and
 # the last carry of each tail op making no product for a factor with no
-# term that can reach a residual monomial; that carry with every term
-# made 4,012, each length from scratch 4,927, the tail op on every part
+# term that can reach a residual monomial, and every ring map applied by
+# one substitution loop, with the images of the w-powers taken once per
+# map and per ring (each ring's as (w^p)^c); ring maps applied as sums of
+# monomials times image_w^c made 3,674, that carry with every term
+# 4,012, each length from scratch 4,927, the tail op on every part
 # 8,299, the p-th powers by ** 11,509 and the flat monomial sums 19,116.
-REPRODUCE_CHART_PRODUCTS = 3_674
+REPRODUCE_CHART_PRODUCTS = 3_570
 
 
 def test_traced_reproduce_counts_chart_products(capsys):
@@ -65,6 +68,8 @@ def test_traced_reproduce_counts_chart_products(capsys):
     assert 0 < t.calls["chartring.mul"] <= REPRODUCE_CHART_PRODUCTS
     assert t.calls["localcoh.reduce"] > 0
     assert t.calls["cli.main"] == 1
+    # each ring map checks its relation by applying itself, not by MultiPoly.evaluate
+    assert t.calls["ffpoly.evaluate"] == 0
     # reduce subtracts a Teichmuller lift on the tail, never through witt_sub
     assert t.metrics([])["localcoh.reduce.subs_per_call"] == 0
 
@@ -133,4 +138,4 @@ def test_traced_count_evaluates_each_fibre_without_evaluate_poly():
         t.uninstall()
     assert count == 1089
     assert t.calls["height.count_points"] == 1
-    assert t.calls["ffpoly.ff_evaluate"] <= 2
+    assert t.calls["ffpoly.ff_evaluate"] == 0
