@@ -49,13 +49,7 @@ from .lattice import (
     signature,
     unimodular_overlattice_exists,
 )
-from .reproduce import (
-    HypothesisError,
-    d_frobenius_check,
-    e8_pair_check,
-    e_frobenius_check,
-    reproduce_all,
-)
+from .reproduce import HypothesisError, frobenius_check, reproduce_all
 
 WITT_TABLE_SCHEMA = "rdpk3/witt-table/1"
 WITT_EVAL_SCHEMA = "rdpk3/witt-eval/1"
@@ -304,26 +298,7 @@ def cmd_chart_show(args) -> int:
 
 
 def cmd_localcoh_frob(args) -> int:
-    spec = parse_rdp_key(args.chart)
-    if spec.family == "D":
-        if spec.p != 2:
-            raise CliError(
-                f"the D-family check is for characteristic 2 only, not {args.chart!r}"
-            )
-        if args.j is None:
-            raise CliError("the D-family check needs --j")
-        rec = d_frobenius_check(spec.N, spec.r, args.n, args.j)
-    elif spec.family == "E":
-        pair = spec.p == 2 and spec.N == 8 and args.j == 2 and args.n == 1
-        if args.j is not None and not pair:
-            raise CliError(
-                "--j only applies to D-family charts (or --j 2 --n 1 on 2:E8)"
-            )
-        rec = e8_pair_check(spec.r) if pair else e_frobenius_check(
-            spec.p, spec.N, args.n, spec.r
-        )
-    else:
-        raise CliError(f"no torsion-class Frobenius data for the {_cut(spec.symbol)} chart")
+    rec = frobenius_check(args.chart, args.n, args.j)
     _emit(args, {"schema": CHECK_SCHEMA, **rec.as_json()}, rec.line())
     return 0 if rec.status == "pass" else 1
 

@@ -540,8 +540,14 @@ def json_document(text: str, what: str):
 _ECHO_LIMIT = 80
 
 
-def _cut(text: str) -> str:
-    """text for an error message: a longer one than _ECHO_LIMIT is cut, with its length."""
+def _cut(text) -> str:
+    """text, or an int written out, for an error message: one longer than _ECHO_LIMIT is cut, with its length.
+
+    An int of 14,000 bits or more, near Python's 4,300-digit limit of
+    str(), is named by its bit length instead.
+    """
+    if isinstance(text, int):
+        text = str(text) if text.bit_length() < 14_000 else f"<an integer of {text.bit_length()} bits>"
     return text if len(text) <= _ECHO_LIMIT else f"{text[:_ECHO_LIMIT]}… ({len(text)} characters)"
 
 

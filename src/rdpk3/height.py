@@ -163,10 +163,7 @@ def taut_realizable(p: int, family: str, N: int) -> bool:
     """
     _check_modulus(p)
     if rmax(p, family, N) != 0:
-        raise ValueError(
-            f"{family}_{N} is not taut in characteristic {p}; "
-            "use rdp_realizable_on_k3"
-        )
+        raise ValueError(f"{family}_{_cut(N)} is not taut in characteristic {p}; use rdp_realizable_on_k3")
     if N <= 19:
         return True
     if (family, N) == ("A", 20):

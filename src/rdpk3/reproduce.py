@@ -11,9 +11,11 @@ computations on the singularity catalog: the D_N family in
 characteristic 2 on the ideals (x, y^j, z), the E_8 coindex-1 class in
 characteristic 2 on (x, y^2, z), the E_6/E_7/E_8 classes at the
 threshold coindex, and the quotient-map pullbacks.  Each instance is
-one record; ``rdpk3 localcoh frob`` prints a single one.  The D, E and
-E_8 records share one chain, which computes each class once, at its
-longest admissible length, and reads the shorter lengths off it by R.
+one record.  The hypotheses of all three Frobenius families are stated
+once, in ``_refusal``; ``frobenius_check``, the one entry point that
+``rdpk3 localcoh frob`` prints, and the sweeps read it.  Every record
+comes from one chain, which computes each class once, at its longest
+admissible length, and reads the shorter lengths off it by R.
 
 Records carry an ``anchor``: a TeX fragment of the formula or phrase
 the check pins down, or the literal tag "plumbing" for rows that only
@@ -429,160 +431,148 @@ def c_one(n: int, j: int) -> int:
     return (1 << (n - 1)) * (2 * j - 1) + 1
 
 
-def _d_refusal(N: int, r: int, n: int, j: int) -> str:
-    """Why (N, r, n, j) is outside the D-family hypotheses, or "" (C1 grows with n, so n - 1 is in if n is)."""
-    if n < 1:
-        return f"length {_cut(str(n))} out of range; need n >= 1"
-    if j < 1:
-        return f"ideal exponent j = {_cut(str(j))} out of range; need j >= 1"
-    check_supported(2, n)
-    m = N // 2
-    if m < c_one(n, j):
-        return f"floor(N/2) = {m} < C1({n},{_cut(str(j))}) = {_cut(str(c_one(n, j)))}"
-    if n >= 2 and m - r < c_one(n - 1, j):
-        return f"floor(N/2) - r = {m - r} < C1({n - 1},{_cut(str(j))}) = {_cut(str(c_one(n - 1, j)))}"
+# (p, N) -> largest admissible length for the E threshold family
+E_FAMILY_LENGTHS = {(2, 6): 1, (2, 7): 3, (2, 8): 3, (3, 6): 1, (3, 7): 1, (3, 8): 2, (5, 8): 1}
+
+
+def _e_threshold(p: int, N: int, n: int) -> int:
+    """The threshold coindex rmax + 1 - n of E_N at length n: the largest admitted, and the one where F(e) != 0."""
+    return rmax(p, "E", N) + 1 - n
+
+
+def _refusal(spec: RdpSpec, n: int, j: Optional[int], key: str = "") -> str:
+    """Why the length-n Frobenius record of spec (ideal exponent j) is outside its family's hypotheses, or "".
+
+    The one statement of every family's hypotheses, read by the single
+    check and by the sweeps:
+    - D_N^r in characteristic 2, with j: n >= 1, j >= 1, floor(N/2) >= C1(n, j),
+      and for n >= 2 also floor(N/2) - r >= C1(n-1, j) (C1 grows with n, so
+      n - 1 is in if n is);
+    - the E_8 pair in characteristic 2: j = 2, n = 1, r <= 1;
+    - E_N^r with no j: 1 <= n <= E_FAMILY_LENGTHS[p, N] and r <= rmax + 1 - n.
+    key is the catalog key as typed, echoed (or else spec) when a D key is
+    not in characteristic 2.
+    """
+    p, N, r = spec.p, spec.N, spec.r
+    if spec.family == "D":
+        if p != 2:
+            return f"the D-family check is for characteristic 2 only, not {str(key or spec)!r}"
+        if j is None:
+            return "the D-family check needs --j"
+        if n < 1:
+            return f"length {_cut(str(n))} out of range; need n >= 1"
+        if j < 1:
+            return f"ideal exponent j = {_cut(str(j))} out of range; need j >= 1"
+        check_supported(2, n)
+        m = N // 2
+        if m < c_one(n, j):
+            return f"floor(N/2) = {m} < C1({n},{_cut(str(j))}) = {_cut(str(c_one(n, j)))}"
+        if n >= 2 and m - r < c_one(n - 1, j):
+            return f"floor(N/2) - r = {m - r} < C1({n - 1},{_cut(str(j))}) = {_cut(str(c_one(n - 1, j)))}"
+        return ""
+    if spec.family != "E":
+        return f"no torsion-class Frobenius data for the {_cut(spec.symbol)} chart"
+    if j is not None:
+        if (p, N, j, n) != (2, 8, 2, 1):
+            return "--j only applies to D-family charts (or --j 2 --n 1 on 2:E8)"
+        return "" if r <= 1 else "only coindexes 0 and 1 are covered here"
+    max_n = E_FAMILY_LENGTHS.get((p, N))
+    if max_n is None:
+        return f"(p, N) = ({p}, {N}) is not in the family"
+    if not (1 <= n <= max_n):
+        return f"length {n} out of range 1..{max_n}"
+    threshold = _e_threshold(p, N, n)
+    if r > threshold:
+        return f"coindex {r} out of range 0..{threshold}"
     return ""
 
 
-def _chain(eps, ideal: IdealSpec, n_max: int, anchor: str, each, extra=None) -> List[CheckRecord]:
-    """The records of lengths 1..n_max, read by R off one class e = [(eps, 0, ..., 0)] of length n_max.
+def _chain(spec: RdpSpec, n_max: int, j: Optional[int], unified: bool) -> List[CheckRecord]:
+    """The records of lengths 1..n_max of one admitted (spec, j), read by R off one class e = [(eps, 0, ..., 0)].
 
-    e, F(e) and the torsion of e for ideal are computed once.  each(n)
-    gives the length-n record's id, predicted generator and note tail, as
-    _class_record takes them.  A record notes R^(n_max - n) e not being
-    (eps, 0, ..) or not ideal-torsion, then the problems extra(e) finds.
+    e, F(e) and the torsion of e are computed once, at length n_max, with
+    eps = x^-1 y^-j z (j = 1 when j is None) on the D_N or E_N chart
+    (unified picks the D equation at r = 0).  The ideal is (x, y^j, z),
+    or (x, y, z) when j is None.  By family, a record's id and predicted
+    generator (None for F(e) = 0) are:
+    - D_N^r: [x^-1 y^a z] when a = floor(N/2) - r - C1(n, j) < 0, a noted;
+    - the E_8 pair: [x^-1 y^-1 z] at r = 1; e must not be (x, y, z)-torsion;
+    - E_N^r: eps exactly at the threshold coindex.
+    A record notes R^(n_max - n) e not being (eps, 0, ..) or not ideal-torsion.
     """
+    p, family, N, r = spec.p, spec.family, spec.N, spec.r
+    ring = rdp_chart(spec, unified=unified)
+    eps = ring.monomial(1, -1, -(j or 1), 1)
+    ideal = IdealSpec.maximal(ring) if j is None else IdealSpec.coordinate_power(ring, j)
+    pair = family == "E" and j is not None
+    anchor = ANCHOR_D_FAMILY if family == "D" else ANCHOR_E8_PAIR if pair else ANCHOR_E_FAMILY
     e = class_of(eps, n_max)
     fe = frobenius_class(e)
     torsion = torsion_length(e, ideal, fe)
-    more = extra(e) if extra else []
-    base = (eps,) + (eps.ring.zero(),) * (n_max - 1)
+    more = ["e unexpectedly torsion for (x, y, z)"] if pair and is_torsion(e, IdealSpec.maximal(ring)) else []
+    base = (eps,) + (ring.zero(),) * (n_max - 1)
     recs = []
     for n in range(1, n_max + 1):
         problems = [] if e.components[:n] == base[:n] else ["base class is not (eps, 0, ..)"]
         if n > torsion:
             problems.append(f"e not torsion for {ideal}")
-        rid, gen, tail = each(n)
+        tail = ()
+        if family == "D":
+            a = N // 2 - r - c_one(n, j)
+            rid = f"frobenius:2:D:N{N:02d}:r{r:02d}:n{n:02d}:j{j:02d}" + (":variant=unified" if unified else "")
+            gen, tail = ring.monomial(1, -1, a, 1) if a < 0 else None, (f"a={a}",)
+        elif pair:
+            rid, gen = f"frobenius:2:E8:j2:r{r:02d}", ring.monomial(1, -1, -1, 1) if r == 1 else None
+        else:
+            rid = f"frobenius:E:p{p:02d}:N{N:02d}:n{n:02d}:r{r:02d}"
+            gen = eps if r == _e_threshold(p, N, n) else None
         recs.append(_class_record(rid, r_class(fe, n), n, gen, anchor, problems + more, tail))
     return recs
 
 
-def d_frobenius_check(N: int, r: int, n: int, j: int, unified: bool = False) -> CheckRecord:
-    """Frobenius of the (x, y^j, z)-torsion class on a D_N^r chart, char 2.
+def frobenius_check(key: str, n: int, j: Optional[int] = None, unified: bool = False) -> CheckRecord:
+    """The length-n Frobenius record of the chart with catalog key key (like "2:D12:3"), as the sweeps make it.
 
-    Hypotheses: n >= 1, j >= 1, floor(N/2) >= C1(n, j), and for n >= 2 also
-    floor(N/2) - r >= C1(n-1, j).  Prediction with a = floor(N/2) - r - C1(n, j):
-    F(e) = 0 when a >= 0, and V^(n-1)([x^(-1) y^a z]) (up to a unit) when a < 0.
-    This is the sweep's chain at n_max = n; the sweep reads shorter lengths by R.
+    Outside the family's hypotheses this raises HypothesisError with
+    _refusal's reason; otherwise it is the sweep's chain at n_max = n,
+    whose last record reads nothing off a longer class.
     """
-    spec = RdpSpec(2, "D", N, r)
-    if refusal := _d_refusal(N, r, n, j):
-        raise HypothesisError(refusal)
-    return _d_chain(spec, n, j, unified)[-1]
+    spec = parse_rdp_key(key)
+    if reason := _refusal(spec, n, j, key):
+        raise HypothesisError(reason)
+    return _chain(spec, n, j, unified)[-1]
 
 
-def _d_chain(spec: RdpSpec, n_max: int, j: int, unified: bool) -> List[CheckRecord]:
-    ring = rdp_chart(spec, unified=unified)
-    variant = ":variant=unified" if unified else ""
+def _sweep(instances) -> List[CheckRecord]:
+    """One chain per (spec, j, unified) that _refusal admits, at the longest admitted length up to 3.
 
-    def each(n):
-        a = spec.N // 2 - spec.r - c_one(n, j)
-        return (f"frobenius:2:D:N{spec.N:02d}:r{spec.r:02d}:n{n:02d}:j{j:02d}{variant}",
-                ring.monomial(1, -1, a, 1) if a < 0 else None, (f"a={a}",))
-
-    return _chain(ring.monomial(1, -1, -j, 1), IdealSpec.coordinate_power(ring, j), n_max, ANCHOR_D_FAMILY, each)
+    Admission only shrinks as n grows, so the chain's shorter lengths are
+    admitted too.  The D grid stops at n = 3; no E rule reaches past it.
+    """
+    recs = []
+    for spec, j, unified in instances:
+        n_max = next((n for n in (3, 2, 1) if not _refusal(spec, n, j)), 0)
+        if n_max:
+            recs += _chain(spec, n_max, j, unified)
+    return recs
 
 
 def d_frobenius_sweep() -> List[CheckRecord]:
-    """All admissible (N, r, n, j) with N <= 21, n <= 3, j <= 4; both equations at r = 0.
-
-    One chain per (N, r, j, equation); each N's records in the grid order n, j, r, equation.
-    """
-    recs = []
-    for N in range(4, 22):
-        chains = []
-        for j in range(1, 5):
-            for r in range(rmax(2, "D", N) + 1):
-                n_max = next((n for n in (3, 2, 1) if not _d_refusal(N, r, n, j)), 0)
-                if n_max:
-                    chains += [_d_chain(RdpSpec(2, "D", N, r), n_max, j, unified)
-                               for unified in ((False, True) if r == 0 else (False,))]
-        recs += [rec for n in range(3) for chain in chains for rec in chain[n:n + 1]]
-    return recs
-
-
-def e8_pair_check(r: int) -> CheckRecord:
-    """Frobenius of the (x, y^2, z)-torsion class on E_8^r, char 2, length 1.
-
-    For r = 1 the result is the generator [x^(-1) y^(-1) z]; for r = 0 it
-    vanishes.  The class itself is (x, y^2, z)-torsion but not torsion
-    for the full coordinate ideal.
-    """
-    if r not in (0, 1):
-        raise HypothesisError("only coindexes 0 and 1 are covered here")
-    ring = rdp_chart(RdpSpec(2, "E", 8, r))
-    return _chain(
-        ring.monomial(1, -1, -2, 1), IdealSpec.coordinate_power(ring, 2), 1, ANCHOR_E8_PAIR,
-        lambda n: (f"frobenius:2:E8:j2:r{r:02d}", ring.monomial(1, -1, -1, 1) if r == 1 else None, ()),
-        lambda e: ["e unexpectedly torsion for (x, y, z)"] if is_torsion(e, IdealSpec.maximal(ring)) else [],
-    )[0]
+    """All admissible (N, r, n, j) with N <= 21, n <= 3, j <= 4; both equations at r = 0."""
+    return _sweep((spec, j, unified)
+                  for N in range(4, 22) for r in range(rmax(2, "D", N) + 1) for spec in [RdpSpec(2, "D", N, r)]
+                  for j in range(1, 5) for unified in ((False, True) if r == 0 else (False,)))
 
 
 def e8_pair_sweep() -> List[CheckRecord]:
-    return [e8_pair_check(1), e8_pair_check(0)]
-
-
-# (p, N) -> largest admissible length for the threshold family below
-E_FAMILY_LENGTHS = {
-    (2, 6): 1,
-    (2, 7): 3,
-    (2, 8): 3,
-    (3, 6): 1,
-    (3, 7): 1,
-    (3, 8): 2,
-    (5, 8): 1,
-}
-
-
-def e_frobenius_check(p: int, N: int, n: int, r: int) -> CheckRecord:
-    """Frobenius of the coordinate-ideal torsion class on E_N^r charts.
-
-    Admissible lengths per (p, N) as in E_FAMILY_LENGTHS, coindex
-    0 <= r <= rmax + 1 - n.  Prediction: F(e) = 0 strictly below the
-    threshold coindex rmax + 1 - n, and V^(n-1) of a generator exactly
-    at it.  This is the sweep's chain at n_max = n; the sweep reads
-    shorter lengths by R.
-    """
-    max_n = E_FAMILY_LENGTHS.get((p, N))
-    if max_n is None:
-        raise HypothesisError(f"(p, N) = ({p}, {N}) is not in the family")
-    if not (1 <= n <= max_n):
-        raise HypothesisError(f"length {n} out of range 1..{max_n}")
-    threshold = rmax(p, "E", N) + 1 - n
-    if not (0 <= r <= threshold):
-        raise HypothesisError(f"coindex {r} out of range 0..{threshold}")
-    return _e_chain(p, N, r, n)[-1]
-
-
-def _e_chain(p: int, N: int, r: int, n_max: int) -> List[CheckRecord]:
-    ring = rdp_chart(RdpSpec(p, "E", N, r))
-    eps = ring.monomial(1, -1, -1, 1)
-    return _chain(eps, IdealSpec.maximal(ring), n_max, ANCHOR_E_FAMILY, lambda n: (
-        f"frobenius:E:p{p:02d}:N{N:02d}:n{n:02d}:r{r:02d}", eps if r == rmax(p, "E", N) + 1 - n else None, ()))
+    """The E_8 pair at every admissible coindex."""
+    return _sweep((RdpSpec(2, "E", 8, r), 2, False) for r in range(rmax(2, "E", 8) + 1))
 
 
 def e_frobenius_sweep() -> List[CheckRecord]:
-    """All admissible (p, N, n, r) instances of the threshold family.
-
-    One chain per (p, N, r) at n_max = min(max_n, rmax + 1 - r), the longest
-    admissible length; each (p, N)'s records in the grid order n, r.
-    """
-    recs = []
-    for (p, N), max_n in sorted(E_FAMILY_LENGTHS.items()):
-        bound = rmax(p, "E", N)
-        chains = [_e_chain(p, N, r, min(max_n, bound + 1 - r)) for r in range(bound + 1)]
-        recs += [rec for n in range(max_n) for chain in chains for rec in chain[n:n + 1]]
-    return recs
+    """All admissible (p, N, n, r) instances of the E threshold family."""
+    return _sweep((RdpSpec(p, "E", N, r), None, False)
+                  for p, N in sorted(E_FAMILY_LENGTHS) for r in range(rmax(p, "E", N) + 1))
 
 
 def quotient_pullback_check(key: str) -> CheckRecord:

@@ -38,7 +38,7 @@ from __future__ import annotations
 import functools
 import operator
 
-from .ffpoly import FpScalar, MultiPoly, _cut, is_prime
+from .ffpoly import FpScalar, MultiPoly, _check_modulus, _cut
 
 SUPPORTED_RANGES = {2: 4, 3: 2, 5: 2, 7: 1}
 
@@ -87,8 +87,7 @@ def derive_integer_polys(p: int, n: int, op: str) -> tuple:
     solved from the ghost identity at level N, reusing lower levels; the
     division by p^N is exact by construction and verified as such.
     """
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
+    _check_modulus(p)
     if op not in ("add", "mul", "neg"):
         raise ValueError(f"unknown Witt operation {op!r}")
     polys: list = []

@@ -314,6 +314,37 @@ def test_localcoh_frob_a_family_refused(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv,stderr",
+    [
+        (("3:D8", "--n", "1", "--j", "1"),
+         "the D-family check is for characteristic 2 only, not '3:D8'"),
+        (("2:D12:3", "--n", "2"), "the D-family check needs --j"),
+        (("2:D12:3", "--n", "0", "--j", "1"), "length 0 out of range; need n >= 1"),
+        (("2:D12:3", "--n", "2", "--j", "0"), "ideal exponent j = 0 out of range; need j >= 1"),
+        (("2:D12:3", "--n", "9", "--j", "1"), "W_9 at p=2 out of supported range 1..4"),
+        (("2:D12:3", "--n", "2", "--j", "2"), "floor(N/2) = 6 < C1(2,2) = 7"),
+        (("2:D14:6", "--n", "2", "--j", "1"), "floor(N/2) - r = 1 < C1(1,1) = 2"),
+        (("3:A2:0", "--n", "1"), "no torsion-class Frobenius data for the A2 chart"),
+        (("2:E7:0", "--n", "1", "--j", "3"),
+         "--j only applies to D-family charts (or --j 2 --n 1 on 2:E8)"),
+        (("2:E8:1", "--n", "2", "--j", "2"),
+         "--j only applies to D-family charts (or --j 2 --n 1 on 2:E8)"),
+        (("2:E8:2", "--n", "1", "--j", "2"), "only coindexes 0 and 1 are covered here"),
+        (("2:E7:0", "--n", "4"), "length 4 out of range 1..3"),
+        (("2:E8:0", "--n", "0"), "length 0 out of range 1..3"),
+        (("3:E8:2", "--n", "2"), "coindex 2 out of range 0..1"),
+        (("5:E6", "--n", "1"), "(p, N) = (5, 6) is not in the family"),
+    ],
+    ids=["d-char-3-as-typed", "d-no-j", "d-n-0", "d-j-0", "d-n-unsupported", "d-c1-n",
+         "d-c1-n-minus-1", "a-chart", "e-j-3", "e8-j-2-n-2", "e8-pair-r-2", "e-n-above-table",
+         "e-n-0", "e-r-above-threshold", "e-not-in-family"],
+)
+def test_localcoh_frob_refusals_print_their_reason(capsys, argv, stderr):
+    code, out, err = run(capsys, "localcoh", "frob", "--chart", *argv)
+    assert (code, out, err) == (2, "", f"error: {stderr}\n")
+
+
 def test_height_from_rdp(capsys):
     code, doc = run_json(capsys, "height", "from-rdp", "2:D10:3")
     assert code == 0
@@ -1056,7 +1087,7 @@ def test_localcoh_frob_failing_check_exits_1(capsys, monkeypatch):
     def failing(*args, **kwargs):
         return CheckRecord("frobenius:2:D:N12", "fail", "1", "0", "plumbing")
 
-    monkeypatch.setattr(cli, "d_frobenius_check", failing)
+    monkeypatch.setattr(cli, "frobenius_check", failing)
     code, out, err = run(
         capsys, "localcoh", "frob", "--chart", "2:D12:3", "--n", "2", "--j", "1"
     )

@@ -135,6 +135,13 @@ def test_taut_realizable_takes_only_primes_below_the_bound(p):
     assert taut_realizable(65521, "A", 20) is False  # the largest prime taken; 65521 = 1 mod 21
 
 
+def test_taut_realizable_cuts_the_type_it_refuses():
+    message = str(pytest.raises(ValueError, taut_realizable, 2, "D", 10**200).value)
+    assert message.startswith("D_1000") and "(201 characters)" in message and len(message) < 300
+    message = str(pytest.raises(ValueError, taut_realizable, 2, "D", 10**5000).value)
+    assert "is not taut in characteristic 2" in message and "Exceeds the limit" not in message
+
+
 def test_parse_sing_config():
     assert parse_sing_config("2D4:0 + A2") == (("A", 2, 0), ("D", 4, 0), ("D", 4, 0))
     assert parse_sing_config("8A1") == (("A", 1, 0),) * 8

@@ -35,11 +35,10 @@ from rdpk3.reproduce import (
     _random_elem,
     c_one,
     E_FAMILY_LENGTHS,
-    d_frobenius_check,
     d_frobenius_sweep,
-    e8_pair_check,
-    e_frobenius_check,
+    e8_pair_sweep,
     e_frobenius_sweep,
+    frobenius_check,
     quotient_pullback_check,
     reproduce_all,
 )
@@ -386,7 +385,7 @@ def test_scalar_mul_class_agrees_with_the_full_loop(key):
                 assert scalar_mul_class(g, e) == scalar_mul_oracle(g, e), (n, str(g), str(e))
 
 
-# computed strings of the 22 admissible d_frobenius_check(N, r, 4, 1), N = 18..21,
+# computed strings of the 22 admissible frobenius_check(f"2:D{N}:{r}", 4, 1), N = 18..21,
 # as the full-vector reduce gave them; the reproduce report stops at n = 3
 D_FAMILY_N4_COMPUTED = {
     (18, 0): "(0, 0, 0, 0)",
@@ -419,7 +418,7 @@ def test_d_family_at_length_four_is_pinned():
     for N in range(18, 22):
         for r in range(rmax(2, "D", N) + 1):
             try:
-                rec = d_frobenius_check(N, r, 4, 1)
+                rec = frobenius_check(f"2:D{N}:{r}", 4, 1)
             except HypothesisError:
                 continue
             assert rec.status == "pass", rec.line()
@@ -578,48 +577,48 @@ def test_exponent_threshold():
 
 def test_d_family_check_vanishing_case():
     # N = 12, r = 0, n = 1, j = 1: a = 6 - 0 - 2 = 4 >= 0, so F(e) = 0
-    res = d_frobenius_check(12, 0, 1, 1)
+    res = frobenius_check("2:D12:0", 1, 1)
     assert res.status == "pass"
     assert "a=4" in res.note
 
 
 def test_d_family_check_shifted_case():
     # N = 4, r = 1, n = 1, j = 1: a = 2 - 1 - 2 = -1 < 0
-    res = d_frobenius_check(4, 1, 1, 1)
+    res = frobenius_check("2:D4:1", 1, 1)
     assert res.status == "pass"
     assert "a=-1" in res.note
 
 
 def test_d_family_check_unified_chart_agrees():
-    plain = d_frobenius_check(8, 0, 2, 1)
-    uni = d_frobenius_check(8, 0, 2, 1, unified=True)
+    plain = frobenius_check("2:D8:0", 2, 1)
+    uni = frobenius_check("2:D8:0", 2, 1, unified=True)
     assert plain.status == uni.status == "pass"
 
 
 def test_d_family_hypothesis_guard():
     with pytest.raises(HypothesisError):
-        d_frobenius_check(12, 3, 2, 2)  # floor(12/2) = 6 < C1(2,2) = 7
+        frobenius_check("2:D12:3", 2, 2)  # floor(12/2) = 6 < C1(2,2) = 7
     with pytest.raises(HypothesisError):
-        d_frobenius_check(4, 0, 1, 2)  # 2 < C1(1,2) = 4
+        frobenius_check("2:D4:0", 1, 2)  # 2 < C1(1,2) = 4
     with pytest.raises(HypothesisError):
-        d_frobenius_check(14, 6, 2, 1)  # 7 - 6 = 1 < C1(1,1) = 2
+        frobenius_check("2:D14:6", 2, 1)  # 7 - 6 = 1 < C1(1,1) = 2
     # boundary instance right at the second inequality still runs
-    res = d_frobenius_check(14, 5, 2, 1)
+    res = frobenius_check("2:D14:5", 2, 1)
     assert res.status == "pass"
 
 
 def test_e8_pair_both_coindexes():
     for r in (0, 1):
-        res = e8_pair_check(r)
+        res = frobenius_check(f"2:E8:{r}", 1, 2)
         assert res.status == "pass", res.line()
 
 
 def test_e_family_rows():
-    assert e_frobenius_check(2, 7, 1, 0).status == "pass"
-    assert e_frobenius_check(3, 8, 2, 1).status == "pass"
-    assert e_frobenius_check(5, 8, 1, 1).status == "pass"
+    assert frobenius_check("2:E7:0", 1).status == "pass"
+    assert frobenius_check("3:E8:1", 2).status == "pass"
+    assert frobenius_check("5:E8:1", 1).status == "pass"
     with pytest.raises(ValueError):
-        e_frobenius_check(2, 7, 4, 0)  # length above the table entry
+        frobenius_check("2:E7:0", 4)  # length above the table entry
 
 
 def test_quotient_pullback_single_case():
@@ -663,7 +662,7 @@ def test_verify_family_tokens():
 
 
 def test_check_result_line_format():
-    res = e8_pair_check(1)
+    res = frobenius_check("2:E8:1", 1, 2)
     line = res.line()
     assert line.startswith("[ok  ]")
     assert "frobenius" in line
@@ -671,44 +670,48 @@ def test_check_result_line_format():
 
 def test_d_family_rejects_zero_length():
     with pytest.raises(HypothesisError, match="length 0"):
-        d_frobenius_check(12, 3, 0, 1)
+        frobenius_check("2:D12:3", 0, 1)
 
 
-def _admitted(check, grid):
-    """check(*args) for each args of grid that its hypotheses admit, one record at a time."""
-    recs = []
+def _admitted(grid):
+    """frobenius_check(*args) for each args of grid that its hypotheses admit, by record id."""
+    recs = {}
     for args in grid:
         try:
-            recs.append(check(*args))
+            rec = frobenius_check(*args)
         except HypothesisError:
             continue
+        recs[rec.check_id] = rec
     return recs
 
 
 def test_sweeps_read_by_restriction_equal_the_single_record_checks():
     """Each sweep computes one class per chart and ideal at its longest admissible
-    length and reads the shorter lengths off it by R; every record it yields, in
-    grid order, is the single-record check run at that length, which reads nothing."""
+    length and reads the shorter lengths off it by R; every record it yields is the
+    single-record check run at that length, which reads nothing, and the sweep
+    yields every record of its grid that the check admits."""
     d_grid = (
-        (N, r, n, j, unified)
+        (f"2:D{N}:{r}", n, j, unified)
         for N in range(4, 22)
         for n in range(1, 4)
         for j in range(1, 5)
         for r in range(rmax(2, "D", N) + 1)
         for unified in ((False, True) if r == 0 else (False,))
     )
+    e8_grid = ((f"2:E8:{r}", n, 2) for n in range(1, 4) for r in range(rmax(2, "E", 8) + 1))
     e_grid = (
-        (p, N, n, r)
-        for (p, N), max_n in sorted(E_FAMILY_LENGTHS.items())
-        for n in range(1, max_n + 1)
+        (f"{p}:E{N}:{r}", n)
+        for p, N in sorted(E_FAMILY_LENGTHS)
+        for n in range(1, 4)
         for r in range(rmax(p, "E", N) + 1)
     )
-    for sweep, want in ((d_frobenius_sweep(), _admitted(d_frobenius_check, d_grid)),
-                        (e_frobenius_sweep(), _admitted(e_frobenius_check, e_grid))):
-        assert [rec.check_id for rec in sweep] == [rec.check_id for rec in want]
-        for got, rec in zip(sweep, want):
-            assert got == rec, (got.line(), rec.line())
-    assert (len(d_frobenius_sweep()), len(e_frobenius_sweep())) == (622, 34)
+    sweeps = (d_frobenius_sweep(), e8_pair_sweep(), e_frobenius_sweep())
+    for sweep, grid in zip(sweeps, (d_grid, e8_grid, e_grid)):
+        want = _admitted(grid)
+        assert sorted(rec.check_id for rec in sweep) == sorted(want)
+        for got in sweep:
+            assert got == want[got.check_id], (got.line(), want[got.check_id].line())
+    assert [len(sweep) for sweep in sweeps] == [622, 2, 34]
 
 
 def test_torsion_length_reads_is_torsion_off_every_restriction():

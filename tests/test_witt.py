@@ -4,6 +4,7 @@ import operator
 import pathlib
 import random
 import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from rdpk3.witt import (
     _teich_sub,
     build_witt_table,
     check_supported,
+    derive_integer_polys,
     ghost,
     ghost_compatibility_ok,
     restriction,
@@ -835,3 +837,12 @@ def test_a_vector_of_scalars_and_one_of_ring_elements_do_not_combine(op, scalars
         kinds = ("F_2 scalars", f"{kind} elements") if scalars_first else (f"{kind} elements", "F_2 scalars")
         with pytest.raises(ValueError, match=f"^cannot combine a Witt vector of {kinds[0]} with one of {kinds[1]}$"):
             op(u, v)
+
+
+@pytest.mark.parametrize("p", [2**61 - 1, 65537])
+def test_derive_integer_polys_refuses_a_prime_over_the_bound_at_once(p):
+    # 2^61 - 1 was trial-divided up to its square root: over 10 s
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=rf"^modulus must be a prime below 2\^16, got {p}$"):
+        derive_integer_polys(p, 1, "add")
+    assert time.perf_counter() - start < 0.5
