@@ -69,7 +69,7 @@ def _validate_symbol(family: str, N: int) -> None:
     else:
         raise ValueError(f"unknown family {_cut(repr(family))}")
     if not ok:
-        raise ValueError(f"{family}_{_cut(str(N))} is not a rational double point")
+        raise ValueError(f"{family}_{_cut(N)} is not a rational double point")
 
 
 def parse_symbol(text: str) -> tuple:
@@ -94,8 +94,8 @@ class RdpSpec(FrozenRecord):
         bound = rmax(p, family, N)
         if not (0 <= r <= bound):
             raise ValueError(
-                f"coindex {_cut(str(r))} out of range 0..{_cut(str(bound))} for "
-                f"{family}_{_cut(str(N))} in characteristic {p}"
+                f"coindex {_cut(r)} out of range 0..{_cut(bound)} for "
+                f"{family}_{_cut(N)} in characteristic {p}"
             )
         self._fill(p, family, N, r)
 
@@ -440,11 +440,11 @@ def _rdp_chart(spec: RdpSpec, unified: bool) -> ChartRing:
 
     if family == "A":
         if N != p - 1:
-            raise ValueError(f"A_{_cut(str(N))} in characteristic {p}: only A_{{p-1}} is needed here")
+            raise ValueError(f"A_{_cut(N)} in characteristic {p}: only A_{{p-1}} is needed here")
         return ChartRing(p, p if p > 2 else 2, xy({(1, 1): 1}), None, ("x", "y", "z"), key)
 
     if rmax(p, family, N) == 0:
-        raise ValueError(f"{family}_{_cut(str(N))} is taut in characteristic {p}; no chart here")
+        raise ValueError(f"{family}_{_cut(N)} is taut in characteristic {p}; no chart here")
 
     if family == "D":
         m = N // 2

@@ -265,7 +265,7 @@ def cmd_chart_show(args) -> int:
     bound = rmax(spec.p, spec.family, spec.N)
     if bound > _COINDEX_GUARD:
         raise CliError(
-            f"catalog key {_cut(repr(key))} has maximal coindex {_cut(str(bound))}, "
+            f"catalog key {_cut(repr(key))} has maximal coindex {_cut(bound)}, "
             f"over the coindex guard {_COINDEX_GUARD}"
         )
     ring = rdp_chart(spec, unified=args.unified)

@@ -53,7 +53,7 @@ def is_supported_prime(p: int) -> bool:
 @functools.lru_cache(maxsize=None)
 def _check_modulus(p: int) -> None:
     if not is_supported_prime(p):
-        raise ValueError(f"modulus must be a prime below 2^16, got {_cut(str(p))}")
+        raise ValueError(f"modulus must be a prime below 2^16, got {_cut(p)}")
 
 
 class Record:
@@ -754,7 +754,7 @@ class FiniteField:
 def _prime_power(q: int):
     # the size bound first: the search below takes up to q steps
     if q >= MAX_PRIME:
-        raise ValueError(f"field too large: {_cut(str(q))}")
+        raise ValueError(f"field too large: {_cut(q)}")
     for p in range(2, q + 1):
         if q % p == 0:
             k = 0

@@ -90,6 +90,14 @@ class NonOccurrenceError(ValueError):
     """Raised for a coindexed rational double point that no K3 carries."""
 
 
+LENGTH_CAP = 3  # no coindex is realized above height 3; the Frobenius checks stop at this length too
+
+
+def c_one(n: int, j: int) -> int:
+    """The exponent threshold 2^(n-1) (2j - 1) + 1 for the D_N family."""
+    return (1 << (n - 1)) * (2 * j - 1) + 1
+
+
 def height_sequence(p: int, family: str, N: int) -> Tuple[int, ...]:
     """Coindexes (r_1, r_2, ...) realized at heights 1, 2, ... on K3s.
 
@@ -98,20 +106,18 @@ def height_sequence(p: int, family: str, N: int) -> Tuple[int, ...]:
     singularity has coindex r_h; height > len(sequence) (in particular
     infinite height) forces coindex 0.  Empty for taut types.
 
-    For D_N in characteristic 2 (write m = floor(N/2)) the realized
-    coindexes are m-1, m-2, m-4, those that are >= 1; for E_8 in
-    characteristic 2 they are 4, 3, 2; in every other case the whole
-    range rmax, ..., 1 occurs.
+    r_h = floor(N/2) + 1 - C1(h, 1) for D_N in characteristic 2 (m - 1,
+    m - 2, m - 4 with m = floor(N/2)) and rmax + 1 - h for E_N, for h up
+    to LENGTH_CAP while r_h >= 1.  On every row r_h is the least coindex
+    whose computed length-h Frobenius class is nonzero: an agreement
+    observed on the grid, not the paper's proof.
     """
     bound = rmax(p, family, N)
     if bound == 0:
         return ()
-    if p == 2 and family == "D":
-        m = N // 2
-        return tuple(r for r in (m - 1, m - 2, m - 4) if r >= 1)
-    if p == 2 and family == "E" and N == 8:
-        return (4, 3, 2)
-    return tuple(range(bound, 0, -1))
+    hs = range(1, LENGTH_CAP + 1)
+    rs = (N // 2 + 1 - c_one(h, 1) for h in hs) if family == "D" else (bound + 1 - h for h in hs)
+    return tuple(r for r in rs if r >= 1)
 
 
 def height_from_rdp(spec: RdpSpec) -> HeightValue:
@@ -308,7 +314,7 @@ def quotient_height(group: str, p: int, config) -> HeightValue:
     name = group.lower().lstrip("_ ")
     if name.startswith("mu"):
         if p not in MU_PRIMES:
-            raise ValueError(f"no mu_p quotient table entry for p={_cut(str(p))}")
+            raise ValueError(f"no mu_p quotient table entry for p={_cut(p)}")
         expected = tuple([("A", p - 1, 0)] * (24 // (p + 1)))
         if cfg != expected:
             raise ValueError(
@@ -320,7 +326,7 @@ def quotient_height(group: str, p: int, config) -> HeightValue:
         h = ALPHA_QUOTIENT_TABLE.get((p, cfg))
         if h is None:
             raise ValueError(
-                f"no alpha_{_cut(str(p))} maximal quotient with singular locus "
+                f"no alpha_{_cut(p)} maximal quotient with singular locus "
                 f"{_cut(sing_config_str(cfg))}"
             )
         return finite(h)
@@ -337,12 +343,15 @@ def etale_quotient_height(p: int, config) -> HeightValue:
     h = ETALE_QUOTIENT_TABLE.get((p, cfg))
     if h is None:
         raise ValueError(
-            f"no etale quotient table entry for p={_cut(str(p))}, "
+            f"no etale quotient table entry for p={_cut(p)}, "
             f"singular locus {_cut(sing_config_str(cfg))}"
         )
     for family, N, r in cfg:
         if r > 0:
-            forced = height_from_rdp(RdpSpec(p, family, N, r))
+            try:
+                forced = height_from_rdp(RdpSpec(p, family, N, r))
+            except NonOccurrenceError as exc:
+                raise RuntimeError(f"table height {h} disagrees: {exc}") from None
             if forced != finite(h):
                 raise RuntimeError(
                     f"table height {h} disagrees with forced height "
@@ -535,7 +544,7 @@ def _counted_polys(model: SurfaceModel, q: int) -> Tuple[MultiPoly, ...]:
     while power < q:
         power *= p
     if power != q:
-        raise ValueError(f"q={_cut(str(q))} is not a power of the characteristic {p}")
+        raise ValueError(f"q={_cut(q)} is not a power of the characteristic {p}")
     if isinstance(model, TwoChart):
         polys = (model.chart1, model.chart2_at_infinity)
     else:

@@ -67,9 +67,11 @@ from .localcoh import (
 from .localcoh import reduce as reduce_class
 from .height import (
     ETALE_QUOTIENT_TABLE,
+    LENGTH_CAP,
     NonOccurrenceError,
     TwoChart,
     WeightedHypersurface,
+    c_one,
     count_points,
     etale_quotient_height,
     finite,
@@ -426,20 +428,6 @@ class HypothesisError(ValueError):
     """A verification driver was invoked outside its admissible range."""
 
 
-def c_one(n: int, j: int) -> int:
-    """The exponent threshold 2^(n-1) (2j - 1) + 1 for the D_N family."""
-    return (1 << (n - 1)) * (2 * j - 1) + 1
-
-
-# (p, N) -> largest admissible length for the E threshold family
-E_FAMILY_LENGTHS = {(2, 6): 1, (2, 7): 3, (2, 8): 3, (3, 6): 1, (3, 7): 1, (3, 8): 2, (5, 8): 1}
-
-
-def _e_threshold(p: int, N: int, n: int) -> int:
-    """The threshold coindex rmax + 1 - n of E_N at length n: the largest admitted, and the one where F(e) != 0."""
-    return rmax(p, "E", N) + 1 - n
-
-
 def _refusal(spec: RdpSpec, n: int, j: Optional[int], key: str = "") -> str:
     """Why the length-n Frobenius record of spec (ideal exponent j) is outside its family's hypotheses, or "".
 
@@ -449,26 +437,27 @@ def _refusal(spec: RdpSpec, n: int, j: Optional[int], key: str = "") -> str:
       and for n >= 2 also floor(N/2) - r >= C1(n-1, j) (C1 grows with n, so
       n - 1 is in if n is);
     - the E_8 pair in characteristic 2: j = 2, n = 1, r <= 1;
-    - E_N^r with no j: 1 <= n <= E_FAMILY_LENGTHS[p, N] and r <= rmax + 1 - n.
+    - E_N^r with no j: 1 <= n <= len(seq) and r <= seq[n - 1] = rmax + 1 - n,
+      seq = height_sequence(p, "E", N); c_one (C1) and the cap on n are rdpk3.height's too.
     key is the catalog key as typed, echoed (or else spec) when a D key is
     not in characteristic 2.
     """
     p, N, r = spec.p, spec.N, spec.r
     if spec.family == "D":
         if p != 2:
-            return f"the D-family check is for characteristic 2 only, not {str(key or spec)!r}"
+            return f"the D-family check is for characteristic 2 only, not {_cut(repr(str(key or spec)))}"
         if j is None:
             return "the D-family check needs --j"
         if n < 1:
-            return f"length {_cut(str(n))} out of range; need n >= 1"
+            return f"length {_cut(n)} out of range; need n >= 1"
         if j < 1:
-            return f"ideal exponent j = {_cut(str(j))} out of range; need j >= 1"
+            return f"ideal exponent j = {_cut(j)} out of range; need j >= 1"
         check_supported(2, n)
         m = N // 2
         if m < c_one(n, j):
-            return f"floor(N/2) = {m} < C1({n},{_cut(str(j))}) = {_cut(str(c_one(n, j)))}"
+            return f"floor(N/2) = {_cut(m)} < C1({n},{_cut(j)}) = {_cut(c_one(n, j))}"
         if n >= 2 and m - r < c_one(n - 1, j):
-            return f"floor(N/2) - r = {m - r} < C1({n - 1},{_cut(str(j))}) = {_cut(str(c_one(n - 1, j)))}"
+            return f"floor(N/2) - r = {_cut(m - r)} < C1({n - 1},{_cut(j)}) = {_cut(c_one(n - 1, j))}"
         return ""
     if spec.family != "E":
         return f"no torsion-class Frobenius data for the {_cut(spec.symbol)} chart"
@@ -476,14 +465,13 @@ def _refusal(spec: RdpSpec, n: int, j: Optional[int], key: str = "") -> str:
         if (p, N, j, n) != (2, 8, 2, 1):
             return "--j only applies to D-family charts (or --j 2 --n 1 on 2:E8)"
         return "" if r <= 1 else "only coindexes 0 and 1 are covered here"
-    max_n = E_FAMILY_LENGTHS.get((p, N))
-    if max_n is None:
+    seq = height_sequence(p, "E", N)
+    if not seq:
         return f"(p, N) = ({p}, {N}) is not in the family"
-    if not (1 <= n <= max_n):
-        return f"length {n} out of range 1..{max_n}"
-    threshold = _e_threshold(p, N, n)
-    if r > threshold:
-        return f"coindex {r} out of range 0..{threshold}"
+    if not (1 <= n <= len(seq)):
+        return f"length {_cut(n)} out of range 1..{len(seq)}"
+    if r > seq[n - 1]:
+        return f"coindex {r} out of range 0..{seq[n - 1]}"
     return ""
 
 
@@ -525,7 +513,7 @@ def _chain(spec: RdpSpec, n_max: int, j: Optional[int], unified: bool) -> List[C
             rid, gen = f"frobenius:2:E8:j2:r{r:02d}", ring.monomial(1, -1, -1, 1) if r == 1 else None
         else:
             rid = f"frobenius:E:p{p:02d}:N{N:02d}:n{n:02d}:r{r:02d}"
-            gen = eps if r == _e_threshold(p, N, n) else None
+            gen = eps if r == height_sequence(p, "E", N)[n - 1] else None
         recs.append(_class_record(rid, r_class(fe, n), n, gen, anchor, problems + more, tail))
     return recs
 
@@ -544,23 +532,24 @@ def frobenius_check(key: str, n: int, j: Optional[int] = None, unified: bool = F
 
 
 def _sweep(instances) -> List[CheckRecord]:
-    """One chain per (spec, j, unified) that _refusal admits, at the longest admitted length up to 3.
+    """One chain per (spec, j, unified) that _refusal admits, at the longest admitted length up to LENGTH_CAP.
 
     Admission only shrinks as n grows, so the chain's shorter lengths are
-    admitted too.  The D grid stops at n = 3; no E rule reaches past it.
+    admitted too.  The D grid stops at the cap; no E rule reaches past it.
     """
     recs = []
     for spec, j, unified in instances:
-        n_max = next((n for n in (3, 2, 1) if not _refusal(spec, n, j)), 0)
+        n_max = next((n for n in range(LENGTH_CAP, 0, -1) if not _refusal(spec, n, j)), 0)
         if n_max:
             recs += _chain(spec, n_max, j, unified)
     return recs
 
 
 def d_frobenius_sweep() -> List[CheckRecord]:
-    """All admissible (N, r, n, j) with N <= 21, n <= 3, j <= 4; both equations at r = 0."""
+    """All admissible (N, r, n, j) on the D rows of _coindexed_spaces, n <= LENGTH_CAP, j <= 4; both equations at r = 0."""
     return _sweep((spec, j, unified)
-                  for N in range(4, 22) for r in range(rmax(2, "D", N) + 1) for spec in [RdpSpec(2, "D", N, r)]
+                  for p, family, N in _coindexed_spaces() if family == "D"
+                  for r in range(rmax(p, family, N) + 1) for spec in [RdpSpec(p, family, N, r)]
                   for j in range(1, 5) for unified in ((False, True) if r == 0 else (False,)))
 
 
@@ -570,9 +559,9 @@ def e8_pair_sweep() -> List[CheckRecord]:
 
 
 def e_frobenius_sweep() -> List[CheckRecord]:
-    """All admissible (p, N, n, r) instances of the E threshold family."""
-    return _sweep((RdpSpec(p, "E", N, r), None, False)
-                  for p, N in sorted(E_FAMILY_LENGTHS) for r in range(rmax(p, "E", N) + 1))
+    """All admissible (p, N, n, r) instances of the E threshold family, over the E rows of _coindexed_spaces."""
+    return _sweep((RdpSpec(p, family, N, r), None, False)
+                  for p, family, N in _coindexed_spaces() if family == "E" for r in range(rmax(p, family, N) + 1))
 
 
 def quotient_pullback_check(key: str) -> CheckRecord:
@@ -603,11 +592,9 @@ def quotient_pullback_sweep() -> List[CheckRecord]:
 
 
 def _coindexed_spaces() -> List[Tuple[int, str, int]]:
-    spaces = [(2, "D", N) for N in range(4, 22)]
-    spaces += [(2, "E", N) for N in (6, 7, 8)]
-    spaces += [(3, "E", N) for N in (6, 7, 8)]
-    spaces.append((5, "E", 8))
-    return spaces
+    """The non-taut (rmax > 0) D_N and E_N of rank N <= 21 in the supported characteristics, by p, then D before E."""
+    types = [("D", N) for N in range(4, 22)] + [("E", N) for N in (6, 7, 8)]
+    return [(p, family, N) for p in sorted(SUPPORTED_RANGES) for family, N in types if rmax(p, family, N)]
 
 
 def check_height_consistency() -> List[CheckRecord]:

@@ -45,9 +45,9 @@ SUPPORTED_RANGES = {2: 4, 3: 2, 5: 2, 7: 1}
 
 def check_supported(p: int, n: int) -> None:
     if p not in SUPPORTED_RANGES:
-        raise ValueError(f"unsupported prime {_cut(str(p))}; supported: {sorted(SUPPORTED_RANGES)}")
+        raise ValueError(f"unsupported prime {_cut(p)}; supported: {sorted(SUPPORTED_RANGES)}")
     if not (1 <= n <= SUPPORTED_RANGES[p]):
-        raise ValueError(f"W_{_cut(str(n))} at p={p} out of supported range 1..{SUPPORTED_RANGES[p]}")
+        raise ValueError(f"W_{_cut(n)} at p={p} out of supported range 1..{SUPPORTED_RANGES[p]}")
 
 
 def ghost(p: int, N: int, components):

@@ -345,6 +345,22 @@ def test_localcoh_frob_refusals_print_their_reason(capsys, argv, stderr):
     assert (code, out, err) == (2, "", f"error: {stderr}\n")
 
 
+@pytest.mark.parametrize(
+    "argv,named,limit",
+    [
+        (("2:E8", "--n", "9" * 4_000), "length 999", 200),
+        (("3:D" + "9" * 4_000, "--n", "1", "--j", "1"), "characteristic 2 only, not '3:D999", 200),
+        # floor(N/2), j and C1(1, j): three echoes, each cut
+        (("2:D" + "9" * 4_000 + ":0", "--n", "1", "--j", "9" * 4_000), "floor(N/2) = 4999", 400),
+    ],
+    ids=["e-length", "d-key-outside-char-2", "d-threshold"],
+)
+def test_localcoh_frob_refusals_cut_a_long_echo(capsys, argv, named, limit):
+    code, out, err = run(capsys, "localcoh", "frob", "--chart", *argv)
+    assert code == 2 and out == ""
+    assert named in err and "characters)" in err and len(err) < limit
+
+
 def test_height_from_rdp(capsys):
     code, doc = run_json(capsys, "height", "from-rdp", "2:D10:3")
     assert code == 0

@@ -7,7 +7,7 @@ import pytest
 
 from rdpk3.chartring import RdpSpec, parse_rdp_key
 from rdpk3 import height as height_module
-from rdpk3.ffpoly import FiniteField, MultiPoly, parse_poly
+from rdpk3.ffpoly import FiniteField, MultiPoly, _check_modulus, parse_poly
 from rdpk3.height import (
     ALPHA_QUOTIENT_TABLE,
     ETALE_QUOTIENT_TABLE,
@@ -34,7 +34,8 @@ from rdpk3.height import (
     taut_realizable,
 )
 from rdpk3.height import _affine_count
-from rdpk3.reproduce import ordinarity_examples
+from rdpk3.reproduce import frobenius_check, ordinarity_examples
+from rdpk3.witt import check_supported
 
 MODEL_PATH = pathlib.Path(__file__).resolve().parent.parent / "models" / "ex71.json"
 
@@ -49,6 +50,15 @@ def test_height_sequences_d_family():
     assert height_sequence(2, "D", 10) == (4, 3, 1)
     assert height_sequence(2, "D", 12) == (5, 4, 2)
     assert height_sequence(2, "D", 21) == (9, 8, 6)
+
+
+def test_height_sequence_d_rows_equal_the_old_closed_form():
+    """The D rows as first written: m - 1, m - 2, m - 4 (those >= 1), m = floor(N/2), in characteristic 2 only."""
+    for N in range(4, 65):
+        m = N // 2
+        assert height_sequence(2, "D", N) == tuple(r for r in (m - 1, m - 2, m - 4) if r >= 1), N
+        for p in (3, 5, 7):
+            assert height_sequence(p, "D", N) == (), (p, N)
 
 
 def test_height_sequences_e_family():
@@ -140,6 +150,32 @@ def test_taut_realizable_cuts_the_type_it_refuses():
     assert message.startswith("D_1000") and "(201 characters)" in message and len(message) < 300
     message = str(pytest.raises(ValueError, taut_realizable, 2, "D", 10**5000).value)
     assert "is not taut in characteristic 2" in message and "Exceeds the limit" not in message
+
+
+HUGE = 10**5000  # past Python's 4,300-digit limit of str()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: RdpSpec(2, "D", HUGE, -1),
+        lambda: RdpSpec(2, "D", 12, HUGE),
+        lambda: _check_modulus(HUGE),
+        lambda: check_supported(2, HUGE),
+        lambda: check_supported(HUGE, 1),
+        lambda: frobenius_check("2:D12:3", 1, HUGE),
+        lambda: frobenius_check("2:D12:3", HUGE, 1),
+        lambda: quotient_height("mu", HUGE, ""),
+        lambda: etale_quotient_height(HUGE, ""),
+        lambda: FiniteField(HUGE),
+    ],
+    ids=["spec-rank", "spec-coindex", "modulus", "witt-length", "witt-prime", "frob-j", "frob-n",
+         "mu-prime", "etale-prime", "field-size"],
+)
+def test_a_refused_huge_int_is_named_by_its_bit_length(call):
+    message = str(pytest.raises(ValueError, call).value)
+    assert f"<an integer of {HUGE.bit_length()} bits>" in message
+    assert "Exceeds the limit" not in message and len(message) < 300
 
 
 def test_parse_sing_config():

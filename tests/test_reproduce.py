@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from rdpk3 import height as height_module
 from rdpk3 import reproduce
 from rdpk3.chartring import chart_from_key, parse_rdp_key, rdp_chart
 from rdpk3.ffpoly import FpScalar
@@ -115,6 +116,24 @@ def test_an_etale_table_height_that_disagrees_fails_its_record_alone(monkeypatch
     assert failed[0].expected == "5"
     assert failed[0].note == "table height 5 disagrees with forced height 2 for 2:D8:2"
     assert [r for r in after if r not in failed] == [r for r in before if r.check_id != failed[0].check_id]
+
+
+def test_an_etale_member_the_height_table_refuses_fails_its_record_alone(monkeypatch):
+    """A member height_from_rdp refuses is a disagreement too, not an error out of the run."""
+    refused = "2:D4:1"
+    original = height_module.height_from_rdp
+
+    def refusing(spec):
+        if str(spec) == refused:
+            raise height_module.NonOccurrenceError(f"{spec} does not occur on any K3 surface")
+        return original(spec)
+
+    monkeypatch.setattr(height_module, "height_from_rdp", refusing)
+    report = reproduce_all(only="consistency")
+    failed = [r for r in report.records if r.status == "fail"]
+    assert [r.check_id for r in failed] == ["height:etale:p2:D4:1+D4:1"]
+    assert failed[0].note == f"table height 1 disagrees: {refused} does not occur on any K3 surface"
+    assert report.n_pass == len(report.records) - 1
 
 
 def test_ghost_grid_records():
