@@ -15,19 +15,15 @@ charts is its images: exponent pairs for u and v and the image of each
 w^c, c < d.  One term loop applies them: the Frobenius (the p-th power)
 in ChartElem.frobenius and the quotient maps in RingMap.apply.
 
-The catalog covers:
-
-  char 2:  D_N^r (N >= 4, 0 <= r <= floor(N/2)-1, two equations at
-           r = 0), E_6^r (r <= 1), E_7^r (r <= 3), E_8^r (r <= 4)
-  char 3:  E_6^r, E_7^r (r <= 1), E_8^r (r <= 2)
-  char 5:  E_8^r (r <= 1)
-  char p:  A_{p-1} as z^p = x*y (p <= 7)
-
+The catalog covers D_N^r in characteristic 2 (N >= 4, 0 <= r <=
+floor(N/2)-1, two equations at r = 0), the E_N^r of _E_CHARTS (its
+rows are the non-taut E types of characteristic 2, 3 and 5, and each
+row lists the coindexes it covers) and A_{p-1} as z^p = x*y (p <= 7),
 plus the chart data of the five quotient-map cases (mu_p and alpha_p
 actions) with their ring maps.  In characteristic 3 and 5 the catalog
-stores w^2 = (sign)*(remaining terms), with the sign noted where the
-equation is built, matching the convention under which the Frobenius
-computations are stated.
+stores w^2 = (sign)*(remaining terms), with the sign noted in the
+table, matching the convention under which the Frobenius computations
+are stated.
 """
 
 from __future__ import annotations
@@ -39,24 +35,35 @@ from typing import Optional
 from .ffpoly import FrozenRecord, MultiPoly, SparseTerms, _check_modulus, _cut
 
 
+# The E_N^r equations w^2 = P + Q*w (Artin's normal forms), keyed by (p, N):
+# the sign c of every term, the exponents (i, j) of x^i y^j in P and in Q at
+# r = 0, and for r = 1, 2, ... the one term that r adds, to Q at p = 2 and to
+# P at p = 3 and 5.  A row lists each coindex of its type; a (p, E_N) with
+# no row is taut.  At p = 3 the relation solves -z^2 + f = 0 for z^2, at
+# p = 5 it is z^2 = -(x^3 + y^5 + (b/2)*x*y^4).
+_E_CHARTS = {
+    (2, 6): (1, ((3, 0),), ((0, 2),), ((1, 1),)),
+    (2, 7): (1, ((3, 0), (1, 3)), (), ((2, 1), (0, 3), (1, 1))),
+    (2, 8): (1, ((3, 0), (0, 5)), (), ((1, 3), (1, 2), (0, 3), (1, 1))),
+    (3, 6): (1, ((3, 0), (0, 4)), (), ((2, 2),)),
+    (3, 7): (1, ((3, 0), (1, 3)), (), ((2, 2),)),
+    (3, 8): (1, ((3, 0), (0, 5)), (), ((2, 3), (2, 2))),
+    (5, 8): (-1, ((3, 0), (0, 5)), (), ((1, 4),)),
+}
+
+
 def rmax(p: int, family: str, N: int) -> int:
     """Maximal coindex of a rational double point of type (family, N).
 
     Zero means the singularity is taut in characteristic p: its formal
-    isomorphism class is determined by the resolution graph.
+    isomorphism class is determined by the resolution graph.  D_N has
+    floor(N/2) - 1 in characteristic 2; E_N has as many as its _E_CHARTS
+    row lists.
     """
     _validate_symbol(family, N)
-    if family == "A":
-        return 0
     if family == "D":
         return N // 2 - 1 if p == 2 else 0
-    if p == 2:
-        return {6: 1, 7: 3, 8: 4}[N]
-    if p == 3:
-        return {6: 1, 7: 1, 8: 2}[N]
-    if p == 5:
-        return 1 if N == 8 else 0
-    return 0
+    return len(_E_CHARTS[p, N][3]) if family == "E" and (p, N) in _E_CHARTS else 0
 
 
 def _validate_symbol(family: str, N: int) -> None:
@@ -420,7 +427,8 @@ def rdp_chart(spec: RdpSpec, unified: bool = False) -> ChartRing:
     (resp. z*y^m-companion) term, unified=True keeps the r = 0
     specialization of the general-coindex equation.  For r >= 1 the two
     agree and the flag is ignored.  The relations are built from their
-    exponents, with no text to parse.  Recent charts are shared, not
+    exponents, with no text to parse: D_N by one rule in N, r and the
+    flag, E_N from its _E_CHARTS row.  Recent charts are shared, not
     built again, so ring comparisons are identity tests.
     """
     return _rdp_chart(spec, unified and spec.r == 0)
@@ -447,60 +455,18 @@ def _rdp_chart(spec: RdpSpec, unified: bool) -> ChartRing:
         raise ValueError(f"{family}_{_cut(N)} is taut in characteristic {p}; no chart here")
 
     if family == "D":
+        # P = x^2*y (+ x*y^m for even N), Q = (y^m for odd N) + x*y^(m-r) when r >= 1 or unified
         m = N // 2
-        if N % 2 == 0:
-            P = xy({(2, 1): 1, (1, m): 1})  # x^2*y + x*y^m
-            if r >= 1:
-                Q = xy({(1, m - r): 1})  # x*y^(m-r)
-            elif unified:
-                Q = xy({(1, m): 1})  # x*y^m
-            else:
-                Q = xy({})
-        else:
-            P = xy({(2, 1): 1})  # x^2*y
-            if r >= 1:
-                Q = xy({(0, m): 1, (1, m - r): 1})  # y^m + x*y^(m-r)
-            elif unified:
-                Q = xy({(0, m): 1, (1, m): 1})  # y^m + x*y^m
-            else:
-                Q = xy({(0, m): 1})  # y^m
-        return ChartRing(p, 2, P, Q, ("x", "y", "z"), key)
+        P = {(2, 1): 1, (1, m): 1} if N % 2 == 0 else {(2, 1): 1}
+        Q = {} if N % 2 == 0 else {(0, m): 1}
+        if r or unified:
+            Q[1, m - r] = 1
+        return ChartRing(p, 2, xy(P), xy(Q), ("x", "y", "z"), key)
 
-    if p == 2:
-        if N == 6:
-            P = xy({(3, 0): 1})  # x^3
-            Q = xy({(0, 2): 1, (1, 1): 1} if r == 1 else {(0, 2): 1})  # y^2 (+ x*y)
-        elif N == 7:
-            P = xy({(3, 0): 1, (1, 3): 1})  # x^3 + x*y^3
-            beta = {3: (1, 1), 2: (0, 3), 1: (2, 1)}.get(r)  # x*y, y^3, x^2*y
-            Q = xy({beta: 1} if beta else {})
-        else:
-            P = xy({(3, 0): 1, (0, 5): 1})  # x^3 + y^5
-            beta = {4: (1, 1), 3: (0, 3), 2: (1, 2), 1: (1, 3)}.get(r)  # x*y, y^3, x*y^2, x*y^3
-            Q = xy({beta: 1} if beta else {})
-        return ChartRing(p, 2, P, Q, ("x", "y", "z"), key)
-
-    if p == 3:
-        # sign -1: the stored relation solves -z^2 + f = 0 for z^2
-        if N == 6:
-            body = {(3, 0): 1, (0, 4): 1}  # x^3 + y^4 (+ x^2*y^2)
-            lam = (2, 2) if r == 1 else None
-        elif N == 7:
-            body = {(3, 0): 1, (1, 3): 1}  # x^3 + x*y^3 (+ x^2*y^2)
-            lam = (2, 2) if r == 1 else None
-        else:
-            body = {(3, 0): 1, (0, 5): 1}  # x^3 + y^5 (+ x^2*y^2 at r = 2, x^2*y^3 at r = 1)
-            lam = {2: (2, 2), 1: (2, 3)}.get(r)
-        if lam:
-            body[lam] = 1
-        return ChartRing(p, 2, xy(body), None, ("x", "y", "z"), key)
-
-    # p == 5, E_8
-    # sign -1: z^2 = -(x^3 + y^5 + (b/2) x y^4)
-    body = {(3, 0): 4, (0, 5): 4}  # 4*x^3 + 4*y^5 (+ 4*x*y^4)
-    if r == 1:
-        body[1, 4] = 4
-    return ChartRing(p, 2, xy(body), None, ("x", "y", "z"), key)
+    c, P, Q, added = _E_CHARTS[p, N]
+    extra = (added[r - 1],) if r else ()  # a coindex the row does not list raises here
+    P, Q = (P, Q + extra) if p == 2 else (P + extra, Q)
+    return ChartRing(p, 2, xy(dict.fromkeys(P, c)), xy(dict.fromkeys(Q, c)), ("x", "y", "z"), key)
 
 
 def catalog_coindexes(p: int, family: str, N: int) -> list:

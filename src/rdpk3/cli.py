@@ -37,7 +37,6 @@ from .height import (
     height_from_ordinary,
     height_from_rdp,
     load_model,
-    ordinary_test,
     quotient_height,
     rdp_realizable_on_k3,
 )
@@ -375,8 +374,8 @@ def cmd_height_ordinary(args) -> int:
         )
     poly = parse_poly(args.f, variables, modulus=args.p)
     model = WeightedHypersurface(args.p, weights, poly)
-    ordinary = ordinary_test(model)
     hv = height_from_ordinary(model)
+    ordinary = hv.kind == "finite"
     doc = {
         "schema": HEIGHT_SCHEMA,
         "weights": list(weights),

@@ -531,37 +531,43 @@ def frobenius_check(key: str, n: int, j: Optional[int] = None, unified: bool = F
     return _chain(spec, n, j, unified)[-1]
 
 
-def _sweep(instances) -> List[CheckRecord]:
+def _sweep(gid: str, want: int, instances) -> List[CheckRecord]:
     """One chain per (spec, j, unified) that _refusal admits, at the longest admitted length up to LENGTH_CAP.
 
     Admission only shrinks as n grows, so the chain's shorter lengths are
     admitted too.  The D grid stops at the cap; no E rule reaches past it.
+    A grid that gives other than want records, its group's count in the
+    golden report, adds one failing record gid:count: a rule that admits
+    less cannot shrink the report silently.
     """
     recs = []
     for spec, j, unified in instances:
         n_max = next((n for n in range(LENGTH_CAP, 0, -1) if not _refusal(spec, n, j)), 0)
         if n_max:
             recs += _chain(spec, n_max, j, unified)
+    if len(recs) != want:
+        recs.append(_record(f"{gid}:count", False, f"{len(recs)} records", f"{want} records", PLUMBING))
     return recs
 
 
 def d_frobenius_sweep() -> List[CheckRecord]:
     """All admissible (N, r, n, j) on the D rows of _coindexed_spaces, n <= LENGTH_CAP, j <= 4; both equations at r = 0."""
-    return _sweep((spec, j, unified)
-                  for p, family, N in _coindexed_spaces() if family == "D"
-                  for r in range(rmax(p, family, N) + 1) for spec in [RdpSpec(p, family, N, r)]
-                  for j in range(1, 5) for unified in ((False, True) if r == 0 else (False,)))
+    return _sweep("frobenius:2:D", 622, ((spec, j, unified)
+                                         for p, family, N in _coindexed_spaces() if family == "D"
+                                         for r in range(rmax(p, family, N) + 1) for spec in [RdpSpec(p, family, N, r)]
+                                         for j in range(1, 5) for unified in ((False, True) if r == 0 else (False,))))
 
 
 def e8_pair_sweep() -> List[CheckRecord]:
     """The E_8 pair at every admissible coindex."""
-    return _sweep((RdpSpec(2, "E", 8, r), 2, False) for r in range(rmax(2, "E", 8) + 1))
+    return _sweep("frobenius:2:E8:j2", 2, ((RdpSpec(2, "E", 8, r), 2, False) for r in range(rmax(2, "E", 8) + 1)))
 
 
 def e_frobenius_sweep() -> List[CheckRecord]:
     """All admissible (p, N, n, r) instances of the E threshold family, over the E rows of _coindexed_spaces."""
-    return _sweep((RdpSpec(p, family, N, r), None, False)
-                  for p, family, N in _coindexed_spaces() if family == "E" for r in range(rmax(p, family, N) + 1))
+    return _sweep("frobenius:E", 34, ((RdpSpec(p, family, N, r), None, False)
+                                      for p, family, N in _coindexed_spaces() if family == "E"
+                                      for r in range(rmax(p, family, N) + 1)))
 
 
 def quotient_pullback_check(key: str) -> CheckRecord:
@@ -815,39 +821,19 @@ def check_glue() -> List[CheckRecord]:
 
 
 def overlattice_instances():
-    """(id, lattice, expect-overlattice) rows for the search checks."""
-    rows = [
-        (
-            "overlattice:neg4+7+d7",
-            diagonal_gram([-4, 7]).direct_sum(GramLattice([[2, 1], [1, 4]])),
-            False,
-        ),
+    """(id, lattice, expect-overlattice) rows for the search checks.
+
+    The neg4 and split rows are L1 + <d0> + [[2, 1], [1, (d0 + 1)/2]] with
+    L1 = <-4> or <2, -2>, for d0 = 7, 15, 23; neg4+7+d7 is the headline row.
+    """
+    return [
+        (f"overlattice:{tag}+{d0}+d{d0}",
+         diagonal_gram(l1 + [d0]).direct_sum(GramLattice([[2, 1], [1, (d0 + 1) // 2]])), False)
+        for d0 in (7, 15, 23) for tag, l1 in (("neg4", [-4]), ("split", [2, -2]))
+    ] + [
         ("overlattice:control-hyperbolic", diagonal_gram([-2, 2]), True),
+        ("overlattice:neg16+7+d7", diagonal_gram([-16, 7]).direct_sum(GramLattice([[2, 1], [1, 4]])), False),
     ]
-    l3_by_d0 = {
-        7: GramLattice([[2, 1], [1, 4]]),
-        15: GramLattice([[2, 1], [1, 8]]),
-        23: GramLattice([[2, 1], [1, 12]]),
-    }
-    for d0, l3 in sorted(l3_by_d0.items()):
-        for tag, l1 in (("neg4", diagonal_gram([-4])), ("split", diagonal_gram([2, -2]))):
-            if tag == "neg4" and d0 == 7:
-                continue  # already present as the headline row above
-            rows.append(
-                (
-                    f"overlattice:{tag}+{d0}+d{d0}",
-                    l1.direct_sum(diagonal_gram([d0])).direct_sum(l3),
-                    False,
-                )
-            )
-    rows.append(
-        (
-            "overlattice:neg16+7+d7",
-            diagonal_gram([-16, 7]).direct_sum(GramLattice([[2, 1], [1, 4]])),
-            False,
-        )
-    )
-    return rows
 
 
 def check_overlattice() -> List[CheckRecord]:

@@ -65,14 +65,24 @@ def random_elem(ring, rng):
 def test_coindex_bounds():
     assert rmax(2, "D", 12) == 5
     assert rmax(2, "D", 13) == 5
-    assert rmax(2, "E", 8) == 4
-    assert rmax(2, "E", 7) == 3
-    assert rmax(2, "E", 6) == 1
-    assert rmax(3, "E", 8) == 2
-    assert rmax(5, "E", 8) == 1
     assert rmax(3, "D", 12) == 0
-    assert rmax(7, "E", 8) == 0
     assert rmax(2, "A", 20) == 0
+    # every E type in characteristic 2, 3, 5 and 7 (Artin's normal forms)
+    assert {(p, N): rmax(p, "E", N) for p in (2, 3, 5, 7) for N in (6, 7, 8)} == {
+        (2, 6): 1, (2, 7): 3, (2, 8): 4,
+        (3, 6): 1, (3, 7): 1, (3, 8): 2,
+        (5, 6): 0, (5, 7): 0, (5, 8): 1,
+        (7, 6): 0, (7, 7): 0, (7, 8): 0,
+    }
+
+
+def test_a_coindex_the_catalog_does_not_list_raises():
+    """A coindex past rmax, on a spec made without RdpSpec's check, is refused, not built as r = 0."""
+    for p, N in ((2, 7), (2, 8), (3, 8), (5, 8)):
+        spec = object.__new__(RdpSpec)
+        spec._fill(p, "E", N, rmax(p, "E", N) + 1)
+        with pytest.raises(IndexError):
+            rdp_chart(spec)
 
 
 def test_catalog_coindexes_match_bound():

@@ -561,6 +561,29 @@ def test_height_ordinary(capsys):
     assert doc["ordinary"] is True
 
 
+@pytest.mark.parametrize("f, ordinary", [
+    ("x0^4 + x1^4 + x2^4 + x3^4 + x0*x1*x2*x3", True),
+    ("x0^4 + x1^4 + x2^4 + x3^4", False),
+])
+def test_height_ordinary_expands_the_power_once(capsys, monkeypatch, f, ordinary):
+    """One ordinarity test per command: the verdict is read off the height."""
+    from rdpk3 import height
+    calls = []
+    real = height.ordinary_test
+
+    def counted(model):
+        calls.append(model)
+        return real(model)
+
+    monkeypatch.setattr(height, "ordinary_test", counted)
+    monkeypatch.setattr(cli, "ordinary_test", counted, raising=False)
+    code, doc = run_json(capsys, "height", "ordinary", "--weights", "1,1,1,1", "--p", "3", "--f", f)
+    assert code == 0
+    assert len(calls) == 1
+    assert doc["ordinary"] is ordinary
+    assert doc["height"] == {"kind": "finite" if ordinary else "greater-than", "bound": 1}
+
+
 def test_height_ordinary_counts_the_variables_before_the_parse(capsys):
     many = "+".join(f"a{i}" for i in range(4000))
     start = time.perf_counter()

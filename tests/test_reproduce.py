@@ -136,6 +136,24 @@ def test_an_etale_member_the_height_table_refuses_fails_its_record_alone(monkeyp
     assert report.n_pass == len(report.records) - 1
 
 
+def test_a_sweep_that_gives_fewer_records_fails_a_count_record(monkeypatch):
+    """A rule that admits less adds one failing <group>:count record; it cannot shrink the report silently."""
+    monkeypatch.setattr(reproduce, "LENGTH_CAP", 2)
+    recs = reproduce.d_frobenius_sweep()
+    [count] = [rec for rec in recs if rec.check_id == "frobenius:2:D:count"]
+    assert count.status == "fail" and count.anchor == "plumbing"
+    assert count.computed == f"{len(recs) - 1} records" and len(recs) - 1 < 622
+    assert count.expected == "622 records"
+    # each Frobenius group names itself and its golden count
+    monkeypatch.setattr(reproduce, "_refusal", lambda *args: "refused")
+    sweeps = {gid: fn for gid, fn, _seeded, _aliases in CHECK_GROUPS if gid.startswith("frobenius:")}
+    assert sweeps.keys() == {"frobenius:2:D", "frobenius:2:E8:j2", "frobenius:E"}
+    for (gid, fn), want in zip(sweeps.items(), (622, 2, 34)):
+        assert [(rec.check_id, rec.status, rec.computed, rec.expected) for rec in fn()] == [
+            (f"{gid}:count", "fail", "0 records", f"{want} records")
+        ]
+
+
 def test_ghost_grid_records():
     recs = check_ghost_grid()
     assert len(recs) == 9
