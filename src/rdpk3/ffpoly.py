@@ -697,17 +697,23 @@ class FiniteField:
         """For each a in GF(q) in order, each polynomial's values at (a, rest), rest as in grid.
 
         Horner on the first variable x: P = sum_e x^e P_e(rest), so a slab
-        is sum_e a^e grid(P_e), one scaled list sum per e: map(xor) for
-        p = 2, one log-table lookup per value otherwise.  a^e is one pow,
-        so exponents cost nothing.
+        is sum_e a^e grid(P_e), summed by map(xor) for p = 2.  a^e = 1 gives
+        the column itself, another nonzero a^e one log lookup per value; a^e
+        is one pow, so exponents cost nothing.  A yielded column may be the
+        same list in several slabs, as the zero column is: never mutate one.
         """
-        return self._slabs(*self._term_dicts(polys))
+        term_dicts, m = self._term_dicts(polys)
+        if m == 0:
+            raise ValueError("slabs need a first variable; the polynomials have none")
+        return self._slabs(term_dicts, m)
 
     def _term_dicts(self, polys):
         polys = list(polys)
         for poly in polys:
             if poly.modulus != self.p:
                 raise ValueError(f"polynomial modulus {poly.modulus} is not {self.p}")
+            if poly.variables != polys[0].variables:
+                raise ValueError(f"polynomials in different variables: {polys[0].variables} and {poly.variables}")
         return [poly.terms for poly in polys], len(polys[0].variables) if polys else 1
 
     def _grid(self, term_dicts, m: int) -> list:
@@ -728,12 +734,14 @@ class FiniteField:
         # exp twice, then zeros for the log of 0: a product is one lookup
         order = q - 1
         table = self._exp * 2 + [0] * order
-        logs = [[self._log[g] if g else 2 * order for g in col] for col in grids]
+        logs = [None] * len(grids)  # a part's log column, built when first scaled past 1
 
         def scaled(a, e, j):  # a^e times the grid of part j, None when a^e = 0
             s = self.pow(a, e)
-            if s == 0:
-                return None
+            if s <= 1:
+                return grids[j] if s else None
+            if logs[j] is None:
+                logs[j] = [self._log[g] if g else 2 * order for g in grids[j]]
             ls = self._log[s]
             return [table[l + ls] for l in logs[j]]
 

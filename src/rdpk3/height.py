@@ -448,7 +448,7 @@ COUNT_WORK_GUARD = 2**20
 
 def _fibre_variable(poly: MultiPoly) -> Tuple[int, int]:
     """(index, degree) of the variable of least positive degree; (-1, 0) for a constant."""
-    degrees = [max((e[i] for e in poly.terms), default=0) for i in range(len(poly.variables))]
+    degrees = map(max, zip(*poly.terms))
     positive = [(d, i) for i, d in enumerate(degrees) if d]
     if not positive:
         return -1, 0
@@ -507,19 +507,19 @@ def _root_counter(field: FiniteField, ks: Sequence[int]):
 
 def _affine_count(field: FiniteField, poly: MultiPoly) -> int:
     """Zeros of poly in GF(q)^n, from the columns of its coefficients in the least-degree variable."""
+    if poly.modulus != field.p:
+        raise ValueError(f"polynomial modulus {poly.modulus} is not {field.p}")
     n = len(poly.variables)
     i, _d = _fibre_variable(poly)
     if i < 0:
         return field.q**n if poly.coefficient_of((0,) * n) == 0 else 0
-    rest = poly.variables[:i] + poly.variables[i + 1:]
     split: Dict[int, dict] = {}
     for exps, c in poly.terms.items():
         split.setdefault(exps[i], {})[exps[:i] + exps[i + 1:]] = c
-    ks = tuple(split)
-    coefficients = [MultiPoly(rest, split[k], poly.modulus) for k in ks]
-    # one slab of the first other variable at a time: no column holds more than q^(n-2) values
-    slabs = field.slabs(coefficients) if n >= 3 else [field.grid(coefficients)]
-    return sum(map(_root_counter(field, ks), slabs))
+    # the coefficients' term dicts in the other n - 1 variables, one slab of the
+    # first of them at a time: no column holds more than q^(n-2) values
+    slabs = field._slabs(split.values(), n - 1) if n >= 3 else [field._grid(split.values(), n - 1)]
+    return sum(map(_root_counter(field, tuple(split)), slabs))
 
 
 def _weight_map(model: WeightedHypersurface) -> Dict[str, int]:

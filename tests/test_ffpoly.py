@@ -376,6 +376,28 @@ def test_evaluator_of_no_polynomials_and_of_zero():
         f.grid([MultiPoly(("x",), {(1,): 1}, 3)])
 
 
+def test_evaluator_refuses_polynomials_in_other_variables():
+    """The variables of the first polynomial are not taken for the others'."""
+    f = FiniteField(4)
+    x = MultiPoly.gen(("x",), "x", 2)
+    xy = MultiPoly.gen(("x", "y"), "x", 2)
+    yx = MultiPoly.gen(("y", "x"), "x", 2)
+    for first, other in ((x, xy), (xy, x), (xy, yx)):
+        both = re.escape(f"{first.variables} and {other.variables}")
+        with pytest.raises(ValueError, match=both):
+            list(f.slabs([first, other]))
+        with pytest.raises(ValueError, match=both):
+            f.grid([first, other])
+
+
+def test_slabs_refuse_polynomials_in_no_variables():
+    f = FiniteField(4)
+    c = MultiPoly((), {(): 1}, 2)
+    with pytest.raises(ValueError, match="slabs need a first variable"):
+        list(f.slabs([c]))
+    assert f.grid([c]) == [[1]]
+
+
 @pytest.mark.parametrize("q", EVALUATOR_FIELDS)
 def test_trace_is_the_sum_of_the_frobenius_conjugates(q):
     f = FiniteField(q)

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from rdpk3.chartring import RdpSpec, parse_rdp_key
+from rdpk3.chartring import RdpSpec, parse_rdp_key, rdp_chart, rmax
 from rdpk3 import height as height_module
 from rdpk3.ffpoly import FiniteField, MultiPoly, _check_modulus, parse_poly
 from rdpk3.height import (
@@ -33,8 +33,8 @@ from rdpk3.height import (
     rdp_realizable_on_k3,
     taut_realizable,
 )
-from rdpk3.height import _affine_count
-from rdpk3.reproduce import frobenius_check, ordinarity_examples
+from rdpk3.height import _affine_count, _fibre_variable
+from rdpk3.reproduce import _coindexed_spaces, frobenius_check, ordinarity_examples
 from rdpk3.witt import check_supported
 
 MODEL_PATH = pathlib.Path(__file__).resolve().parent.parent / "models" / "ex71.json"
@@ -473,6 +473,75 @@ def test_fibre_count_over_no_variables():
     field = FiniteField(5)
     assert _affine_count(field, MultiPoly((), {(): 0}, 5)) == 1
     assert _affine_count(field, MultiPoly((), {(): 3}, 5)) == 0
+
+
+def test_fibre_count_refuses_a_polynomial_of_another_modulus():
+    field = FiniteField(4)
+    for poly in (parse_poly("x*y + 1", ("x", "y"), modulus=3), MultiPoly((), {(): 1}, 3)):
+        with pytest.raises(ValueError, match="polynomial modulus 3 is not 2"):
+            _affine_count(field, poly)
+
+
+def test_fibre_variable_reads_each_variable_degree():
+    """The one-pass degree read equals a max over the terms per variable."""
+    polys = [parse_poly(text, names, modulus=3) for text, names in ODD_POLYS]
+    polys += [parse_poly(text, names, modulus=2) for text, names in CHAR2_POLYS]
+    polys += [MultiPoly.zero(("x", "y", "t"), 2), MultiPoly((), {(): 1}, 2), MultiPoly.zero((), 2)]
+    for poly in polys:
+        degrees = [max((e[i] for e in poly.terms), default=0) for i in range(len(poly.variables))]
+        positive = [(d, i) for i, d in enumerate(degrees) if d]
+        want = (min(positive)[1], min(positive)[0]) if positive else (-1, 0)
+        assert _fibre_variable(poly) == want, str(poly)
+
+
+def random_two_chart(rng):
+    """A TwoChart over F_2 with a few random terms in each chart."""
+    charts = []
+    for names in (("x", "y", "t"), ("x", "y")):
+        terms = {tuple(rng.randrange(4) for _ in names): 1 for _ in range(rng.randint(1, 6))}
+        charts.append(MultiPoly(names, terms, 2))
+    return TwoChart(2, *charts)
+
+
+def test_count_points_builds_no_polynomial(monkeypatch):
+    """Each count reads the model's own term dicts: no MultiPoly is built while counting."""
+    rng = random.Random(42)
+    jobs = [(load_model(MODEL_PATH), q) for q in (2, 4, 8, 16, 32)]
+    jobs += [(model, q) for _rid, model, _ordinary, _anchor in ordinarity_examples() for q in (2, 4, 8)]
+    jobs += [(model, q) for model in [random_two_chart(rng) for _ in range(12)] for q in (2, 4, 8, 16)]
+    want = [count_points(model, q) for model, q in jobs]
+    assert want[:5] == [9, 25, 45, 289, 1089]
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a MultiPoly was built in a point count")
+
+    monkeypatch.setattr(MultiPoly, "__init__", refuse)
+    height_module._field.cache_clear()
+    assert [count_points(model, q) for model, q in jobs] == want
+
+
+def test_fedder_criterion_matches_the_first_column_of_the_height_table():
+    """Each catalog equation is F-pure exactly at the coindex of height 1.
+
+    Fedder's criterion: F_p[[x, y, z]]/(f) is F-pure iff f^(p-1) is not
+    in (x^p, y^p, z^p), that is iff some term of f^(p-1) has every
+    exponent below p.  f = z^d - Q z - P is the chart's relation, with no
+    Witt vectors, reduce or chart products involved.
+    """
+    names = ("x", "y", "z")
+    checked = 0
+    for p, family, N in _coindexed_spaces():
+        r1 = height_sequence(p, family, N)[0]
+        for r in range(rmax(p, family, N) + 1):
+            ring = rdp_chart(RdpSpec(p, family, N, r))
+            # rel_p and rel_q are polynomials in (x, y): their keys are 2-tuples
+            P = MultiPoly(names, {(i, j, 0): c for (i, j), c in ring.rel_p.terms.items()}, p)
+            Q = MultiPoly(names, {(i, j, 1): c for (i, j), c in ring.rel_q.terms.items()}, p)
+            f = MultiPoly.gen(names, "z", p) ** ring.wdeg - Q - P
+            f_pure = any(max(exps) < p for exps in (f ** (p - 1)).terms)
+            assert f_pure == (r == r1), (p, family, N, r)
+            checked += 1
+    assert checked == 128
 
 
 def test_counts_read_the_value_at_the_origin_off_the_constant_term(monkeypatch):
